@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import ScalarField, gradient, hessian, sym_inv, sym_size, sym_det
+from .grids import ScalarField, gradient, hessian, sym_size
 from .recon import extra_count, functional_budget
 from .synthesis import MeasurementSet
 

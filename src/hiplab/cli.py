@@ -26,9 +26,9 @@ from . import studies
 from .admissibility import check as check_admissibility
 from .config import ExperimentConfig, load_config, parse_config
 from .errors import ConfigurationError, HiplabError
-from .forward import solve_dirichlet
+from .forward import solve_traces
 from .grids import write_field
-from .synthesis import add_noise, load_measurements, save_measurements, synthesize
+from .synthesis import load_measurements, save_measurements
 
 __all__ = ["main", "build_parser"]
 
@@ -104,22 +104,23 @@ def _cmd_forward(args, cfg: ExperimentConfig) -> int:
     grid = cfg.grid_for()
     coeffs = cfg.coefficients(grid)
     traces = cfg.traces(grid, coeffs)
-    settings = cfg.solver()
-    for j, trace in enumerate(traces):
-        u = solve_dirichlet(coeffs, trace, settings=settings)
+    solutions = solve_traces(coeffs, traces, settings=cfg.solver())
+    for j, u in enumerate(solutions):
         write_field(u, os.path.join(out, f"u{j + 1}.field"))
     print(f"wrote {len(traces)} solutions to {out}")
     return 0
 
 
+def _synthesize(cfg: ExperimentConfig):
+    grid = cfg.grid_for()
+    return studies.synthesize_measurements(cfg, grid, cfg.coefficients(grid))
+
+
 def _cmd_synth(args, cfg: ExperimentConfig) -> int:
     out = _out_dir(args, cfg, required=True)
-    result = studies.run_pipeline(cfg)
-    save_measurements(result.ms, out)
-    print(
-        f"wrote {len(result.ms.functionals)} functionals "
-        f"({result.ms.modality}) to {out}"
-    )
+    ms = _synthesize(cfg)
+    save_measurements(ms, out)
+    print(f"wrote {len(ms.functionals)} functionals ({ms.modality}) to {out}")
     return 0
 
 
@@ -163,13 +164,7 @@ def _cmd_check(args, cfg: ExperimentConfig) -> int:
     # The audit itself never raises on bad data: failing conditions are
     # report entries, and the verdict maps to the exit code.
     out = _out_dir(args, cfg, required=False)
-    grid = cfg.grid_for()
-    coeffs = cfg.coefficients(grid)
-    traces = cfg.traces(grid, coeffs)
-    ms = synthesize(coeffs, cfg.modality(grid), traces, cfg.solver())
-    noise = cfg.noise()
-    if noise is not None:
-        ms = add_noise(ms, noise)
+    ms = _synthesize(cfg)
     audit = check_admissibility(ms, thresholds=cfg.thresholds(), margin=cfg.margin)
     print(audit.to_text())
     if out is not None:

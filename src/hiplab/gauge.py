@@ -51,7 +51,13 @@ from .errors import (
     PositivityError,
     ReconstructionAbort,
 )
-from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_dirichlet
+from .forward import (
+    BoundaryTrace,
+    CoefficientSet,
+    SolverSettings,
+    solve_dirichlet,
+    solve_poisson,
+)
 from .grids import (
     Grid,
     InteriorMask,
@@ -244,7 +250,6 @@ def invariant_triple(
     )
     if np.any(nc.degenerate):
         g_vals = g_vals.copy()
-        g_vals[nc.degenerate] = np.nan
         g_vals[nc.degenerate] = 0.0  # keep solves finite; vertices stay flagged
     return InvariantTriple(
         shape=shape,
@@ -280,15 +285,10 @@ def integrate_gradient(
     against its Jacobian scale.
     """
     grid = F.grid
-    ident = CoefficientSet(
-        a=SymTensorField.identity(grid),
-        b=VectorField.zero(grid),
-        c=ScalarField.constant(grid, 0.0),
-    )
     # the outer rings of F carry one-sided-stencil error constants; the
     # solve would spread their kink into interior curvature of psi
     F = VectorField(grid, consistent_rings(F.values, grid))
-    psi = solve_dirichlet(ident, anchor, source=divergence(F), settings=settings)
+    psi = solve_poisson(anchor, divergence(F), settings)
     rot = curl(F)
     rot_mag = np.abs(rot.values) if grid.dim == 2 else rot.magnitude()
     jac = _jacobian_magnitude(F)
@@ -534,17 +534,7 @@ def resolve_generic(
     if constraint.kind == "divergence":
         div_w = divergence(w_field)
         src = ScalarField(grid, 0.5 * (div_w.values - constraint.value.values))
-        ident = CoefficientSet(
-            a=SymTensorField.identity(grid),
-            b=VectorField.zero(grid),
-            c=ScalarField.constant(grid, 0.0),
-        )
-        psi = solve_dirichlet(
-            ident,
-            _log_anchor(ratio_anchor, "weight ratio"),
-            source=src,
-            settings=settings,
-        )
+        psi = solve_poisson(_log_anchor(ratio_anchor, "weight ratio"), src, settings)
         log_ratio = psi.values
     else:
         from scipy.integrate import cumulative_trapezoid

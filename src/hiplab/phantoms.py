@@ -3,7 +3,8 @@
 A small expression language describes coefficients, weights, and boundary
 traces in configuration files and on the command line:
 
-* literals: decimal numbers and the imaginary unit ``i``
+* literals: decimal numbers, the imaginary unit ``i`` and the constants
+  ``pi`` and ``e``
 * variables: ``x``, ``y`` and, in dimension 3, ``z``
 * operators: ``+ - * / ^`` and unary minus
 * functions: ``sin cos exp tanh sqrt abs``
@@ -44,6 +45,8 @@ _FUNCTIONS = {
 }
 
 _VARIABLES = ("x", "y", "z")
+
+_CONSTANTS = {"i": 1j, "pi": complex(np.pi), "e": complex(np.e)}
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,8 @@ class _Parser:
         if kind == "num":
             return Num(complex(float(text)), off)
         if kind == "name":
-            if text == "i":
-                return Num(1j, off)
+            if text in _CONSTANTS:
+                return Num(_CONSTANTS[text], off)
             if text in _FUNCTIONS:
                 self.expect_sym("(")
                 arg = self.sum()

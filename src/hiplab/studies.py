@@ -40,12 +40,13 @@ from .grids import (
     sym_matvec,
     write_field,
 )
-from .metrics import ErrorMetrics, error_norms
+from .metrics import error_norms
 from .recon import NormalizedCoefficients, reconstruct
 from .synthesis import MeasurementSet, NoiseSpec, add_noise, synthesize
 
 __all__ = [
     "PipelineResult",
+    "synthesize_measurements",
     "run_pipeline",
     "resolve_measurements",
     "fitted_order",
@@ -110,18 +111,6 @@ def _write_report(path: str, report: dict) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=True)
         fh.write("\n")
-
-
-def _metrics_dict(em: ErrorMetrics) -> dict:
-    return {
-        "c0": em.c0,
-        "c1": em.c1,
-        "c2": em.c2,
-        "c0_rel": em.c0_rel,
-        "c1_rel": em.c1_rel,
-        "c2_rel": em.c2_rel,
-        "region_fraction": em.region_fraction,
-    }
 
 
 def resolve_measurements(
@@ -229,6 +218,18 @@ def _quantity_table(
     return quantities, truths
 
 
+def synthesize_measurements(
+    cfg: ExperimentConfig, grid: Grid, coeffs: CoefficientSet
+) -> MeasurementSet:
+    """The configured measurement set on ``grid``, with the configured noise."""
+    traces = cfg.traces(grid, coeffs)
+    ms = synthesize(coeffs, cfg.modality(grid), traces, cfg.solver())
+    noise = cfg.noise()
+    if noise is not None:
+        ms = add_noise(ms, noise)
+    return ms
+
+
 def run_pipeline(
     cfg: ExperimentConfig,
     grid: Grid | None = None,
@@ -245,12 +246,7 @@ def run_pipeline(
     coeffs = cfg.coefficients(grid)
     settings = cfg.solver()
     if ms is None:
-        modality = cfg.modality(grid)
-        traces = cfg.traces(grid, coeffs)
-        ms = synthesize(coeffs, modality, traces, settings)
-        noise = cfg.noise()
-        if noise is not None:
-            ms = add_noise(ms, noise)
+        ms = synthesize_measurements(cfg, grid, coeffs)
 
     report = check_admissibility(ms, thresholds=cfg.thresholds(), margin=cfg.margin)
     if not report.passed:
@@ -271,9 +267,9 @@ def run_pipeline(
     quantities, truths = _quantity_table(cfg, ms, coeffs, nc, resolved)
     mask = grid.interior(cfg.margin)
     metrics = {
-        name: _metrics_dict(
-            error_norms(quantities[name], truths[name], mask=mask, exclude=flags)
-        )
+        name: error_norms(
+            quantities[name], truths[name], mask=mask, exclude=flags
+        ).to_dict()
         for name in sorted(quantities)
     }
     return PipelineResult(

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigurationError, GridError, NonVanishingError
-from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_dirichlet
+from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_traces
 from .grids import Grid, ScalarField, gradient, hessian, read_field, write_field
 
 __all__ = [
@@ -267,7 +267,9 @@ def synthesize(
     traces: list[BoundaryTrace],
     settings: SolverSettings | None = None,
 ) -> MeasurementSet:
-    """Solve the forward problem per trace and form ``H_j = d u_j``.
+    """Solve the forward problem for every trace and form ``H_j = d u_j``.
+
+    All traces share one operator, which is assembled and factored once.
 
     Raises
     ------
@@ -287,7 +289,7 @@ def synthesize(
     if modality.gamma is not None:
         _require_real_positive(modality.gamma, "gamma")
 
-    solutions = [solve_dirichlet(coeffs, tr, settings=settings) for tr in traces]
+    solutions = solve_traces(coeffs, traces, settings=settings)
 
     if modality.name == "elastography":
         weight = ScalarField.constant(grid, 1.0)

@@ -86,6 +86,16 @@ class TestExitCodes:
         assert main(["--config", cfg, "run"]) == 4
         assert "admissibility" in capsys.readouterr().err
 
+    def test_synth_writes_data_the_pipeline_rejects(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            harmonic_doc(traces={"expressions": ["1", "x", "2*x", "x*y", "x^2 - y^2"]}),
+        )
+        assert main(["--config", cfg, "run"]) == 4
+        data = tmp_path / "data"
+        assert main(["--config", cfg, "--out", str(data), "synth"]) == 0
+        assert (data / "manifest.json").exists()
+
     def test_out_required_for_file_writers(self, tmp_path, capsys):
         cfg = write_config(tmp_path, harmonic_doc())
         for command in ("forward", "synth", "reconstruct", "resolve"):

@@ -14,6 +14,8 @@ from hiplab.forward import (
     assemble,
     residual,
     solve_dirichlet,
+    solve_poisson,
+    solve_traces,
 )
 from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
 
@@ -154,3 +156,142 @@ class TestResidual:
             np.log(vals[k] / vals[k + 1]) / np.log(2.0) for k in range(len(vals) - 1)
         ]
         assert min(rates) >= 1.9
+
+
+def anisotropic_complex_coefficients(grid):
+    """Anisotropic ``a`` with off-diagonal entries and a complex ``c``."""
+    x, y = (m.real for m in grid.meshgrid())
+    vals = np.zeros(grid.shape + (3,))
+    vals[..., 0] = 4.0 + x
+    vals[..., 1] = 1.0 + 0.5 * y
+    vals[..., 2] = 0.6 * x * (1 - x) * y
+    c = 0.5 + 0.2 * x + 1j * (0.7 + 0.3 * y)
+    return CoefficientSet(
+        a=SymTensorField(grid, vals), b=VectorField.zero(grid), c=ScalarField(grid, c)
+    )
+
+
+def relative_gap(first, second):
+    return np.max(np.abs(first.values - second.values)) / np.max(np.abs(second.values))
+
+
+class TestManyTraces:
+    def test_matches_one_at_a_time_in_two_dimensions(self):
+        grid = Grid(bounds=((0.0, 1.0), (0.0, 1.5)), shape=(17, 21))
+        coeffs = anisotropic_complex_coefficients(grid)
+        traces = [
+            BoundaryTrace.from_expression(grid, src)
+            for src in ("1", "x", "y", "x*y", "x^2 - y^2")
+        ]
+        source = ScalarField(grid, np.full(grid.shape, 0.3 - 0.1j))
+        many = solve_traces(coeffs, traces, source)
+        for u, tr in zip(many, traces):
+            assert relative_gap(u, solve_dirichlet(coeffs, tr, source)) <= 1e-12
+
+    def test_matches_one_at_a_time_in_three_dimensions(self):
+        grid = unit_grid(9, dim=3)
+        base = laplace_coefficients(grid)
+        x, y, z = (m.real for m in grid.meshgrid())
+        coeffs = CoefficientSet(
+            a=SymTensorField(grid, base.a.values * (1 + 0.3 * x * y)[..., None]),
+            b=base.b,
+            c=ScalarField(grid, 0.5 + 0.2 * z),
+        )
+        traces = [
+            BoundaryTrace.from_expression(grid, src)
+            for src in ("1", "x", "y", "z", "x*y*z")
+        ]
+        for u, tr in zip(solve_traces(coeffs, traces), traces):
+            assert relative_gap(u, solve_dirichlet(coeffs, tr)) <= 1e-12
+
+    def test_iterative_over_several_traces(self):
+        grid = unit_grid(17)
+        coeffs = laplace_coefficients(grid)
+        traces = [BoundaryTrace.from_expression(grid, s) for s in ("x*y", "x^2 - y^2")]
+        direct = solve_traces(coeffs, traces, settings=SolverSettings(method="direct"))
+        iterative = solve_traces(
+            coeffs, traces, settings=SolverSettings(method="iterative", tolerance=1e-13)
+        )
+        for d, it in zip(direct, iterative):
+            assert np.max(np.abs(d.values - it.values)) < 1e-9
+
+    def test_starved_column_raises_solver_failure(self):
+        grid = unit_grid(17)
+        coeffs = laplace_coefficients(grid)
+        # the zero trace converges at once; the second needs many iterations
+        traces = [BoundaryTrace.from_expression(grid, s) for s in ("0", "x^2 - y^2")]
+        with pytest.raises(SolverFailure, match="trace 1"):
+            solve_traces(
+                coeffs,
+                traces,
+                settings=SolverSettings(method="iterative", max_iterations=1),
+            )
+
+    def test_nan_source_raises_solver_failure(self):
+        grid = unit_grid(9)
+        src = np.zeros(grid.shape)
+        src[4, 4] = np.nan
+        with pytest.raises(SolverFailure):
+            solve_dirichlet(
+                laplace_coefficients(grid),
+                BoundaryTrace.from_expression(grid, "x"),
+                ScalarField(grid, src),
+            )
+
+    def test_minimum_grid(self):
+        for dim in (2, 3):
+            grid = unit_grid(5, dim=dim)
+            traces = [BoundaryTrace.from_expression(grid, s) for s in ("1", "x", "x*y")]
+            x, y = (m.real for m in grid.meshgrid()[:2])
+            for u, exact in zip(
+                solve_traces(laplace_coefficients(grid), traces), (1.0, x, x * y)
+            ):
+                assert np.max(np.abs(u.values - exact)) < 1e-12
+
+
+class TestPoisson:
+    def assembled(self, trace, source):
+        coeffs = laplace_coefficients(trace.grid)
+        return solve_dirichlet(coeffs, trace, source, SolverSettings(method="direct"))
+
+    def test_matches_assembled_solve_on_a_rectangle(self):
+        grid = Grid(bounds=((0.0, 1.0), (0.0, 2.0)), shape=(17, 33))
+        x, y = (m.real for m in grid.meshgrid())
+        trace = BoundaryTrace(grid, np.exp(x - 0.5 * y) + 1j * np.cos(x * y))
+        source = ScalarField(grid, np.sin(3 * x) * y + 0.5j * x)
+        got = solve_poisson(trace, source)
+        assert relative_gap(got, self.assembled(trace, source)) <= 1e-12
+        bmask = grid.boundary_mask()
+        assert np.array_equal(got.values[bmask], trace.values[bmask])
+
+    def test_matches_assembled_solve_in_three_dimensions(self):
+        grid = Grid(bounds=((0.0, 1.0), (0.0, 0.5), (-1.0, 1.0)), shape=(9, 7, 11))
+        x, y, z = (m.real for m in grid.meshgrid())
+        trace = BoundaryTrace(grid, 1.0 + x * y - z**2 + 0.2j * np.sin(z))
+        source = ScalarField(grid, x + y * z)
+        got = solve_poisson(trace, source)
+        assert relative_gap(got, self.assembled(trace, source)) <= 1e-12
+
+    def test_minimum_grid(self):
+        for dim in (2, 3):
+            grid = unit_grid(5, dim=dim)
+            trace = BoundaryTrace.from_expression(grid, "x*y + 2*i")
+            source = ScalarField.constant(grid, 1.0)
+            got = solve_poisson(trace, source)
+            assert relative_gap(got, self.assembled(trace, source)) <= 1e-12
+
+    def test_nan_source_raises_solver_failure(self):
+        grid = unit_grid(9)
+        src = np.zeros(grid.shape)
+        src[4, 4] = np.nan
+        with pytest.raises(SolverFailure):
+            solve_poisson(
+                BoundaryTrace.from_expression(grid, "x"), ScalarField(grid, src)
+            )
+
+    def test_mismatched_source_grid_rejected(self):
+        with pytest.raises(GridError):
+            solve_poisson(
+                BoundaryTrace.from_expression(unit_grid(5), "x"),
+                ScalarField.constant(unit_grid(9), 0.0),
+            )

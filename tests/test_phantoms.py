@@ -72,6 +72,17 @@ class TestParseAndEvaluate:
             assert same_tree(parse(printed), tree)
             assert to_string(parse(printed)) == printed
 
+    def test_constants_pi_and_e(self):
+        x = np.linspace(-1.0, 2.0, 7).astype(np.complex128)
+        for src, expected in (
+            ("sin(pi*x)", np.sin(np.pi * x)),
+            ("e^x", np.exp(x)),
+        ):
+            got = evaluate(parse(src), {"x": x})
+            assert np.allclose(got, expected, rtol=1e-14, atol=1e-15), src
+            again = evaluate(parse(to_string(parse(src))), {"x": x})
+            assert np.array_equal(again, got), src
+
 
 class TestMaterializers:
     def test_constant_scalar(self):
