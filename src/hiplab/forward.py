@@ -45,6 +45,18 @@ __all__ = [
 # to its magnitude
 _IMAG_TOL = 1e-10
 
+# Preconditioned BiCGSTAB iterations "auto" allows a column before it
+# solves that column and the ones after it from an LU factorization.  To
+# the default tolerance the pipeline's operators need 4-7 iterations,
+# rotated anisotropy 10 and contrast-10 bumps 18-29, rotated anisotropy
+# 100 41-51 and contrast-100 bumps 77-89, whatever the mesh.  LU beats
+# Krylov only on 2-D contrast 100, by 2-2.5x on 129^2 and 257^2; a
+# budget below that count spends about as long before falling back as
+# Krylov needs to finish in 2-D, and 5.8x as long in 3-D (25^3).  The
+# budget therefore sits above every measured count, and the fallback
+# catches columns that stagnate or break down.
+_AUTO_KRYLOV_BUDGET = 100
+
 
 @dataclass
 class CoefficientSet:
@@ -119,16 +131,20 @@ class BoundaryTrace:
 
 @dataclass
 class SolverSettings:
-    """Linear-solver policy.
+    """Linear-solver policy for variable-coefficient operators.
 
-    ``method`` is ``"direct"``, ``"iterative"``, or ``"auto"`` (direct up
-    to ``direct_limit`` unknowns, then a preconditioned Krylov solve).
+    ``method`` is ``"direct"`` (one sparse LU factorization),
+    ``"iterative"`` (BiCGSTAB preconditioned by a fast sine-transform
+    solve, per column, to the relative ``tolerance`` within
+    ``max_iterations``), or ``"auto"`` (the same Krylov solve with at
+    most ``_AUTO_KRYLOV_BUDGET`` iterations per column; from the first
+    column that misses it on, the columns are solved from one LU
+    factorization).
     """
 
     method: str = "auto"
-    tolerance: float = 1e-12
+    tolerance: float = 3e-14
     max_iterations: int = 20000
-    direct_limit: int = 66049
     residual_cap: float = 1e-10
 
     def __post_init__(self):
@@ -245,7 +261,8 @@ def _assemble(
             rhs[row_ids[on_boundary]] -= (
                 w[on_boundary, None] * f_flat[col_flat[on_boundary]]
             )
-        keep = ~on_boundary
+        # with a scalar a the mixed-term weights are exactly zero
+        keep = ~on_boundary & (w != 0)
         rows.append(row_ids[keep])
         cols.append(unknown_id[col_flat[keep]])
         vals.append(w[keep])
@@ -288,40 +305,87 @@ def _require_within_cap(rel: np.ndarray, cap: float) -> None:
         )
 
 
-def _solve_system(system: LinearSystem, settings: SolverSettings) -> np.ndarray:
-    """Solve every right-hand-side column against one operator."""
-    n = system.rhs.shape[0]
-    method = settings.method
-    if method == "auto":
-        method = "direct" if n <= settings.direct_limit else "iterative"
-    if method == "direct":
-        try:
-            lu = spla.splu(system.matrix.tocsc())
-        except RuntimeError as exc:
-            raise SolverFailure(f"direct factorization failed: {exc} (n={n})") from exc
-        return lu.solve(system.rhs)
-    diag = system.matrix.diagonal()
-    if np.any(diag == 0):
-        raise SolverFailure("zero diagonal entry; cannot precondition")
-    precond = spla.LinearOperator(
-        (n, n), matvec=lambda v: v / diag, dtype=np.complex128
+def _dst_eigenvalues(shape, spacing, scales) -> np.ndarray:
+    """Eigenvalues of ``sum_p scales[p] d^2/dx_p^2`` on an interior block.
+
+    The operator is the 3-point second difference along each axis with
+    zero Dirichlet data, which DST-I diagonalizes: along an axis with
+    ``N`` unknowns and spacing ``h`` its eigenvalues are
+    ``-(4 / h^2) sin^2(pi k / (2 (N + 1)))``, ``k = 1 .. N`` (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+    """
+    dim = len(shape)
+    eig = np.zeros(shape)
+    for p, (n, h) in enumerate(zip(shape, spacing)):
+        k = np.arange(1, n + 1)
+        lam = -(4.0 / h**2) * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2
+        eig = eig + scales[p] * lam.reshape([n if ax == p else 1 for ax in range(dim)])
+    return eig
+
+
+def _dst_solve(rhs: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    return idstn(dstn(rhs, type=1) / eig, type=1)
+
+
+def _mean_operator_inverse(coeffs: CoefficientSet) -> spla.LinearOperator:
+    """Exact inverse of ``sum_p mean(a_pp) d^2/dx_p^2 + mean(c)`` by DST-I.
+
+    The means run over the unknowns.  This constant-coefficient operator
+    preconditions the variable one (Concus & Golub, SIAM J. Numer. Anal.
+    10, 1973); for ``a = I, b = 0, c = 0`` it is the assembled matrix.
+    """
+    grid = coeffs.grid
+    core = _core_slice(grid.shape, (0,) * grid.dim)
+    scales = [float(np.mean(coeffs.a.entry(p, p).real[core])) for p in range(grid.dim)]
+    eig = _dst_eigenvalues(
+        tuple(s - 2 for s in grid.shape), grid.spacing, scales
+    ) + np.mean(coeffs.c.values[core])
+    n = eig.size
+    return spla.LinearOperator(
+        (n, n),
+        matvec=lambda v: _dst_solve(v.reshape(eig.shape), eig).ravel(),
+        dtype=np.complex128,
     )
-    columns = []
-    for j in range(system.rhs.shape[1]):
-        x, info = spla.bicgstab(
-            system.matrix,
-            system.rhs[:, j],
-            rtol=settings.tolerance,
-            atol=0.0,
-            maxiter=settings.max_iterations,
-            M=precond,
+
+
+def _lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    try:
+        lu = spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise SolverFailure(
+            f"direct factorization failed: {exc} (n={matrix.shape[0]})"
+        ) from exc
+    return lu.solve(rhs)
+
+
+def _solve_system(
+    system: LinearSystem, coeffs: CoefficientSet, settings: SolverSettings
+) -> np.ndarray:
+    """Solve every right-hand-side column against one operator."""
+    matrix, rhs = system.matrix, system.rhs
+    if not (np.isfinite(rhs).all() and np.isfinite(matrix.data).all()):
+        raise SolverFailure("linear system has a non-finite entry")
+    if settings.method == "direct":
+        return _lu_solve(matrix, rhs)
+    budget = settings.max_iterations
+    if settings.method == "auto":
+        budget = min(budget, _AUTO_KRYLOV_BUDGET)
+    precond = _mean_operator_inverse(coeffs)
+    x = np.empty_like(rhs)
+    for j in range(rhs.shape[1]):
+        x[:, j], info = spla.bicgstab(
+            matrix, rhs[:, j], rtol=settings.tolerance, atol=0.0, maxiter=budget, M=precond
         )
-        if info != 0:
+        if info == 0:
+            continue
+        if settings.method == "iterative":
             raise SolverFailure(
-                f"Krylov solve did not converge (info={info}, n={n}, trace {j})"
+                f"Krylov solve did not converge (info={info}, n={rhs.shape[0]}, trace {j})"
             )
-        columns.append(x)
-    return np.stack(columns, axis=1)
+        # the remaining columns share the operator, so they share the factorization
+        x[:, j:] = _lu_solve(matrix, rhs[:, j:])
+        break
+    return x
 
 
 def solve_traces(
@@ -332,14 +396,14 @@ def solve_traces(
 ) -> list[ScalarField]:
     """Solve the Dirichlet problem once per trace against one operator.
 
-    The matrix is assembled once and, on the direct path, factored once
+    The matrix is assembled once and, where LU is used, factored once
     for all traces; the factorization lives only for this call.  Each
     solution's relative residual is verified against
     ``settings.residual_cap``.
     """
     settings = settings or SolverSettings()
     system = _assemble(coeffs, traces, source)
-    x = _solve_system(system, settings)
+    x = _solve_system(system, coeffs, settings)
     rel = _relative_residuals(
         system.matrix @ x - system.rhs, x, system.rhs, _row_sum_max(system.matrix)
     )
@@ -390,12 +454,10 @@ def solve_poisson(
 
     This is the discrete problem :func:`solve_dirichlet` poses for
     ``a = I, b = 0, c = 0``, where the flux stencil reduces to the
-    (2 dim + 1)-point Laplacian.  DST-I diagonalizes that stencil on the
-    interior: along an axis with ``N`` unknowns and spacing ``h`` its
-    eigenvalues are ``-(4 / h^2) sin^2(pi k / (2 (N + 1)))``,
-    ``k = 1 .. N`` (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
-    1970).  Only ``settings.residual_cap`` applies; the residual is
-    checked matrix-free.
+    (2 dim + 1)-point Laplacian, which DST-I diagonalizes on the
+    interior (see :func:`_dst_eigenvalues`).  Only
+    ``settings.residual_cap`` applies; the residual is checked
+    matrix-free.
     """
     grid = trace.grid
     if not grid.compatible(source.grid):
@@ -407,13 +469,7 @@ def solve_poisson(
     boundary_only[core] = 0.0
     rhs = source.values[core] - _laplacian_core(boundary_only, grid.spacing)
 
-    eig = np.zeros(rhs.shape)
-    for p, h in enumerate(grid.spacing):
-        n = rhs.shape[p]
-        k = np.arange(1, n + 1)
-        lam = -(4.0 / h**2) * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2
-        eig += lam.reshape([n if ax == p else 1 for ax in range(dim)])
-    x = idstn(dstn(rhs, type=1) / eig, type=1)
+    x = _dst_solve(rhs, _dst_eigenvalues(rhs.shape, grid.spacing, (1.0,) * dim))
 
     u = trace.values.copy()
     u[core] = x

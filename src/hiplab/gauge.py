@@ -59,7 +59,6 @@ from .forward import (
     solve_poisson,
 )
 from .grids import (
-    Grid,
     InteriorMask,
     ScalarField,
     SymTensorField,

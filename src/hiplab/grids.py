@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,10 +350,7 @@ def sym_dot(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _axis_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    grads = np.gradient(values, *grid.spacing, edge_order=2)
-    if grid.dim == 1:
-        return [grads]
-    return list(grads)
+    return list(np.gradient(values, *grid.spacing, edge_order=2))
 
 
 def gradient(f: ScalarField) -> VectorField:

@@ -44,6 +44,7 @@ from .grids import (
     sym_det,
     sym_dot,
     sym_inv,
+    sym_pairs,
     sym_size,
     sym_to_full,
     sym_trace,
@@ -201,8 +202,6 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
         )
     grads = [rs.gradients[i].values for i in range(dim)]
     vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.complex128)
-    from .grids import sym_pairs
-
     for k, (i, j) in enumerate(sym_pairs(dim)):
         vals[..., k] = np.sum(grads[i] * grads[j], axis=-1)
     gram_field = SymTensorField(grid, vals)
@@ -323,7 +322,6 @@ def constraint_matrices(rs: RatioSet, theta: np.ndarray) -> list[SymTensorField]
 
 def diffusion_from_constraints(
     matrices: list[SymTensorField],
-    mask: InteriorMask,
     quality_floor: float = QUALITY_FLOOR,
 ) -> tuple[SymTensorField, ScalarField, np.ndarray]:
     """Extract the determinant-one diffusion direction pointwise.
@@ -371,9 +369,6 @@ def diffusion_from_constraints(
     direction = aligned / scale[..., None]
     direction[degenerate] = np.nan
 
-    frac = float(np.count_nonzero(degenerate & mask.flags)) / max(
-        int(np.count_nonzero(mask.flags)), 1
-    )
     quality_field = ScalarField(grid, quality.astype(np.complex128))
     return SymTensorField(grid, direction), quality_field, degenerate
 
@@ -439,7 +434,7 @@ def reconstruct(
         )
     theta = null_weights(rs, gd)
     mats = constraint_matrices(rs, theta)
-    diffusion, quality, degenerate = diffusion_from_constraints(mats, rs.mask)
+    diffusion, quality, degenerate = diffusion_from_constraints(mats)
     drift = drift_from_diffusion(rs, gd, diffusion)
     return NormalizedCoefficients(
         diffusion=diffusion,

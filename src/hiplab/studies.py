@@ -32,8 +32,6 @@ from .errors import ConfigurationError, DegeneracyError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings
 from .grids import (
     Grid,
-    ScalarField,
-    SymTensorField,
     VectorField,
     divergence,
     sym_inv,

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import laplace_coefficients, unit_grid
+from conftest import (
+    bump,
+    elastography_coefficients,
+    laplace_coefficients,
+    scalar_tensor,
+    unit_grid,
+)
+from hiplab import forward
 from hiplab.errors import GridError, SolverFailure
 from hiplab.forward import (
     BoundaryTrace,
@@ -109,7 +118,7 @@ class TestSolve:
 
     def test_starved_iterations_raise_solver_failure(self):
         grid = unit_grid(17)
-        coeffs = laplace_coefficients(grid)
+        coeffs = elastography_coefficients(grid)
         tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
         with pytest.raises(SolverFailure):
             solve_dirichlet(
@@ -217,7 +226,7 @@ class TestManyTraces:
 
     def test_starved_column_raises_solver_failure(self):
         grid = unit_grid(17)
-        coeffs = laplace_coefficients(grid)
+        coeffs = elastography_coefficients(grid)
         # the zero trace converges at once; the second needs many iterations
         traces = [BoundaryTrace.from_expression(grid, s) for s in ("0", "x^2 - y^2")]
         with pytest.raises(SolverFailure, match="trace 1"):
@@ -295,3 +304,110 @@ class TestPoisson:
                 BoundaryTrace.from_expression(unit_grid(5), "x"),
                 ScalarField.constant(unit_grid(9), 0.0),
             )
+
+
+def rotated_anisotropic_coefficients(grid, ratio):
+    """Constant ``a`` with eigenvalues ``ratio`` and 1, axes turned by 30 degrees."""
+    cos, sin = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    vals = np.zeros(grid.shape + (3,))
+    vals[..., 0] = ratio * cos**2 + sin**2
+    vals[..., 1] = ratio * sin**2 + cos**2
+    vals[..., 2] = (ratio - 1) * cos * sin
+    return CoefficientSet(
+        a=SymTensorField(grid, vals),
+        b=VectorField.zero(grid),
+        c=ScalarField.constant(grid, 0.5),
+    )
+
+
+def contrast_coefficients(grid, contrast):
+    """Scalar ``a`` rising from 1 to ``contrast`` in a narrow bump."""
+    return CoefficientSet(
+        a=scalar_tensor(grid, bump(grid, (0.5, 0.5), 0.1, contrast - 1.0)),
+        b=VectorField.zero(grid),
+        c=ScalarField.constant(grid, 0.5),
+    )
+
+
+def box_coefficients(grid):
+    x, y, z = (m.real for m in grid.meshgrid())
+    return CoefficientSet(
+        a=scalar_tensor(grid, 1.0 + 0.4 * x * y + 0.3 * z),
+        b=VectorField.zero(grid),
+        c=ScalarField(grid, 0.5 + 0.2 * x * z),
+    )
+
+
+class TestKrylov:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            rotated_anisotropic_coefficients(unit_grid(33), 10.0),
+            contrast_coefficients(unit_grid(33), 10.0),
+            anisotropic_complex_coefficients(unit_grid(33)),
+            box_coefficients(unit_grid(9, dim=3)),
+        ],
+        ids=["rotated-anisotropy-10", "contrast-10", "complex-c", "3-d-box"],
+    )
+    def test_matches_direct(self, coeffs):
+        grid = coeffs.grid
+        traces = [BoundaryTrace.from_expression(grid, s) for s in ("1 + x", "exp(x)*cos(y)")]
+        source = ScalarField(grid, np.full(grid.shape, 0.3 - 0.1j))
+        direct = solve_traces(coeffs, traces, source, SolverSettings(method="direct"))
+        krylov = solve_traces(coeffs, traces, source, SolverSettings(method="iterative"))
+        for d, k in zip(direct, krylov):
+            assert relative_gap(k, d) <= 1e-9
+
+    def test_auto_falls_back_to_the_direct_solve(self):
+        grid = unit_grid(17)
+        coeffs = elastography_coefficients(grid)
+        tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
+        direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
+        auto = solve_dirichlet(
+            coeffs, tr, settings=SolverSettings(method="auto", max_iterations=1)
+        )
+        assert np.array_equal(auto.values, direct.values)
+
+    def test_auto_budget_caps_the_krylov_solve(self, monkeypatch):
+        monkeypatch.setattr(forward, "_AUTO_KRYLOV_BUDGET", 1)
+        grid = unit_grid(17)
+        coeffs = elastography_coefficients(grid)
+        tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
+        direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
+        assert np.array_equal(solve_dirichlet(coeffs, tr).values, direct.values)
+
+    def test_laplacian_converges_in_one_iteration(self):
+        # the preconditioner inverts the Laplacian exactly
+        grid = unit_grid(17)
+        coeffs = laplace_coefficients(grid)
+        tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
+        one = solve_dirichlet(
+            coeffs, tr, settings=SolverSettings(method="iterative", max_iterations=1)
+        )
+        direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
+        assert relative_gap(one, direct) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "iterative"])
+    def test_non_finite_source_is_rejected_before_solving(self, method):
+        grid = unit_grid(9)
+        src = np.zeros(grid.shape, dtype=np.complex128)
+        src[4, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="non-finite"):
+                solve_dirichlet(
+                    elastography_coefficients(grid),
+                    BoundaryTrace.from_expression(grid, "x"),
+                    ScalarField(grid, src),
+                    SolverSettings(method=method),
+                )
+
+    def test_scalar_diffusion_stores_no_zero_entries(self):
+        grid = unit_grid(9)
+        system = assemble(
+            elastography_coefficients(grid), BoundaryTrace.from_expression(grid, "x")
+        )
+        assert np.all(system.matrix.data != 0)
+        # the five-point stencil: every unknown and its interior neighbours
+        n = 7
+        assert system.matrix.nnz == n * n + 4 * n * (n - 1)
