@@ -8,6 +8,8 @@ into a normalized margin in [0, 1] and compares against thresholds.  A
 failing condition is a report entry, never an exception, so the checker
 can be run on deliberately bad data.
 
+Every margin is a reduction over the ratio analysis of
+:func:`hiplab.recon.analyze`, the object the reconstruction then reads.
 Margins are normalized per region: gradient determinants by the product
 of gradient magnitudes, the constraint stack by its largest singular
 value, and the reference margin as min/max of ``|H_1|`` over the region
@@ -25,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import ScalarField, gradient, hessian, sym_size
-from .recon import extra_count, functional_budget
+from .recon import RatioSet, analyze
 from .synthesis import MeasurementSet
 
 __all__ = ["Thresholds", "RegionMargins", "AdmissibilityReport", "check"]
@@ -112,65 +113,6 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def _pointwise_margins(ms: MeasurementSet, margin: int):
-    """Per-vertex margin fields shared by all regions."""
-    grid = ms.grid
-    dim = grid.dim
-    h1 = ms.functionals[0].values
-    h1_mag = np.abs(h1)
-
-    safe_h1 = np.where(h1_mag == 0, 1.0, h1)
-    with np.errstate(all="ignore"):
-        ratio_vals = [
-            np.where(h1_mag == 0, np.nan, f.values / safe_h1)
-            for f in ms.functionals[1:]
-        ]
-    ratios = [ScalarField(grid, np.nan_to_num(v, nan=0.0)) for v in ratio_vals]
-    grads = [gradient(v).values for v in ratios]
-
-    basis_mat = np.stack(grads[:dim], axis=-2)  # rows are the gradients
-    det = np.linalg.det(basis_mat)
-    norms = np.prod(
-        [np.sqrt(np.sum(np.abs(g) ** 2, axis=-1)) for g in grads[:dim]], axis=0
-    )
-    with np.errstate(all="ignore"):
-        basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)
-    basis = np.nan_to_num(basis, nan=0.0)
-
-    independence = None
-    if ms.count >= functional_budget(dim):
-        extras = extra_count(dim)
-        gram = np.einsum("...ik,...jk->...ij", basis_mat, basis_mat)
-        ok = np.abs(np.linalg.det(gram)) > np.finfo(float).tiny
-        gram_inv = np.zeros_like(gram)
-        if np.any(ok):
-            gram_inv[ok] = np.linalg.inv(gram[ok])
-        hessians = [hessian(v).values for v in ratios[: dim + extras]]
-        s = sym_size(dim)
-        w = np.ones(s)
-        w[dim:] = np.sqrt(2.0)
-        stack = np.zeros(grid.shape + (extras, s), dtype=np.complex128)
-        for m in range(extras):
-            g_extra = grads[dim + m]
-            rhs = np.stack(
-                [np.sum(g_extra * grads[k], axis=-1) for k in range(dim)], axis=-1
-            )
-            theta = -np.einsum("...jk,...k->...j", gram_inv, rhs)
-            acc = hessians[dim + m].copy()
-            for j in range(dim):
-                acc += theta[..., j][..., None] * hessians[j]
-            stack[..., m, :] = acc * w
-        sing = np.linalg.svd(stack, compute_uv=False)
-        with np.errstate(all="ignore"):
-            independence = np.where(
-                sing[..., 0] > 0, sing[..., -1] / np.maximum(sing[..., 0], 1e-300), 0.0
-            )
-        independence = np.where(ok, np.nan_to_num(independence, nan=0.0), 0.0)
-
-    inside = grid.interior(margin).flags
-    return h1_mag, basis, independence, inside
-
-
 def _region_entry(name, bounds, region, h1_mag, basis, independence, thr):
     count = int(np.count_nonzero(region))
     if count == 0:
@@ -208,21 +150,38 @@ def check(
     covering: list | None = None,
     thresholds: Thresholds | None = None,
     margin: int = 2,
+    analysis: RatioSet | None = None,
 ) -> AdmissibilityReport:
     """Evaluate the three admissibility margins on the trusted interior.
 
     ``covering`` is an optional list of ``(lo, hi)`` pair tuples, one
     sub-box per entry, each reported separately; the overall verdict
-    requires the full region and every sub-box to pass.  The
-    independence margin is reported as None when the set carries too few
-    functionals for the matrix pipeline.
+    requires the full region and every sub-box to pass.  ``analysis`` is
+    the ratio analysis of ``ms`` (:func:`hiplab.recon.analyze`), which
+    fixes the mode and the trusted interior; without it the matrix-mode
+    analysis with ``margin`` is built here.  The independence margin is
+    reported as None, and the pipeline as ``"scalar"``, when the
+    analysis has no constraint null space: in scalar mode, or with too
+    few functionals for the matrix pipeline.
     """
     thresholds = thresholds or Thresholds()
     grid = ms.grid
-    h1_mag, basis, independence, inside = _pointwise_margins(ms, margin)
-    pipeline = (
-        "matrix" if ms.count >= functional_budget(grid.dim) else "scalar"
-    )
+    rs = analysis if analysis is not None else analyze(ms, margin=margin)
+    h1_mag = np.abs(ms.functionals[0].values)
+    grads = [g.values for g in rs.gradients[: grid.dim]]
+    det = np.linalg.det(np.stack(grads, axis=-2))  # rows are the gradients
+    norms = np.prod([np.sqrt(np.sum(np.abs(g) ** 2, axis=-1)) for g in grads], axis=0)
+    with np.errstate(all="ignore"):
+        basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)
+    basis = np.nan_to_num(basis, nan=0.0)
+    # the singular-value gap of the constraint stack, zero where the
+    # Gram matrix is singular
+    independence = None
+    if rs.null_space is not None:
+        quality = rs.null_space[1].values.real
+        independence = np.where(rs.gram_data.singular, 0.0, quality)
+    inside = rs.mask.flags
+    pipeline = "scalar" if independence is None else "matrix"
     report = AdmissibilityReport(
         thresholds=thresholds,
         pipeline=pipeline,

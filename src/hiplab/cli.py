@@ -28,6 +28,7 @@ from .config import ExperimentConfig, load_config, parse_config
 from .errors import ConfigurationError, HiplabError
 from .forward import solve_traces
 from .grids import write_field
+from .recon import analyze
 from .synthesis import load_measurements, save_measurements
 
 __all__ = ["main", "build_parser"]
@@ -165,7 +166,8 @@ def _cmd_check(args, cfg: ExperimentConfig) -> int:
     # report entries, and the verdict maps to the exit code.
     out = _out_dir(args, cfg, required=False)
     ms = _synthesize(cfg)
-    audit = check_admissibility(ms, thresholds=cfg.thresholds(), margin=cfg.margin)
+    rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
+    audit = check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
     print(audit.to_text())
     if out is not None:
         report = {

@@ -17,8 +17,10 @@ recovers that pair up to normalization:
   trace pairing; its normalized generator is the determinant-one part of
   ``a``, and the vector coefficient follows by the same Gram solve.
 
-Pointwise linear algebra is batched over the grid; no iteration over
-vertices takes place in Python.
+:func:`analyze` computes all of this once and never raises; the
+admissibility audit reads that object, and :func:`reconstruct` runs its
+checks on it and uses it.  Pointwise linear algebra is batched over the
+grid; no iteration over vertices takes place in Python.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "RatioSet",
     "GramData",
     "NormalizedCoefficients",
+    "analyze",
     "ratios",
     "gram",
     "reconstruct_scalar_drift",
@@ -89,28 +92,37 @@ def extra_count(dim: int) -> int:
 
 
 @dataclass
+class GramData:
+    """Gram matrix of the first ``dim`` ratio gradients and its inverse,
+    which is zero where ``|det|`` underflows (``singular``)."""
+
+    gram: SymTensorField
+    inverse: SymTensorField
+    det: np.ndarray
+    singular: np.ndarray
+
+
+@dataclass
 class RatioSet:
-    """Ratios ``v_j = H_{j+1}/H_1`` with their first two derivatives."""
+    """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
+
+    ``theta`` holds the null weights and ``null_space`` the output of
+    :func:`diffusion_from_constraints`; see :func:`analyze` for when
+    each part is None.
+    """
 
     grid: Grid
     fields: list[ScalarField]
     gradients: list[VectorField]
     hessians: list[SymTensorField]
     mask: InteriorMask
+    gram_data: GramData | None = None
+    theta: np.ndarray | None = None
+    null_space: tuple[SymTensorField, ScalarField, np.ndarray] | None = None
 
     @property
     def count(self) -> int:
         return len(self.fields)
-
-
-@dataclass
-class GramData:
-    """Gram matrix of the first ``dim`` ratio gradients and its inverse."""
-
-    gram: SymTensorField
-    inverse: SymTensorField
-    det: np.ndarray
-    floor: float
 
 
 @dataclass
@@ -129,16 +141,71 @@ class NormalizedCoefficients:
     mask: InteriorMask
 
 
-def ratios(ms: MeasurementSet, margin: int = 2) -> RatioSet:
-    """Form ratio fields and their derivatives.
+def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioSet:
+    """The ratio analysis of ``ms``, computed once and without raising.
 
-    The boundary restriction of each ratio must reproduce the known
-    quotient of boundary traces; a mismatch means the functionals and
-    traces are inconsistent.
+    A vanishing ``H_1`` gives a zero ratio and a singular Gram matrix a
+    zero inverse, so the admissibility audit can read deliberately bad
+    data; :func:`reconstruct` runs the raising checks on the same object.
+    Only the ratios ``mode`` consumes are differentiated: the first
+    ``dim`` in scalar mode, the first ``functional_budget(dim) - 1`` in
+    matrix mode, where the null weights and the null space follow once
+    that many exist.  The Gram data needs ``dim`` ratios.
     """
     grid = ms.grid
+    dim = grid.dim
     h1 = ms.functionals[0].values
-    mag = np.abs(h1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fields = [
+            ScalarField(grid, np.where(h1 == 0, 0.0, f.values / h1))
+            for f in ms.functionals[1:]
+        ]
+    extras = extra_count(dim)
+    need = dim if mode == "scalar" else dim + extras
+    rs = RatioSet(
+        grid=grid,
+        fields=fields,
+        gradients=[gradient(v) for v in fields[:need]],
+        hessians=[hessian(v) for v in fields[:need]],
+        mask=grid.interior(margin),
+    )
+    if rs.count < dim:
+        return rs
+    grads = [g.values for g in rs.gradients]
+    vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.complex128)
+    for k, (i, j) in enumerate(sym_pairs(dim)):
+        vals[..., k] = np.sum(grads[i] * grads[j], axis=-1)
+    det = sym_det(vals, dim)
+    singular = ~(np.abs(det) > np.finfo(float).tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = sym_inv(vals, dim)
+    inverse[singular] = 0.0
+    gd = GramData(SymTensorField(grid, vals), SymTensorField(grid, inverse), det, singular)
+    rs.gram_data = gd
+    if mode == "scalar" or rs.count < need:
+        return rs
+    rs.theta = _null_weights(grads, gd, dim)
+    rs.null_space = diffusion_from_constraints(constraint_matrices(rs, rs.theta))
+    return rs
+
+
+def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray:
+    # a function of its own, so its temporaries are freed before the SVD
+    extras = extra_count(dim)
+    theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.complex128)
+    for m in range(extras):
+        rhs = [np.sum(grads[dim + m] * grads[k], axis=-1) for k in range(dim)]
+        for j, sol in enumerate(_gram_solve(gd, rhs, dim)):
+            theta[..., m, j] = -sol
+        theta[..., m, dim + m] = 1.0
+    return theta
+
+
+def _check_ratios(ms: MeasurementSet, rs: RatioSet) -> None:
+    """Raise unless ``H_1`` stays off zero and each ratio of ``rs``
+    reproduces the known quotient of boundary traces."""
+    grid = ms.grid
+    mag = np.abs(ms.functionals[0].values)
     top = float(mag.max()) or 1.0
     if float(mag.min()) < H1_FLOOR * top:
         point = tuple(int(k) for k in np.argwhere(mag == mag.min())[0])
@@ -150,9 +217,7 @@ def ratios(ms: MeasurementSet, margin: int = 2) -> RatioSet:
     bmask = grid.boundary_mask()
     f1 = ms.traces[0].values
     noise_amp = ms.noise.amplitude if ms.noise is not None else 0.0
-    fields = []
-    for j in range(1, ms.count):
-        v = ScalarField(grid, ms.functionals[j].values / h1)
+    for j, v in enumerate(rs.fields, start=1):
         f_j = ms.traces[j].values
         safe = bmask & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
         expected = np.where(safe, f_j, 0) / np.where(safe, f1, 1)
@@ -172,14 +237,19 @@ def ratios(ms: MeasurementSet, margin: int = 2) -> RatioSet:
                 f"ratio {j} disagrees with its boundary quotient by {err:.3e}",
                 stage="recon",
             )
-        fields.append(v)
-    return RatioSet(
-        grid=grid,
-        fields=fields,
-        gradients=[gradient(v) for v in fields],
-        hessians=[hessian(v) for v in fields],
-        mask=grid.interior(margin),
-    )
+
+
+def ratios(ms: MeasurementSet, margin: int = 2) -> RatioSet:
+    """The matrix-mode analysis of ``ms``, after the ratio checks.
+
+    The reference functional must stay off zero, and the boundary
+    restriction of each ratio must reproduce the known quotient of
+    boundary traces; a mismatch means the functionals and traces are
+    inconsistent.
+    """
+    rs = analyze(ms, margin=margin)
+    _check_ratios(ms, rs)
+    return rs
 
 
 def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
@@ -193,27 +263,21 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
         trusted interior, where ``s`` is the largest interior squared
         gradient magnitude.  The offending vertices are listed.
     """
-    grid = rs.grid
-    dim = grid.dim
+    dim = rs.grid.dim
     if rs.count < dim:
         raise MeasurementCountError(
             f"need at least {dim} ratio fields for a gradient basis, "
             f"got {rs.count}"
         )
+    gd = rs.gram_data
     grads = [rs.gradients[i].values for i in range(dim)]
-    vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.complex128)
-    for k, (i, j) in enumerate(sym_pairs(dim)):
-        vals[..., k] = np.sum(grads[i] * grads[j], axis=-1)
-    gram_field = SymTensorField(grid, vals)
-    det = sym_det(vals, dim)
-
     inside = rs.mask.flags
     sq = np.max(
         [np.sum(np.abs(g) ** 2, axis=-1) for g in grads], axis=0
     )
     scale = float(np.max(sq[inside])) if np.any(inside) else 0.0
     floor = floor_scale * max(scale, np.finfo(float).tiny) ** dim
-    bad = inside & (np.abs(det) < floor)
+    bad = inside & (np.abs(gd.det) < floor)
     if np.any(bad):
         pts = [tuple(int(k) for k in p) for p in np.argwhere(bad)]
         raise DegeneracyError(
@@ -222,9 +286,7 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
             points=pts,
             stage="recon",
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverse = SymTensorField(grid, sym_inv(vals, dim))
-    return GramData(gram=gram_field, inverse=inverse, det=det, floor=floor)
+    return gd
 
 
 def _gram_solve(gd: GramData, rhs: list[np.ndarray], dim: int) -> list[np.ndarray]:
@@ -239,16 +301,10 @@ def reconstruct_scalar_drift(rs: RatioSet, gd: GramData) -> VectorField:
     """Recover ``a^{-1} b`` assuming scalar diffusion.
 
     Pairs the Laplacians of the basis ratios against the inverse Gram
-    matrix: ``a^{-1} b = - G^{ij} (tr D^2 v_j) grad v_i``.
+    matrix: ``a^{-1} b = - G^{ij} (tr D^2 v_j) grad v_i``, which is
+    :func:`drift_from_diffusion` with the identity direction.
     """
-    grid = rs.grid
-    dim = grid.dim
-    traces = [sym_trace(rs.hessians[j].values, dim) for j in range(dim)]
-    weights = _gram_solve(gd, traces, dim)
-    out = np.zeros(grid.shape + (dim,), dtype=np.complex128)
-    for i in range(dim):
-        out -= weights[i][..., None] * rs.gradients[i].values
-    return VectorField(grid, out)
+    return drift_from_diffusion(rs, gd, SymTensorField.identity(rs.grid))
 
 
 def null_weights(rs: RatioSet, gd: GramData) -> np.ndarray:
@@ -257,8 +313,9 @@ def null_weights(rs: RatioSet, gd: GramData) -> np.ndarray:
     Row ``m`` pairs extra ratio ``dim + m`` with the gradient basis so
     that the weighted gradient sum cancels identically:
     ``theta_j = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
-    ``theta_{dim+m} = 1``, zero otherwise.  The cancellation is verified
-    and enforced to rounding level.
+    ``theta_{dim+m} = 1``, zero otherwise.  :func:`analyze` forms them
+    from ``gd``, the Gram data of ``rs``; here the cancellation is
+    verified to rounding level.
     """
     grid = rs.grid
     dim = grid.dim
@@ -269,16 +326,7 @@ def null_weights(rs: RatioSet, gd: GramData) -> np.ndarray:
             f"matrix-valued pipeline needs {need + 1} functionals "
             f"({need} ratios), got {rs.count + 1} ({rs.count})"
         )
-    theta = np.zeros(grid.shape + (extras, need), dtype=np.complex128)
-    for m in range(extras):
-        g_extra = rs.gradients[dim + m].values
-        rhs = [
-            np.sum(g_extra * rs.gradients[k].values, axis=-1) for k in range(dim)
-        ]
-        sol = _gram_solve(gd, rhs, dim)
-        for j in range(dim):
-            theta[..., m, j] = -sol[j]
-        theta[..., m, dim + m] = 1.0
+    theta = rs.theta
 
     # the defining property: weighted gradients sum to zero
     resid = np.zeros(grid.shape + (grid.dim,), dtype=np.complex128)
@@ -398,6 +446,7 @@ def reconstruct(
     ms: MeasurementSet,
     mode: str = "matrix",
     margin: int = 2,
+    analysis: RatioSet | None = None,
 ) -> NormalizedCoefficients:
     """Full ratio-based reconstruction.
 
@@ -406,7 +455,9 @@ def reconstruct(
     ignored, so redundant measurements cannot change the answer);
     ``mode="scalar"`` assumes scalar diffusion, needs ``dim + 1``
     functionals, and reports the identity direction alongside
-    ``a^{-1} b``.
+    ``a^{-1} b``.  ``analysis`` is ``analyze(ms, mode, margin)`` when the
+    caller already holds it; the ratio, Gram and cancellation checks run
+    on it either way.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
@@ -418,27 +469,19 @@ def reconstruct(
                 f"matrix-valued diffusion in dimension {dim} needs "
                 f"{budget} functionals; got {ms.count}"
             )
-    rs = ratios(ms, margin=margin)
+    rs = analysis if analysis is not None else analyze(ms, mode, margin)
+    _check_ratios(ms, rs)
     gd = gram(rs)
     if mode == "scalar":
-        drift = reconstruct_scalar_drift(rs, gd)
-        ident = SymTensorField.identity(ms.grid)
+        diffusion = SymTensorField.identity(ms.grid)
         quality = ScalarField.constant(ms.grid, 1.0)
         degenerate = np.zeros(ms.grid.shape, dtype=bool)
-        return NormalizedCoefficients(
-            diffusion=ident,
-            drift=drift,
-            quality=quality,
-            degenerate=degenerate,
-            mask=rs.mask,
-        )
-    theta = null_weights(rs, gd)
-    mats = constraint_matrices(rs, theta)
-    diffusion, quality, degenerate = diffusion_from_constraints(mats)
-    drift = drift_from_diffusion(rs, gd, diffusion)
+    else:
+        null_weights(rs, gd)  # raises unless the weights cancel the gradients
+        diffusion, quality, degenerate = rs.null_space
     return NormalizedCoefficients(
         diffusion=diffusion,
-        drift=drift,
+        drift=drift_from_diffusion(rs, gd, diffusion),
         quality=quality,
         degenerate=degenerate,
         mask=rs.mask,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +39,13 @@ from .grids import (
     write_field,
 )
 from .metrics import error_norms
-from .recon import NormalizedCoefficients, reconstruct
+from .recon import NormalizedCoefficients, analyze, reconstruct
 from .synthesis import MeasurementSet, NoiseSpec, add_noise, synthesize
 
 __all__ = [
     "PipelineResult",
     "synthesize_measurements",
+    "recover",
     "run_pipeline",
     "resolve_measurements",
     "fitted_order",
@@ -165,7 +166,8 @@ def resolve_measurements(
 
 @dataclass
 class PipelineResult:
-    """Everything one end-to-end run produced."""
+    """Everything one end-to-end run produced (``metrics`` by
+    :func:`run_pipeline` only)."""
 
     grid: Grid
     coeffs: CoefficientSet
@@ -176,7 +178,7 @@ class PipelineResult:
     quantities: dict
     truths: dict
     flags: np.ndarray
-    metrics: dict
+    metrics: dict = field(default_factory=dict)
 
 
 def _quantity_table(
@@ -228,6 +230,45 @@ def synthesize_measurements(
     return ms
 
 
+def recover(
+    cfg: ExperimentConfig, ms: MeasurementSet, coeffs: CoefficientSet
+) -> PipelineResult:
+    """Audit, reconstruct and resolve ``ms`` from one ratio analysis in
+    the configured mode; a failed audit raises :class:`DegeneracyError`.
+    ``coeffs`` supplies the resolvers' anchors and the ground truths.
+    """
+    rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
+    report = check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
+    if not report.passed:
+        failing = [e.name for e in report.entries if not e.passed]
+        raise DegeneracyError(
+            "admissibility audit failed; rejecting regions: " + ", ".join(failing),
+            stage="admissibility",
+        )
+
+    nc = reconstruct(ms, mode=cfg.recon_mode, margin=cfg.margin, analysis=rs)
+    del rs  # the resolvers do not read it; free it before their solves
+    resolved = None
+    flags = nc.degenerate.copy()
+    if cfg.recon_mode == "matrix":
+        tri = gauge.invariant_triple(nc, ms.functionals[0])
+        resolved = resolve_measurements(ms, tri, coeffs, cfg.solver())
+        flags = flags | resolved.flags
+
+    quantities, truths = _quantity_table(cfg, ms, coeffs, nc, resolved)
+    return PipelineResult(
+        grid=ms.grid,
+        coeffs=coeffs,
+        ms=ms,
+        admissibility=report.to_dict(),
+        nc=nc,
+        resolved=resolved,
+        quantities=quantities,
+        truths=truths,
+        flags=flags,
+    )
+
+
 def run_pipeline(
     cfg: ExperimentConfig,
     grid: Grid | None = None,
@@ -242,46 +283,15 @@ def run_pipeline(
     if grid is None:
         grid = cfg.grid_for() if ms is None else ms.grid
     coeffs = cfg.coefficients(grid)
-    settings = cfg.solver()
     if ms is None:
         ms = synthesize_measurements(cfg, grid, coeffs)
-
-    report = check_admissibility(ms, thresholds=cfg.thresholds(), margin=cfg.margin)
-    if not report.passed:
-        failing = [e.name for e in report.entries if not e.passed]
-        raise DegeneracyError(
-            "admissibility audit failed; rejecting regions: " + ", ".join(failing),
-            stage="admissibility",
-        )
-
-    nc = reconstruct(ms, mode=cfg.recon_mode, margin=cfg.margin)
-    resolved = None
-    flags = nc.degenerate.copy()
-    if cfg.recon_mode == "matrix":
-        tri = gauge.invariant_triple(nc, ms.functionals[0])
-        resolved = resolve_measurements(ms, tri, coeffs, settings)
-        flags = flags | resolved.flags
-
-    quantities, truths = _quantity_table(cfg, ms, coeffs, nc, resolved)
-    mask = grid.interior(cfg.margin)
-    metrics = {
-        name: error_norms(
-            quantities[name], truths[name], mask=mask, exclude=flags
-        ).to_dict()
-        for name in sorted(quantities)
+    result = recover(cfg, ms, coeffs)
+    mask, flags = result.nc.mask, result.flags
+    result.metrics = {
+        name: error_norms(q, result.truths[name], mask=mask, exclude=flags).to_dict()
+        for name, q in sorted(result.quantities.items())
     }
-    return PipelineResult(
-        grid=grid,
-        coeffs=coeffs,
-        ms=ms,
-        admissibility=report.to_dict(),
-        nc=nc,
-        resolved=resolved,
-        quantities=quantities,
-        truths=truths,
-        flags=flags,
-        metrics=metrics,
-    )
+    return result
 
 
 def _dump_fields(result: PipelineResult, directory: str) -> list[str]:
@@ -463,30 +473,8 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     coeffs = cfg.coefficients(grid)
     modality = cfg.modality(grid)
     traces = cfg.traces(grid, coeffs)
-    settings = cfg.solver()
-    clean = synthesize(coeffs, modality, traces, settings)
+    clean = synthesize(coeffs, modality, traces, cfg.solver())
     mask = grid.interior(cfg.margin)
-
-    def reconstruct_quantities(ms: MeasurementSet):
-        report = check_admissibility(
-            ms, thresholds=cfg.thresholds(), margin=cfg.margin
-        )
-        if not report.passed:
-            failing = [e.name for e in report.entries if not e.passed]
-            raise DegeneracyError(
-                "admissibility audit failed; rejecting regions: "
-                + ", ".join(failing),
-                stage="admissibility",
-            )
-        nc = reconstruct(ms, mode=cfg.recon_mode, margin=cfg.margin)
-        resolved = None
-        flags = nc.degenerate.copy()
-        if cfg.recon_mode == "matrix":
-            tri = gauge.invariant_triple(nc, ms.functionals[0])
-            resolved = resolve_measurements(ms, tri, coeffs, settings)
-            flags = flags | resolved.flags
-        quantities, _ = _quantity_table(cfg, ms, coeffs, nc, resolved)
-        return quantities, flags
 
     levels = sorted(float(a) for a in amplitudes)
     baseline = None
@@ -500,7 +488,8 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             error_norms(hn, hc, mask=mask).c2
             for hn, hc in zip(noisy.functionals, clean.functionals)
         )
-        quantities, flags = reconstruct_quantities(noisy)
+        result = recover(cfg, noisy, coeffs)
+        quantities, flags = result.quantities, result.flags
         if eps == 0.0:
             baseline, baseline_flags = quantities, flags
         entry = {"amplitude": eps, "delta_h_c2": delta, "quantities": {}}

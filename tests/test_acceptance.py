@@ -303,12 +303,13 @@ def test_qtat_flags_fire_exactly_on_vanishing_imaginary_absorption():
 
 
 def test_redundant_functional_cannot_change_the_diffusion():
-    """A sixth functional in 2d adds consistency checks, not information.
+    """A sixth functional in 2d adds a boundary check, not information.
 
     The null-space pipeline consumes exactly its budget, so the
-    normalized diffusion is bit-identical with the extra measurement;
-    the extra data is still read and cross-checked, so corrupting it is
-    detected.
+    normalized diffusion is bit-identical with the extra measurement.
+    The extra ratio is still checked against the quotient of its traces
+    on the boundary, so a corruption that reaches the boundary is
+    detected; one confined to the interior is not.
     """
     grid = unit_grid(33)
     coeffs = elastography_coefficients(grid)

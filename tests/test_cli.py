@@ -166,6 +166,17 @@ class TestCheck:
         assert report["admissibility"]["passed"] is False
 
 
+    def test_scalar_mode_audit_skips_the_independence_margin(self, tmp_path, capsys):
+        doc = harmonic_doc(
+            traces={"expressions": ["1", "x", "y", "x*y", "2*x*y"]},
+            reconstruction={"mode": "scalar"},
+        )
+        assert main(["--config", write_config(tmp_path, doc), "check"]) == 0
+        out = capsys.readouterr().out
+        assert "scalar pipeline" in out
+        assert "independence n/a" in out
+
+
 class TestRunDispatch:
     def test_run_dispatches_to_convergence(self, tmp_path):
         cfg = write_config(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import unit_grid
 from hiplab.errors import ConfigurationError, GridError
@@ -195,6 +201,31 @@ class TestSymmetricStorage:
         )
 
 
+@st.composite
+def complex_symmetric(draw, dim):
+    """Complex symmetric (not Hermitian) matrix, strictly diagonally
+    dominant by at least 1, so it is invertible and well conditioned."""
+    entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    full = np.empty((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        full[i, i] = draw(entry) + (dim + 1)
+        for j in range(i + 1, dim):
+            full[i, j] = full[j, i] = draw(entry)
+    return full
+
+
+class TestSymmetricStorageProperties:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @given(data=st.data())
+    def test_inverse_and_determinant_match_numpy(self, dim, data):
+        full = data.draw(complex_symmetric(dim))
+        sym = full_to_sym(full, dim)
+        assert np.array_equal(sym_to_full(sym, dim), full)
+        assert np.isclose(sym_det(sym, dim), np.linalg.det(full), rtol=1e-12, atol=0)
+        inv = sym_to_full(sym_inv(sym, dim), dim)
+        assert np.allclose(inv, np.linalg.inv(full), rtol=1e-12, atol=1e-13)
+
+
 class TestConsistentRings:
     def test_polynomials_reproduced_exactly(self):
         grid = unit_grid(17)
@@ -266,3 +297,28 @@ class TestFieldIO:
         path = str(tmp_path / "cube.bin")
         write_field(fld, path)
         assert np.array_equal(read_field(path).values, fld.values)
+
+
+class TestFieldIOProperties:
+    @given(
+        data=st.data(),
+        shape=st.lists(st.integers(5, 7), min_size=2, max_size=3),
+        kind=st.sampled_from(["scalar", "vector", "sym"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_values_round_trip_bit_exact(self, data, shape, kind):
+        # every value survives bit for bit, NaN, infinities and signed zeros included
+        dim = len(shape)
+        lo = data.draw(st.floats(-10, 10))
+        grid = Grid(bounds=tuple((lo, lo + 1.5 + k) for k in range(dim)), shape=tuple(shape))
+        comps = {"scalar": (), "vector": (dim,), "sym": (dim * (dim + 1) // 2,)}[kind]
+        values = data.draw(arrays(np.complex128, tuple(shape) + comps))
+        cls = {"scalar": ScalarField, "vector": VectorField, "sym": SymTensorField}[kind]
+        fld = cls(grid, values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.bin")
+            write_field(fld, path)
+            back = read_field(path)
+        assert type(back) is cls
+        assert back.values.tobytes() == fld.values.tobytes()
+        assert back.grid == grid

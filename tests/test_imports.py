@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/hiplab`` is used by its module."""
+"""Every module-level import in ``src/hiplab`` is used by its module, and
+every module-level private definition is used somewhere in the package."""
 
 from __future__ import annotations
 
@@ -29,6 +30,47 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and constants, by line."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def dead_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    refs = set().union(*(referenced_names(t) for t in trees.values()))
+    return [
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in refs
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -37,3 +79,27 @@ def test_no_unused_module_level_imports(path):
 def test_scan_finds_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
+
+
+def test_no_dead_private_definitions():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    assert dead_private_definitions(trees) == []
+
+
+def test_scan_finds_a_dead_private_definition():
+    trees = {
+        "a": ast.parse(
+            "_LIMIT = 3\n"
+            "_unused_total = 0\n"
+            "def _helper():\n    return _LIMIT\n"
+            "def _orphan():\n    return 1\n"
+            "class _Spare:\n    pass\n"
+            "def _used_elsewhere():\n    return 2\n"
+        ),
+        "b": ast.parse("from a import _helper\nimport a\nprint(a._used_elsewhere())\n"),
+    }
+    assert dead_private_definitions(trees) == [
+        "a._unused_total (line 2)",
+        "a._orphan (line 5)",
+        "a._Spare (line 7)",
+    ]

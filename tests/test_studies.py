@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from hiplab import studies
+from hiplab import admissibility, recon, studies
 from hiplab.config import ExperimentConfig, parse_config
 from hiplab.errors import ConfigurationError, DegeneracyError
 from hiplab.grids import read_field
@@ -112,12 +112,58 @@ class TestRunSingle:
         assert report["gauge"] is None
         assert set(report["metrics"]) == {"drift"}
 
+    def test_scalar_mode_audits_only_what_it_uses(self):
+        # x*y and 2*x*y give proportional Hessian constraints, a failure
+        # of the independence condition only the matrix pipeline relies on
+        traces = ["1", "x", "y", "x*y", "2*x*y"]
+        cfg = parse_config(
+            harmonic_doc(traces={"expressions": traces}, reconstruction={"mode": "scalar"})
+        )
+        report = studies.run_single(cfg)
+        audit = report["admissibility"]
+        assert audit["passed"] is True
+        assert audit["pipeline"] == "scalar"
+        assert audit["regions"][0]["independence_margin"] is None
+        short = parse_config(
+            harmonic_doc(
+                traces={"expressions": traces[:3]}, reconstruction={"mode": "scalar"}
+            )
+        )
+        assert report["metrics"] == studies.run_single(short)["metrics"]
+
     def test_degenerate_data_aborts(self):
         cfg = parse_config(
             harmonic_doc(traces={"expressions": ["1", "x", "2*x", "x*y", "x^2 - y^2"]})
         )
         with pytest.raises(DegeneracyError, match="admissibility"):
             studies.run_single(cfg)
+
+
+class TestOneAnalysis:
+    def test_audit_and_reconstruct_share_one_ratio_analysis(self, monkeypatch):
+        """Four ratios in 2-D: one gradient and one Hessian each, and one
+        constraint SVD stack, however the audit and the reconstruction
+        split the work."""
+        cfg = parse_config(bump_doc())
+        grid = cfg.grid_for()
+        ms = studies.synthesize_measurements(cfg, grid, cfg.coefficients(grid))
+        calls = {"gradient": 0, "hessian": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (admissibility, recon):
+            for name in ("gradient", "hessian"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        result = studies.run_pipeline(cfg, ms=ms)
+        assert result.admissibility["pipeline"] == "matrix"
+        assert calls == {"gradient": 4, "hessian": 4, "svd": 1}
 
 
 class TestFittedOrder:
