@@ -113,6 +113,15 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
+def _gradient_det(grads: list[np.ndarray]) -> np.ndarray:
+    """Pointwise determinant of the matrix whose rows are ``grads``."""
+    if len(grads) == 2:
+        g1, g2 = grads
+        return g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
+    g1, g2, g3 = grads
+    return np.sum(g1 * np.cross(g2, g3), axis=-1)
+
+
 def _region_entry(name, bounds, region, h1_mag, basis, independence, thr):
     count = int(np.count_nonzero(region))
     if count == 0:
@@ -169,7 +178,7 @@ def check(
     rs = analysis if analysis is not None else analyze(ms, margin=margin)
     h1_mag = np.abs(ms.functionals[0].values)
     grads = [g.values for g in rs.gradients[: grid.dim]]
-    det = np.linalg.det(np.stack(grads, axis=-2))  # rows are the gradients
+    det = _gradient_det(grads)
     norms = np.prod([np.sqrt(np.sum(np.abs(g) ** 2, axis=-1)) for g in grads], axis=0)
     with np.errstate(all="ignore"):
         basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)

@@ -26,7 +26,15 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
 from .errors import AssemblyError, GridError, SolverFailure
-from .grids import Grid, ScalarField, SymTensorField, VectorField
+from .grids import (
+    Grid,
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    sym_det,
+    sym_pairs,
+    sym_to_full,
+)
 from . import phantoms
 
 __all__ = [
@@ -91,14 +99,21 @@ class CoefficientSet:
                 f"diffusion matrix has imaginary part {imag[point]:.3e} "
                 f"at vertex {point}"
             )
-        eigs = np.linalg.eigvalsh(self.a.full().real)
-        lam_min = eigs[..., 0]
-        bad = np.argwhere(lam_min <= 0)
+        # Sylvester's criterion on the nested leading minors; eigenvalues
+        # only at the vertex reported
+        real = vals.real
+        dim = self.grid.dim
+        a12 = real[..., sym_pairs(dim).index((0, 1))]
+        minors = [real[..., 0], real[..., 0] * real[..., 1] - a12 * a12]
+        if dim == 3:
+            minors.append(sym_det(real, dim))
+        bad = np.argwhere(np.logical_or.reduce([m <= 0 for m in minors]))
         if bad.size:
             point = tuple(int(k) for k in bad[0])
+            lam_min = np.linalg.eigvalsh(sym_to_full(real[point], dim))[0]
             raise AssemblyError(
                 f"diffusion matrix is not positive definite at vertex "
-                f"{point}: min eigenvalue {lam_min[point]:.3e}"
+                f"{point}: min eigenvalue {lam_min:.3e}"
             )
 
 

@@ -25,6 +25,7 @@ grid; no iteration over vertices takes place in Python.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +191,8 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
 
 
 def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray:
-    # a function of its own, so its temporaries are freed before the SVD
+    # a function of its own, so its temporaries are freed before the
+    # null space is formed
     extras = extra_count(dim)
     theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.complex128)
     for m in range(extras):
@@ -376,9 +378,11 @@ def diffusion_from_constraints(
 
     Stacks the constraint matrices as rows of a small rectangular system
     under the trace pairing (off-diagonal entries weighted by sqrt(2) so
-    the Euclidean product matches the trace product) and takes the right
-    singular vector of the smallest singular value.  The generator is
-    normalized to real positive trace and determinant one.
+    the Euclidean product matches the trace product) and takes its null
+    vector: in 2-D the cross product of the two rows, in closed form
+    over the whole grid; in 3-D the right singular vector of the smallest
+    singular value of each 5x6 stack.  The generator is normalized to
+    real positive trace and determinant one.
 
     Returns the direction, the singular-value gap ``s_min / s_max`` as a
     quality field, and a boolean mask of degenerate vertices, which carry
@@ -394,31 +398,75 @@ def diffusion_from_constraints(
     for m, M in enumerate(matrices):
         stack[..., m, :] = M.values * w
 
-    _, sing, vh = np.linalg.svd(stack, full_matrices=True)
-    raw = np.conj(vh[..., -1, :]) / w
-
-    top = sing[..., 0]
-    bottom = sing[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quality = np.where(top > 0, bottom / np.where(top > 0, top, 1.0), 0.0)
-    degenerate = quality < quality_floor
+    null, quality = (_cross_null_space if dim == 2 else _svd_null_space)(stack)
+    raw = null / w
+    degenerate = ~(quality >= quality_floor)  # NaN data is degenerate too
 
     trace = sym_trace(raw, dim)
     norm = np.sqrt(np.sum(np.abs(raw) ** 2, axis=-1))
     tiny_trace = np.abs(trace) < 1e-8 * np.maximum(norm, np.finfo(float).tiny)
     degenerate = degenerate | tiny_trace
-    phase = np.where(tiny_trace, 1.0, trace / np.where(tiny_trace, 1.0, np.abs(trace)))
+    # degenerate vertices end as NaN; skipping their divisions keeps a
+    # zero or subnormal null vector from overflowing
+    phase = np.where(degenerate, 1.0, trace / np.where(degenerate, 1.0, np.abs(trace)))
     aligned = raw * np.conj(phase)[..., None]
 
     det = sym_det(aligned, dim)
     tiny_det = np.abs(det) < 1e-12 * np.maximum(norm, np.finfo(float).tiny) ** dim
     degenerate = degenerate | tiny_det
-    scale = np.power(np.where(tiny_det, 1.0, det), 1.0 / dim)
+    scale = np.power(np.where(degenerate, 1.0, det), 1.0 / dim)
     direction = aligned / scale[..., None]
     direction[degenerate] = np.nan
 
     quality_field = ScalarField(grid, quality.astype(np.complex128))
     return SymTensorField(grid, direction), quality_field, degenerate
+
+
+def _svd_null_space(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vector of the smallest singular value of each
+    stack, and the gap ``s_min / s_max`` (0 for a zero stack)."""
+    _, sing, vh = np.linalg.svd(stack, full_matrices=True)
+    top = sing[..., 0]
+    bottom = sing[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quality = np.where(top > 0, bottom / np.where(top > 0, top, 1.0), 0.0)
+    return np.conj(vh[..., -1, :]), quality
+
+
+def _cross_null_space(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null vector and gap ``s_min / s_max`` of 2x3 stacks in closed form.
+
+    Each stack is first scaled exactly, by a power of two, so that its
+    largest ``|entry|`` lies in [1/2, 1): neither result depends on the
+    data's units, and no product of two entries overflows.  The null
+    vector is the bilinear cross product ``n = r1 x r2`` of the scaled
+    rows, zero where they are parallel.  The squared singular values are
+    the eigenvalues of the rows' Hermitian Gram matrix
+    ``[[p, c], [conj(c), q]]``, whose determinant is ``d = |n|^2``
+    (Lagrange's identity), so the gap is ``sqrt(d) / l_max`` with
+    ``l_max = (p + q + sqrt((p - q)^2 + 4 |c|^2)) / 2``.  Neither the
+    smaller eigenvalue nor the discriminant in its ``t^2 - 4 d`` form is
+    computed: both cancel where ``s_min`` is small or close to ``s_max``.
+    """
+    # elementwise maxima and dot products over float views: numpy's
+    # reductions over a short last axis run several times slower
+    entries = np.moveaxis(np.abs(stack).reshape(stack.shape[:-2] + (6,)), -1, 0)
+    _, exponent = np.frexp(functools.reduce(np.maximum, entries))
+    rows = np.ldexp(stack.view(np.float64), -exponent[..., None, None]).view(np.complex128)
+    r1, r2 = rows[..., 0, :], rows[..., 1, :]
+    n = np.cross(r1, r2)
+    p, q = _sum_sq(r1), _sum_sq(r2)
+    c = np.einsum("...i,...i->...", r1, np.conj(r2))
+    top = 0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * (c.real**2 + c.imag**2)))
+    quality = np.sqrt(_sum_sq(n)) / np.where(top > 0, top, 1.0)
+    return n, quality
+
+
+def _sum_sq(z: np.ndarray) -> np.ndarray:
+    """``sum |z_i|^2`` over the last axis of complex ``z``, whose
+    entries must be adjacent in memory."""
+    x = z.view(np.float64)
+    return np.einsum("...i,...i->...", x, x)
 
 
 def drift_from_diffusion(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
     unit_grid,
 )
 from hiplab import forward
-from hiplab.errors import GridError, SolverFailure
+from hiplab.errors import AssemblyError, GridError, SolverFailure
 from hiplab.forward import (
     BoundaryTrace,
     CoefficientSet,
@@ -26,7 +27,7 @@ from hiplab.forward import (
     solve_poisson,
     solve_traces,
 )
-from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
+from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField, full_to_sym
 
 
 def drift_coefficients(grid, b0, b1):
@@ -72,6 +73,64 @@ class TestAssembly:
                 laplace_coefficients(grid),
                 BoundaryTrace.from_expression(other, "0"),
             )
+
+
+def with_vertex_matrix(grid, point, matrix):
+    """Identity diffusion except ``matrix`` at one vertex."""
+    base = laplace_coefficients(grid)
+    vals = base.a.values.copy()
+    vals[point] = full_to_sym(np.asarray(matrix, dtype=np.complex128), grid.dim)
+    return CoefficientSet(a=SymTensorField(grid, vals), b=base.b, c=base.c)
+
+
+class TestValidateSPD:
+    @pytest.mark.parametrize(
+        "matrix, lam_min",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], "-1.000e+00"),  # a11 > 0, det < 0
+            ([[-2.0, 0.0], [0.0, 3.0]], "-2.000e+00"),  # a11 < 0, det < 0
+            ([[0.0, 0.0], [0.0, 1.0]], "0.000e+00"),  # semidefinite
+        ],
+    )
+    def test_two_dimensional_indefinite_vertex_is_named(self, matrix, lam_min):
+        coeffs = with_vertex_matrix(unit_grid(7), (2, 3), matrix)
+        with pytest.raises(AssemblyError, match=re.escape(f"vertex (2, 3): min eigenvalue {lam_min}")):
+            coeffs.validate_spd()
+
+    @pytest.mark.parametrize(
+        "diagonal, lam_min",
+        [
+            # passes a11 > 0, det > 0 and the {2,3} minor; only the
+            # leading {1,2} minor is negative
+            ((1.0, -1.0, -1.0), "-1.000e+00"),
+            ((1.0, 1.0, -0.5), "-5.000e-01"),  # only det < 0
+        ],
+    )
+    def test_three_dimensional_indefinite_vertex_is_named(self, diagonal, lam_min):
+        coeffs = with_vertex_matrix(unit_grid(5, dim=3), (1, 2, 3), np.diag(diagonal))
+        with pytest.raises(AssemblyError, match=re.escape(f"vertex (1, 2, 3): min eigenvalue {lam_min}")):
+            coeffs.validate_spd()
+
+    def test_imaginary_part_is_named(self):
+        coeffs = with_vertex_matrix(unit_grid(7), (4, 1), [[1.0, 0.5j], [0.5j, 1.0]])
+        with pytest.raises(AssemblyError, match=re.escape("imaginary part 5.000e-01 at vertex (4, 1)")):
+            coeffs.validate_spd()
+
+    def test_first_bad_vertex_is_reported_and_assembly_refuses(self):
+        grid = unit_grid(7)
+        coeffs = with_vertex_matrix(grid, (5, 5), [[1.0, 2.0], [2.0, 1.0]])
+        coeffs.a.values[3, 4] = full_to_sym(np.diag([1.0, -3.0]) + 0j, 2)
+        with pytest.raises(AssemblyError, match=re.escape("vertex (3, 4): min eigenvalue -3.000e+00")):
+            assemble(coeffs, BoundaryTrace.from_expression(grid, "0"))
+
+    def test_rotated_anisotropic_matrices_pass(self):
+        grid = unit_grid(9, dim=3)
+        x = grid.meshgrid()[0].real
+        rot, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [1.5, 0.2, 1.0]]))
+        full = rot @ np.diag([100.0, 1.0, 0.01]) @ rot.T
+        vals = full_to_sym(full + 0j, 3) * (1.0 + x)[..., None]
+        base = laplace_coefficients(grid)
+        CoefficientSet(a=SymTensorField(grid, vals), b=base.b, c=base.c).validate_spd()
 
 
 class TestSolve:

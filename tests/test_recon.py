@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import laplace_coefficients, unit_grid
+from hiplab import recon
 from hiplab.errors import (
     DegeneracyError,
     MeasurementCountError,
     NonVanishingError,
 )
 from hiplab.forward import BoundaryTrace, CoefficientSet, solve_dirichlet
-from hiplab.grids import ScalarField, SymTensorField, VectorField, sym_to_full
+from hiplab.grids import ScalarField, SymTensorField, VectorField, sym_to_full, sym_trace
 from hiplab.phantoms import materialize_scalar
 from hiplab.recon import (
+    QUALITY_FLOOR,
     constraint_matrices,
+    diffusion_from_constraints,
     extra_count,
     functional_budget,
     gram,
@@ -383,3 +391,96 @@ class TestReconstruct:
         scalar = reconstruct_scalar_drift(rs, gram(rs))
         inside = grid.interior(2).flags & ~nc.degenerate
         assert np.max(np.abs(nc.drift.values[inside] - scalar.values[inside])) < 1e-10
+
+
+EPS = np.finfo(float).eps
+_TRACE_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2.0)])
+
+
+@st.composite
+def constraint_stack(draw):
+    """A complex 2x3 stack scaled by ``2**k``: general, exactly rank one
+    (the second row is the first times a power of two and a unit from
+    ``{1, -1, i, -i}``), or with one zero row."""
+    entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    rows = np.array([[draw(entry) for _ in range(3)] for _ in range(2)])
+    kind = draw(st.sampled_from(["general", "rank one", "zero row"]))
+    if kind == "rank one":
+        unit = draw(st.sampled_from([1, -1, 1j, -1j]))
+        rows[1] = rows[0] * unit * 2.0 ** draw(st.integers(-20, 20))
+    elif kind == "zero row":
+        rows[draw(st.integers(0, 1))] = 0.0
+    return rows * 2.0 ** draw(st.integers(-500, 500))
+
+
+def constraint_fields(grid, stack):
+    """Two constant constraint fields whose weighted rows are ``stack``."""
+    return [
+        SymTensorField(grid, np.broadcast_to(row / _TRACE_WEIGHTS, grid.shape + (3,)))
+        for row in stack
+    ]
+
+
+class TestClosedFormNullSpace:
+    """The 2-D cross-product null space against the SVD it replaces."""
+
+    @given(stack=constraint_stack())
+    # nearly orthogonal rows of equal norm: t^2 - 4 d cancels to zero
+    @example(stack=np.array([[1.0, 0.0, 0.0], [1e-9, 1.0, 0.0]], dtype=complex))
+    @settings(max_examples=300, deadline=None)
+    def test_null_vector_and_quality_match_the_svd(self, stack):
+        null, quality = recon._cross_null_space(stack)
+        _, svd_quality = recon._svd_null_space(stack)
+        # the null vector is the cross product of the rows scaled by a
+        # power of two that brings the largest |entry| into [1/2, 1); it
+        # annihilates both rows to rounding relative to the row sizes
+        # (bounded without squaring, which would underflow), or to the
+        # subnormal spacing where that product is subnormal
+        _, e = np.frexp(np.max(np.abs(stack)))
+        rows = np.ldexp(stack.real, -e) + 1j * np.ldexp(stack.imag, -e)
+        sizes = np.sqrt(3.0) * np.max(np.abs(rows), axis=-1)
+        bound = 16 * EPS * sizes * sizes[0] * sizes[1] + 8 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(rows @ null) <= bound)
+        assert 0.0 <= quality <= 1.0 + 4 * EPS
+        assert abs(quality - svd_quality) <= 8 * EPS
+
+    @given(stack=constraint_stack())
+    # a subnormal null vector, whose trace phase overflows if divided out
+    @example(stack=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0**-1045 * 1j]]))
+    @settings(max_examples=300, deadline=None)
+    def test_direction_and_flags_match_the_svd_path(self, stack):
+        grid = unit_grid(5)
+        fields = constraint_fields(grid, stack)
+        got, got_q, got_flags = diffusion_from_constraints(fields)
+        with mock.patch.object(recon, "_cross_null_space", recon._svd_null_space):
+            ref, ref_q, ref_flags = diffusion_from_constraints(fields)
+        q = ref_q.values[0, 0].real
+        if abs(q - QUALITY_FLOOR) <= QUALITY_FLOOR / 2:
+            return  # too close to the floor to expect the same verdict
+        assert np.array_equal(got_flags, ref_flags)
+        if ref_flags[0, 0]:
+            assert np.isnan(got.values).all()
+            return
+        d, r = got.values[0, 0], ref.values[0, 0]
+        # the null vector moves by eps / quality; the trace phase and the
+        # det-one scale amplify that by up to |direction|^2 and
+        # |direction| / |trace|.  The scale's principal square root changes
+        # sign across the negative real axis, where the determinant of an
+        # indefinite generator lies, so the sign is compared up to that cut.
+        size = np.linalg.norm(r)
+        gain = 1.0 + size**2 + size / abs(sym_trace(r, 2))
+        err = min(np.max(np.abs(d - r)), np.max(np.abs(d + r)))
+        assert err <= 64 * EPS / q * gain * size
+
+    def test_zero_and_coincident_rows_are_degenerate_without_warnings(self):
+        grid = unit_grid(5)
+        row = np.array([1.0, 2.0 - 1j, 0.5])
+        for stack in (np.stack([row, 0 * row]), np.stack([row, row]), np.zeros((2, 3))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                direction, quality, degenerate = diffusion_from_constraints(
+                    constraint_fields(grid, stack)
+                )
+            assert np.all(quality.values == 0.0)
+            assert degenerate.all()
+            assert np.isnan(direction.values).all()

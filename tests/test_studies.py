@@ -140,30 +140,64 @@ class TestRunSingle:
 
 
 class TestOneAnalysis:
-    def test_audit_and_reconstruct_share_one_ratio_analysis(self, monkeypatch):
-        """Four ratios in 2-D: one gradient and one Hessian each, and one
-        constraint SVD stack, however the audit and the reconstruction
-        split the work."""
-        cfg = parse_config(bump_doc())
+    def count_calls(self, monkeypatch, cfg) -> dict:
+        """Run the pipeline on ``cfg``, counting derivative calls, the
+        null-space extraction, and numpy's batched small-matrix routines."""
         grid = cfg.grid_for()
         ms = studies.synthesize_measurements(cfg, grid, cfg.coefficients(grid))
-        calls = {"gradient": 0, "hessian": 0, "svd": 0}
+        calls = {}
 
-        def counting(name, fn):
+        def count(module, name, key=None):
+            fn = getattr(module, name)
+            key = key or name
+            calls[key] = 0
+
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return fn(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
         for module in (admissibility, recon):
             for name in ("gradient", "hessian"):
                 if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+                    count(module, name)
+        count(recon, "diffusion_from_constraints")
+        for name in ("svd", "det", "eigvalsh"):
+            count(np.linalg, name)
         result = studies.run_pipeline(cfg, ms=ms)
         assert result.admissibility["pipeline"] == "matrix"
-        assert calls == {"gradient": 4, "hessian": 4, "svd": 1}
+        return calls
+
+    def test_audit_and_reconstruct_share_one_ratio_analysis(self, monkeypatch):
+        """Four ratios in 2-D: one gradient and one Hessian each, and one
+        null-space extraction, however the audit and the reconstruction
+        split the work.  In 2-D that extraction, the basis margin and the
+        positivity check of ``a`` are closed forms: no batched SVD,
+        determinant or eigenvalue call."""
+        calls = self.count_calls(monkeypatch, parse_config(bump_doc()))
+        assert calls == {
+            "gradient": 4,
+            "hessian": 4,
+            "diffusion_from_constraints": 1,
+            "svd": 0,
+            "det": 0,
+            "eigvalsh": 0,
+        }
+
+    def test_three_dimensional_null_space_takes_one_svd_stack(self, monkeypatch):
+        # 5x6 constraint stacks have no cheap closed form: one batched SVD
+        doc = bump_doc(
+            grid={"bounds": [[0.0, 1.0]] * 3, "shape": [9, 9, 9]},
+            coefficients={
+                "a": "1 + 0.4*exp(-((x-0.5)^2+(y-0.5)^2+(z-0.5)^2)/0.08)",
+                "c": "0.5 + 0.3*sin(2*x)*cos(2*y)*cos(z)",
+            },
+        )
+        calls = self.count_calls(monkeypatch, parse_config(doc))
+        assert calls["diffusion_from_constraints"] == 1
+        assert calls["svd"] == 1
+        assert calls["det"] == calls["eigvalsh"] == 0
 
 
 class TestFittedOrder:
