@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .grids import component_sum
 from .recon import RatioSet, analyze
 from .synthesis import MeasurementSet
 
@@ -119,7 +120,7 @@ def _gradient_det(grads: list[np.ndarray]) -> np.ndarray:
         g1, g2 = grads
         return g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
     g1, g2, g3 = grads
-    return np.sum(g1 * np.cross(g2, g3), axis=-1)
+    return component_sum(g1 * np.cross(g2, g3))
 
 
 def _region_entry(name, bounds, region, h1_mag, basis, independence, thr):
@@ -179,7 +180,7 @@ def check(
     h1_mag = np.abs(ms.functionals[0].values)
     grads = [g.values for g in rs.gradients[: grid.dim]]
     det = _gradient_det(grads)
-    norms = np.prod([np.sqrt(np.sum(np.abs(g) ** 2, axis=-1)) for g in grads], axis=0)
+    norms = np.prod([np.sqrt(component_sum(np.abs(g) ** 2)) for g in grads], axis=0)
     with np.errstate(all="ignore"):
         basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)
     basis = np.nan_to_num(basis, nan=0.0)

@@ -30,9 +30,8 @@ boundary values), then eliminates the remaining coefficients:
 * qtat (``b = 0``, ``d = gamma Im(c) conj(u_1)``, ``a`` real):
   ``gamma`` is determined where ``Im q`` is bounded away from zero;
   ``(B, c)`` remain a gauge pair;
-* generic drift: one known functional of ``a^{-1} b`` (its divergence
-  or one component) pins ``B/d`` and ``a^{-1} b``; ``(B, c, d)`` remain
-  a gauge pair.
+* generic drift: the known divergence of ``a^{-1} b`` pins ``B/d`` and
+  ``a^{-1} b``; ``(B, c, d)`` remain a gauge pair.
 
 Vertices where the pointwise null space was degenerate are carried
 along as flags; derivative and solve plumbing substitutes the identity
@@ -63,11 +62,13 @@ from .grids import (
     ScalarField,
     SymTensorField,
     VectorField,
+    component_sum,
     consistent_rings,
     curl,
     divergence,
     gradient,
     hessian,
+    principal_root,
     sym_det,
     sym_dot,
     sym_identity,
@@ -105,14 +106,14 @@ def amplitude_of(a: SymTensorField) -> ScalarField:
     """Scalar amplitude ``B = det(a)^(1/(2 dim))`` of an SPD matrix field."""
     dim = a.grid.dim
     det = sym_det(a.values, dim)
-    return ScalarField(a.grid, np.power(det, 1.0 / (2 * dim)))
+    return ScalarField(a.grid, principal_root(det, 2 * dim))
 
 
 def shape_of(a: SymTensorField) -> SymTensorField:
     """Determinant-one part ``a / det(a)^(1/dim)``."""
     dim = a.grid.dim
     det = sym_det(a.values, dim)
-    return SymTensorField(a.grid, a.values / np.power(det, 1.0 / dim)[..., None])
+    return SymTensorField(a.grid, a.values / principal_root(det, dim)[..., None])
 
 
 def dimension_audit(dim: int) -> dict:
@@ -184,22 +185,9 @@ class ResolvedCoefficients:
 
 @dataclass
 class GaugeConstraint:
-    """Known functional of ``a^{-1} b`` that pins the weight ratio.
+    """Known divergence ``div(a^{-1} b)`` that pins the weight ratio."""
 
-    ``kind`` is ``"divergence"`` (the value of ``div(a^{-1} b)``) or
-    ``"component"`` (the value of component ``axis`` of ``a^{-1} b``).
-    """
-
-    kind: str
     value: ScalarField
-    axis: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("divergence", "component"):
-            raise ConfigurationError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "component":
-            if self.axis is None or not (0 <= self.axis < self.value.grid.dim):
-                raise ConfigurationError("component constraint needs a valid axis")
 
 
 def _fill_shape(shape: SymTensorField, degenerate: np.ndarray) -> SymTensorField:
@@ -301,10 +289,10 @@ def integrate_gradient(
 def _shape_applied_laplacian(shape: SymTensorField, f: ScalarField) -> ScalarField:
     """``div(ahat grad f)`` expanded as ``ahat : D^2 f + div(ahat) . grad f``."""
     dim = f.grid.dim
-    hess = hessian(f)
     grad = gradient(f)
-    vals = sym_dot(shape.values, hess.values, dim) + np.sum(
-        tensor_divergence(shape).values * grad.values, axis=-1
+    hess = hessian(f, grad)
+    vals = sym_dot(shape.values, hess.values, dim) + component_sum(
+        tensor_divergence(shape).values * grad.values
     )
     return ScalarField(f.grid, vals)
 
@@ -515,12 +503,11 @@ def resolve_generic(
     ratio_anchor: BoundaryTrace,
     settings: SolverSettings | None = None,
 ) -> ResolvedCoefficients:
-    """Resolution with an arbitrary weight and one known drift functional.
+    """Resolution with an arbitrary weight and a known ``div(a^{-1} b)``.
 
-    With ``w = ahat^{-1} G = a^{-1} b + 2 grad ln(B/d)``, a known
+    With ``w = ahat^{-1} G = a^{-1} b + 2 grad ln(B/d)``, the known
     divergence of ``a^{-1} b`` closes a Poisson equation for the log
-    weight ratio, and a known component closes a line integration along
-    that axis.  Both pin ``B/d`` and hence ``a^{-1} b`` and the scalar
+    weight ratio.  It pins ``B/d`` and hence ``a^{-1} b`` and the scalar
     invariant; ``(B, c, d)`` remain a gauge family.  The attached
     representative (``B = 1``) reproduces the data functionals exactly.
     """
@@ -528,35 +515,18 @@ def resolve_generic(
     dim = grid.dim
     inv = sym_inv(tri.shape.values, dim)
     w = consistent_rings(sym_matvec(inv, tri.vector_invariant.values, dim), grid)
-    w_field = VectorField(grid, w)
-    curl_rel = None
-    if constraint.kind == "divergence":
-        div_w = divergence(w_field)
-        src = ScalarField(grid, 0.5 * (div_w.values - constraint.value.values))
-        psi = solve_poisson(_log_anchor(ratio_anchor, "weight ratio"), src, settings)
-        log_ratio = psi.values
-    else:
-        from scipy.integrate import cumulative_trapezoid
-
-        axis = constraint.axis
-        integrand = 0.5 * (w[..., axis] - constraint.value.values)
-        acc = cumulative_trapezoid(
-            integrand, dx=grid.spacing[axis], axis=axis, initial=0.0
-        )
-        anchor_log = np.log(ratio_anchor.values)
-        low = [slice(None)] * dim
-        low[axis] = slice(0, 1)
-        log_ratio = acc + anchor_log[tuple(low)]
+    div_w = divergence(VectorField(grid, w))
+    src = ScalarField(grid, 0.5 * (div_w.values - constraint.value.values))
+    log_ratio = solve_poisson(
+        _log_anchor(ratio_anchor, "weight ratio"), src, settings
+    ).values
 
     ratio = np.exp(log_ratio)
     grad_log = gradient(ScalarField(grid, log_ratio))
     drift_combo = VectorField(grid, w - 2.0 * grad_log.values)
     v, q = _scalar_invariant(tri.shape, h1, ratio)
 
-    if constraint.kind == "divergence":
-        resid_field = divergence(drift_combo).values - constraint.value.values
-    else:
-        resid_field = drift_combo.values[..., constraint.axis] - constraint.value.values
+    resid_field = divergence(drift_combo).values - constraint.value.values
     inside = tri.mask.flags
     scale = float(np.max(np.abs(constraint.value.values[inside]))) + 1.0
     constraint_residual = float(np.max(np.abs(resid_field[inside]))) / scale
@@ -567,7 +537,7 @@ def resolve_generic(
     )
     c_repr = ScalarField(
         grid,
-        -q.values - np.sum(b_repr.values * gradient(v).values, axis=-1) / v.values,
+        -q.values - component_sum(b_repr.values * gradient(v).values) / v.values,
     )
     d_repr = ScalarField(grid, 1.0 / ratio)
     report = GaugeReport(
@@ -578,7 +548,6 @@ def resolve_generic(
         ),
         dimension_audit=dimension_audit(dim),
         masked_fraction=tri.masked_fraction,
-        curl_residual=curl_rel,
         extras={"constraint_residual": constraint_residual},
     )
     return ResolvedCoefficients(

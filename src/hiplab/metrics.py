@@ -25,6 +25,8 @@ from .grids import (
     ScalarField,
     SymTensorField,
     VectorField,
+    component_sum,
+    gradient,
     hessian,
     sym_size,
 )
@@ -90,11 +92,12 @@ def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
     hess_weights[dim:] = 2.0
     for w, comp in zip(weights, comps):
         val_sq += w * np.abs(comp) ** 2
-        for ax, h in enumerate(grid.spacing):
-            d = np.gradient(comp, h, axis=ax, edge_order=2)
-            grad_sq += w * np.abs(d) ** 2
-        hess = hessian(ScalarField(grid, comp)).values
-        hess_sq += w * np.sum(hess_weights * np.abs(hess) ** 2, axis=-1)
+        f = ScalarField(grid, comp)
+        grad = gradient(f)
+        for ax in range(dim):
+            grad_sq += w * np.abs(grad.values[..., ax]) ** 2
+        hess = hessian(f, grad).values
+        hess_sq += w * component_sum(hess_weights * np.abs(hess) ** 2)
     return (
         float(np.sqrt(np.max(val_sq[region]))),
         float(np.sqrt(np.max(grad_sq[region]))),

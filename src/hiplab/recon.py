@@ -26,6 +26,7 @@ grid; no iteration over vertices takes place in Python.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,16 @@ from .grids import (
     ScalarField,
     SymTensorField,
     VectorField,
+    component_sum,
     gradient,
     hessian,
+    principal_root,
+    sym_apply,
     sym_det,
     sym_dot,
     sym_inv,
     sym_pairs,
     sym_size,
-    sym_to_full,
     sym_trace,
 )
 from .synthesis import H1_FLOOR, MeasurementSet
@@ -80,6 +83,10 @@ QUALITY_FLOOR = 1e-6
 
 # tolerance for identities that hold by construction
 _CONSISTENCY_TOL = 1e-10
+
+# half-width of the band around the negative real axis, in units of
+# eps |raw|^dim / quality, inside which the det-one root's branch is fixed
+_CUT_BAND = 64 * np.finfo(float).eps
 
 
 def functional_budget(dim: int) -> int:
@@ -148,10 +155,11 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     A vanishing ``H_1`` gives a zero ratio and a singular Gram matrix a
     zero inverse, so the admissibility audit can read deliberately bad
     data; :func:`reconstruct` runs the raising checks on the same object.
-    Only the ratios ``mode`` consumes are differentiated: the first
-    ``dim`` in scalar mode, the first ``functional_budget(dim) - 1`` in
-    matrix mode, where the null weights and the null space follow once
-    that many exist.  The Gram data needs ``dim`` ratios.
+    Only the ratios ``mode`` consumes are differentiated, each in one
+    pass (its Hessian reuses its gradient): the first ``dim`` in scalar
+    mode, the first ``functional_budget(dim) - 1`` in matrix mode, where
+    the null weights and the null space follow once that many exist.
+    The Gram data needs ``dim`` ratios.
     """
     grid = ms.grid
     dim = grid.dim
@@ -163,11 +171,12 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
         ]
     extras = extra_count(dim)
     need = dim if mode == "scalar" else dim + extras
+    gradients = [gradient(v) for v in fields[:need]]
     rs = RatioSet(
         grid=grid,
         fields=fields,
-        gradients=[gradient(v) for v in fields[:need]],
-        hessians=[hessian(v) for v in fields[:need]],
+        gradients=gradients,
+        hessians=[hessian(v, g) for v, g in zip(fields, gradients)],
         mask=grid.interior(margin),
     )
     if rs.count < dim:
@@ -175,7 +184,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     grads = [g.values for g in rs.gradients]
     vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.complex128)
     for k, (i, j) in enumerate(sym_pairs(dim)):
-        vals[..., k] = np.sum(grads[i] * grads[j], axis=-1)
+        vals[..., k] = component_sum(grads[i] * grads[j])
     det = sym_det(vals, dim)
     singular = ~(np.abs(det) > np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,7 +205,7 @@ def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray
     extras = extra_count(dim)
     theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.complex128)
     for m in range(extras):
-        rhs = [np.sum(grads[dim + m] * grads[k], axis=-1) for k in range(dim)]
+        rhs = [component_sum(grads[dim + m] * grads[k]) for k in range(dim)]
         for j, sol in enumerate(_gram_solve(gd, rhs, dim)):
             theta[..., m, j] = -sol
         theta[..., m, dim + m] = 1.0
@@ -274,9 +283,7 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
     gd = rs.gram_data
     grads = [rs.gradients[i].values for i in range(dim)]
     inside = rs.mask.flags
-    sq = np.max(
-        [np.sum(np.abs(g) ** 2, axis=-1) for g in grads], axis=0
-    )
+    sq = np.max([component_sum(np.abs(g) ** 2) for g in grads], axis=0)
     scale = float(np.max(sq[inside])) if np.any(inside) else 0.0
     floor = floor_scale * max(scale, np.finfo(float).tiny) ** dim
     bad = inside & (np.abs(gd.det) < floor)
@@ -293,10 +300,7 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
 
 def _gram_solve(gd: GramData, rhs: list[np.ndarray], dim: int) -> list[np.ndarray]:
     """Apply the inverse Gram matrix to per-index scalar arrays."""
-    inv = sym_to_full(gd.inverse.values, dim)
-    stacked = np.stack(rhs, axis=-1)
-    out = np.einsum("...ij,...j->...i", inv, stacked)
-    return [out[..., i] for i in range(dim)]
+    return sym_apply(gd.inverse.values, rhs, dim)
 
 
 def reconstruct_scalar_drift(rs: RatioSet, gd: GramData) -> VectorField:
@@ -337,7 +341,7 @@ def null_weights(rs: RatioSet, gd: GramData) -> np.ndarray:
         resid[...] = 0.0
         for j in range(need):
             resid += theta[..., m, j][..., None] * rs.gradients[j].values
-        r = np.sqrt(np.sum(np.abs(resid) ** 2, axis=-1))
+        r = np.sqrt(component_sum(np.abs(resid) ** 2))
         top = max(top, float(np.max(r[rs.mask.flags])))
     grad_top = max(
         float(np.max(rs.gradients[j].magnitude()[rs.mask.flags]))
@@ -379,14 +383,20 @@ def diffusion_from_constraints(
     Stacks the constraint matrices as rows of a small rectangular system
     under the trace pairing (off-diagonal entries weighted by sqrt(2) so
     the Euclidean product matches the trace product) and takes its null
-    vector: in 2-D the cross product of the two rows, in closed form
-    over the whole grid; in 3-D the right singular vector of the smallest
-    singular value of each 5x6 stack.  The generator is normalized to
-    real positive trace and determinant one.
+    vector in closed form over the whole grid: the generalized cross
+    product of the rows (:func:`_cross_null_space`), in 2-D the cross
+    product of two rows in C^3, in 3-D the signed 5x5 minors of five
+    rows in C^6.  The quality ``s_min / s_max`` comes from the rows'
+    Gram matrix: in closed form in 2-D, from one batched ``eigvalsh``
+    of the 5x5 Gram matrices in 3-D.  The generator is normalized to
+    real positive trace and determinant one.  The principal root of the
+    determinant changes sign across the negative real axis, where the
+    determinant of an indefinite generator lies; a determinant within
+    rounding of that axis is taken on its upper side, so the sign of its
+    rounding does not pick the sign of the direction.
 
-    Returns the direction, the singular-value gap ``s_min / s_max`` as a
-    quality field, and a boolean mask of degenerate vertices, which carry
-    NaN in the direction field.
+    Returns the direction, the quality field, and a boolean mask of
+    degenerate vertices, which carry NaN in the direction field.
     """
     grid = matrices[0].grid
     dim = grid.dim
@@ -398,12 +408,12 @@ def diffusion_from_constraints(
     for m, M in enumerate(matrices):
         stack[..., m, :] = M.values * w
 
-    null, quality = (_cross_null_space if dim == 2 else _svd_null_space)(stack)
+    null, quality = _cross_null_space(stack)
     raw = null / w
     degenerate = ~(quality >= quality_floor)  # NaN data is degenerate too
 
     trace = sym_trace(raw, dim)
-    norm = np.sqrt(np.sum(np.abs(raw) ** 2, axis=-1))
+    norm = np.sqrt(component_sum(np.abs(raw) ** 2))
     tiny_trace = np.abs(trace) < 1e-8 * np.maximum(norm, np.finfo(float).tiny)
     degenerate = degenerate | tiny_trace
     # degenerate vertices end as NaN; skipping their divisions keeps a
@@ -412,61 +422,128 @@ def diffusion_from_constraints(
     aligned = raw * np.conj(phase)[..., None]
 
     det = sym_det(aligned, dim)
-    tiny_det = np.abs(det) < 1e-12 * np.maximum(norm, np.finfo(float).tiny) ** dim
+    det_unit = np.maximum(norm, np.finfo(float).tiny) ** dim
+    tiny_det = np.abs(det) < 1e-12 * det_unit
     degenerate = degenerate | tiny_det
-    scale = np.power(np.where(degenerate, 1.0, det), 1.0 / dim)
-    direction = aligned / scale[..., None]
+    det = np.where(degenerate, 1.0, det)
+    # the null vector moves by about eps / quality under rounding, and
+    # det with it; inside that band of the negative real axis the root
+    # is taken on the upper side
+    on_cut = (det.real < 0) & (np.abs(det.imag) * quality <= _CUT_BAND * det_unit)
+    det[on_cut] = det.real[on_cut]
+    direction = aligned / principal_root(det, dim)[..., None]
     direction[degenerate] = np.nan
 
     quality_field = ScalarField(grid, quality.astype(np.complex128))
     return SymTensorField(grid, direction), quality_field, degenerate
 
 
-def _svd_null_space(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vector of the smallest singular value of each
-    stack, and the gap ``s_min / s_max`` (0 for a zero stack)."""
-    _, sing, vh = np.linalg.svd(stack, full_matrices=True)
-    top = sing[..., 0]
-    bottom = sing[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quality = np.where(top > 0, bottom / np.where(top > 0, top, 1.0), 0.0)
-    return np.conj(vh[..., -1, :]), quality
-
-
 def _cross_null_space(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null vector and gap ``s_min / s_max`` of 2x3 stacks in closed form.
+    """Null vector and gap ``s_min / s_max`` of ``m x (m + 1)`` stacks.
 
-    Each stack is first scaled exactly, by a power of two, so that its
-    largest ``|entry|`` lies in [1/2, 1): neither result depends on the
-    data's units, and no product of two entries overflows.  The null
-    vector is the bilinear cross product ``n = r1 x r2`` of the scaled
-    rows, zero where they are parallel.  The squared singular values are
-    the eigenvalues of the rows' Hermitian Gram matrix
-    ``[[p, c], [conj(c), q]]``, whose determinant is ``d = |n|^2``
-    (Lagrange's identity), so the gap is ``sqrt(d) / l_max`` with
-    ``l_max = (p + q + sqrt((p - q)^2 + 4 |c|^2)) / 2``.  Neither the
-    smaller eigenvalue nor the discriminant in its ``t^2 - 4 d`` form is
-    computed: both cancel where ``s_min`` is small or close to ``s_max``.
+    Each stack is first scaled exactly, in place, by a power of two, so
+    that its largest ``|entry|`` lies in [1/2, 1): neither result
+    depends on the data's units, and no product of entries overflows.  The null vector
+    is the generalized cross product of the scaled rows
+    (:func:`_wedge_null_vector`), zero where they are dependent.  The
+    squared singular values are the eigenvalues of the rows' Hermitian
+    Gram matrix.  For two rows it is ``[[p, c], [conj(c), q]]``, whose
+    determinant is ``d = |n|^2`` (Lagrange's identity), so the gap is
+    ``sqrt(d) / l_max`` with ``l_max = (p + q + sqrt((p - q)^2 + 4 |c|^2)) / 2``.
+    Neither the smaller eigenvalue nor the discriminant in its
+    ``t^2 - 4 d`` form is computed: both cancel where ``s_min`` is small
+    or close to ``s_max``.  For more rows the eigenvalues come from one
+    batched ``eigvalsh``; the Gram matrix squares the condition number,
+    so that gap is accurate to about ``eps / gap`` rather than ``eps``.
     """
-    # elementwise maxima and dot products over float views: numpy's
-    # reductions over a short last axis run several times slower
-    entries = np.moveaxis(np.abs(stack).reshape(stack.shape[:-2] + (6,)), -1, 0)
-    _, exponent = np.frexp(functools.reduce(np.maximum, entries))
-    rows = np.ldexp(stack.view(np.float64), -exponent[..., None, None]).view(np.complex128)
-    r1, r2 = rows[..., 0, :], rows[..., 1, :]
-    n = np.cross(r1, r2)
-    p, q = _sum_sq(r1), _sum_sq(r2)
-    c = np.einsum("...i,...i->...", r1, np.conj(r2))
-    top = 0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * (c.real**2 + c.imag**2)))
-    quality = np.sqrt(_sum_sq(n)) / np.where(top > 0, top, 1.0)
-    return n, quality
+    m_rows = stack.shape[-2]
+    # elementwise maxima over the entries: numpy's reductions over a
+    # short last axis run several times slower
+    peak = functools.reduce(
+        np.maximum, np.moveaxis(np.abs(stack).reshape(stack.shape[:-2] + (-1,)), -1, 0)
+    )
+    _, exponent = np.frexp(peak)
+    floats = stack.view(np.float64)
+    np.ldexp(floats, -exponent[..., None, None], out=floats)
+    rows = stack
+    n = _wedge_null_vector(rows)
+    if m_rows == 2:
+        r1, r2 = rows[..., 0, :], rows[..., 1, :]
+        p, q = _sum_sq(r1), _sum_sq(r2)
+        c = component_sum(r1 * np.conj(r2))
+        top = 0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * (c.real**2 + c.imag**2)))
+        quality = np.sqrt(_sum_sq(n)) / np.where(top > 0, top, 1.0)
+        return n, quality
+    gram = rows @ np.conj(np.swapaxes(rows, -1, -2))
+    finite = np.isfinite(peak)
+    gram[~finite] = 0.0  # LAPACK rejects NaN; the gap is NaN there
+    eig = np.linalg.eigvalsh(gram)
+    top = eig[..., -1]
+    bottom = np.maximum(eig[..., 0], 0.0)
+    quality = np.sqrt(bottom / np.where(top > 0, top, 1.0))
+    return n, np.where(finite, quality, np.nan)
+
+
+@functools.cache
+def _wedge_terms(n: int, k: int) -> list[list[tuple[int, int, bool]]]:
+    """How ``w ^ r`` is formed from a ``k``-vector ``w`` and a vector ``r``
+    in ``n`` dimensions, components indexed by the sorted index subsets
+    in lexicographic order.
+
+    ``(w ^ r)_T = sum_p (-1)^(k - p) w_{T - t_p} r_{t_p}`` over the
+    positions ``p`` of ``T``.  One list per ``T``, one entry per ``p``:
+    the component of ``w`` and of ``r`` that multiply, and whether the
+    term is subtracted.
+    """
+    lower = {t: i for i, t in enumerate(itertools.combinations(range(n), k))}
+    return [
+        [(lower[t[:p] + t[p + 1 :]], t[p], (k - p) % 2 == 1) for p in range(k + 1)]
+        for t in itertools.combinations(range(n), k + 1)
+    ]
+
+
+def _wedge_null_vector(rows: np.ndarray) -> np.ndarray:
+    """Generalized cross product of the ``m`` rows of ``m x (m + 1)`` stacks.
+
+    Successive exterior products ``r_1 ^ ... ^ r_m`` leave one
+    ``m x m`` minor per omitted column ``c``; with the sign ``(-1)^c``
+    they form a vector ``n`` with ``r . n = 0`` (bilinear, no
+    conjugation) for every row ``r``, since ``r ^ r_1 ^ ... ^ r_m``
+    repeats a row.  For two rows this is the cross product ``r_1 x r_2``
+    with numpy's operand order, bit for bit.
+    """
+    m_rows, n = rows.shape[-2:]
+    w = [rows[..., 0, j] for j in range(n)]
+    term = np.empty(rows.shape[:-2], dtype=np.complex128)
+    for k in range(1, m_rows):
+        r = rows[..., k, :]
+        table = _wedge_terms(n, k)
+        # one buffer per exterior power keeps the many temporaries off
+        # the heap
+        nxt = np.empty((len(table),) + rows.shape[:-2], dtype=np.complex128)
+        for i, terms in enumerate(table):
+            acc = nxt[i, ...]
+            (lower, col, negative), *rest = terms
+            np.multiply(w[lower], r[..., col], out=acc)
+            if negative:
+                np.negative(acc, out=acc)
+            for lower, col, negative in rest:
+                np.multiply(w[lower], r[..., col], out=term)
+                (np.subtract if negative else np.add)(acc, term, out=acc)
+        w = nxt
+    # the minors come in the order of the columns they keep, so the one
+    # omitting column c sits at index n - 1 - c
+    null = np.stack([w[n - 1 - c] for c in range(n)], axis=-1)
+    odd = null[..., 1::2]
+    np.negative(odd, out=odd)
+    return null
 
 
 def _sum_sq(z: np.ndarray) -> np.ndarray:
     """``sum |z_i|^2`` over the last axis of complex ``z``, whose
     entries must be adjacent in memory."""
     x = z.view(np.float64)
-    return np.einsum("...i,...i->...", x, x)
+    return component_sum(x * x)
 
 
 def drift_from_diffusion(

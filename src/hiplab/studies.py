@@ -157,7 +157,7 @@ def resolve_measurements(
     inv_drift = VectorField(
         grid, sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim)
     )
-    constraint = gauge.GaugeConstraint(kind="divergence", value=divergence(inv_drift))
+    constraint = gauge.GaugeConstraint(value=divergence(inv_drift))
     ratio = B.values / ms.weight.values
     return gauge.resolve_generic(
         tri, h1, constraint, BoundaryTrace(grid, ratio), settings

@@ -393,7 +393,6 @@ class TestResolveGeneric:
             coeffs, Modality.generic(materialize_scalar("1", grid)), grid
         )
         constraint = GaugeConstraint(
-            kind="divergence",
             value=ScalarField(grid, np.zeros(grid.shape, dtype=np.complex128)),
         )
         res = resolve_generic(
@@ -433,7 +432,6 @@ class TestResolveGeneric:
                 coeffs, Modality.generic(materialize_scalar("1", grid)), grid
             )
             constraint = GaugeConstraint(
-                kind="divergence",
                 value=ScalarField(
                     grid, (-2 * np.pi**2 * phi).astype(np.complex128)
                 ),
@@ -466,7 +464,6 @@ class TestResolveGeneric:
             base, Modality.generic(ScalarField(grid, d.astype(np.complex128))), grid
         )
         constraint = GaugeConstraint(
-            kind="divergence",
             value=ScalarField(grid, np.zeros(grid.shape, dtype=np.complex128)),
         )
         res = resolve_generic(

@@ -18,6 +18,7 @@ from hiplab.grids import (
     ScalarField,
     SymTensorField,
     VectorField,
+    component_sum,
     consistent_rings,
     curl,
     divergence,
@@ -25,7 +26,9 @@ from hiplab.grids import (
     gradient,
     hessian,
     laplacian,
+    principal_root,
     read_field,
+    sym_apply,
     sym_det,
     sym_dot,
     sym_inv,
@@ -106,6 +109,23 @@ class TestDerivatives:
         assert np.allclose(h_xy[inside], np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
         h_xx = sym_to_full(hessian(ScalarField(grid, x**2)).values, 2)
         assert np.allclose(h_xx[inside], np.array([[2.0, 0.0], [0.0, 0.0]]), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bounds, shape",
+        [
+            (((0.0, 1.0), (-1.0, 2.0)), (17, 12)),
+            (((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)), (7, 9, 8)),
+        ],
+    )
+    def test_hessian_with_shared_gradient_is_bitwise_the_standalone_call(
+        self, bounds, shape
+    ):
+        grid = Grid(bounds=bounds, shape=shape)
+        rng = np.random.default_rng(len(shape))
+        f = ScalarField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        shared = hessian(f, gradient(f)).values
+        alone = hessian(f).values
+        assert np.array_equal(shared.view(np.float64), alone.view(np.float64))
 
     def test_hessian_second_order_rate(self):
         errs = []
@@ -201,6 +221,44 @@ class TestSymmetricStorage:
         )
 
 
+class TestComponentSum:
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_bitwise_equal_to_numpy_sum(self, count, dtype):
+        rng = np.random.default_rng(count)
+        shape = (33, 17, count)
+
+        def draw():
+            # magnitudes spread over many binades, so rounding order shows
+            return rng.normal(size=shape) * 2.0 ** rng.integers(-40, 40, size=shape)
+
+        x = draw() if dtype is np.float64 else draw() + 1j * draw()
+        got = component_sum(x)
+        ref = np.sum(x, axis=-1)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(
+            np.atleast_1d(got).view(np.float64), np.atleast_1d(ref).view(np.float64)
+        )
+
+    def test_six_real_components_bitwise_equal(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(257, 6)) * 2.0 ** rng.integers(-40, 40, size=(257, 6))
+        assert np.array_equal(component_sum(x), np.sum(x, axis=-1))
+
+
+class TestPrincipalRoot:
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_matches_the_complex_power_and_its_branch_cut(self, k):
+        rng = np.random.default_rng(k)
+        z = rng.normal(size=512) + 1j * rng.normal(size=512)
+        # the negative real axis, approached from both sides
+        z[:4] = [-2.0 + 0.0j, complex(-2.0, -0.0), -0.5 + 1e-300j, -0.5 - 1e-300j]
+        got = principal_root(z, k)
+        ref = np.power(z, 1.0 / k)
+        assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+        assert np.all(np.abs(np.angle(got)) <= np.pi / k * (1 + 4 * np.finfo(float).eps))
+
+
 @st.composite
 def complex_symmetric(draw, dim):
     """Complex symmetric (not Hermitian) matrix, strictly diagonally
@@ -224,6 +282,23 @@ class TestSymmetricStorageProperties:
         assert np.isclose(sym_det(sym, dim), np.linalg.det(full), rtol=1e-12, atol=0)
         inv = sym_to_full(sym_inv(sym, dim), dim)
         assert np.allclose(inv, np.linalg.inv(full), rtol=1e-12, atol=1e-13)
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @given(data=st.data())
+    def test_matvec_in_triangle_storage_matches_full_storage(self, dim, data):
+        """Entry-by-entry products agree with expanding to full storage
+        and contracting, to a few ulps of the summed magnitudes."""
+        full = data.draw(complex_symmetric(dim)) * 2.0 ** data.draw(st.integers(-30, 30))
+        entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        vec = np.array([data.draw(entry) for _ in range(dim)])
+        sym = full_to_sym(full, dim)
+        ref = np.einsum("...ij,...j->...i", sym_to_full(sym, dim), vec)
+        tiny = 8 * np.finfo(float).smallest_subnormal
+        bound = 8 * np.finfo(float).eps * (np.abs(full) @ np.abs(vec)) + tiny
+        assert np.all(np.abs(sym_matvec(sym, vec, dim) - ref) <= bound)
+        parts = sym_apply(sym, list(vec), dim)
+        assert np.all(np.abs(np.array(parts) - ref) <= bound)
 
 
 class TestConsistentRings:

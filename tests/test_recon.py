@@ -394,31 +394,68 @@ class TestReconstruct:
 
 
 EPS = np.finfo(float).eps
-_TRACE_WEIGHTS = np.array([1.0, 1.0, np.sqrt(2.0)])
+_TRACE_WEIGHTS = {
+    2: np.array([1.0, 1.0, np.sqrt(2.0)]),
+    3: np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)]),
+}
+
+
+def svd_null_space(stack):
+    """Reference for ``recon._cross_null_space``: the right singular
+    vector of the smallest singular value of each stack, and the gap
+    ``s_min / s_max`` (0 for a zero stack)."""
+    _, sing, vh = np.linalg.svd(stack, full_matrices=True)
+    top = sing[..., 0]
+    bottom = sing[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quality = np.where(top > 0, bottom / np.where(top > 0, top, 1.0), 0.0)
+    return np.conj(vh[..., -1, :]), quality
 
 
 @st.composite
-def constraint_stack(draw):
-    """A complex 2x3 stack scaled by ``2**k``: general, exactly rank one
-    (the second row is the first times a power of two and a unit from
-    ``{1, -1, i, -i}``), or with one zero row."""
+def constraint_stack(draw, rows_count=2):
+    """A complex ``m x (m + 1)`` stack scaled by ``2**k``: general,
+    exactly rank deficient (one row is another times a power of two and
+    a unit from ``{1, -1, i, -i}``), or with one zero row."""
     entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-    rows = np.array([[draw(entry) for _ in range(3)] for _ in range(2)])
-    kind = draw(st.sampled_from(["general", "rank one", "zero row"]))
-    if kind == "rank one":
+    rows = np.array(
+        [[draw(entry) for _ in range(rows_count + 1)] for _ in range(rows_count)]
+    )
+    kind = draw(st.sampled_from(["general", "rank deficient", "zero row"]))
+    index = st.integers(0, rows_count - 1)
+    if kind == "rank deficient":
         unit = draw(st.sampled_from([1, -1, 1j, -1j]))
-        rows[1] = rows[0] * unit * 2.0 ** draw(st.integers(-20, 20))
+        src, dst = draw(index), draw(index)
+        if src == dst:
+            dst = (src + 1) % rows_count
+        rows[dst] = rows[src] * unit * 2.0 ** draw(st.integers(-20, 20))
     elif kind == "zero row":
-        rows[draw(st.integers(0, 1))] = 0.0
+        rows[draw(index)] = 0.0
     return rows * 2.0 ** draw(st.integers(-500, 500))
 
 
 def constraint_fields(grid, stack):
-    """Two constant constraint fields whose weighted rows are ``stack``."""
+    """Constant constraint fields whose weighted rows are ``stack``."""
+    weights = _TRACE_WEIGHTS[grid.dim]
     return [
-        SymTensorField(grid, np.broadcast_to(row / _TRACE_WEIGHTS, grid.shape + (3,)))
+        SymTensorField(grid, np.broadcast_to(row / weights, grid.shape + (len(weights),)))
         for row in stack
     ]
+
+
+def scaled_rows(stack):
+    """``stack`` scaled by the power of two that brings its largest
+    ``|entry|`` into [1/2, 1), as ``_cross_null_space`` scales it."""
+    _, e = np.frexp(np.max(np.abs(stack)))
+    return np.ldexp(stack.real, -e) + 1j * np.ldexp(stack.imag, -e)
+
+
+def both_paths(fields):
+    """``diffusion_from_constraints`` on its own null space and on the SVD's."""
+    got = diffusion_from_constraints(fields)
+    with mock.patch.object(recon, "_cross_null_space", svd_null_space):
+        ref = diffusion_from_constraints(fields)
+    return got, ref
 
 
 class TestClosedFormNullSpace:
@@ -429,15 +466,14 @@ class TestClosedFormNullSpace:
     @example(stack=np.array([[1.0, 0.0, 0.0], [1e-9, 1.0, 0.0]], dtype=complex))
     @settings(max_examples=300, deadline=None)
     def test_null_vector_and_quality_match_the_svd(self, stack):
-        null, quality = recon._cross_null_space(stack)
-        _, svd_quality = recon._svd_null_space(stack)
+        null, quality = recon._cross_null_space(stack.copy())
+        _, svd_quality = svd_null_space(stack)
         # the null vector is the cross product of the rows scaled by a
         # power of two that brings the largest |entry| into [1/2, 1); it
         # annihilates both rows to rounding relative to the row sizes
         # (bounded without squaring, which would underflow), or to the
         # subnormal spacing where that product is subnormal
-        _, e = np.frexp(np.max(np.abs(stack)))
-        rows = np.ldexp(stack.real, -e) + 1j * np.ldexp(stack.imag, -e)
+        rows = scaled_rows(stack)
         sizes = np.sqrt(3.0) * np.max(np.abs(rows), axis=-1)
         bound = 16 * EPS * sizes * sizes[0] * sizes[1] + 8 * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(rows @ null) <= bound)
@@ -447,13 +483,14 @@ class TestClosedFormNullSpace:
     @given(stack=constraint_stack())
     # a subnormal null vector, whose trace phase overflows if divided out
     @example(stack=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0**-1045 * 1j]]))
+    # an indefinite generator whose det lies on the negative real axis
+    @example(stack=np.array([[1.0, 1j, 1j], [0.0, 1j, 1j]]))
     @settings(max_examples=300, deadline=None)
     def test_direction_and_flags_match_the_svd_path(self, stack):
         grid = unit_grid(5)
-        fields = constraint_fields(grid, stack)
-        got, got_q, got_flags = diffusion_from_constraints(fields)
-        with mock.patch.object(recon, "_cross_null_space", recon._svd_null_space):
-            ref, ref_q, ref_flags = diffusion_from_constraints(fields)
+        (got, _, got_flags), (ref, ref_q, ref_flags) = both_paths(
+            constraint_fields(grid, stack)
+        )
         q = ref_q.values[0, 0].real
         if abs(q - QUALITY_FLOOR) <= QUALITY_FLOOR / 2:
             return  # too close to the floor to expect the same verdict
@@ -464,13 +501,55 @@ class TestClosedFormNullSpace:
         d, r = got.values[0, 0], ref.values[0, 0]
         # the null vector moves by eps / quality; the trace phase and the
         # det-one scale amplify that by up to |direction|^2 and
-        # |direction| / |trace|.  The scale's principal square root changes
-        # sign across the negative real axis, where the determinant of an
-        # indefinite generator lies, so the sign is compared up to that cut.
+        # |direction| / |trace|
         size = np.linalg.norm(r)
-        gain = 1.0 + size**2 + size / abs(sym_trace(r, 2))
-        err = min(np.max(np.abs(d - r)), np.max(np.abs(d + r)))
+        trace = sym_trace(r, 2)
+        gain = 1.0 + size**2 + size / abs(trace)
+        err = np.max(np.abs(d - r))
+        # the root's branch is fixed inside a band around the negative
+        # real axis, where trace(r) is imaginary; only at the band's edge
+        # may the two paths' rounding land on opposite sides
+        cosine = abs(trace.real) / abs(trace)
+        edge = recon._CUT_BAND / 2 * size**2 / q
+        if edge / 8 <= cosine <= 8 * edge:
+            err = min(err, np.max(np.abs(d + r)))
         assert err <= 64 * EPS / q * gain * size
+
+    def test_indefinite_generator_takes_the_upper_root_on_both_paths(self):
+        # aligned generator (0, 1, -1/sqrt 2), det -1/2: the root is
+        # i/sqrt 2 however det's imaginary part rounds
+        stack = np.array([[1.0, 1j, 1j], [0.0, 1j, 1j]])
+        (got, _, _), (ref, _, _) = both_paths(constraint_fields(unit_grid(5), stack))
+        expect = np.array([0.0, -1j * np.sqrt(2.0), 1j])
+        for direction in (got, ref):
+            assert np.max(np.abs(direction.values[0, 0] - expect)) <= 16 * EPS
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fixing_the_branch_leaves_spd_data_bitwise_unchanged(self, dim):
+        n = 17 if dim == 2 else 9
+        grid = unit_grid(n, dim)
+        base = laplace_coefficients(grid)
+        x = grid.meshgrid()[0].real
+        avals = np.zeros(grid.shape + (3 * dim - 3,))
+        avals[..., 0] = 2.0 + x
+        avals[..., 1:dim] = 0.5
+        avals[..., -1] = 0.3 * x
+        coeffs = CoefficientSet(a=SymTensorField(grid, avals), b=base.b, c=base.c)
+        ms = synthesize(
+            coeffs,
+            Modality.generic(materialize_scalar("1", grid)),
+            default_traces(grid, functional_budget(dim)),
+        )
+        rs = recon.analyze(ms)
+        mats = constraint_matrices(rs, rs.theta)
+        direction, _, flags = diffusion_from_constraints(mats)
+        with mock.patch.object(recon, "_CUT_BAND", -1.0):
+            plain, _, plain_flags = diffusion_from_constraints(mats)
+        assert not flags[rs.mask.flags].any()
+        assert np.array_equal(flags, plain_flags)
+        assert np.array_equal(
+            direction.values.view(np.float64), plain.values.view(np.float64), equal_nan=True
+        )
 
     def test_zero_and_coincident_rows_are_degenerate_without_warnings(self):
         grid = unit_grid(5)
@@ -484,3 +563,42 @@ class TestClosedFormNullSpace:
             assert np.all(quality.values == 0.0)
             assert degenerate.all()
             assert np.isnan(direction.values).all()
+
+
+class TestWedgeNullSpace:
+    """The 3-D generalized cross product and Gram gap against the SVD."""
+
+    @given(stack=constraint_stack(rows_count=5))
+    @settings(max_examples=200, deadline=None)
+    def test_null_vector_quality_and_flags_match_the_svd(self, stack):
+        null, quality = recon._cross_null_space(stack.copy())
+        svd_null, svd_quality = svd_null_space(stack)
+        rows = scaled_rows(stack)
+        sizes = np.linalg.norm(rows, axis=-1)
+        # each 5x5 minor is bounded by the product of the row sizes
+        # (Hadamard) and carries rounding relative to that bound
+        bound = 256 * EPS * sizes * np.prod(sizes) + 64 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(rows @ null) <= bound)
+        # the Gram matrix squares the singular values: their ratio agrees
+        # with the SVD's to eps in its square, not in itself
+        assert 0.0 <= quality <= 1.0 + 4 * EPS
+        assert abs(quality**2 - svd_quality**2) <= 32 * EPS
+        length = np.linalg.norm(null)
+        if svd_quality > 0 and length > 0:
+            # parallel to the SVD's null vector, up to eps / gap
+            across = null - np.vdot(svd_null, null) * svd_null
+            assert np.linalg.norm(across) <= 64 * EPS / svd_quality * length
+        if abs(svd_quality - QUALITY_FLOOR) <= QUALITY_FLOOR / 2:
+            return  # too close to the floor to expect the same verdict
+        (_, _, got_flags), (_, _, ref_flags) = both_paths(
+            constraint_fields(unit_grid(5, 3), stack)
+        )
+        assert np.array_equal(got_flags, ref_flags)
+
+    def test_non_finite_stacks_are_degenerate(self):
+        stack = np.ones((5, 6), dtype=complex)
+        stack[2, 3] = np.nan
+        _, quality = recon._cross_null_space(stack[None].copy())
+        assert np.isnan(quality).all()
+        _, _, flags = diffusion_from_constraints(constraint_fields(unit_grid(5, 3), stack))
+        assert flags.all()

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from hiplab import admissibility, recon, studies
+from hiplab import admissibility, grids, recon, studies
 from hiplab.config import ExperimentConfig, parse_config
 from hiplab.errors import ConfigurationError, DegeneracyError
 from hiplab.grids import read_field
@@ -142,7 +142,8 @@ class TestRunSingle:
 class TestOneAnalysis:
     def count_calls(self, monkeypatch, cfg) -> dict:
         """Run the pipeline on ``cfg``, counting derivative calls, the
-        null-space extraction, and numpy's batched small-matrix routines."""
+        null-space extraction, expansions of triangle storage, and
+        numpy's batched small-matrix routines."""
         grid = cfg.grid_for()
         ms = studies.synthesize_measurements(cfg, grid, cfg.coefficients(grid))
         calls = {}
@@ -163,6 +164,9 @@ class TestOneAnalysis:
                 if hasattr(module, name):
                     count(module, name)
         count(recon, "diffusion_from_constraints")
+        # every caller, the pipeline's and metrics' included
+        count(np, "gradient", "np.gradient")
+        count(grids, "sym_to_full")
         for name in ("svd", "det", "eigvalsh"):
             count(np.linalg, name)
         result = studies.run_pipeline(cfg, ms=ms)
@@ -174,19 +178,25 @@ class TestOneAnalysis:
         null-space extraction, however the audit and the reconstruction
         split the work.  In 2-D that extraction, the basis margin and the
         positivity check of ``a`` are closed forms: no batched SVD,
-        determinant or eigenvalue call."""
+        determinant or eigenvalue call.  Each Hessian, in the reconstruction,
+        the gauge and the metrics, reuses its field's gradient, and no
+        symmetric matrix is expanded to full storage."""
         calls = self.count_calls(monkeypatch, parse_config(bump_doc()))
         assert calls == {
             "gradient": 4,
             "hessian": 4,
             "diffusion_from_constraints": 1,
+            "np.gradient": 65,
+            "sym_to_full": 0,
             "svd": 0,
             "det": 0,
             "eigvalsh": 0,
         }
 
-    def test_three_dimensional_null_space_takes_one_svd_stack(self, monkeypatch):
-        # 5x6 constraint stacks have no cheap closed form: one batched SVD
+    def test_three_dimensional_null_space_takes_no_svd(self, monkeypatch):
+        """5x6 constraint stacks: the null vector is their generalized
+        cross product and the quality comes from one batched ``eigvalsh``
+        of the rows' 5x5 Gram matrices; no SVD is taken."""
         doc = bump_doc(
             grid={"bounds": [[0.0, 1.0]] * 3, "shape": [9, 9, 9]},
             coefficients={
@@ -196,8 +206,11 @@ class TestOneAnalysis:
         )
         calls = self.count_calls(monkeypatch, parse_config(doc))
         assert calls["diffusion_from_constraints"] == 1
-        assert calls["svd"] == 1
-        assert calls["det"] == calls["eigvalsh"] == 0
+        assert calls["svd"] == 0
+        assert calls["eigvalsh"] == 1
+        assert calls["det"] == 0
+        assert calls["np.gradient"] == 198
+        assert calls["sym_to_full"] == 0
 
 
 class TestFittedOrder:
