@@ -50,7 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-intermediates",
         action="store_true",
-        help="also write intermediate fields (functionals, ratios, quality)",
+        help=(
+            "also write intermediate fields (functionals, alpha_hat, beta, "
+            "quality, resolved and aux_ fields)"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in [

@@ -64,10 +64,10 @@ from .grids import (
     VectorField,
     component_sum,
     consistent_rings,
-    curl,
     divergence,
     gradient,
     hessian,
+    jacobian,
     principal_root,
     sym_det,
     sym_dot,
@@ -84,7 +84,6 @@ __all__ = [
     "InvariantTriple",
     "GaugeReport",
     "ResolvedCoefficients",
-    "GaugeConstraint",
     "invariant_triple",
     "integrate_gradient",
     "resolve_elastography",
@@ -133,14 +132,23 @@ def dimension_audit(dim: int) -> dict:
 
 @dataclass
 class InvariantTriple:
-    """Shape, drift invariant, and (once gauged) scalar invariant."""
+    """Shape and drift invariant, with the shape's row divergence.
+
+    ``shape_divergence`` is ``div(ahat)``, taken once on construction;
+    the drift invariant and every ``div(ahat grad f)`` read it.  The
+    scalar invariant is not stored: it is defined only once a modality
+    assumption pins the weight ratio ``B/d``, so each resolver forms it.
+    """
 
     shape: SymTensorField
     vector_invariant: VectorField
-    scalar_invariant: ScalarField | None
     mask: InteriorMask
     degenerate: np.ndarray
     masked_fraction: float
+    shape_divergence: VectorField = field(init=False)
+
+    def __post_init__(self):
+        self.shape_divergence = tensor_divergence(self.shape)
 
 
 @dataclass
@@ -183,13 +191,6 @@ class ResolvedCoefficients:
     fields: dict = field(default_factory=dict)
 
 
-@dataclass
-class GaugeConstraint:
-    """Known divergence ``div(a^{-1} b)`` that pins the weight ratio."""
-
-    value: ScalarField
-
-
 def _fill_shape(shape: SymTensorField, degenerate: np.ndarray) -> SymTensorField:
     """Identity-substitute flagged vertices so derivatives stay finite."""
     if not np.any(degenerate):
@@ -202,11 +203,7 @@ def _fill_shape(shape: SymTensorField, degenerate: np.ndarray) -> SymTensorField
 def invariant_triple(
     nc: NormalizedCoefficients, h1: ScalarField
 ) -> InvariantTriple:
-    """Drift invariant from the normalized pair and the reference functional.
-
-    The scalar invariant is left unset; it only becomes well defined
-    after a modality assumption pins the weight ratio ``B/d``.
-    """
+    """Drift invariant from the normalized pair and the reference functional."""
     grid = nc.diffusion.grid
     inside = nc.mask.flags
     n_inside = max(int(np.count_nonzero(inside)), 1)
@@ -220,9 +217,15 @@ def invariant_triple(
     shape = _fill_shape(nc.diffusion, nc.degenerate)
     # the outer rows of the normalized pair come from one-sided stencils
     # and carry different truncation constants than the interior; any
-    # derivative taken across them (div below, or the potential solve
+    # derivative taken across them (div(ahat), or the potential solve
     # later) would turn that kink into a non-converging band artifact
-    shape = SymTensorField(grid, consistent_rings(shape.values, grid))
+    tri = InvariantTriple(
+        shape=SymTensorField(grid, consistent_rings(shape.values, grid)),
+        vector_invariant=VectorField.zero(grid),  # set below from div(ahat)
+        mask=nc.mask,
+        degenerate=nc.degenerate,
+        masked_fraction=frac,
+    )
     drift_vals = nc.drift.values
     if np.any(nc.degenerate):
         drift_vals = drift_vals.copy()
@@ -232,30 +235,12 @@ def invariant_triple(
     log_grad = grad_h1.values / h1.values[..., None]
     g_vals = (
         drift_vals
-        - tensor_divergence(shape).values
-        - 2.0 * sym_matvec(shape.values, log_grad, grid.dim)
+        - tri.shape_divergence.values
+        - 2.0 * sym_matvec(tri.shape.values, log_grad, grid.dim)
     )
-    if np.any(nc.degenerate):
-        g_vals = g_vals.copy()
-        g_vals[nc.degenerate] = 0.0  # keep solves finite; vertices stay flagged
-    return InvariantTriple(
-        shape=shape,
-        vector_invariant=VectorField(grid, g_vals),
-        scalar_invariant=None,
-        mask=nc.mask,
-        degenerate=nc.degenerate,
-        masked_fraction=frac,
-    )
-
-
-def _jacobian_magnitude(F: VectorField) -> np.ndarray:
-    grid = F.grid
-    acc = np.zeros(grid.shape)
-    for comp in range(grid.dim):
-        for ax, h in enumerate(grid.spacing):
-            d = np.gradient(F.values[..., comp], h, axis=ax, edge_order=2)
-            acc += np.abs(d) ** 2
-    return np.sqrt(acc)
+    g_vals[nc.degenerate] = 0.0  # keep solves finite; vertices stay flagged
+    tri.vector_invariant = VectorField(grid, g_vals)
+    return tri
 
 
 def integrate_gradient(
@@ -269,51 +254,56 @@ def integrate_gradient(
     Solves ``lap psi = div F`` with the Dirichlet anchor, the normal
     equation of minimizing ``|grad psi - F|^2``.  Also returns the
     relative interior curl of ``F``, the size of its non-gradient part
-    against its Jacobian scale.
+    against its Jacobian scale.  The source, the curl and the scale all
+    read one Jacobian of ``F``.
     """
     grid = F.grid
     # the outer rings of F carry one-sided-stencil error constants; the
     # solve would spread their kink into interior curvature of psi
     F = VectorField(grid, consistent_rings(F.values, grid))
-    psi = solve_poisson(anchor, divergence(F), settings)
-    rot = curl(F)
-    rot_mag = np.abs(rot.values) if grid.dim == 2 else rot.magnitude()
-    jac = _jacobian_magnitude(F)
+    jac = jacobian(F)
+    div = np.zeros(grid.shape, dtype=np.complex128)
+    for ax in range(grid.dim):
+        div += jac[..., ax, ax]
+    psi = solve_poisson(anchor, ScalarField(grid, div), settings)
+    if grid.dim == 2:
+        rot_mag = np.abs(jac[..., 1, 0] - jac[..., 0, 1])
+    else:
+        rot = np.stack(
+            [jac[..., i, j] - jac[..., j, i] for i, j in ((2, 1), (0, 2), (1, 0))],
+            axis=-1,
+        )
+        rot_mag = np.sqrt(component_sum(np.abs(rot) ** 2))
+    jac_mag = np.sqrt(component_sum(np.abs(jac.reshape(grid.shape + (-1,))) ** 2))
     inside = mask.flags
     top = float(np.max(rot_mag[inside])) if np.any(inside) else 0.0
-    scale = float(np.max(jac[inside])) if np.any(inside) else 0.0
+    scale = float(np.max(jac_mag[inside])) if np.any(inside) else 0.0
     rel = top / max(scale, np.finfo(float).tiny)
     return psi, rel
 
 
-def _shape_applied_laplacian(shape: SymTensorField, f: ScalarField) -> ScalarField:
-    """``div(ahat grad f)`` expanded as ``ahat : D^2 f + div(ahat) . grad f``."""
+def _shape_applied_laplacian(
+    shape: SymTensorField, shape_div: VectorField, f: ScalarField
+) -> tuple[ScalarField, VectorField]:
+    """``div(ahat grad f)`` expanded as ``ahat : D^2 f + div(ahat) . grad f``,
+    with the ``grad f`` it took."""
     dim = f.grid.dim
     grad = gradient(f)
     hess = hessian(f, grad)
     vals = sym_dot(shape.values, hess.values, dim) + component_sum(
-        tensor_divergence(shape).values * grad.values
+        shape_div.values * grad.values
     )
-    return ScalarField(f.grid, vals)
+    return ScalarField(f.grid, vals), grad
 
 
 def _scalar_invariant(
-    shape: SymTensorField, h1: ScalarField, weight_ratio: np.ndarray
-) -> tuple[ScalarField, ScalarField]:
-    """``v = H_1 (B/d)`` and ``q = div(ahat grad v)/v``."""
+    tri: InvariantTriple, h1: ScalarField, weight_ratio: np.ndarray
+) -> tuple[ScalarField, VectorField, ScalarField]:
+    """``v = H_1 (B/d)``, ``grad v`` and ``q = div(ahat grad v)/v``."""
     v = ScalarField(h1.grid, h1.values * weight_ratio)
-    num = _shape_applied_laplacian(shape, v)
+    num, grad_v = _shape_applied_laplacian(tri.shape, tri.shape_divergence, v)
     q = ScalarField(h1.grid, num.values / v.values)
-    return v, q
-
-
-def _half_inverse_shape(tri: InvariantTriple) -> VectorField:
-    """``F = (1/2) ahat^{-1} G``, the gradient of the log weight ratio
-    when the drift vanishes."""
-    grid = tri.shape.grid
-    inv = sym_inv(tri.shape.values, grid.dim)
-    vals = 0.5 * sym_matvec(inv, tri.vector_invariant.values, grid.dim)
-    return VectorField(grid, vals)
+    return v, grad_v, q
 
 
 def _log_anchor(anchor: BoundaryTrace, what: str) -> BoundaryTrace:
@@ -321,6 +311,43 @@ def _log_anchor(anchor: BoundaryTrace, what: str) -> BoundaryTrace:
     if np.any(np.abs(vals) == 0.0):
         raise ConfigurationError(f"{what} anchor vanishes; cannot take its log")
     return BoundaryTrace(anchor.grid, np.log(vals))
+
+
+def _integrate_drift(
+    tri: InvariantTriple,
+    h1: ScalarField,
+    anchor: BoundaryTrace,
+    what: str,
+    settings: SolverSettings | None,
+) -> tuple[np.ndarray, ScalarField, ScalarField, float]:
+    """Weight ratio ``B/d`` of a drift-free modality, with ``v``, ``q``
+    and the relative curl of the integrated field.
+
+    With ``b = 0``, ``F = (1/2) ahat^{-1} G`` is the gradient of the log
+    weight ratio; it is integrated from the log of ``anchor``, the
+    ratio's boundary values, and exponentiated.
+    """
+    grid = tri.shape.grid
+    inv = sym_inv(tri.shape.values, grid.dim)
+    F = VectorField(grid, 0.5 * sym_matvec(inv, tri.vector_invariant.values, grid.dim))
+    psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.mask, settings)
+    ratio = np.exp(psi.values)
+    v, _, q = _scalar_invariant(tri, h1, ratio)
+    return ratio, v, q, curl_rel
+
+
+def _report(
+    tri: InvariantTriple, modality: str, residual_gauge: str, **rest
+) -> GaugeReport:
+    """A resolver's report, with the triple's dimension audit and masked
+    fraction."""
+    return GaugeReport(
+        modality=modality,
+        residual_gauge=residual_gauge,
+        dimension_audit=dimension_audit(tri.shape.grid.dim),
+        masked_fraction=tri.masked_fraction,
+        **rest,
+    )
 
 
 def resolve_elastography(
@@ -336,27 +363,22 @@ def resolve_elastography(
     then yields ``c = B div(ahat grad B) - B^2 q``.
     """
     grid = tri.shape.grid
-    F = _half_inverse_shape(tri)
-    psi, curl_rel = integrate_gradient(
-        F, _log_anchor(amplitude_anchor, "amplitude"), tri.mask, settings
+    B_vals, v, q, curl_rel = _integrate_drift(
+        tri, h1, amplitude_anchor, "amplitude", settings
     )
-    B = ScalarField(grid, np.exp(psi.values))
+    B = ScalarField(grid, B_vals)
     if float(np.min(B.values.real)) <= 0.0:
         raise PositivityError("recovered amplitude is not positive", stage="gauge")
-    v, q = _scalar_invariant(tri.shape, h1, B.values)
-    shape_lap_B = _shape_applied_laplacian(tri.shape, B)
+    shape_lap_B, _ = _shape_applied_laplacian(tri.shape, tri.shape_divergence, B)
     c = ScalarField(
         grid, B.values * shape_lap_B.values - B.values**2 * q.values
     )
     a = SymTensorField(grid, B.values[..., None] ** 2 * tri.shape.values)
-    report = GaugeReport(
-        modality="elastography",
-        residual_gauge=(
-            "none: the unit weight and vanishing drift pin both gauge "
-            "functions, so (a, c) are determined"
-        ),
-        dimension_audit=dimension_audit(grid.dim),
-        masked_fraction=tri.masked_fraction,
+    report = _report(
+        tri,
+        "elastography",
+        "none: the unit weight and vanishing drift pin both gauge "
+        "functions, so (a, c) are determined",
         curl_residual=curl_rel,
     )
     return ResolvedCoefficients(
@@ -387,12 +409,9 @@ def resolve_qpat(
     the known boundary amplitude.
     """
     grid = tri.shape.grid
-    F = _half_inverse_shape(tri)
-    psi, curl_rel = integrate_gradient(
-        F, _log_anchor(ratio_anchor, "weight ratio"), tri.mask, settings
+    rho, _, q, curl_rel = _integrate_drift(
+        tri, h1, ratio_anchor, "weight ratio", settings
     )
-    rho = np.exp(psi.values)
-    v, q = _scalar_invariant(tri.shape, h1, rho)
 
     shape_real = SymTensorField(grid, tri.shape.values.real.astype(np.complex128))
     coeffs = CoefficientSet(
@@ -409,14 +428,11 @@ def resolve_qpat(
     c = ScalarField(grid, B.values / (gamma.values * rho))
     a = SymTensorField(grid, B.values[..., None] ** 2 * tri.shape.values)
     weight = ScalarField(grid, gamma.values * c.values)
-    report = GaugeReport(
-        modality="qpat",
-        residual_gauge=(
-            "none: known gamma and boundary anchors pin both gauge "
-            "functions, so (B, c) are determined"
-        ),
-        dimension_audit=dimension_audit(grid.dim),
-        masked_fraction=tri.masked_fraction,
+    report = _report(
+        tri,
+        "qpat",
+        "none: known gamma and boundary anchors pin both gauge "
+        "functions, so (B, c) are determined",
         curl_residual=curl_rel,
     )
     return ResolvedCoefficients(
@@ -451,12 +467,9 @@ def resolve_qtat(
     ``B = 1, c = -q`` reproduces the invariant pair exactly.
     """
     grid = tri.shape.grid
-    F = _half_inverse_shape(tri)
-    psi, curl_rel = integrate_gradient(
-        F, _log_anchor(ratio_anchor, "weight ratio"), tri.mask, settings
+    ratio, v, q, curl_rel = _integrate_drift(
+        tri, h1, ratio_anchor, "weight ratio", settings
     )
-    ratio = np.exp(psi.values)
-    v, q = _scalar_invariant(tri.shape, h1, ratio)
 
     kappa = ScalarField(grid, h1.values / np.abs(v.values) ** 2)
     im_q = q.values.imag
@@ -467,14 +480,11 @@ def resolve_qtat(
     gamma = ScalarField(grid, gamma_vals.astype(np.complex128))
 
     c_repr = ScalarField(grid, -q.values)
-    report = GaugeReport(
-        modality="qtat",
-        residual_gauge=(
-            "(B, c) remain a gauge pair constrained by the invariant pair "
-            "(gamma Im(c)/B^2, q); representative B = 1, c = -q attached"
-        ),
-        dimension_audit=dimension_audit(grid.dim),
-        masked_fraction=tri.masked_fraction,
+    report = _report(
+        tri,
+        "qtat",
+        "(B, c) remain a gauge pair constrained by the invariant pair "
+        "(gamma Im(c)/B^2, q); representative B = 1, c = -q attached",
         curl_residual=curl_rel,
         extras={
             "flagged_fraction": float(np.count_nonzero(flags & inside))
@@ -499,7 +509,7 @@ def resolve_qtat(
 def resolve_generic(
     tri: InvariantTriple,
     h1: ScalarField,
-    constraint: GaugeConstraint,
+    known_divergence: ScalarField,
     ratio_anchor: BoundaryTrace,
     settings: SolverSettings | None = None,
 ) -> ResolvedCoefficients:
@@ -516,7 +526,7 @@ def resolve_generic(
     inv = sym_inv(tri.shape.values, dim)
     w = consistent_rings(sym_matvec(inv, tri.vector_invariant.values, dim), grid)
     div_w = divergence(VectorField(grid, w))
-    src = ScalarField(grid, 0.5 * (div_w.values - constraint.value.values))
+    src = ScalarField(grid, 0.5 * (div_w.values - known_divergence.values))
     log_ratio = solve_poisson(
         _log_anchor(ratio_anchor, "weight ratio"), src, settings
     ).values
@@ -524,11 +534,11 @@ def resolve_generic(
     ratio = np.exp(log_ratio)
     grad_log = gradient(ScalarField(grid, log_ratio))
     drift_combo = VectorField(grid, w - 2.0 * grad_log.values)
-    v, q = _scalar_invariant(tri.shape, h1, ratio)
+    v, grad_v, q = _scalar_invariant(tri, h1, ratio)
 
-    resid_field = divergence(drift_combo).values - constraint.value.values
+    resid_field = divergence(drift_combo).values - known_divergence.values
     inside = tri.mask.flags
-    scale = float(np.max(np.abs(constraint.value.values[inside]))) + 1.0
+    scale = float(np.max(np.abs(known_divergence.values[inside]))) + 1.0
     constraint_residual = float(np.max(np.abs(resid_field[inside]))) / scale
 
     # representative with unit amplitude: reproduces H_1 identically
@@ -537,17 +547,14 @@ def resolve_generic(
     )
     c_repr = ScalarField(
         grid,
-        -q.values - component_sum(b_repr.values * gradient(v).values) / v.values,
+        -q.values - component_sum(b_repr.values * grad_v.values) / v.values,
     )
     d_repr = ScalarField(grid, 1.0 / ratio)
-    report = GaugeReport(
-        modality="generic",
-        residual_gauge=(
-            "(B, c, d) remain a gauge family constrained by the pair "
-            "(B/d, q); representative with B = 1 attached"
-        ),
-        dimension_audit=dimension_audit(dim),
-        masked_fraction=tri.masked_fraction,
+    report = _report(
+        tri,
+        "generic",
+        "(B, c, d) remain a gauge family constrained by the pair "
+        "(B/d, q); representative with B = 1 attached",
         extras={"constraint_residual": constraint_residual},
     )
     return ResolvedCoefficients(
@@ -580,7 +587,7 @@ def _truth_triple(coeffs: CoefficientSet, weight: ScalarField):
         coeffs.b.values / B.values[..., None] ** 2
         + 2.0 * sym_matvec(shape.values, log_grad, dim),
     )
-    shape_lap_B = _shape_applied_laplacian(shape, B)
+    shape_lap_B, _ = _shape_applied_laplacian(shape, tensor_divergence(shape), B)
     Q = ScalarField(
         grid, shape_lap_B.values / B.values - coeffs.c.values / B.values**2
     )

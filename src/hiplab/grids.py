@@ -53,10 +53,9 @@ __all__ = [
     "principal_root",
     "gradient",
     "hessian",
-    "laplacian",
     "divergence",
     "tensor_divergence",
-    "curl",
+    "jacobian",
     "consistent_rings",
     "write_field",
     "read_field",
@@ -204,13 +203,6 @@ class InteriorMask:
     grid: Grid
     margin: int
     flags: np.ndarray
-
-    @property
-    def fraction(self) -> float:
-        return float(np.count_nonzero(self.flags)) / self.grid.num_points
-
-    def intersect(self, extra: np.ndarray) -> "InteriorMask":
-        return InteriorMask(self.grid, self.margin, self.flags & extra)
 
 
 def _coerce(values, grid: Grid, comps: int | None, what: str) -> np.ndarray:
@@ -451,15 +443,6 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
     return SymTensorField(grid, out)
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Sum of pure second derivatives."""
-    grid = f.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for ax, h in enumerate(grid.spacing):
-        acc += _second_diff(f.values, ax, h)
-    return ScalarField(grid, acc)
-
-
 def divergence(F: VectorField) -> ScalarField:
     grid = F.grid
     acc = np.zeros(grid.shape, dtype=np.complex128)
@@ -480,24 +463,21 @@ def tensor_divergence(A: SymTensorField) -> VectorField:
     return VectorField(grid, out)
 
 
-def curl(F: VectorField):
-    """Rotation of a vector field.
+def jacobian(F: VectorField) -> np.ndarray:
+    """Pointwise Jacobian ``J[..., i, j] = d_j F_i`` from one pass of
+    ``dim^2`` single-axis first derivatives.
 
-    Returns a scalar field in dimension 2 (``d0 F1 - d1 F0``) and a
-    vector field in dimension 3.
+    Its trace, its antisymmetric part and its Frobenius norm are the
+    divergence, the curl and the derivative scale of ``F``; each entry is
+    the same stencil :func:`divergence` applies, so the trace summed in
+    axis order equals it bit for bit.
     """
     grid = F.grid
-    h = grid.spacing
-
-    def d(comp, ax):
-        return np.gradient(F.values[..., comp], h[ax], axis=ax, edge_order=2)
-
-    if grid.dim == 2:
-        return ScalarField(grid, d(1, 0) - d(0, 1))
-    vals = np.stack(
-        [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1
-    )
-    return VectorField(grid, vals)
+    out = np.empty(grid.shape + (grid.dim, grid.dim), dtype=np.complex128)
+    for i in range(grid.dim):
+        for j, h in enumerate(grid.spacing):
+            out[..., i, j] = np.gradient(F.values[..., i], h, axis=j, edge_order=2)
+    return out
 
 
 def consistent_rings(values: np.ndarray, grid: Grid, rings: int = 2) -> np.ndarray:

@@ -157,10 +157,9 @@ def resolve_measurements(
     inv_drift = VectorField(
         grid, sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim)
     )
-    constraint = gauge.GaugeConstraint(value=divergence(inv_drift))
     ratio = B.values / ms.weight.values
     return gauge.resolve_generic(
-        tri, h1, constraint, BoundaryTrace(grid, ratio), settings
+        tri, h1, divergence(inv_drift), BoundaryTrace(grid, ratio), settings
     )
 
 

@@ -222,8 +222,9 @@ def compatible_traces(
     out = []
     for tr in traces:
         f = ScalarField(grid, tr.values)
-        grad_f = gradient(f).values
-        hess_f = hessian(f)
+        grad = gradient(f)
+        grad_f = grad.values
+        hess_f = hessian(f, grad)
         corr = np.zeros(grid.shape, dtype=np.complex128)
         for idx, diag_a, bump in corner_data:
             second = sum(

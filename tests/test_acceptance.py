@@ -285,7 +285,6 @@ def test_qtat_flags_fire_exactly_on_vanishing_imaginary_absorption():
     tri = gauge.InvariantTriple(
         shape=SymTensorField.identity(grid),
         vector_invariant=VectorField(grid, 2.0 * gradient(log_ratio).values),
-        scalar_invariant=None,
         mask=grid.interior(2),
         degenerate=np.zeros(grid.shape, dtype=bool),
         masked_fraction=0.0,

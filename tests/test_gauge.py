@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bump, laplace_coefficients, unit_grid
+from hiplab import gauge
 from hiplab.errors import ConfigurationError, ReconstructionAbort
 from hiplab.forward import BoundaryTrace, CoefficientSet, solve_dirichlet
 from hiplab.gauge import (
-    GaugeConstraint,
     InvariantTriple,
     amplitude_of,
     gauge_equivalent,
@@ -27,7 +29,9 @@ from hiplab.grids import (
     VectorField,
     divergence,
     gradient,
+    sym_matvec,
     sym_to_full,
+    tensor_divergence,
 )
 from hiplab.phantoms import materialize_scalar
 from hiplab.recon import reconstruct
@@ -132,6 +136,18 @@ class TestIntegrateGradient:
         )
         assert curl_rel > 0.5
 
+    def test_three_dimensional_curl_separates_rotation_from_gradients(self):
+        grid = unit_grid(9, dim=3)
+        x, y, z = grid.meshgrid()
+        zero = BoundaryTrace.from_expression(grid, "0")
+        rotation = VectorField(grid, np.stack([-y, x, 0.0 * z], axis=-1))
+        _, curl_rel = integrate_gradient(rotation, zero, grid.interior(2))
+        assert curl_rel > 0.5
+        phi = x**2 - 2 * y * z + 0.5 * x * z + 3 * y
+        gradient_field = gradient(ScalarField(grid, phi))
+        _, curl_rel = integrate_gradient(gradient_field, zero, grid.interior(2))
+        assert curl_rel < 1e-12
+
 
 class TestInvariantTriple:
     def test_harmonic_quintet_is_flat(self):
@@ -142,7 +158,6 @@ class TestInvariantTriple:
         shape = sym_to_full(tri.shape.values, 2)
         assert np.max(np.abs(shape[inside] - np.eye(2))) < 1e-8
         assert np.max(np.abs(tri.vector_invariant.values[inside])) < 1e-8
-        assert tri.scalar_invariant is None
         assert tri.masked_fraction == 0.0
 
     def test_exponential_amplitude_drift_invariant(self):
@@ -239,6 +254,105 @@ class TestGaugeEquivalent:
             gauge_equivalent(first, second)
 
 
+SMOOTH = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+def smooth_positive(grid, coef) -> np.ndarray:
+    """``exp`` of a quadratic whose four coefficients are ``coef``."""
+    x, y = (m.real for m in grid.meshgrid())
+    c0, c1, c2, c3 = coef
+    return np.exp(c0 * x + c1 * y + c2 * x * y + c3 * (x**2 - y**2))
+
+
+class TestGaugeEquivalentProperty:
+    """Random two-function gauge transforms keep the invariant triple.
+
+    A transform rescales ``a`` by ``phi^2`` and the weight by ``psi``.
+    The new drift and absorption are solved for from the first set's
+    drift and scalar invariants with the same discrete operators the
+    comparison applies, so the triples agree to rounding and the
+    default tolerance holds.
+    """
+
+    def base(self, grid, drift=0.0):
+        x, y = grid.meshgrid()
+        a = np.stack([1 + 0.3 * x, 1 + 0.2 * y, 0.1 * x * y], axis=-1)
+        coeffs = CoefficientSet(
+            a=SymTensorField(grid, a),
+            b=VectorField(grid, drift * np.stack([y, -x], axis=-1)),
+            c=ScalarField(grid, 0.5 + 0.2 * x),
+        )
+        return coeffs, ScalarField(grid, 1 + 0.2 * x)
+
+    def transform(self, first, phi, psi, with_drift):
+        coeffs, weight = first
+        grid = coeffs.grid
+        _, G, Q = gauge._truth_triple(coeffs, weight)
+        a = SymTensorField(grid, phi[..., None] ** 2 * coeffs.a.values)
+        d = ScalarField(grid, psi * weight.values)
+        B = gauge.amplitude_of(a)
+        shape = gauge.shape_of(a)
+        b = VectorField.zero(grid)
+        if with_drift:
+            ratio = ScalarField(grid, B.values / d.values)
+            log_grad = gradient(ratio).values / ratio.values[..., None]
+            b = VectorField(
+                grid,
+                B.values[..., None] ** 2
+                * (G.values - 2.0 * sym_matvec(shape.values, log_grad, 2)),
+            )
+        lap, _ = gauge._shape_applied_laplacian(shape, tensor_divergence(shape), B)
+        c = ScalarField(grid, B.values * lap.values - B.values**2 * Q.values)
+        return CoefficientSet(a=a, b=b, c=c), d
+
+    @settings(max_examples=15, deadline=None)
+    @given(SMOOTH)
+    def test_drift_free_transform_keeps_all_three_invariants(self, coef):
+        grid = unit_grid(17)
+        first = self.base(grid)
+        phi = smooth_positive(grid, coef)
+        ok, report = gauge_equivalent(
+            first, self.transform(first, phi, phi, with_drift=False)
+        )
+        assert ok, report
+        assert report["scalar_invariant"] is not None
+
+    @settings(max_examples=15, deadline=None)
+    @given(SMOOTH, SMOOTH)
+    def test_transform_with_drift_keeps_shape_and_drift_invariant(
+        self, coef_phi, coef_psi
+    ):
+        grid = unit_grid(17)
+        first = self.base(grid, drift=0.1)
+        second = self.transform(
+            first,
+            smooth_positive(grid, coef_phi),
+            smooth_positive(grid, coef_psi),
+            with_drift=True,
+        )
+        ok, report = gauge_equivalent(first, second)
+        assert ok, report
+        assert report["scalar_invariant"] is None
+
+    def test_perturbed_absorption_fails(self):
+        grid = unit_grid(17)
+        first = self.base(grid)
+        phi = smooth_positive(grid, (0.4, -0.3, 0.2, 0.1))
+        coeffs, d = self.transform(first, phi, phi, with_drift=False)
+        perturbed = CoefficientSet(
+            a=coeffs.a,
+            b=coeffs.b,
+            c=ScalarField(
+                grid, coeffs.c.values + 0.1 * bump(grid, (0.5, 0.5), 0.05, 1.0)
+            ),
+        )
+        ok, report = gauge_equivalent(first, (perturbed, d))
+        assert not ok
+        assert report["shape"] <= 1e-8
+        assert report["drift_invariant"] <= 1e-8
+        assert report["scalar_invariant"] > 1e-3
+
+
 class TestResolveElastography:
     def test_flat_phantom_recovered_exactly(self):
         grid = unit_grid(33)
@@ -261,7 +375,6 @@ class TestResolveElastography:
             vector_invariant=VectorField(
                 grid, np.stack([-y, x], axis=-1).astype(np.complex128)
             ),
-            scalar_invariant=None,
             mask=grid.interior(2),
             degenerate=np.zeros(grid.shape, dtype=bool),
             masked_fraction=0.0,
@@ -392,13 +505,13 @@ class TestResolveGeneric:
         ms, tri = synthetic_triple(
             coeffs, Modality.generic(materialize_scalar("1", grid)), grid
         )
-        constraint = GaugeConstraint(
-            value=ScalarField(grid, np.zeros(grid.shape, dtype=np.complex128)),
+        known_divergence = ScalarField(
+            grid, np.zeros(grid.shape, dtype=np.complex128)
         )
         res = resolve_generic(
             tri,
             ms.functionals[0],
-            constraint,
+            known_divergence,
             BoundaryTrace.from_expression(grid, "1"),
         )
         elast = resolve_elastography(
@@ -431,15 +544,13 @@ class TestResolveGeneric:
             ms, tri = synthetic_triple(
                 coeffs, Modality.generic(materialize_scalar("1", grid)), grid
             )
-            constraint = GaugeConstraint(
-                value=ScalarField(
-                    grid, (-2 * np.pi**2 * phi).astype(np.complex128)
-                ),
+            known_divergence = ScalarField(
+                grid, (-2 * np.pi**2 * phi).astype(np.complex128)
             )
             res = resolve_generic(
                 tri,
                 ms.functionals[0],
-                constraint,
+                known_divergence,
                 BoundaryTrace.from_expression(grid, "1"),
             )
             inside = grid.interior(2).flags
@@ -463,13 +574,13 @@ class TestResolveGeneric:
         ms, tri = synthetic_triple(
             base, Modality.generic(ScalarField(grid, d.astype(np.complex128))), grid
         )
-        constraint = GaugeConstraint(
-            value=ScalarField(grid, np.zeros(grid.shape, dtype=np.complex128)),
+        known_divergence = ScalarField(
+            grid, np.zeros(grid.shape, dtype=np.complex128)
         )
         res = resolve_generic(
             tri,
             ms.functionals[0],
-            constraint,
+            known_divergence,
             BoundaryTrace(grid, (1.0 / d).astype(np.complex128)),
         )
         inside = grid.interior(2).flags

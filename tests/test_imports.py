@@ -1,14 +1,19 @@
-"""Every module-level import in ``src/hiplab`` is used by its module, and
-every module-level private definition is used somewhere in the package."""
+"""Every module-level import in ``src/hiplab`` is used by its module,
+every module-level private definition is used somewhere in the package,
+and every function the benchmark's tracer rebinds exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "hiplab"
+TRACING = SOURCE.parent.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -103,3 +108,19 @@ def test_scan_finds_a_dead_private_definition():
         "a._orphan (line 5)",
         "a._Spare (line 7)",
     ]
+
+
+def test_traced_layer_functions_resolve(monkeypatch):
+    """``perfbench/run.py --trace`` rebinds these by name, so a rename in
+    the package would break a traced run.  The tracer is imported from
+    its file and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in tracing.LAYER_FUNCTIONS
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert tracing.LAYER_FUNCTIONS and missing == []

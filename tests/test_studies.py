@@ -179,14 +179,15 @@ class TestOneAnalysis:
         split the work.  In 2-D that extraction, the basis margin and the
         positivity check of ``a`` are closed forms: no batched SVD,
         determinant or eigenvalue call.  Each Hessian, in the reconstruction,
-        the gauge and the metrics, reuses its field's gradient, and no
-        symmetric matrix is expanded to full storage."""
+        the gauge and the metrics, reuses its field's gradient; the gauge
+        takes ``div(ahat)`` once and one Jacobian of the integrated field;
+        no symmetric matrix is expanded to full storage."""
         calls = self.count_calls(monkeypatch, parse_config(bump_doc()))
         assert calls == {
             "gradient": 4,
             "hessian": 4,
             "diffusion_from_constraints": 1,
-            "np.gradient": 65,
+            "np.gradient": 53,
             "sym_to_full": 0,
             "svd": 0,
             "det": 0,
@@ -209,7 +210,7 @@ class TestOneAnalysis:
         assert calls["svd"] == 0
         assert calls["eigvalsh"] == 1
         assert calls["det"] == 0
-        assert calls["np.gradient"] == 198
+        assert calls["np.gradient"] == 171
         assert calls["sym_to_full"] == 0
 
 
