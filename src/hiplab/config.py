@@ -29,6 +29,7 @@ from .synthesis import (
     BoundaryTrace,
     Modality,
     NoiseSpec,
+    check_modality_parameters,
     compatible_traces,
     default_traces,
 )
@@ -96,15 +97,9 @@ def validate_document(doc: dict) -> None:
         parse(src)
 
     modality = doc["modality"]
-    name = modality["name"]
-    if name in ("qpat", "qtat") and "gamma" not in modality:
-        raise ConfigurationError(f"modality {name} needs a gamma expression", stage="config")
-    if name == "generic" and "weight" not in modality:
-        raise ConfigurationError("generic modality needs a weight expression", stage="config")
-    if name != "generic" and "weight" in modality:
-        raise ConfigurationError(f"modality {name} does not take a weight", stage="config")
-    if name in ("elastography", "generic") and "gamma" in modality:
-        raise ConfigurationError(f"modality {name} does not take a gamma", stage="config")
+    check_modality_parameters(
+        modality["name"], [k for k in modality if k != "name"], stage="config"
+    )
 
     traces = doc.get("traces", "default")
     if isinstance(traces, dict) and "count" in traces and "expressions" in traces:
@@ -157,9 +152,7 @@ def _expressions_of(doc: dict) -> list[str]:
     out.extend(coeffs.get("b", []))
     if "c" in coeffs:
         out.append(coeffs["c"])
-    for key in ("gamma", "weight"):
-        if key in doc["modality"]:
-            out.append(doc["modality"][key])
+    out.extend(v for k, v in doc["modality"].items() if k != "name")
     traces = doc.get("traces", "default")
     if isinstance(traces, dict):
         out.extend(traces.get("expressions", []))
@@ -170,12 +163,20 @@ def _expressions_of(doc: dict) -> list[str]:
 class ExperimentConfig:
     """A validated configuration document plus builders for its parts.
 
+    Construction validates the document (:func:`validate_document`).
     The raw document is kept verbatim so reports can echo exactly what
     was asked for.  ``grid_for`` takes an optional per-axis vertex count
     so convergence studies can rebuild the same box at each level.
     """
 
     doc: dict
+
+    def __post_init__(self):
+        if not isinstance(self.doc, dict):
+            raise ConfigurationError(
+                "config document must be a JSON object", stage="config"
+            )
+        validate_document(self.doc)
 
     @property
     def seed(self) -> int:
@@ -224,14 +225,10 @@ class ExperimentConfig:
 
     def modality(self, grid: Grid) -> Modality:
         spec = self.doc["modality"]
-        name = spec["name"]
-        if name == "elastography":
-            return Modality.elastography()
-        if name == "qpat":
-            return Modality.qpat(materialize_scalar(spec["gamma"], grid))
-        if name == "qtat":
-            return Modality.qtat(materialize_scalar(spec["gamma"], grid))
-        return Modality.generic(materialize_scalar(spec["weight"], grid))
+        params = {k: v for k, v in spec.items() if k != "name"}
+        return Modality(
+            spec["name"], **{k: materialize_scalar(v, grid) for k, v in params.items()}
+        )
 
     def traces(self, grid: Grid, coeffs: CoefficientSet) -> list[BoundaryTrace]:
         spec = self.doc.get("traces", "default")
@@ -283,9 +280,6 @@ class ExperimentConfig:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate an in-memory document and wrap it."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config document must be a JSON object", stage="config")
-    validate_document(doc)
     return ExperimentConfig(doc=doc)
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "analyze",
     "ratios",
     "gram",
-    "reconstruct_scalar_drift",
     "null_weights",
     "constraint_matrices",
     "diffusion_from_constraints",
@@ -301,16 +300,6 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
 def _gram_solve(gd: GramData, rhs: list[np.ndarray], dim: int) -> list[np.ndarray]:
     """Apply the inverse Gram matrix to per-index scalar arrays."""
     return sym_apply(gd.inverse.values, rhs, dim)
-
-
-def reconstruct_scalar_drift(rs: RatioSet, gd: GramData) -> VectorField:
-    """Recover ``a^{-1} b`` assuming scalar diffusion.
-
-    Pairs the Laplacians of the basis ratios against the inverse Gram
-    matrix: ``a^{-1} b = - G^{ij} (tr D^2 v_j) grad v_i``, which is
-    :func:`drift_from_diffusion` with the identity direction.
-    """
-    return drift_from_diffusion(rs, gd, SymTensorField.identity(rs.grid))
 
 
 def null_weights(rs: RatioSet, gd: GramData) -> np.ndarray:
@@ -553,7 +542,8 @@ def drift_from_diffusion(
 
     ``beta = - G^{ij} (A : D^2 v_j) grad v_i`` is the unique vector with
     the pairings required by the ratio equations; with the identity
-    direction it reduces to :func:`reconstruct_scalar_drift`.
+    direction it is the scalar-diffusion ``a^{-1} b``,
+    ``- G^{ij} (tr D^2 v_j) grad v_i``.
     """
     grid = rs.grid
     dim = grid.dim

@@ -28,7 +28,7 @@ import numpy as np
 from . import gauge
 from .admissibility import check as check_admissibility
 from .config import ExperimentConfig
-from .errors import ConfigurationError, DegeneracyError
+from .errors import DegeneracyError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings
 from .grids import (
     Grid,
@@ -112,6 +112,15 @@ def _write_report(path: str, report: dict) -> None:
         fh.write("\n")
 
 
+def _inv_drift(coeffs: CoefficientSet) -> VectorField:
+    """``a^{-1} b`` of the phantom."""
+    dim = coeffs.grid.dim
+    return VectorField(
+        coeffs.grid,
+        sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim),
+    )
+
+
 def resolve_measurements(
     ms: MeasurementSet,
     tri: gauge.InvariantTriple,
@@ -120,46 +129,26 @@ def resolve_measurements(
 ) -> gauge.ResolvedCoefficients:
     """Run the modality resolver with anchors taken from ground truth.
 
-    The resolvers consume boundary data the experiment is entitled to
-    (boundary values of the amplitude or of the weight ratio, and for
-    the generic modality one known functional of ``a^{-1} b``); in a
-    synthetic study those all come from the phantom itself.
+    Every resolver is anchored by the boundary values of the weight
+    ratio ``B/d``, formed from the phantom's amplitude and the weight
+    stored with ``ms`` (for elastography ``d = 1``, so it is the
+    amplitude).  qpat also reads the boundary amplitude, and the
+    generic modality the known ``div(a^{-1} b)``.
     """
     grid = ms.grid
-    dim = grid.dim
     h1 = ms.functionals[0]
     B = gauge.amplitude_of(coeffs.a)
+    ratio = BoundaryTrace(grid, B.values / ms.weight.values)
     name = ms.modality
     if name == "elastography":
-        return gauge.resolve_elastography(
-            tri, h1, BoundaryTrace(grid, B.values), settings
-        )
+        return gauge.resolve_elastography(tri, h1, ratio, settings)
     if name == "qpat":
-        rho = B.values / (ms.gamma.values * coeffs.c.values)
-        return gauge.resolve_qpat(
-            tri,
-            h1,
-            ms.gamma,
-            BoundaryTrace(grid, rho),
-            BoundaryTrace(grid, B.values),
-            settings,
-        )
+        amplitude = BoundaryTrace(grid, B.values)
+        return gauge.resolve_qpat(tri, h1, ms.gamma, ratio, amplitude, settings)
     if name == "qtat":
-        # d = gamma Im(c) conj(u_1); on the boundary u_1 is the first trace
-        d_bnd = (
-            ms.gamma.values
-            * coeffs.c.values.imag
-            * np.conj(ms.traces[0].values)
-        )
-        return gauge.resolve_qtat(
-            tri, h1, BoundaryTrace(grid, B.values / d_bnd), settings
-        )
-    inv_drift = VectorField(
-        grid, sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim)
-    )
-    ratio = B.values / ms.weight.values
+        return gauge.resolve_qtat(tri, h1, ratio, settings)
     return gauge.resolve_generic(
-        tri, h1, divergence(inv_drift), BoundaryTrace(grid, ratio), settings
+        tri, h1, divergence(_inv_drift(coeffs)), ratio, settings
     )
 
 
@@ -180,6 +169,33 @@ class PipelineResult:
     metrics: dict = field(default_factory=dict)
 
 
+_AMPLITUDE = (
+    "amplitude",
+    lambda r: r.amplitude,
+    lambda ms, coeffs: gauge.amplitude_of(coeffs.a),
+)
+_C = ("c", lambda r: r.c, lambda ms, coeffs: coeffs.c)
+
+# per modality, the resolved quantities its metrics compare:
+# (name, recovered field of the resolver, ground truth)
+_RESOLVED_QUANTITIES = {
+    "elastography": (
+        ("a", lambda r: r.a, lambda ms, coeffs: coeffs.a),
+        _AMPLITUDE,
+        _C,
+    ),
+    "qpat": (_AMPLITUDE, _C),
+    "qtat": (("gamma", lambda r: r.gamma, lambda ms, coeffs: ms.gamma),),
+    "generic": (
+        (
+            "inv_drift",
+            lambda r: r.fields["drift_combination"],
+            lambda ms, coeffs: _inv_drift(coeffs),
+        ),
+    ),
+}
+
+
 def _quantity_table(
     cfg: ExperimentConfig,
     ms: MeasurementSet,
@@ -188,32 +204,13 @@ def _quantity_table(
     resolved: gauge.ResolvedCoefficients | None,
 ) -> tuple[dict, dict]:
     """Recovered fields and their ground-truth references, by name."""
-    grid = ms.grid
-    dim = grid.dim
     if cfg.recon_mode == "scalar":
         return {"drift": nc.drift}, {"drift": coeffs.b}
     quantities = {"ahat": nc.diffusion}
     truths = {"ahat": gauge.shape_of(coeffs.a)}
-    name = ms.modality
-    if name == "elastography":
-        quantities.update(a=resolved.a, amplitude=resolved.amplitude, c=resolved.c)
-        truths.update(
-            a=coeffs.a, amplitude=gauge.amplitude_of(coeffs.a), c=coeffs.c
-        )
-    elif name == "qpat":
-        quantities.update(amplitude=resolved.amplitude, c=resolved.c)
-        truths.update(amplitude=gauge.amplitude_of(coeffs.a), c=coeffs.c)
-    elif name == "qtat":
-        quantities.update(gamma=resolved.gamma)
-        truths.update(gamma=ms.gamma)
-    else:
-        quantities.update(inv_drift=resolved.fields["drift_combination"])
-        truths.update(
-            inv_drift=VectorField(
-                grid,
-                sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim),
-            )
-        )
+    for name, recovered, truth in _RESOLVED_QUANTITIES[ms.modality]:
+        quantities[name] = recovered(resolved)
+        truths[name] = truth(ms, coeffs)
     return quantities, truths
 
 
@@ -371,13 +368,7 @@ def fitted_order(spacings, errors) -> float:
 
 def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """The configured experiment over a refinement ladder, with orders."""
-    study = cfg.doc["study"]
-    levels = study.get("levels")
-    if levels is None or len(levels) < 3:
-        raise ConfigurationError(
-            "a convergence study needs at least 3 refinement levels", stage="studies"
-        )
-
+    levels = cfg.doc["study"]["levels"]
     per_level = []
     spacings = []
     for points in levels:
@@ -454,18 +445,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     perturbation, plus the spread of that ratio over the sweep.
     """
     study = cfg.doc["study"]
-    amplitudes = study.get("amplitudes")
-    if amplitudes is None or len(amplitudes) < 3 or 0.0 not in amplitudes:
-        raise ConfigurationError(
-            "a noise sweep needs at least 3 amplitudes including 0",
-            stage="studies",
-        )
     base = cfg.noise()
-    if base is None:
-        raise ConfigurationError(
-            "a noise sweep needs a noise section for the base spec",
-            stage="studies",
-        )
     corr = float(study.get("correlation_length", base.correlation_length))
 
     grid = cfg.grid_for()
@@ -475,7 +455,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     clean = synthesize(coeffs, modality, traces, cfg.solver())
     mask = grid.interior(cfg.margin)
 
-    levels = sorted(float(a) for a in amplitudes)
+    levels = sorted(float(a) for a in study["amplitudes"])
     baseline = None
     baseline_flags = None
     rows = []

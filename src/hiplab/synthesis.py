@@ -9,12 +9,14 @@ is fixed by the modality:
 * ``qpat``: ``d = gamma * c`` with known ``gamma`` (and ``b = 0``,
   ``c`` real positive);
 * ``qtat``: ``d = gamma * Im(c) * conj(u_1)`` with known ``gamma``
-  (and ``b = 0``); the weight depends on the solution and is stored for
-  audit only;
+  (and ``b = 0``); the weight depends on the solution, which equals
+  ``f_1`` on the boundary;
 * ``generic``: an arbitrary supplied non-vanishing ``d``.
 
-The realized weight never feeds reconstruction; inversion consumes only
-the functionals and the boundary traces.
+:data:`MODALITY_PARAMETERS` lists which of ``gamma`` and ``weight`` each
+modality takes.  Reconstruction consumes only the functionals and the
+boundary traces; the realized weight is stored with them, and its
+boundary values give the gauge resolvers their anchor ``B/d``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .grids import Grid, ScalarField, gradient, hessian, read_field, write_field
 
 __all__ = [
     "MODALITIES",
+    "MODALITY_PARAMETERS",
+    "check_modality_parameters",
     "Modality",
     "MeasurementSet",
     "NoiseSpec",
@@ -44,12 +48,34 @@ __all__ = [
     "load_measurements",
 ]
 
-MODALITIES = ("elastography", "qpat", "qtat", "generic")
+# the parameters each modality forms its weight ``d`` from
+MODALITY_PARAMETERS = {
+    "elastography": (),
+    "qpat": ("gamma",),
+    "qtat": ("gamma",),
+    "generic": ("weight",),
+}
+MODALITIES = tuple(MODALITY_PARAMETERS)
 
 # functionals are rejected when min |H_1| drops below this times max |H_1|
 H1_FLOOR = 1e-8
 
 _ZERO_TOL = 1e-12
+
+
+def check_modality_parameters(name: str, given, stage: str | None) -> None:
+    """Raise unless ``given`` names exactly the parameters modality
+    ``name`` takes."""
+    if name not in MODALITY_PARAMETERS:
+        raise ConfigurationError(f"unknown modality {name!r}", stage=stage)
+    takes = MODALITY_PARAMETERS[name]
+    for param in sorted(set(takes) | set(given)):
+        if param not in given:
+            raise ConfigurationError(f"modality {name} needs a {param}", stage=stage)
+        if param not in takes:
+            raise ConfigurationError(
+                f"modality {name} does not take a {param}", stage=stage
+            )
 
 
 @dataclass
@@ -61,12 +87,8 @@ class Modality:
     weight: ScalarField | None = None
 
     def __post_init__(self):
-        if self.name not in MODALITIES:
-            raise ConfigurationError(f"unknown modality {self.name!r}")
-        if self.name in ("qpat", "qtat") and self.gamma is None:
-            raise ConfigurationError(f"{self.name} requires a gamma field")
-        if self.name == "generic" and self.weight is None:
-            raise ConfigurationError("generic modality requires a weight field")
+        given = [p for p in ("gamma", "weight") if getattr(self, p) is not None]
+        check_modality_parameters(self.name, given, stage=None)
 
     @classmethod
     def elastography(cls) -> "Modality":
@@ -114,7 +136,7 @@ class MeasurementSet:
     modality: str
     traces: list[BoundaryTrace]
     functionals: list[ScalarField]
-    weight: ScalarField  # realized d; audit only, never read by inversion
+    weight: ScalarField  # realized d; its boundary anchors the gauge resolvers
     gamma: ScalarField | None = None
     noise: NoiseSpec | None = None
 
@@ -191,7 +213,6 @@ def compatible_traces(
     if sharpness <= 0:
         raise ConfigurationError("sharpness must be positive")
     mesh = grid.meshgrid()
-    full_a = coeffs.a.full()
     scale_a = float(np.max(np.abs(coeffs.a.values)))
     corner_data = []
     for pt in itertools.product(*[(b[0], b[1]) for b in grid.bounds]):
@@ -199,20 +220,22 @@ def compatible_traces(
             0 if pt[ax] == grid.bounds[ax][0] else grid.shape[ax] - 1
             for ax in range(dim)
         )
-        a_here = full_a[idx]
-        off = a_here - np.diag(np.diag(a_here))
+        stored = coeffs.a.values[idx]  # diagonal first, then off-diagonal
+        off = stored[dim:]
         if np.max(np.abs(off)) > 1e-12 * max(scale_a, 1.0):
             raise ConfigurationError(
                 "corner-compatible traces need diagonal diffusion at the "
-                f"corners; entries {off.tolist()} at {pt}"
+                f"corners; off-diagonal entries {off.tolist()} at {pt}"
             )
         r2 = sum((mesh[ax].real - pt[ax]) ** 2 for ax in range(dim))
         bump = 0.25 * r2 * np.exp(-r2 / sharpness)
-        corner_data.append((idx, np.diag(a_here), bump))
+        corner_data.append((idx, stored[:dim], bump))
     grad_a = [
         np.stack(
             [
-                np.gradient(full_a[..., k, k], grid.spacing[ax], axis=ax, edge_order=2)
+                np.gradient(
+                    coeffs.a.entry(k, k), grid.spacing[ax], axis=ax, edge_order=2
+                )
                 for ax in range(dim)
             ],
             axis=-1,

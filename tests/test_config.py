@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hiplab.config import load_config, parse_config, validate_document
 from hiplab.errors import ConfigurationError
 from hiplab.forward import SolverSettings
 from hiplab.grids import SymTensorField
+from hiplab.phantoms import materialize_scalar
+from hiplab.synthesis import MODALITIES, MODALITY_PARAMETERS
 
 
 def base_doc(**overrides) -> dict:
@@ -127,6 +130,14 @@ class TestModalityParameters:
         doc = base_doc(modality={"name": "qpat", "gamma": "1", "weight": "1"})
         with pytest.raises(ConfigurationError, match="weight"):
             validate_document(doc)
+
+    def test_schema_names_the_modality_table(self):
+        text = resources.files("hiplab").joinpath("config_schema.json").read_text()
+        schema = json.loads(text)["properties"]["modality"]["properties"]
+        assert tuple(schema["name"]["enum"]) == MODALITIES
+        assert set(schema) - {"name"} == {
+            p for params in MODALITY_PARAMETERS.values() for p in params
+        }
 
     def test_gamma_refused_where_meaningless(self):
         doc = base_doc(modality={"name": "elastography", "gamma": "1"})
@@ -251,6 +262,12 @@ class TestBuilders:
         grid = cfg.grid_for()
         built = cfg.modality(grid)
         assert built.name == modality["name"]
+        for param in ("gamma", "weight"):
+            if param in modality:
+                expect = materialize_scalar(modality[param], grid).values
+                assert np.array_equal(getattr(built, param).values, expect)
+            else:
+                assert getattr(built, param) is None
 
     def test_noise_defaults(self):
         cfg = parse_config(base_doc())

@@ -30,7 +30,6 @@ from hiplab.recon import (
     null_weights,
     ratios,
     reconstruct,
-    reconstruct_scalar_drift,
 )
 from hiplab.synthesis import MeasurementSet, Modality, default_traces, synthesize
 
@@ -166,8 +165,8 @@ class TestGram:
 class TestScalarDrift:
     def test_harmonic_pair_gives_zero(self):
         grid = unit_grid(9)
-        rs = ratios(hand_measurements(grid, ["1", "x", "y"]))
-        out = reconstruct_scalar_drift(rs, gram(rs))
+        ms = hand_measurements(grid, ["1", "x", "y"])
+        out = reconstruct(ms, mode="scalar").drift
         inside = grid.interior(2).flags
         assert np.max(np.abs(out.values[inside])) < 1e-12
 
@@ -199,8 +198,7 @@ class TestScalarDrift:
                 Modality.generic(materialize_scalar("1", grid)),
                 traces,
             )
-            rs = ratios(ms)
-            out = reconstruct_scalar_drift(rs, gram(rs))
+            out = reconstruct(ms, mode="scalar").drift
             inside = grid.interior(2).flags
             gauge_part = np.zeros(grid.shape + (2,))
             gauge_part[..., 0] = 1.0
@@ -228,8 +226,7 @@ class TestScalarDrift:
             ms = synthesize(
                 coeffs, Modality.generic(materialize_scalar("1", grid)), traces
             )
-            rs = ratios(ms)
-            out = reconstruct_scalar_drift(rs, gram(rs))
+            out = reconstruct(ms, mode="scalar").drift
             inside = grid.interior(2).flags
             errs.append(
                 float(np.max(np.abs(out.values[inside] - bvals[inside])))
@@ -387,8 +384,7 @@ class TestReconstruct:
             default_traces(grid, 5),
         )
         nc = reconstruct(ms, mode="matrix")
-        rs = ratios(ms)
-        scalar = reconstruct_scalar_drift(rs, gram(rs))
+        scalar = reconstruct(ms, mode="scalar").drift
         inside = grid.interior(2).flags & ~nc.degenerate
         assert np.max(np.abs(nc.drift.values[inside] - scalar.values[inside])) < 1e-10
 

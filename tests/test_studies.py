@@ -261,11 +261,10 @@ class TestRunConvergence:
         assert "vanishing reference" in notes
 
     def test_two_levels_rejected(self):
-        cfg = ExperimentConfig(
-            doc=harmonic_doc(study={"type": "convergence", "levels": [17, 33]})
-        )
         with pytest.raises(ConfigurationError, match="3 refinement"):
-            studies.run_convergence(cfg)
+            ExperimentConfig(
+                doc=harmonic_doc(study={"type": "convergence", "levels": [17, 33]})
+            )
 
     def test_csv_table_with_frozen_columns(self, tmp_path):
         cfg = parse_config(
@@ -312,13 +311,12 @@ class TestRunNoiseSweep:
         )
 
     def test_missing_noise_section_rejected(self):
-        cfg = ExperimentConfig(
-            doc=harmonic_doc(
-                study={"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]}
-            )
-        )
         with pytest.raises(ConfigurationError, match="noise section"):
-            studies.run_noise_sweep(cfg)
+            ExperimentConfig(
+                doc=harmonic_doc(
+                    study={"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]}
+                )
+            )
 
     def test_csv_and_report_outputs(self, tmp_path):
         report = studies.run_noise_sweep(

@@ -349,3 +349,75 @@ class TestPersistence:
         assert back.noise.amplitude == 1e-4
         assert back.noise.correlation_length == 0.2
         assert back.noise.seed == 3
+
+
+class TestModalityParameters:
+    def test_parameter_the_modality_does_not_take_rejected(self):
+        grid = unit_grid(5)
+        one = materialize_scalar("1", grid)
+        with pytest.raises(ConfigurationError, match="does not take a gamma"):
+            Modality("elastography", gamma=one)
+        with pytest.raises(ConfigurationError, match="does not take a weight"):
+            Modality("qpat", gamma=one, weight=one)
+        with pytest.raises(ConfigurationError, match="does not take a gamma"):
+            Modality("generic", gamma=one, weight=one)
+
+    def test_missing_parameter_rejected(self):
+        with pytest.raises(ConfigurationError, match="needs a gamma"):
+            Modality("qtat")
+        with pytest.raises(ConfigurationError, match="needs a weight"):
+            Modality("generic")
+        with pytest.raises(ConfigurationError, match="unknown modality"):
+            Modality("ultrasound")
+
+
+class TestWeightAnchor:
+    """On the boundary the stored weight is the modality's formula for
+    ``d`` with the traces in place of the solutions, bit for bit; the
+    resolvers' anchor ``B/d`` reads it there."""
+
+    def cases(self, grid):
+        x, y = (m.real for m in grid.meshgrid())
+        gamma = materialize_scalar("1 + 0.2*x*y", grid)
+        weight = materialize_scalar("1 + 0.2*x", grid)
+        base = laplace_coefficients(grid)
+        real_c = ScalarField(grid, 0.4 + 0.1 * x)
+        complex_c = ScalarField(grid, 0.4 + 0.1 * x + 0.3j * (1 + np.sin(2 * y)))
+        return [
+            (base, Modality.elastography(), lambda tr: np.ones(grid.shape)),
+            (
+                CoefficientSet(a=base.a, b=base.b, c=real_c),
+                Modality.qpat(gamma),
+                lambda tr: gamma.values * real_c.values,
+            ),
+            (
+                CoefficientSet(a=base.a, b=base.b, c=complex_c),
+                Modality.qtat(gamma),
+                lambda tr: gamma.values
+                * complex_c.values.imag
+                * np.conj(tr[0].values),
+            ),
+            (
+                CoefficientSet(a=base.a, b=base.b, c=real_c),
+                Modality.generic(weight),
+                lambda tr: weight.values,
+            ),
+        ]
+
+    def test_boundary_weight_is_the_modality_formula(self, tmp_path):
+        grid = unit_grid(17)
+        bnd = grid.boundary_mask()
+        traces = [
+            BoundaryTrace.from_expression(grid, s)
+            for s in ("2 + x*y", "2 + x", "2 + y")
+        ]
+        for coeffs, modality, formula in self.cases(grid):
+            ms = synthesize(coeffs, modality, traces)
+            noisy = add_noise(ms, NoiseSpec(amplitude=1e-3, seed=4))
+            folder = str(tmp_path / modality.name)
+            save_measurements(noisy, folder)
+            for got in (ms, noisy, load_measurements(folder)):
+                expect = formula(got.traces)
+                assert np.array_equal(got.weight.values[bnd], expect[bnd]), (
+                    modality.name
+                )
