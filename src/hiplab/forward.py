@@ -342,8 +342,19 @@ def _dst_solve(rhs: np.ndarray, eig: np.ndarray) -> np.ndarray:
     return idstn(dstn(rhs, type=1) / eig, type=1)
 
 
-def _mean_operator_inverse(coeffs: CoefficientSet) -> spla.LinearOperator:
-    """Exact inverse of ``sum_p mean(a_pp) d^2/dx_p^2 + mean(c)`` by DST-I.
+def _dst_solve_real(rhs: np.ndarray, inv_eig: np.ndarray) -> np.ndarray:
+    """:func:`_dst_solve` of real-valued data in real arithmetic.
+
+    ``inv_eig`` holds ``1 / eig.real``.  numpy divides a complex value by
+    a real-valued one with Smith's algorithm, whose real part is
+    ``x * (1/y)``, so this returns the real part of the complex solve bit
+    for bit.
+    """
+    return idstn(dstn(rhs.real, type=1) * inv_eig, type=1)
+
+
+def _mean_operator_eigenvalues(coeffs: CoefficientSet) -> np.ndarray:
+    """Eigenvalues of ``sum_p mean(a_pp) d^2/dx_p^2 + mean(c)`` under DST-I.
 
     The means run over the unknowns.  This constant-coefficient operator
     preconditions the variable one (Concus & Golub, SIAM J. Numer. Anal.
@@ -352,15 +363,43 @@ def _mean_operator_inverse(coeffs: CoefficientSet) -> spla.LinearOperator:
     grid = coeffs.grid
     core = _core_slice(grid.shape, (0,) * grid.dim)
     scales = [float(np.mean(coeffs.a.entry(p, p).real[core])) for p in range(grid.dim)]
-    eig = _dst_eigenvalues(
+    return _dst_eigenvalues(
         tuple(s - 2 for s in grid.shape), grid.spacing, scales
     ) + np.mean(coeffs.c.values[core])
+
+
+def _krylov_operators(system: LinearSystem, eig: np.ndarray):
+    """The operator and its DST-I preconditioner for BiCGSTAB.
+
+    When the matrix, every right-hand-side column and ``eig`` have zero
+    imaginary parts, both act on the real parts of their complex128
+    arguments in real arithmetic and return complex128: BiCGSTAB keeps
+    its complex vectors, scalars and inner products, and every bit of
+    the complex path.
+    """
+    matrix = system.matrix
     n = eig.size
-    return spla.LinearOperator(
+    if matrix.data.imag.any() or system.rhs.imag.any() or eig.imag.any():
+        return matrix, spla.LinearOperator(
+            (n, n),
+            matvec=lambda v: _dst_solve(v.reshape(eig.shape), eig).ravel(),
+            dtype=np.complex128,
+        )
+    real_matrix = matrix.real
+    inv_eig = 1.0 / eig.real
+    operator = spla.LinearOperator(
         (n, n),
-        matvec=lambda v: _dst_solve(v.reshape(eig.shape), eig).ravel(),
+        matvec=lambda v: (real_matrix @ v.real).astype(np.complex128),
         dtype=np.complex128,
     )
+    precond = spla.LinearOperator(
+        (n, n),
+        matvec=lambda v: _dst_solve_real(v.reshape(eig.shape), inv_eig)
+        .ravel()
+        .astype(np.complex128),
+        dtype=np.complex128,
+    )
+    return operator, precond
 
 
 def _lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -385,11 +424,11 @@ def _solve_system(
     budget = settings.max_iterations
     if settings.method == "auto":
         budget = min(budget, _AUTO_KRYLOV_BUDGET)
-    precond = _mean_operator_inverse(coeffs)
+    operator, precond = _krylov_operators(system, _mean_operator_eigenvalues(coeffs))
     x = np.empty_like(rhs)
     for j in range(rhs.shape[1]):
         x[:, j], info = spla.bicgstab(
-            matrix, rhs[:, j], rtol=settings.tolerance, atol=0.0, maxiter=budget, M=precond
+            operator, rhs[:, j], rtol=settings.tolerance, atol=0.0, maxiter=budget, M=precond
         )
         if info == 0:
             continue
@@ -484,7 +523,8 @@ def solve_poisson(
     boundary_only[core] = 0.0
     rhs = source.values[core] - _laplacian_core(boundary_only, grid.spacing)
 
-    x = _dst_solve(rhs, _dst_eigenvalues(rhs.shape, grid.spacing, (1.0,) * dim))
+    eig = _dst_eigenvalues(rhs.shape, grid.spacing, (1.0,) * dim)
+    x = _dst_solve(rhs, eig) if rhs.imag.any() else _dst_solve_real(rhs, 1.0 / eig)
 
     u = trace.values.copy()
     u[core] = x

@@ -413,7 +413,7 @@ def resolve_qpat(
         tri, h1, ratio_anchor, "weight ratio", settings
     )
 
-    shape_real = SymTensorField(grid, tri.shape.values.real.astype(np.complex128))
+    shape_real = SymTensorField(grid, tri.shape.values.real)
     coeffs = CoefficientSet(
         a=shape_real,
         b=VectorField.zero(grid),
@@ -477,7 +477,7 @@ def resolve_qtat(
     scale = float(np.max(np.abs(im_q[inside]))) if np.any(inside) else 0.0
     flags = np.abs(im_q) < imag_floor * max(scale, np.finfo(float).tiny)
     gamma_vals = np.where(flags, np.nan, -kappa.values.real / np.where(flags, 1.0, im_q))
-    gamma = ScalarField(grid, gamma_vals.astype(np.complex128))
+    gamma = ScalarField(grid, gamma_vals)
 
     c_repr = ScalarField(grid, -q.values)
     report = _report(

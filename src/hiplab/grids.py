@@ -14,12 +14,19 @@ Conventions used throughout the package:
       dim 3:  (00, 11, 22, 12, 02, 01)
 
   so a symmetric matrix costs ``dim*(dim+1)/2`` scalars per point.
-* First derivatives use centered differences with second-order one-sided
-  closures at the boundary (``numpy.gradient`` with ``edge_order=2``).
-  Pure second derivatives use the 3-point interior stencil and a 4-point
-  one-sided closure; both are exact on quadratics.  Mixed second
-  derivatives compose two first-derivative passes, which commute exactly,
-  so discrete Hessians are symmetric by construction.
+* First derivatives use the in-house stencil :func:`_first_diff`:
+  centered differences with second-order one-sided closures at the
+  boundary, the stencils of ``numpy.gradient`` with ``edge_order=2`` and
+  its bits on complex data.  Pure second derivatives use the 3-point
+  interior stencil and a 4-point one-sided closure; both are exact on
+  quadratics.  Mixed second derivatives compose two first-derivative
+  passes, which commute exactly, so discrete Hessians are symmetric by
+  construction.
+* Real-part rule: a field whose imaginary part is identically zero is
+  differentiated as real numbers.  Both stencils multiply by reciprocal
+  spacings, and numpy divides a complex value by a real one with Smith's
+  algorithm, whose real part is ``x * (1/y)``; so the real arithmetic
+  returns the bits of the complex path's real part.
 """
 
 from __future__ import annotations
@@ -392,13 +399,32 @@ def sym_dot(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
 # discrete calculus
 
 
-def _axis_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    return list(np.gradient(values, *grid.spacing, edge_order=2))
+def _real_if_real(values: np.ndarray) -> np.ndarray:
+    """``values.real`` when the imaginary part is identically zero, else
+    ``values``: the real-part rule of the module docstring."""
+    return values if values.imag.any() else values.real
+
+
+def _first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """First derivative along one axis, exact on quadratics.
+
+    Interior uses the centered stencil; each face uses the one-sided
+    closure (-3/2, 2, -1/2)/h, mirrored at the far face.  Every quotient
+    is a product with a reciprocal, so real input returns the real part
+    of the complex result bit for bit.
+    """
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) * (1.0 / (2.0 * h))
+    out[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
+    out[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
+    return np.moveaxis(out, 0, axis)
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Second-order gradient (centered interior, one-sided boundary)."""
-    parts = _axis_gradients(f.values, f.grid)
+    values = _real_if_real(f.values)
+    parts = [_first_diff(values, ax, h) for ax, h in enumerate(f.grid.spacing)]
     return VectorField(f.grid, np.stack(parts, axis=-1))
 
 
@@ -410,9 +436,10 @@ def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    inv_h2 = 1.0 / h**2
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) * inv_h2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) * inv_h2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) * inv_h2
     return np.moveaxis(out, 0, axis)
 
 
@@ -427,19 +454,20 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
     """
     grid = f.grid
     h = grid.spacing
+    values = _real_if_real(f.values)
     out = np.empty(grid.shape + (sym_size(grid.dim),), dtype=np.complex128)
     first = {}
     for k, (i, j) in enumerate(sym_pairs(grid.dim)):
         if i == j:
-            out[..., k] = _second_diff(f.values, i, h[i])
+            out[..., k] = _second_diff(values, i, h[i])
         else:
             if j not in first:
                 first[j] = (
-                    grad.values[..., j]
+                    _real_if_real(grad.values[..., j])
                     if grad is not None
-                    else np.gradient(f.values, h[j], axis=j, edge_order=2)
+                    else _first_diff(values, j, h[j])
                 )
-            out[..., k] = np.gradient(first[j], h[i], axis=i, edge_order=2)
+            out[..., k] = _first_diff(first[j], i, h[i])
     return SymTensorField(grid, out)
 
 
@@ -447,7 +475,7 @@ def divergence(F: VectorField) -> ScalarField:
     grid = F.grid
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for ax, h in enumerate(grid.spacing):
-        acc += np.gradient(F.values[..., ax], h, axis=ax, edge_order=2)
+        acc += _first_diff(_real_if_real(F.values[..., ax]), ax, h)
     return ScalarField(grid, acc)
 
 
@@ -458,8 +486,8 @@ def tensor_divergence(A: SymTensorField) -> VectorField:
     out = np.zeros(grid.shape + (grid.dim,), dtype=np.complex128)
     for i in range(grid.dim):
         for j, h in enumerate(grid.spacing):
-            entry = A.values[..., index[i][j]]
-            out[..., i] += np.gradient(entry, h, axis=j, edge_order=2)
+            entry = _real_if_real(A.values[..., index[i][j]])
+            out[..., i] += _first_diff(entry, j, h)
     return VectorField(grid, out)
 
 
@@ -475,8 +503,9 @@ def jacobian(F: VectorField) -> np.ndarray:
     grid = F.grid
     out = np.empty(grid.shape + (grid.dim, grid.dim), dtype=np.complex128)
     for i in range(grid.dim):
+        component = _real_if_real(F.values[..., i])
         for j, h in enumerate(grid.spacing):
-            out[..., i, j] = np.gradient(F.values[..., i], h, axis=j, edge_order=2)
+            out[..., i, j] = _first_diff(component, j, h)
     return out
 
 

@@ -423,7 +423,7 @@ def diffusion_from_constraints(
     direction = aligned / principal_root(det, dim)[..., None]
     direction[degenerate] = np.nan
 
-    quality_field = ScalarField(grid, quality.astype(np.complex128))
+    quality_field = ScalarField(grid, quality)
     return SymTensorField(grid, direction), quality_field, degenerate
 
 

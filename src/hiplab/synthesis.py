@@ -231,16 +231,7 @@ def compatible_traces(
         bump = 0.25 * r2 * np.exp(-r2 / sharpness)
         corner_data.append((idx, stored[:dim], bump))
     grad_a = [
-        np.stack(
-            [
-                np.gradient(
-                    coeffs.a.entry(k, k), grid.spacing[ax], axis=ax, edge_order=2
-                )
-                for ax in range(dim)
-            ],
-            axis=-1,
-        )
-        for k in range(dim)
+        gradient(ScalarField(grid, coeffs.a.entry(k, k))).values for k in range(dim)
     ]
     out = []
     for tr in traces:
@@ -421,7 +412,6 @@ def save_measurements(ms: MeasurementSet, directory: str) -> None:
             "seed": ms.noise.seed,
         },
         "weight_is_solution_dependent": ms.modality == "qtat",
-        "weight_for_audit_only": True,
         "files": files,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:

@@ -7,6 +7,8 @@ the bump amplitudes keep all coefficients uniformly elliptic.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from hiplab.forward import CoefficientSet
 from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
@@ -14,6 +16,23 @@ from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
 
 def unit_grid(n: int, dim: int = 2) -> Grid:
     return Grid(bounds=((0.0, 1.0),) * dim, shape=(n,) * dim)
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads count."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def odd_spacing_grids(draw):
+    """A 2-D or 3-D grid with 5-12 vertices per axis and no spacing a
+    power of two, with a seeded generator for data on it."""
+    dim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(5, 12)) for _ in range(dim))
+    lengths = [draw(st.floats(0.1, 10.0)) for _ in range(dim)]
+    grid = Grid(bounds=tuple((0.0, length) for length in lengths), shape=shape)
+    assume(all(np.frexp(h)[0] != 0.5 for h in grid.spacing))
+    return grid, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
 def scalar_tensor(grid: Grid, values: np.ndarray) -> SymTensorField:

@@ -7,11 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dstn, idstn
 
 from conftest import (
     bump,
     elastography_coefficients,
     laplace_coefficients,
+    odd_spacing_grids,
+    same_bits,
     scalar_tensor,
     unit_grid,
 )
@@ -470,3 +476,62 @@ class TestKrylov:
         # the five-point stencil: every unknown and its interior neighbours
         n = 7
         assert system.matrix.nnz == n * n + 4 * n * (n - 1)
+
+
+class TestRealArithmetic:
+    """Real-valued systems are solved in real arithmetic and keep every
+    bit of the complex path."""
+
+    @given(sample=odd_spacing_grids(), shift=st.floats(-5.0, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_real_dst_solve_is_the_complex_one(self, sample, shift):
+        grid, rng = sample
+        shape = tuple(s - 2 for s in grid.shape)
+        scales = rng.uniform(0.5, 2.0, size=grid.dim)
+        rhs = rng.normal(size=shape)
+        # solve_poisson passes real eigenvalues, the preconditioner complex ones
+        eig = forward._dst_eigenvalues(shape, grid.spacing, scales) + shift
+        for eig in (eig, eig + 0j):
+            ref = idstn(dstn(rhs.astype(np.complex128), type=1) / eig, type=1)
+            assert same_bits(forward._dst_solve_real(rhs, 1.0 / eig.real), ref.real)
+
+    @given(sample=odd_spacing_grids(), with_source=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_krylov_solve_of_real_coefficients_is_the_complex_one(
+        self, sample, with_source
+    ):
+        grid, rng = sample
+        dim = grid.dim
+        a = np.zeros(grid.shape + (dim * (dim + 1) // 2,))
+        a[..., :dim] = rng.uniform(1.0, 2.0, size=grid.shape + (dim,))
+        a[..., dim:] = rng.uniform(-0.2, 0.2, size=grid.shape + (a.shape[-1] - dim,))
+        coeffs = CoefficientSet(
+            a=SymTensorField(grid, a),
+            b=VectorField(grid, 0.3 * rng.normal(size=grid.shape + (dim,))),
+            c=ScalarField(grid, rng.uniform(-0.5, 0.5, size=grid.shape)),
+        )
+        traces = [BoundaryTrace(grid, rng.normal(size=grid.shape)) for _ in range(2)]
+        source = ScalarField(grid, rng.normal(size=grid.shape)) if with_source else None
+        settings_ = SolverSettings(method="iterative")
+        got = solve_traces(coeffs, traces, source, settings_)
+
+        system = forward._assemble(coeffs, traces, source)
+        eig = forward._mean_operator_eigenvalues(coeffs)
+        precond = spla.LinearOperator(
+            system.matrix.shape,
+            matvec=lambda v: idstn(dstn(v.reshape(eig.shape), type=1) / eig, type=1).ravel(),
+            dtype=np.complex128,
+        )
+        for j, u in enumerate(got):
+            ref, info = spla.bicgstab(
+                system.matrix,
+                system.rhs[:, j],
+                rtol=settings_.tolerance,
+                atol=0.0,
+                maxiter=settings_.max_iterations,
+                M=precond,
+            )
+            assert info == 0
+            x = u.values.ravel()[system.interior_flat]
+            assert same_bits(x.real, ref.real)
+            assert np.array_equal(x, ref)

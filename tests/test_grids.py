@@ -7,17 +7,19 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import unit_grid
+from conftest import odd_spacing_grids, same_bits, unit_grid
 from hiplab.errors import ConfigurationError, GridError
 from hiplab.grids import (
     Grid,
     ScalarField,
     SymTensorField,
     VectorField,
+    _first_diff,
+    _second_diff,
     component_sum,
     consistent_rings,
     divergence,
@@ -192,6 +194,63 @@ class TestDerivatives:
         g = gradient(ScalarField(grid, x * y * z))
         inside = grid.interior(1).flags
         assert np.allclose(g.values[inside][:, 0], (y * z)[inside], atol=1e-12)
+
+
+@st.composite
+def grid_samples(draw, imaginary: bool):
+    """Complex128 samples on an odd-spacing grid, real-valued unless
+    ``imaginary``.  Quantized draws bring exact ties and zeros; negative
+    zeros are cleared, since the complex path may return ``+0`` where
+    real arithmetic keeps ``-0``."""
+    grid, rng = draw(odd_spacing_grids())
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    parts = rng.normal(size=(2,) + grid.shape) * scale
+    if draw(st.booleans()):
+        parts = np.round(parts * (4.0 / scale)) * (scale / 4.0)
+    parts = parts + 0.0
+    values = parts[0] + 1j * parts[1] if imaginary else parts[0].astype(np.complex128)
+    assume(values.imag.any() == imaginary)
+    return grid, values
+
+
+def divided_second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The pure second difference in quotient form, as numpy divides it."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return np.moveaxis(out, 0, axis)
+
+
+class TestRealArithmetic:
+    """Real-valued data are differentiated in real arithmetic and keep
+    every bit of the complex path."""
+
+    @given(sample=grid_samples(imaginary=True))
+    @settings(max_examples=60, deadline=None)
+    def test_first_diff_is_numpy_gradient_on_complex_data(self, sample):
+        grid, values = sample
+        for ax, h in enumerate(grid.spacing):
+            ref = np.gradient(values, h, axis=ax, edge_order=2)
+            assert same_bits(_first_diff(values, ax, h), ref)
+            assert same_bits(_second_diff(values, ax, h), divided_second_diff(values, ax, h))
+
+    @given(sample=grid_samples(imaginary=False))
+    @settings(max_examples=60, deadline=None)
+    def test_real_valued_data_give_the_real_part_of_the_complex_path(self, sample):
+        grid, values = sample
+        real = values.real.copy()
+        grad = gradient(ScalarField(grid, values)).values
+        assert not grad.imag.any()
+        for ax, h in enumerate(grid.spacing):
+            first = _first_diff(real, ax, h)
+            assert same_bits(first, _first_diff(values, ax, h).real)
+            assert same_bits(first, np.gradient(values, h, axis=ax, edge_order=2).real)
+            assert same_bits(first, grad[..., ax].real)
+            second = _second_diff(real, ax, h)
+            assert same_bits(second, _second_diff(values, ax, h).real)
+            assert same_bits(second, divided_second_diff(values, ax, h).real)
 
 
 class TestSymmetricStorage:

@@ -1,6 +1,8 @@
 """Every module-level import in ``src/hiplab`` is used by its module,
 every module-level private definition is used somewhere in the package,
-and every function the benchmark's tracer rebinds exists."""
+no module differentiates with ``numpy.gradient`` (first differences
+take the one stencil in ``grids``), and every function the benchmark's
+tracer rebinds exists."""
 
 from __future__ import annotations
 
@@ -108,6 +110,33 @@ def test_scan_finds_a_dead_private_definition():
         "a._orphan (line 5)",
         "a._Spare (line 7)",
     ]
+
+
+def numpy_gradient_uses(tree: ast.Module) -> list[int]:
+    """Lines that reach ``np.gradient`` or ``numpy.gradient``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "gradient"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_gradient(path):
+    assert numpy_gradient_uses(ast.parse(path.read_text())) == []
+
+
+def test_scan_finds_a_numpy_gradient_call():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "g = np.gradient(u, 0.1, axis=0)\n"
+        "grid.gradient(u)\n"
+        "d = numpy.gradient\n"
+    )
+    assert numpy_gradient_uses(tree) == [2, 4]
 
 
 def test_traced_layer_functions_resolve(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,28 @@ class TestPersistence:
             assert np.array_equal(left.values, right.values)
         for left, right in zip(ms.traces, back.traces):
             assert np.array_equal(left.values, right.values)
+        assert np.array_equal(back.weight.values, ms.weight.values)
+
+    def test_manifest_carrying_the_retired_audit_key_loads(self, tmp_path):
+        """Every resolver reads the stored weight, so the manifest no longer
+        marks it audit-only; a manifest written with that key still loads."""
+        grid = unit_grid(9)
+        ms = synthesize(
+            laplace_coefficients(grid),
+            Modality.elastography(),
+            [
+                BoundaryTrace.from_expression(grid, s)
+                for s in ("2", "2 + x", "2 + y")
+            ],
+        )
+        save_measurements(ms, str(tmp_path))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "weight_for_audit_only" not in manifest
+        manifest["weight_for_audit_only"] = True
+        path.write_text(json.dumps(manifest))
+        back = load_measurements(str(tmp_path))
+        assert back.count == ms.count
         assert np.array_equal(back.weight.values, ms.weight.values)
 
     def test_noise_spec_survives_round_trip(self, tmp_path):
