@@ -1,15 +1,10 @@
 """Command-line harness.
 
-Every subcommand is driven by one JSON config (see ``config_schema.json``):
-
-* ``forward``      solve the boundary problems and write the solutions
-* ``synth``        write the measurement set (functionals plus manifest)
-* ``reconstruct``  audit admissibility, write the normalized coefficients
-* ``resolve``      full pipeline, write resolved coefficients and report
-* ``check``        admissibility audit only
-* ``run``          the study declared in the config, with metrics
-* ``convergence``  refinement-ladder study
-* ``noise-sweep``  noise-amplitude study
+Every subcommand is driven by one JSON config (see ``config_schema.json``).
+One table, ``COMMANDS``, names each subcommand with its handler and help
+text; it builds the argument parser and drives the dispatch.  ``run``
+runs the study the config declares, whatever its type, through
+``studies.STUDIES``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 admissibility or degeneracy abort.
@@ -31,7 +26,7 @@ from .grids import write_field
 from .recon import analyze
 from .synthesis import load_measurements, save_measurements
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "COMMANDS"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,16 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("forward", "solve the boundary problems and write each solution"),
-        ("synth", "synthesize the measurement set and write it"),
-        ("reconstruct", "reconstruct normalized coefficients from data"),
-        ("resolve", "reconstruct and resolve the modality gauge"),
-        ("check", "run the admissibility audit and report margins"),
-        ("run", "run the study declared in the config"),
-        ("convergence", "run the refinement-ladder study"),
-        ("noise-sweep", "run the noise-amplitude study"),
-    ]:
+    for name, (_, doc) in COMMANDS.items():
         cmd = sub.add_parser(name, help=doc)
         if name in ("reconstruct", "resolve"):
             cmd.add_argument(
@@ -145,9 +131,7 @@ def _cmd_reconstruct(args, cfg: ExperimentConfig) -> int:
         "admissibility": result.admissibility,
         "metrics": result.metrics,
     }
-    with open(os.path.join(out, "reconstruction.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    studies.write_json(os.path.join(out, "reconstruction.json"), summary)
     print(f"wrote normalized coefficients to {out}")
     return 0
 
@@ -177,58 +161,35 @@ def _cmd_check(args, cfg: ExperimentConfig) -> int:
             "schema_version": studies.SCHEMA_VERSION,
             "admissibility": audit.to_dict(),
         }
-        with open(os.path.join(out, "admissibility.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        studies.write_json(os.path.join(out, "admissibility.json"), report)
     return 0 if audit.passed else 4
 
 
 def _cmd_run(args, cfg: ExperimentConfig) -> int:
-    out = _out_dir(args, cfg, required=False)
     kind = cfg.study_type
-    if kind == "convergence":
-        report = studies.run_convergence(cfg, out_dir=out)
-    elif kind == "noise-sweep":
-        report = studies.run_noise_sweep(cfg, out_dir=out)
-    else:
-        report = studies.run_single(
-            cfg, out_dir=out, dump_intermediates=args.dump_intermediates
-        )
-    _emit(report, out)
-    return 0
-
-
-def _cmd_convergence(args, cfg: ExperimentConfig) -> int:
-    if cfg.study_type != "convergence":
-        raise ConfigurationError(
-            "the config does not declare a convergence study", stage="cli"
-        )
+    options = {}
+    if args.dump_intermediates:
+        if kind != "single":
+            raise ConfigurationError(
+                f"--dump-intermediates writes the fields of a single run; "
+                f"a {kind} study has none to write",
+                stage="cli",
+            )
+        options["dump_intermediates"] = True
     out = _out_dir(args, cfg, required=False)
-    report = studies.run_convergence(cfg, out_dir=out)
+    report = studies.STUDIES[kind](cfg, out_dir=out, **options)
     _emit(report, out)
     return 0
 
 
-def _cmd_noise_sweep(args, cfg: ExperimentConfig) -> int:
-    if cfg.study_type != "noise-sweep":
-        raise ConfigurationError(
-            "the config does not declare a noise-sweep study", stage="cli"
-        )
-    out = _out_dir(args, cfg, required=False)
-    report = studies.run_noise_sweep(cfg, out_dir=out)
-    _emit(report, out)
-    return 0
-
-
-_COMMANDS = {
-    "forward": _cmd_forward,
-    "synth": _cmd_synth,
-    "reconstruct": _cmd_reconstruct,
-    "resolve": _cmd_resolve,
-    "check": _cmd_check,
-    "run": _cmd_run,
-    "convergence": _cmd_convergence,
-    "noise-sweep": _cmd_noise_sweep,
+# subcommand: (handler, help text)
+COMMANDS = {
+    "forward": (_cmd_forward, "solve the boundary problems and write each solution"),
+    "synth": (_cmd_synth, "synthesize the measurement set and write it"),
+    "reconstruct": (_cmd_reconstruct, "reconstruct normalized coefficients from data"),
+    "resolve": (_cmd_resolve, "reconstruct and resolve the modality gauge"),
+    "check": (_cmd_check, "run the admissibility audit and report margins"),
+    "run": (_cmd_run, "run the study declared in the config"),
 }
 
 
@@ -237,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        return _COMMANDS[args.command](args, cfg)
+        return COMMANDS[args.command][0](args, cfg)
     except HiplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

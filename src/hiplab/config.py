@@ -254,15 +254,7 @@ class ExperimentConfig:
         )
 
     def solver(self) -> SolverSettings:
-        spec = self.doc.get("solver", {})
-        kwargs = {}
-        if "method" in spec:
-            kwargs["method"] = spec["method"]
-        if "tolerance" in spec:
-            kwargs["tolerance"] = float(spec["tolerance"])
-        if "max_iterations" in spec:
-            kwargs["max_iterations"] = int(spec["max_iterations"])
-        return SolverSettings(**kwargs)
+        return SolverSettings(**self.doc.get("solver", {}))
 
     def thresholds(self) -> Thresholds:
         spec = self.doc.get("thresholds", {})

@@ -53,9 +53,12 @@ __all__ = [
 # to its magnitude
 _IMAG_TOL = 1e-10
 
+# relative BiCGSTAB tolerance of the "auto" solve
+_KRYLOV_TOLERANCE = 3e-14
+
 # Preconditioned BiCGSTAB iterations "auto" allows a column before it
 # solves that column and the ones after it from an LU factorization.  To
-# the default tolerance the pipeline's operators need 4-7 iterations,
+# that tolerance the pipeline's operators need 4-7 iterations,
 # rotated anisotropy 10 and contrast-10 bumps 18-29, rotated anisotropy
 # 100 41-51 and contrast-100 bumps 77-89, whatever the mesh.  LU beats
 # Krylov only on 2-D contrast 100, by 2-2.5x on 129^2 and 257^2; a
@@ -64,6 +67,9 @@ _IMAG_TOL = 1e-10
 # budget therefore sits above every measured count, and the fallback
 # catches columns that stagnate or break down.
 _AUTO_KRYLOV_BUDGET = 100
+
+# largest relative residual a solution may carry (see _relative_residuals)
+_RESIDUAL_CAP = 1e-10
 
 
 @dataclass
@@ -148,22 +154,17 @@ class BoundaryTrace:
 class SolverSettings:
     """Linear-solver policy for variable-coefficient operators.
 
-    ``method`` is ``"direct"`` (one sparse LU factorization),
-    ``"iterative"`` (BiCGSTAB preconditioned by a fast sine-transform
-    solve, per column, to the relative ``tolerance`` within
-    ``max_iterations``), or ``"auto"`` (the same Krylov solve with at
-    most ``_AUTO_KRYLOV_BUDGET`` iterations per column; from the first
-    column that misses it on, the columns are solved from one LU
-    factorization).
+    ``method`` is ``"direct"`` (one sparse LU factorization) or
+    ``"auto"`` (BiCGSTAB preconditioned by a fast sine-transform solve,
+    per column, to ``_KRYLOV_TOLERANCE`` within ``_AUTO_KRYLOV_BUDGET``
+    iterations; from the first column that misses it on, the columns
+    are solved from one LU factorization).
     """
 
     method: str = "auto"
-    tolerance: float = 3e-14
-    max_iterations: int = 20000
-    residual_cap: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in ("auto", "direct", "iterative"):
+        if self.method not in ("auto", "direct"):
             raise GridError(f"unknown solver method {self.method!r}")
 
 
@@ -310,13 +311,13 @@ def _row_sum_max(matrix: sp.csr_matrix) -> float:
     return float(np.abs(matrix).sum(axis=1).max())
 
 
-def _require_within_cap(rel: np.ndarray, cap: float) -> None:
+def _require_within_cap(rel: np.ndarray) -> None:
     # written so that a NaN residual fails too
-    bad = np.flatnonzero(~(rel <= cap))
+    bad = np.flatnonzero(~(rel <= _RESIDUAL_CAP))
     if bad.size:
         raise SolverFailure(
             f"solution residual {rel[bad[0]]:.3e} (trace {bad[0]}) "
-            f"exceeds cap {cap:.1e}"
+            f"exceeds cap {_RESIDUAL_CAP:.1e}"
         )
 
 
@@ -421,21 +422,19 @@ def _solve_system(
         raise SolverFailure("linear system has a non-finite entry")
     if settings.method == "direct":
         return _lu_solve(matrix, rhs)
-    budget = settings.max_iterations
-    if settings.method == "auto":
-        budget = min(budget, _AUTO_KRYLOV_BUDGET)
     operator, precond = _krylov_operators(system, _mean_operator_eigenvalues(coeffs))
     x = np.empty_like(rhs)
     for j in range(rhs.shape[1]):
         x[:, j], info = spla.bicgstab(
-            operator, rhs[:, j], rtol=settings.tolerance, atol=0.0, maxiter=budget, M=precond
+            operator,
+            rhs[:, j],
+            rtol=_KRYLOV_TOLERANCE,
+            atol=0.0,
+            maxiter=_AUTO_KRYLOV_BUDGET,
+            M=precond,
         )
         if info == 0:
             continue
-        if settings.method == "iterative":
-            raise SolverFailure(
-                f"Krylov solve did not converge (info={info}, n={rhs.shape[0]}, trace {j})"
-            )
         # the remaining columns share the operator, so they share the factorization
         x[:, j:] = _lu_solve(matrix, rhs[:, j:])
         break
@@ -452,16 +451,14 @@ def solve_traces(
 
     The matrix is assembled once and, where LU is used, factored once
     for all traces; the factorization lives only for this call.  Each
-    solution's relative residual is verified against
-    ``settings.residual_cap``.
+    solution's relative residual is verified against ``_RESIDUAL_CAP``.
     """
-    settings = settings or SolverSettings()
     system = _assemble(coeffs, traces, source)
-    x = _solve_system(system, coeffs, settings)
+    x = _solve_system(system, coeffs, settings or SolverSettings())
     rel = _relative_residuals(
         system.matrix @ x - system.rhs, x, system.rhs, _row_sum_max(system.matrix)
     )
-    _require_within_cap(rel, settings.residual_cap)
+    _require_within_cap(rel)
     grid = coeffs.grid
     out = []
     for j, trace in enumerate(traces):
@@ -480,7 +477,7 @@ def solve_dirichlet(
     """Solve the Dirichlet problem and return the full-grid solution.
 
     Boundary vertices carry the trace exactly.  The relative residual of
-    the interior system is verified against ``settings.residual_cap``.
+    the interior system is verified against ``_RESIDUAL_CAP``.
     """
     return solve_traces(coeffs, [trace], source, settings)[0]
 
@@ -499,24 +496,18 @@ def _laplacian_core(u: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
-def solve_poisson(
-    trace: BoundaryTrace,
-    source: ScalarField,
-    settings: SolverSettings | None = None,
-) -> ScalarField:
+def solve_poisson(trace: BoundaryTrace, source: ScalarField) -> ScalarField:
     """Solve ``lap u = source`` with Dirichlet data by a type-I sine transform.
 
     This is the discrete problem :func:`solve_dirichlet` poses for
     ``a = I, b = 0, c = 0``, where the flux stencil reduces to the
     (2 dim + 1)-point Laplacian, which DST-I diagonalizes on the
-    interior (see :func:`_dst_eigenvalues`).  Only
-    ``settings.residual_cap`` applies; the residual is checked
-    matrix-free.
+    interior (see :func:`_dst_eigenvalues`).  The residual is checked
+    matrix-free against ``_RESIDUAL_CAP``.
     """
     grid = trace.grid
     if not grid.compatible(source.grid):
         raise GridError("source grid does not match trace grid")
-    settings = settings or SolverSettings()
     dim = grid.dim
     core = _core_slice(grid.shape, (0,) * dim)
     boundary_only = trace.values.copy()
@@ -533,7 +524,7 @@ def solve_poisson(
     rel = _relative_residuals(
         defect.reshape(-1, 1), x.reshape(-1, 1), rhs.reshape(-1, 1), a_inf
     )
-    _require_within_cap(rel, settings.residual_cap)
+    _require_within_cap(rel)
     return ScalarField(grid, u)
 
 

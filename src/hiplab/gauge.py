@@ -247,7 +247,6 @@ def integrate_gradient(
     F: VectorField,
     anchor: BoundaryTrace,
     mask: InteriorMask,
-    settings: SolverSettings | None = None,
 ) -> tuple[ScalarField, float]:
     """Least-squares potential of an approximate gradient field.
 
@@ -265,7 +264,7 @@ def integrate_gradient(
     div = np.zeros(grid.shape, dtype=np.complex128)
     for ax in range(grid.dim):
         div += jac[..., ax, ax]
-    psi = solve_poisson(anchor, ScalarField(grid, div), settings)
+    psi = solve_poisson(anchor, ScalarField(grid, div))
     if grid.dim == 2:
         rot_mag = np.abs(jac[..., 1, 0] - jac[..., 0, 1])
     else:
@@ -318,7 +317,6 @@ def _integrate_drift(
     h1: ScalarField,
     anchor: BoundaryTrace,
     what: str,
-    settings: SolverSettings | None,
 ) -> tuple[np.ndarray, ScalarField, ScalarField, float]:
     """Weight ratio ``B/d`` of a drift-free modality, with ``v``, ``q``
     and the relative curl of the integrated field.
@@ -330,7 +328,7 @@ def _integrate_drift(
     grid = tri.shape.grid
     inv = sym_inv(tri.shape.values, grid.dim)
     F = VectorField(grid, 0.5 * sym_matvec(inv, tri.vector_invariant.values, grid.dim))
-    psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.mask, settings)
+    psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.mask)
     ratio = np.exp(psi.values)
     v, _, q = _scalar_invariant(tri, h1, ratio)
     return ratio, v, q, curl_rel
@@ -354,7 +352,6 @@ def resolve_elastography(
     tri: InvariantTriple,
     h1: ScalarField,
     amplitude_anchor: BoundaryTrace,
-    settings: SolverSettings | None = None,
 ) -> ResolvedCoefficients:
     """Full resolution under ``d = 1``, ``b = 0``.
 
@@ -363,9 +360,7 @@ def resolve_elastography(
     then yields ``c = B div(ahat grad B) - B^2 q``.
     """
     grid = tri.shape.grid
-    B_vals, v, q, curl_rel = _integrate_drift(
-        tri, h1, amplitude_anchor, "amplitude", settings
-    )
+    B_vals, v, q, curl_rel = _integrate_drift(tri, h1, amplitude_anchor, "amplitude")
     B = ScalarField(grid, B_vals)
     if float(np.min(B.values.real)) <= 0.0:
         raise PositivityError("recovered amplitude is not positive", stage="gauge")
@@ -409,9 +404,7 @@ def resolve_qpat(
     the known boundary amplitude.
     """
     grid = tri.shape.grid
-    rho, _, q, curl_rel = _integrate_drift(
-        tri, h1, ratio_anchor, "weight ratio", settings
-    )
+    rho, _, q, curl_rel = _integrate_drift(tri, h1, ratio_anchor, "weight ratio")
 
     shape_real = SymTensorField(grid, tri.shape.values.real)
     coeffs = CoefficientSet(
@@ -452,7 +445,6 @@ def resolve_qtat(
     tri: InvariantTriple,
     h1: ScalarField,
     ratio_anchor: BoundaryTrace,
-    settings: SolverSettings | None = None,
     imag_floor: float = QTAT_IMAG_FLOOR,
 ) -> ResolvedCoefficients:
     """Resolution under ``b = 0``, ``d = gamma Im(c) conj(u_1)``, real ``a``.
@@ -467,9 +459,7 @@ def resolve_qtat(
     ``B = 1, c = -q`` reproduces the invariant pair exactly.
     """
     grid = tri.shape.grid
-    ratio, v, q, curl_rel = _integrate_drift(
-        tri, h1, ratio_anchor, "weight ratio", settings
-    )
+    ratio, v, q, curl_rel = _integrate_drift(tri, h1, ratio_anchor, "weight ratio")
 
     kappa = ScalarField(grid, h1.values / np.abs(v.values) ** 2)
     im_q = q.values.imag
@@ -511,7 +501,6 @@ def resolve_generic(
     h1: ScalarField,
     known_divergence: ScalarField,
     ratio_anchor: BoundaryTrace,
-    settings: SolverSettings | None = None,
 ) -> ResolvedCoefficients:
     """Resolution with an arbitrary weight and a known ``div(a^{-1} b)``.
 
@@ -527,9 +516,7 @@ def resolve_generic(
     w = consistent_rings(sym_matvec(inv, tri.vector_invariant.values, dim), grid)
     div_w = divergence(VectorField(grid, w))
     src = ScalarField(grid, 0.5 * (div_w.values - known_divergence.values))
-    log_ratio = solve_poisson(
-        _log_anchor(ratio_anchor, "weight ratio"), src, settings
-    ).values
+    log_ratio = solve_poisson(_log_anchor(ratio_anchor, "weight ratio"), src).values
 
     ratio = np.exp(log_ratio)
     grad_log = gradient(ScalarField(grid, log_ratio))

@@ -302,15 +302,15 @@ def _gram_solve(gd: GramData, rhs: list[np.ndarray], dim: int) -> list[np.ndarra
     return sym_apply(gd.inverse.values, rhs, dim)
 
 
-def null_weights(rs: RatioSet, gd: GramData) -> np.ndarray:
+def null_weights(rs: RatioSet) -> np.ndarray:
     """Per-vertex weights combining ratios into gradient-free residuals.
 
     Row ``m`` pairs extra ratio ``dim + m`` with the gradient basis so
     that the weighted gradient sum cancels identically:
     ``theta_j = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
     ``theta_{dim+m} = 1``, zero otherwise.  :func:`analyze` forms them
-    from ``gd``, the Gram data of ``rs``; here the cancellation is
-    verified to rounding level.
+    from the Gram data of ``rs`` and stores them as ``rs.theta``; here
+    the cancellation is verified to rounding level.
     """
     grid = rs.grid
     dim = grid.dim
@@ -592,7 +592,7 @@ def reconstruct(
         quality = ScalarField.constant(ms.grid, 1.0)
         degenerate = np.zeros(ms.grid.shape, dtype=bool)
     else:
-        null_weights(rs, gd)  # raises unless the weights cancel the gradients
+        null_weights(rs)  # raises unless the weights cancel the gradients
         diffusion, quality, degenerate = rs.null_space
     return NormalizedCoefficients(
         diffusion=diffusion,

@@ -10,10 +10,13 @@ resolve, compare):
   against the noiseless reconstruction and the empirical
   error-to-data-perturbation ratios.
 
-Every driver returns a JSON-ready report dict and, given an output
-directory, writes ``report.json`` plus a CSV table with frozen columns.
-Reports never contain timestamps or absolute paths: identical config
-and seeds produce byte-identical output files.
+``STUDIES`` maps each study type of the config schema to its driver;
+``hiplab run`` dispatches through it, so a new study type is one entry
+there.  Every driver returns a JSON-ready report dict and, given an
+output directory, writes ``report.json`` plus a CSV table with frozen
+columns (:func:`_write_outputs`).  Reports never contain timestamps or
+absolute paths: identical config and seeds produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ __all__ = [
     "run_single",
     "run_convergence",
     "run_noise_sweep",
+    "STUDIES",
     "SCHEMA_VERSION",
+    "write_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -106,10 +111,20 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def _write_report(path: str, report: dict) -> None:
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` with sorted keys, 2-space indent and a final newline."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_outputs(
+    out_dir: str, csv_name: str, columns: list[str], rows: list[dict], report: dict
+) -> None:
+    """A study's CSV table and ``report.json``, written into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(os.path.join(out_dir, csv_name), columns, rows)
+    write_json(os.path.join(out_dir, "report.json"), report)
 
 
 def _inv_drift(coeffs: CoefficientSet) -> VectorField:
@@ -141,15 +156,13 @@ def resolve_measurements(
     ratio = BoundaryTrace(grid, B.values / ms.weight.values)
     name = ms.modality
     if name == "elastography":
-        return gauge.resolve_elastography(tri, h1, ratio, settings)
+        return gauge.resolve_elastography(tri, h1, ratio)
     if name == "qpat":
         amplitude = BoundaryTrace(grid, B.values)
         return gauge.resolve_qpat(tri, h1, ms.gamma, ratio, amplitude, settings)
     if name == "qtat":
-        return gauge.resolve_qtat(tri, h1, ratio, settings)
-    return gauge.resolve_generic(
-        tri, h1, divergence(_inv_drift(coeffs)), ratio, settings
-    )
+        return gauge.resolve_qtat(tri, h1, ratio)
+    return gauge.resolve_generic(tri, h1, divergence(_inv_drift(coeffs)), ratio)
 
 
 @dataclass
@@ -335,15 +348,13 @@ def run_single(
         "metrics": result.metrics,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         rows = [
             {"study": "single", "quantity": name, "points": points, **m}
             for name, m in result.metrics.items()
         ]
-        _write_csv(os.path.join(out_dir, "metrics.csv"), SINGLE_COLUMNS, rows)
         if dump_intermediates:
             report["fields"] = _dump_fields(result, os.path.join(out_dir, "fields"))
-        _write_report(os.path.join(out_dir, "report.json"), report)
+        _write_outputs(out_dir, "metrics.csv", SINGLE_COLUMNS, rows, report)
     return report
 
 
@@ -426,11 +437,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "warnings": warnings,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(
-            os.path.join(out_dir, "convergence.csv"), CONVERGENCE_COLUMNS, rows
-        )
-        _write_report(os.path.join(out_dir, "report.json"), report)
+        _write_outputs(out_dir, "convergence.csv", CONVERGENCE_COLUMNS, rows, report)
     return report
 
 
@@ -518,7 +525,13 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "ratio_spread": spreads,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "noise_sweep.csv"), NOISE_COLUMNS, rows)
-        _write_report(os.path.join(out_dir, "report.json"), report)
+        _write_outputs(out_dir, "noise_sweep.csv", NOISE_COLUMNS, rows, report)
     return report
+
+
+# the driver of each study type the config schema allows
+STUDIES = {
+    "single": run_single,
+    "convergence": run_convergence,
+    "noise-sweep": run_noise_sweep,
+}

@@ -68,8 +68,7 @@ def test_harmonic_suite_identity_diffusion_zero_drift_and_hessian_combos():
     ms = synthesize(laplace_coefficients(grid), unit_weight(grid), default_traces(grid))
     nc = recon.reconstruct(ms)
     rs = recon.ratios(ms)
-    gd = recon.gram(rs)
-    theta = recon.null_weights(rs, gd)
+    theta = recon.null_weights(rs)
     mats = recon.constraint_matrices(rs, theta)
     elapsed = time.monotonic() - t0
 

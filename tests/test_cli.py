@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from hiplab import forward
 from hiplab.cli import main
 from hiplab.grids import read_field
 
@@ -70,13 +71,12 @@ class TestExitCodes:
         assert main(["--config", str(tmp_path / "nope.json"), "run"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_solver_failure_is_three(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            bump_doc(solver={"method": "iterative", "max_iterations": 1}),
-        )
+    def test_solver_failure_is_three(self, tmp_path, capsys, monkeypatch):
+        # no discrete solution meets a zero residual cap
+        monkeypatch.setattr(forward, "_RESIDUAL_CAP", 0.0)
+        cfg = write_config(tmp_path, bump_doc())
         assert main(["--config", cfg, "run"]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert "exceeds cap" in capsys.readouterr().err
 
     def test_degeneracy_abort_is_four(self, tmp_path, capsys):
         cfg = write_config(
@@ -189,12 +189,31 @@ class TestRunDispatch:
         assert report["study"] == "convergence"
         assert (out / "convergence.csv").exists()
 
-    def test_study_type_must_match_dedicated_commands(self, tmp_path, capsys):
+    def test_study_type_must_match_dedicated_commands(self, tmp_path):
+        # there are none: every study type runs through `run`
         cfg = write_config(tmp_path, harmonic_doc())
-        assert main(["--config", cfg, "convergence"]) == 2
-        assert "convergence study" in capsys.readouterr().err
-        assert main(["--config", cfg, "noise-sweep"]) == 2
-        assert "noise-sweep study" in capsys.readouterr().err
+        for command in ("convergence", "noise-sweep"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", cfg, command])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "study",
+        [
+            {"type": "convergence", "levels": [9, 17, 33]},
+            {"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]},
+        ],
+        ids=["convergence", "noise-sweep"],
+    )
+    def test_dump_intermediates_needs_a_single_study(self, tmp_path, capsys, study):
+        cfg = write_config(
+            tmp_path, harmonic_doc(noise={"amplitude": 1e-4}, study=study)
+        )
+        out = tmp_path / "study"
+        argv = ["--config", cfg, "--out", str(out), "--dump-intermediates", "run"]
+        assert main(argv) == 2
+        assert f"a {study['type']} study" in capsys.readouterr().err
+        assert not (out / "fields").exists()
 
     def test_noise_sweep_command(self, tmp_path):
         cfg = write_config(
@@ -207,7 +226,7 @@ class TestRunDispatch:
             ),
         )
         out = tmp_path / "sweep"
-        assert main(["--config", cfg, "--out", str(out), "noise-sweep"]) == 0
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["study"] == "noise-sweep"
         assert (out / "noise_sweep.csv").exists()

@@ -288,13 +288,17 @@ class TestBuilders:
 
     def test_solver_settings(self):
         assert parse_config(base_doc()).solver() == SolverSettings()
-        cfg = parse_config(
-            base_doc(solver={"method": "iterative", "tolerance": 1e-10, "max_iterations": 50})
-        )
-        settings = cfg.solver()
-        assert settings.method == "iterative"
-        assert settings.tolerance == 1e-10
-        assert settings.max_iterations == 50
+        cfg = parse_config(base_doc(solver={"method": "direct"}))
+        assert cfg.solver() == SolverSettings(method="direct")
+
+    @pytest.mark.parametrize(
+        "solver",
+        [{"method": "iterative"}, {"tolerance": 1e-10}, {"max_iterations": 50}],
+    )
+    def test_removed_solver_options_are_rejected(self, solver):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(base_doc(solver=solver))
+        assert exc.value.exit_code == 2
 
     def test_thresholds_builder(self):
         assert parse_config(base_doc()).thresholds().basis == 1e-6

@@ -176,21 +176,8 @@ class TestSolve:
         coeffs = laplace_coefficients(grid)
         tr = BoundaryTrace.from_expression(grid, "x*y")
         direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
-        iterative = solve_dirichlet(
-            coeffs, tr, settings=SolverSettings(method="iterative", tolerance=1e-13)
-        )
+        iterative = solve_dirichlet(coeffs, tr)
         assert np.max(np.abs(direct.values - iterative.values)) < 1e-9
-
-    def test_starved_iterations_raise_solver_failure(self):
-        grid = unit_grid(17)
-        coeffs = elastography_coefficients(grid)
-        tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
-        with pytest.raises(SolverFailure):
-            solve_dirichlet(
-                coeffs,
-                tr,
-                settings=SolverSettings(method="iterative", max_iterations=1),
-            )
 
 
 class TestResidual:
@@ -283,23 +270,9 @@ class TestManyTraces:
         coeffs = laplace_coefficients(grid)
         traces = [BoundaryTrace.from_expression(grid, s) for s in ("x*y", "x^2 - y^2")]
         direct = solve_traces(coeffs, traces, settings=SolverSettings(method="direct"))
-        iterative = solve_traces(
-            coeffs, traces, settings=SolverSettings(method="iterative", tolerance=1e-13)
-        )
+        iterative = solve_traces(coeffs, traces)
         for d, it in zip(direct, iterative):
             assert np.max(np.abs(d.values - it.values)) < 1e-9
-
-    def test_starved_column_raises_solver_failure(self):
-        grid = unit_grid(17)
-        coeffs = elastography_coefficients(grid)
-        # the zero trace converges at once; the second needs many iterations
-        traces = [BoundaryTrace.from_expression(grid, s) for s in ("0", "x^2 - y^2")]
-        with pytest.raises(SolverFailure, match="trace 1"):
-            solve_traces(
-                coeffs,
-                traces,
-                settings=SolverSettings(method="iterative", max_iterations=1),
-            )
 
     def test_nan_source_raises_solver_failure(self):
         grid = unit_grid(9)
@@ -419,21 +392,11 @@ class TestKrylov:
         traces = [BoundaryTrace.from_expression(grid, s) for s in ("1 + x", "exp(x)*cos(y)")]
         source = ScalarField(grid, np.full(grid.shape, 0.3 - 0.1j))
         direct = solve_traces(coeffs, traces, source, SolverSettings(method="direct"))
-        krylov = solve_traces(coeffs, traces, source, SolverSettings(method="iterative"))
+        krylov = solve_traces(coeffs, traces, source)
         for d, k in zip(direct, krylov):
             assert relative_gap(k, d) <= 1e-9
 
-    def test_auto_falls_back_to_the_direct_solve(self):
-        grid = unit_grid(17)
-        coeffs = elastography_coefficients(grid)
-        tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
-        direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
-        auto = solve_dirichlet(
-            coeffs, tr, settings=SolverSettings(method="auto", max_iterations=1)
-        )
-        assert np.array_equal(auto.values, direct.values)
-
-    def test_auto_budget_caps_the_krylov_solve(self, monkeypatch):
+    def test_auto_falls_back_to_the_direct_solve(self, monkeypatch):
         monkeypatch.setattr(forward, "_AUTO_KRYLOV_BUDGET", 1)
         grid = unit_grid(17)
         coeffs = elastography_coefficients(grid)
@@ -441,18 +404,37 @@ class TestKrylov:
         direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
         assert np.array_equal(solve_dirichlet(coeffs, tr).values, direct.values)
 
-    def test_laplacian_converges_in_one_iteration(self):
+    def test_auto_budget_caps_the_krylov_solve(self, monkeypatch):
+        monkeypatch.setattr(forward, "_AUTO_KRYLOV_BUDGET", 1)
+        grid = unit_grid(17)
+        coeffs = elastography_coefficients(grid)
+        # the zero trace converges at once; the others need many iterations,
+        # so from the first of them on the columns come from one LU solve
+        traces = [
+            BoundaryTrace.from_expression(grid, s) for s in ("0", "x^2 - y^2", "x*y")
+        ]
+        auto = solve_traces(coeffs, traces)
+        direct = solve_traces(coeffs, traces, settings=SolverSettings(method="direct"))
+        assert np.array_equal(auto[0].values, traces[0].values)
+        for a, d in zip(auto[1:], direct[1:]):
+            assert np.array_equal(a.values, d.values)
+
+    def test_laplacian_converges_in_one_iteration(self, monkeypatch):
         # the preconditioner inverts the Laplacian exactly
+        monkeypatch.setattr(forward, "_AUTO_KRYLOV_BUDGET", 1)
         grid = unit_grid(17)
         coeffs = laplace_coefficients(grid)
         tr = BoundaryTrace.from_expression(grid, "x^2 - y^2")
-        one = solve_dirichlet(
-            coeffs, tr, settings=SolverSettings(method="iterative", max_iterations=1)
-        )
         direct = solve_dirichlet(coeffs, tr, settings=SolverSettings(method="direct"))
+
+        def no_fallback(matrix, rhs):
+            raise AssertionError("the Krylov solve fell back to LU")
+
+        monkeypatch.setattr(forward, "_lu_solve", no_fallback)
+        one = solve_dirichlet(coeffs, tr)
         assert relative_gap(one, direct) <= 1e-12
 
-    @pytest.mark.parametrize("method", ["auto", "direct", "iterative"])
+    @pytest.mark.parametrize("method", ["auto", "direct"])
     def test_non_finite_source_is_rejected_before_solving(self, method):
         grid = unit_grid(9)
         src = np.zeros(grid.shape, dtype=np.complex128)
@@ -512,8 +494,7 @@ class TestRealArithmetic:
         )
         traces = [BoundaryTrace(grid, rng.normal(size=grid.shape)) for _ in range(2)]
         source = ScalarField(grid, rng.normal(size=grid.shape)) if with_source else None
-        settings_ = SolverSettings(method="iterative")
-        got = solve_traces(coeffs, traces, source, settings_)
+        got = solve_traces(coeffs, traces, source)
 
         system = forward._assemble(coeffs, traces, source)
         eig = forward._mean_operator_eigenvalues(coeffs)
@@ -526,9 +507,9 @@ class TestRealArithmetic:
             ref, info = spla.bicgstab(
                 system.matrix,
                 system.rhs[:, j],
-                rtol=settings_.tolerance,
+                rtol=forward._KRYLOV_TOLERANCE,
                 atol=0.0,
-                maxiter=settings_.max_iterations,
+                maxiter=forward._AUTO_KRYLOV_BUDGET,
                 M=precond,
             )
             assert info == 0

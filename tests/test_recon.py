@@ -248,7 +248,7 @@ class TestNullWeights:
 
     def test_hand_checked_weights(self):
         grid, rs = self.quintet()
-        theta = null_weights(rs, gram(rs))
+        theta = null_weights(rs)
         x, y = grid.meshgrid()
         inside = grid.interior(2).flags
         expect_1 = np.stack([-y, -x, np.ones_like(x), np.zeros_like(x)], axis=-1)
@@ -272,7 +272,7 @@ class TestNullWeights:
                 ],
             )
         )
-        theta = null_weights(rs, gram(rs))
+        theta = null_weights(rs)
         grads = np.stack([g.values for g in rs.gradients], axis=-2)
         scale = float(np.max(np.abs(grads)))
         inside = grid.interior(2).flags
@@ -282,7 +282,7 @@ class TestNullWeights:
 
     def test_constraint_matrices_for_harmonic_quintet(self):
         grid, rs = self.quintet()
-        theta = null_weights(rs, gram(rs))
+        theta = null_weights(rs)
         mats = constraint_matrices(rs, theta)
         inside = grid.interior(2).flags
         m1 = sym_to_full(mats[0].values, 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -331,3 +332,11 @@ class TestRunNoiseSweep:
         assert len(lines) == 1 + 3 * len(report["table"][0]["quantities"])
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert on_disk["ratio_spread"].keys() == report["ratio_spread"].keys()
+
+
+def test_every_schema_study_type_has_a_driver():
+    schema = json.loads(
+        resources.files("hiplab").joinpath("config_schema.json").read_text()
+    )
+    types = schema["properties"]["study"]["properties"]["type"]["enum"]
+    assert sorted(studies.STUDIES) == sorted(types)
