@@ -188,7 +188,7 @@ def check(
     # Gram matrix is singular
     independence = None
     if rs.null_space is not None:
-        quality = rs.null_space[1].values.real
+        quality = rs.null_space[1].values
         independence = np.where(rs.gram_data.singular, 0.0, quality)
     inside = rs.mask.flags
     pipeline = "scalar" if independence is None else "matrix"

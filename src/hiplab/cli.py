@@ -42,14 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, help="override the config seed", default=None
     )
-    parser.add_argument(
-        "--dump-intermediates",
-        action="store_true",
-        help=(
-            "also write intermediate fields (functionals, alpha_hat, beta, "
-            "quality, resolved and aux_ fields)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, doc) in COMMANDS.items():
         cmd = sub.add_parser(name, help=doc)
@@ -58,6 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "--data",
                 help="measurement directory from a previous synth "
                 "(skips the forward solves)",
+            )
+        if name == "run":
+            cmd.add_argument(
+                "--dump-intermediates",
+                action="store_true",
+                help=(
+                    "also write intermediate fields (functionals, alpha_hat, "
+                    "beta, quality, resolved and aux_ fields) of a single study"
+                ),
             )
     return parser
 
@@ -187,7 +188,10 @@ COMMANDS = {
     "forward": (_cmd_forward, "solve the boundary problems and write each solution"),
     "synth": (_cmd_synth, "synthesize the measurement set and write it"),
     "reconstruct": (_cmd_reconstruct, "reconstruct normalized coefficients from data"),
-    "resolve": (_cmd_resolve, "reconstruct and resolve the modality gauge"),
+    "resolve": (
+        _cmd_resolve,
+        "reconstruct and resolve the modality gauge; writes the field dumps",
+    ),
     "check": (_cmd_check, "run the admissibility audit and report margins"),
     "run": (_cmd_run, "run the study declared in the config"),
 }

@@ -31,9 +31,11 @@ from .grids import (
     ScalarField,
     SymTensorField,
     VectorField,
+    as_stored,
     sym_det,
     sym_pairs,
     sym_to_full,
+    via_complex,
 )
 from . import phantoms
 
@@ -96,15 +98,16 @@ class CoefficientSet:
     def validate_spd(self) -> None:
         """Raise if ``a`` is not real SPD, naming the first bad vertex."""
         vals = self.a.values
-        scale = float(np.max(np.abs(vals))) or 1.0
-        imag = np.abs(vals.imag).max(axis=-1)
-        bad = np.argwhere(imag > _IMAG_TOL * scale)
-        if bad.size:
-            point = tuple(int(k) for k in bad[0])
-            raise AssemblyError(
-                f"diffusion matrix has imaginary part {imag[point]:.3e} "
-                f"at vertex {point}"
-            )
+        if np.iscomplexobj(vals):
+            scale = float(np.max(np.abs(vals))) or 1.0
+            imag = np.abs(vals.imag).max(axis=-1)
+            bad = np.argwhere(imag > _IMAG_TOL * scale)
+            if bad.size:
+                point = tuple(int(k) for k in bad[0])
+                raise AssemblyError(
+                    f"diffusion matrix has imaginary part {imag[point]:.3e} "
+                    f"at vertex {point}"
+                )
         # Sylvester's criterion on the nested leading minors; eigenvalues
         # only at the vertex reported
         real = vals.real
@@ -129,7 +132,8 @@ class BoundaryTrace:
 
     Only the boundary vertices are ever read; keeping the full sample
     makes traces trivially refinable and serializable.  ``expression``
-    records the closed form when one exists.
+    records the closed form when one exists.  Values with an identically
+    zero imaginary part are stored as ``float64``.
     """
 
     grid: Grid
@@ -137,7 +141,7 @@ class BoundaryTrace:
     expression: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
+        arr = as_stored(self.values)
         if arr.shape != self.grid.shape:
             raise GridError(
                 f"trace values: expected shape {self.grid.shape}, got {arr.shape}"
@@ -206,7 +210,8 @@ def _assemble(
     h = grid.spacing
     core = _core_slice(shape, (0,) * dim)
 
-    # accumulate stencil weights per offset over the unknown block
+    # accumulate stencil weights per offset over the unknown block, real
+    # unless a coefficient is complex
     stencil: dict[tuple[int, ...], np.ndarray] = {}
 
     def add(offset, weights):
@@ -214,7 +219,7 @@ def _assemble(
         if key in stencil:
             stencil[key] = stencil[key] + weights
         else:
-            stencil[key] = np.array(weights, dtype=np.complex128)
+            stencil[key] = np.array(weights)
 
     zero = (0,) * dim
     add(zero, coeffs.c.values[core])
@@ -231,8 +236,8 @@ def _assemble(
         add(zero, -(app_plus + app_minus) / h[p] ** 2)
 
         bp = coeffs.b.values[core + (p,)]
-        add(e_p, bp / (2.0 * h[p]))
-        add([-o for o in e_p], -bp / (2.0 * h[p]))
+        add(e_p, bp * (1.0 / (2.0 * h[p])))
+        add([-o for o in e_p], -bp * (1.0 / (2.0 * h[p])))
 
         for q in range(dim):
             if q == p:
@@ -258,35 +263,41 @@ def _assemble(
     unknown_id = np.full(grid.num_points, -1, dtype=np.int64)
     unknown_id[interior_flat] = np.arange(n_unknown)
 
-    rows = []
-    cols = []
-    vals = []
-    rhs = np.zeros((n_unknown, len(traces)), dtype=np.complex128)
-    if source is not None:
-        rhs += source.values[core].reshape(-1, 1)
-
     f_flat = np.stack([tr.values.ravel() for tr in traces], axis=1)
+    weight_dtype = np.result_type(*stencil.values())
+    rhs = np.zeros((n_unknown, len(traces)), dtype=np.result_type(weight_dtype, f_flat))
+    if source is not None:
+        rhs = rhs + source.values[core].reshape(-1, 1)
+
+    # Each offset gives every row one matrix entry.  In lexicographic
+    # offset order a row's columns ascend, so the entries kept, row by
+    # row, are the CSR arrays.  The right-hand side subtracts the
+    # boundary terms in the order the offsets were added.
+    column = {offset: k for k, offset in enumerate(sorted(stencil))}
+    weights = np.empty((n_unknown, len(column)), dtype=weight_dtype)
+    cols = np.empty((n_unknown, len(column)), dtype=np.int64)
+    keep = np.empty((n_unknown, len(column)), dtype=bool)
     row_ids = np.arange(n_unknown)
     bnd_flat = boundary.ravel()
-    for offset, weights in stencil.items():
+    for offset in list(stencil):
+        w = stencil.pop(offset).ravel()
         col_flat = flat_index[_core_slice(shape, offset)].ravel()
-        w = weights.ravel()
         on_boundary = bnd_flat[col_flat]
         if np.any(on_boundary):
-            # one column per offset and row: the row indices are distinct
+            # the row indices are distinct
             rhs[row_ids[on_boundary]] -= (
                 w[on_boundary, None] * f_flat[col_flat[on_boundary]]
             )
+        k = column[offset]
+        weights[:, k] = w
+        cols[:, k] = unknown_id[col_flat]
         # with a scalar a the mixed-term weights are exactly zero
-        keep = ~on_boundary & (w != 0)
-        rows.append(row_ids[keep])
-        cols.append(unknown_id[col_flat[keep]])
-        vals.append(w[keep])
+        keep[:, k] = ~on_boundary & (w != 0)
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
-    ).tocsr()
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    matrix = sp.csr_matrix(
+        (weights[keep], cols[keep], indptr), shape=(n_unknown, n_unknown)
+    )
     return LinearSystem(grid=grid, matrix=matrix, rhs=rhs, interior_flat=interior_flat)
 
 
@@ -339,19 +350,17 @@ def _dst_eigenvalues(shape, spacing, scales) -> np.ndarray:
     return eig
 
 
-def _dst_solve(rhs: np.ndarray, eig: np.ndarray) -> np.ndarray:
-    return idstn(dstn(rhs, type=1) / eig, type=1)
+def _dst_solver(eig: np.ndarray):
+    """The DST-I solve ``rhs -> idstn(dstn(rhs) / eig)``.
 
-
-def _dst_solve_real(rhs: np.ndarray, inv_eig: np.ndarray) -> np.ndarray:
-    """:func:`_dst_solve` of real-valued data in real arithmetic.
-
-    ``inv_eig`` holds ``1 / eig.real``.  numpy divides a complex value by
-    a real-valued one with Smith's algorithm, whose real part is
-    ``x * (1/y)``, so this returns the real part of the complex solve bit
-    for bit.
+    A real ``eig`` multiplies by its reciprocal, formed once: the bits of
+    numpy's complex division (:func:`hiplab.grids.divide`), and real
+    arithmetic for real data.
     """
-    return idstn(dstn(rhs.real, type=1) * inv_eig, type=1)
+    if np.iscomplexobj(eig):
+        return lambda rhs: idstn(dstn(rhs, type=1) / eig, type=1)
+    inv_eig = 1.0 / eig
+    return lambda rhs: idstn(dstn(rhs, type=1) * inv_eig, type=1)
 
 
 def _mean_operator_eigenvalues(coeffs: CoefficientSet) -> np.ndarray:
@@ -360,80 +369,87 @@ def _mean_operator_eigenvalues(coeffs: CoefficientSet) -> np.ndarray:
     The means run over the unknowns.  This constant-coefficient operator
     preconditions the variable one (Concus & Golub, SIAM J. Numer. Anal.
     10, 1973); for ``a = I, b = 0, c = 0`` it is the assembled matrix.
+    ``mean(c)`` is taken in complex arithmetic over the strided core, as
+    numpy's pairwise sum rounds differently for real data and for other
+    layouts.
     """
     grid = coeffs.grid
     core = _core_slice(grid.shape, (0,) * grid.dim)
     scales = [float(np.mean(coeffs.a.entry(p, p).real[core])) for p in range(grid.dim)]
     return _dst_eigenvalues(
         tuple(s - 2 for s in grid.shape), grid.spacing, scales
-    ) + np.mean(coeffs.c.values[core])
+    ) + via_complex(lambda c: np.mean(c[core]), coeffs.c.values)
 
 
 def _krylov_operators(system: LinearSystem, eig: np.ndarray):
     """The operator and its DST-I preconditioner for BiCGSTAB.
 
-    When the matrix, every right-hand-side column and ``eig`` have zero
-    imaginary parts, both act on the real parts of their complex128
-    arguments in real arithmetic and return complex128: BiCGSTAB keeps
-    its complex vectors, scalars and inner products, and every bit of
-    the complex path.
+    BiCGSTAB's vectors are complex128 (see :func:`_solve_system`).  When
+    the matrix, the right-hand sides and ``eig`` are real, both act on
+    the real parts of those vectors in real arithmetic; either way the
+    result is cast back to complex128, so BiCGSTAB keeps its complex
+    scalars and ``zdotc`` inner products, and every bit of the complex
+    path.
     """
     matrix = system.matrix
     n = eig.size
-    if matrix.data.imag.any() or system.rhs.imag.any() or eig.imag.any():
-        return matrix, spla.LinearOperator(
+    solve = _dst_solver(eig)
+    real = not any(np.iscomplexobj(x) for x in (matrix.data, system.rhs, eig))
+    part = np.real if real else np.asarray
+
+    def complex_operator(apply):
+        return spla.LinearOperator(
             (n, n),
-            matvec=lambda v: _dst_solve(v.reshape(eig.shape), eig).ravel(),
+            matvec=lambda v: np.asarray(apply(part(v)), dtype=np.complex128),
             dtype=np.complex128,
         )
-    real_matrix = matrix.real
-    inv_eig = 1.0 / eig.real
-    operator = spla.LinearOperator(
-        (n, n),
-        matvec=lambda v: (real_matrix @ v.real).astype(np.complex128),
-        dtype=np.complex128,
+
+    return (
+        complex_operator(lambda v: matrix @ v),
+        complex_operator(lambda v: solve(v.reshape(eig.shape)).ravel()),
     )
-    precond = spla.LinearOperator(
-        (n, n),
-        matvec=lambda v: _dst_solve_real(v.reshape(eig.shape), inv_eig)
-        .ravel()
-        .astype(np.complex128),
-        dtype=np.complex128,
-    )
-    return operator, precond
 
 
 def _lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve from one sparse LU factorization of a complex128 copy of
+    ``matrix``, so a real system gets the complex factorization's bits;
+    the solution is real when ``matrix`` and ``rhs`` are."""
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc().astype(np.complex128))
     except RuntimeError as exc:
         raise SolverFailure(
             f"direct factorization failed: {exc} (n={matrix.shape[0]})"
         ) from exc
-    return lu.solve(rhs)
+    x = lu.solve(np.asarray(rhs, dtype=np.complex128))
+    return x if np.iscomplexobj(matrix.data) or np.iscomplexobj(rhs) else x.real.copy()
 
 
 def _solve_system(
     system: LinearSystem, coeffs: CoefficientSet, settings: SolverSettings
 ) -> np.ndarray:
-    """Solve every right-hand-side column against one operator."""
+    """Solve every right-hand-side column against one operator.
+
+    The solution has the dtype of the matrix and right-hand sides
+    combined; BiCGSTAB runs on complex128 copies of the columns.
+    """
     matrix, rhs = system.matrix, system.rhs
     if not (np.isfinite(rhs).all() and np.isfinite(matrix.data).all()):
         raise SolverFailure("linear system has a non-finite entry")
     if settings.method == "direct":
         return _lu_solve(matrix, rhs)
     operator, precond = _krylov_operators(system, _mean_operator_eigenvalues(coeffs))
-    x = np.empty_like(rhs)
+    x = np.empty(rhs.shape, dtype=np.result_type(matrix.dtype, rhs.dtype))
     for j in range(rhs.shape[1]):
-        x[:, j], info = spla.bicgstab(
+        column, info = spla.bicgstab(
             operator,
-            rhs[:, j],
+            rhs[:, j].astype(np.complex128),
             rtol=_KRYLOV_TOLERANCE,
             atol=0.0,
             maxiter=_AUTO_KRYLOV_BUDGET,
             M=precond,
         )
         if info == 0:
+            x[:, j] = column if np.iscomplexobj(x) else column.real
             continue
         # the remaining columns share the operator, so they share the factorization
         x[:, j:] = _lu_solve(matrix, rhs[:, j:])
@@ -462,7 +478,7 @@ def solve_traces(
     grid = coeffs.grid
     out = []
     for j, trace in enumerate(traces):
-        u = np.array(trace.values, dtype=np.complex128).ravel()
+        u = trace.values.astype(np.result_type(trace.values, x)).ravel()
         u[system.interior_flat] = x[:, j]
         out.append(ScalarField(grid, u.reshape(grid.shape)))
     return out
@@ -486,13 +502,13 @@ def _laplacian_core(u: np.ndarray, spacing) -> np.ndarray:
     """The (2 dim + 1)-point Laplacian of ``u`` at the interior vertices."""
     dim = u.ndim
     core = _core_slice(u.shape, (0,) * dim)
-    out = np.zeros(tuple(s - 2 for s in u.shape), dtype=np.complex128)
+    out = np.zeros(tuple(s - 2 for s in u.shape), dtype=u.dtype)
     for p, h in enumerate(spacing):
         e_p = [0] * dim
         e_p[p] = 1
         plus = u[_core_slice(u.shape, e_p)]
         minus = u[_core_slice(u.shape, [-o for o in e_p])]
-        out += (plus - 2.0 * u[core] + minus) / h**2
+        out += (plus - 2.0 * u[core] + minus) * (1.0 / h**2)
     return out
 
 
@@ -514,10 +530,9 @@ def solve_poisson(trace: BoundaryTrace, source: ScalarField) -> ScalarField:
     boundary_only[core] = 0.0
     rhs = source.values[core] - _laplacian_core(boundary_only, grid.spacing)
 
-    eig = _dst_eigenvalues(rhs.shape, grid.spacing, (1.0,) * dim)
-    x = _dst_solve(rhs, eig) if rhs.imag.any() else _dst_solve_real(rhs, 1.0 / eig)
+    x = _dst_solver(_dst_eigenvalues(rhs.shape, grid.spacing, (1.0,) * dim))(rhs)
 
-    u = trace.values.copy()
+    u = trace.values.astype(x.dtype)
     u[core] = x
     defect = _laplacian_core(u, grid.spacing) - source.values[core]
     a_inf = sum(4.0 / h**2 for h in grid.spacing)

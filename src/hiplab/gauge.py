@@ -65,6 +65,7 @@ from .grids import (
     component_sum,
     consistent_rings,
     divergence,
+    divide,
     gradient,
     hessian,
     jacobian,
@@ -75,6 +76,7 @@ from .grids import (
     sym_inv,
     sym_matvec,
     tensor_divergence,
+    via_complex,
 )
 from .recon import NormalizedCoefficients, functional_budget
 
@@ -112,7 +114,7 @@ def shape_of(a: SymTensorField) -> SymTensorField:
     """Determinant-one part ``a / det(a)^(1/dim)``."""
     dim = a.grid.dim
     det = sym_det(a.values, dim)
-    return SymTensorField(a.grid, a.values / principal_root(det, dim)[..., None])
+    return SymTensorField(a.grid, divide(a.values, principal_root(det, dim)[..., None]))
 
 
 def dimension_audit(dim: int) -> dict:
@@ -232,7 +234,7 @@ def invariant_triple(
         drift_vals[nc.degenerate] = 0.0
     drift_vals = consistent_rings(drift_vals, grid)
     grad_h1 = gradient(h1)
-    log_grad = grad_h1.values / h1.values[..., None]
+    log_grad = divide(grad_h1.values, h1.values[..., None])
     g_vals = (
         drift_vals
         - tri.shape_divergence.values
@@ -261,7 +263,7 @@ def integrate_gradient(
     # solve would spread their kink into interior curvature of psi
     F = VectorField(grid, consistent_rings(F.values, grid))
     jac = jacobian(F)
-    div = np.zeros(grid.shape, dtype=np.complex128)
+    div = np.zeros(grid.shape, dtype=jac.dtype)
     for ax in range(grid.dim):
         div += jac[..., ax, ax]
     psi = solve_poisson(anchor, ScalarField(grid, div))
@@ -301,15 +303,17 @@ def _scalar_invariant(
     """``v = H_1 (B/d)``, ``grad v`` and ``q = div(ahat grad v)/v``."""
     v = ScalarField(h1.grid, h1.values * weight_ratio)
     num, grad_v = _shape_applied_laplacian(tri.shape, tri.shape_divergence, v)
-    q = ScalarField(h1.grid, num.values / v.values)
+    q = ScalarField(h1.grid, divide(num.values, v.values))
     return v, grad_v, q
 
 
 def _log_anchor(anchor: BoundaryTrace, what: str) -> BoundaryTrace:
+    """The principal log of ``anchor``, complex where it is negative."""
     vals = anchor.values
     if np.any(np.abs(vals) == 0.0):
         raise ConfigurationError(f"{what} anchor vanishes; cannot take its log")
-    return BoundaryTrace(anchor.grid, np.log(vals))
+    return BoundaryTrace(anchor.grid, np.log(vals.astype(np.complex128)))
+
 
 
 def _integrate_drift(
@@ -329,7 +333,8 @@ def _integrate_drift(
     inv = sym_inv(tri.shape.values, grid.dim)
     F = VectorField(grid, 0.5 * sym_matvec(inv, tri.vector_invariant.values, grid.dim))
     psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.mask)
-    ratio = np.exp(psi.values)
+    # numpy's real exp rounds differently from its complex one
+    ratio = via_complex(np.exp, psi.values)
     v, _, q = _scalar_invariant(tri, h1, ratio)
     return ratio, v, q, curl_rel
 
@@ -418,7 +423,7 @@ def resolve_qpat(
         raise PositivityError(
             "recovered amplitude is not positive", stage="gauge"
         )
-    c = ScalarField(grid, B.values / (gamma.values * rho))
+    c = ScalarField(grid, divide(B.values, gamma.values * rho))
     a = SymTensorField(grid, B.values[..., None] ** 2 * tri.shape.values)
     weight = ScalarField(grid, gamma.values * c.values)
     report = _report(
@@ -461,7 +466,7 @@ def resolve_qtat(
     grid = tri.shape.grid
     ratio, v, q, curl_rel = _integrate_drift(tri, h1, ratio_anchor, "weight ratio")
 
-    kappa = ScalarField(grid, h1.values / np.abs(v.values) ** 2)
+    kappa = ScalarField(grid, divide(h1.values, np.abs(v.values) ** 2))
     im_q = q.values.imag
     inside = tri.mask.flags
     scale = float(np.max(np.abs(im_q[inside]))) if np.any(inside) else 0.0
@@ -518,7 +523,7 @@ def resolve_generic(
     src = ScalarField(grid, 0.5 * (div_w.values - known_divergence.values))
     log_ratio = solve_poisson(_log_anchor(ratio_anchor, "weight ratio"), src).values
 
-    ratio = np.exp(log_ratio)
+    ratio = via_complex(np.exp, log_ratio)
     grad_log = gradient(ScalarField(grid, log_ratio))
     drift_combo = VectorField(grid, w - 2.0 * grad_log.values)
     v, grad_v, q = _scalar_invariant(tri, h1, ratio)
@@ -534,7 +539,7 @@ def resolve_generic(
     )
     c_repr = ScalarField(
         grid,
-        -q.values - component_sum(b_repr.values * grad_v.values) / v.values,
+        -q.values - divide(component_sum(b_repr.values * grad_v.values), v.values),
     )
     d_repr = ScalarField(grid, 1.0 / ratio)
     report = _report(
@@ -566,17 +571,17 @@ def _truth_triple(coeffs: CoefficientSet, weight: ScalarField):
     dim = grid.dim
     B = amplitude_of(coeffs.a)
     shape = shape_of(coeffs.a)
-    ratio = ScalarField(grid, B.values / weight.values)
+    ratio = ScalarField(grid, divide(B.values, weight.values))
     grad_ratio = gradient(ratio)
-    log_grad = grad_ratio.values / ratio.values[..., None]
+    log_grad = divide(grad_ratio.values, ratio.values[..., None])
     G = VectorField(
         grid,
-        coeffs.b.values / B.values[..., None] ** 2
+        divide(coeffs.b.values, B.values[..., None] ** 2)
         + 2.0 * sym_matvec(shape.values, log_grad, dim),
     )
     shape_lap_B, _ = _shape_applied_laplacian(shape, tensor_divergence(shape), B)
     Q = ScalarField(
-        grid, shape_lap_B.values / B.values - coeffs.c.values / B.values**2
+        grid, divide(shape_lap_B.values, B.values) - divide(coeffs.c.values, B.values**2)
     )
     return shape, G, Q
 

@@ -6,9 +6,10 @@ Conventions used throughout the package:
   over a rectangular box, in dimension 2 or 3.  Point ``(i0, i1, ...)``
   sits at ``lo_k + i_k * h_k``; arrays are C-ordered with the last axis
   fastest, so ``values[i0, i1]`` addresses the point directly.
-* Scalar fields store ``complex128`` values of shape ``grid.shape``.
-  Vector fields append a component axis of length ``dim``.  Symmetric
-  matrix fields store the upper triangle in the fixed component order
+* Scalar fields store ``float64`` values of shape ``grid.shape`` when
+  real and ``complex128`` values otherwise.  Vector fields append a
+  component axis of length ``dim``.  Symmetric matrix fields store the
+  upper triangle in the fixed component order
 
       dim 2:  (00, 11, 01)
       dim 3:  (00, 11, 22, 12, 02, 01)
@@ -22,11 +23,19 @@ Conventions used throughout the package:
   quadratics.  Mixed second derivatives compose two first-derivative
   passes, which commute exactly, so discrete Hessians are symmetric by
   construction.
-* Real-part rule: a field whose imaginary part is identically zero is
-  differentiated as real numbers.  Both stencils multiply by reciprocal
-  spacings, and numpy divides a complex value by a real one with Smith's
-  algorithm, whose real part is ``x * (1/y)``; so the real arithmetic
-  returns the bits of the complex path's real part.
+* Real storage: a field's dtype is decided where its values enter the
+  program (phantom materialization, boundary traces, noise and
+  :func:`read_field`), which keep ``float64`` when the imaginary part is
+  identically zero (:func:`as_stored`); numpy's type promotion carries
+  it from there, so arithmetic is complex only where the data are.
+  Real arithmetic returns the bits of the complex arithmetic's real
+  part: numpy divides by a complex number with Smith's algorithm, whose
+  result for a zero imaginary part is ``x * (1/y)``, so every quotient
+  by a real divisor is that product (:func:`divide`); where a real
+  ufunc or product rounds differently from its complex counterpart, as
+  ``exp``, ``log``, non-integer powers, ``mean``, ``eigvalsh`` and BLAS
+  products do, that one call is evaluated in complex and its real part
+  kept (:func:`via_complex`).
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ __all__ = [
     "sym_dot",
     "component_sum",
     "principal_root",
+    "as_stored",
+    "divide",
+    "via_complex",
     "gradient",
     "hessian",
     "divergence",
@@ -110,15 +122,43 @@ def component_sum(x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def divide(x, y):
+    """``x / y`` with the bits of numpy's complex division.
+
+    numpy divides by a complex ``y`` with Smith's algorithm, whose
+    result for a zero imaginary part is ``x * (1/y)``; a real ``y``
+    therefore multiplies by its reciprocal.
+    """
+    return x / y if np.iscomplexobj(y) else x * (1.0 / y)
+
+
+def via_complex(fn, x):
+    """``fn(x)`` with the bits numpy gives ``fn`` on complex input.
+
+    Real ``x`` is evaluated as ``complex128`` and the real part returned,
+    so ``fn`` must map real input to real output.
+    """
+    if np.iscomplexobj(x):
+        return fn(x)
+    return fn(np.asarray(x, dtype=np.complex128)).real
+
+
 def principal_root(z: np.ndarray, k: int) -> np.ndarray:
-    """Principal ``k``-th root of complex ``z``, branch cut on the negative
-    real axis.  Square roots serve ``k`` of 2 and 4; they run several
-    times faster than the complex power used for other ``k``."""
+    """Principal ``k``-th root of ``z``, branch cut on the negative real
+    axis, with the bits of the complex evaluation.
+
+    Real ``z`` has a real root where it is nonnegative; a negative value
+    makes the result complex, taken on the upper side of the cut.  Square
+    roots serve ``k`` of 2 and 4, in real arithmetic for real input; they
+    run several times faster than the complex power used for other ``k``.
+    """
+    if not np.iscomplexobj(z) and np.any(z < 0):
+        z = z.astype(np.complex128)
     if k == 2:
         return np.sqrt(z)
     if k == 4:
         return np.sqrt(np.sqrt(z))
-    return np.power(z, 1.0 / k)
+    return via_complex(lambda w: np.power(w, 1.0 / k), z)
 
 
 @dataclass(frozen=True)
@@ -212,8 +252,23 @@ class InteriorMask:
     flags: np.ndarray
 
 
+def _storage_dtype(values) -> type:
+    """``complex128`` for complex ``values``, ``float64`` otherwise."""
+    return np.complex128 if np.iscomplexobj(values) else np.float64
+
+
+def as_stored(values) -> np.ndarray:
+    """``values`` as a source of field values stores them: ``float64``
+    when the imaginary part is identically zero, else ``complex128``."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        arr = arr.real
+    return arr.astype(_storage_dtype(arr), copy=False)
+
+
 def _coerce(values, grid: Grid, comps: int | None, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.asarray(values)
+    arr = arr.astype(_storage_dtype(arr), copy=False)
     want = grid.shape if comps is None else grid.shape + (comps,)
     if arr.shape != want:
         raise GridError(f"{what}: expected shape {want}, got {arr.shape}")
@@ -222,7 +277,7 @@ def _coerce(values, grid: Grid, comps: int | None, what: str) -> np.ndarray:
 
 @dataclass
 class ScalarField:
-    """Complex scalar samples on a grid."""
+    """Scalar samples on a grid, ``float64`` when real, else ``complex128``."""
 
     grid: Grid
     values: np.ndarray
@@ -232,7 +287,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid: Grid, value: complex) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, value, dtype=np.complex128))
+        return cls(grid, np.full(grid.shape, value, dtype=_storage_dtype(value)))
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
@@ -243,7 +298,8 @@ class ScalarField:
 
 @dataclass
 class VectorField:
-    """Complex vector samples; trailing axis holds the ``dim`` components."""
+    """Vector samples, stored as :class:`ScalarField` values are; the
+    trailing axis holds the ``dim`` components."""
 
     grid: Grid
     values: np.ndarray
@@ -253,7 +309,7 @@ class VectorField:
 
     @classmethod
     def zero(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros(grid.shape + (grid.dim,), dtype=np.complex128))
+        return cls(grid, np.zeros(grid.shape + (grid.dim,)))
 
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.values.copy())
@@ -267,7 +323,8 @@ class VectorField:
 
 @dataclass
 class SymTensorField:
-    """Complex symmetric-matrix samples in upper-triangle storage."""
+    """Symmetric-matrix samples in upper-triangle storage, stored as
+    :class:`ScalarField` values are."""
 
     grid: Grid
     values: np.ndarray
@@ -279,7 +336,7 @@ class SymTensorField:
 
     @classmethod
     def identity(cls, grid: Grid) -> "SymTensorField":
-        vals = np.zeros(grid.shape + (sym_size(grid.dim),), dtype=np.complex128)
+        vals = np.zeros(grid.shape + (sym_size(grid.dim),))
         vals[..., : grid.dim] = 1.0
         return cls(grid, vals)
 
@@ -325,7 +382,7 @@ def full_to_sym(mat: np.ndarray, dim: int) -> np.ndarray:
 
 
 def sym_identity(dim: int) -> np.ndarray:
-    vals = np.zeros(sym_size(dim), dtype=np.complex128)
+    vals = np.zeros(sym_size(dim))
     vals[:dim] = 1.0
     return vals
 
@@ -372,19 +429,19 @@ def sym_inv(sym: np.ndarray, dim: int) -> np.ndarray:
     if dim == 2:
         a, b, c = sym[..., 0], sym[..., 1], sym[..., 2]
         out = np.empty_like(sym)
-        out[..., 0] = b / det
-        out[..., 1] = a / det
-        out[..., 2] = -c / det
+        out[..., 0] = divide(b, det)
+        out[..., 1] = divide(a, det)
+        out[..., 2] = divide(-c, det)
         return out
     a, b, c = sym[..., 0], sym[..., 1], sym[..., 2]
     d, e, f = sym[..., 3], sym[..., 4], sym[..., 5]
     out = np.empty_like(sym)
-    out[..., 0] = (b * c - d * d) / det
-    out[..., 1] = (a * c - e * e) / det
-    out[..., 2] = (a * b - f * f) / det
-    out[..., 3] = (e * f - a * d) / det
-    out[..., 4] = (f * d - e * b) / det
-    out[..., 5] = (e * d - f * c) / det
+    out[..., 0] = divide(b * c - d * d, det)
+    out[..., 1] = divide(a * c - e * e, det)
+    out[..., 2] = divide(a * b - f * f, det)
+    out[..., 3] = divide(e * f - a * d, det)
+    out[..., 4] = divide(f * d - e * b, det)
+    out[..., 5] = divide(e * d - f * c, det)
     return out
 
 
@@ -399,19 +456,13 @@ def sym_dot(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
 # discrete calculus
 
 
-def _real_if_real(values: np.ndarray) -> np.ndarray:
-    """``values.real`` when the imaginary part is identically zero, else
-    ``values``: the real-part rule of the module docstring."""
-    return values if values.imag.any() else values.real
-
-
 def _first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """First derivative along one axis, exact on quadratics.
 
     Interior uses the centered stencil; each face uses the one-sided
     closure (-3/2, 2, -1/2)/h, mirrored at the far face.  Every quotient
     is a product with a reciprocal, so real input returns the real part
-    of the complex result bit for bit.
+    of the complex result bit for bit (see the module docstring).
     """
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
@@ -423,8 +474,7 @@ def _first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 def gradient(f: ScalarField) -> VectorField:
     """Second-order gradient (centered interior, one-sided boundary)."""
-    values = _real_if_real(f.values)
-    parts = [_first_diff(values, ax, h) for ax, h in enumerate(f.grid.spacing)]
+    parts = [_first_diff(f.values, ax, h) for ax, h in enumerate(f.grid.spacing)]
     return VectorField(f.grid, np.stack(parts, axis=-1))
 
 
@@ -454,8 +504,8 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
     """
     grid = f.grid
     h = grid.spacing
-    values = _real_if_real(f.values)
-    out = np.empty(grid.shape + (sym_size(grid.dim),), dtype=np.complex128)
+    values = f.values
+    out = np.empty(grid.shape + (sym_size(grid.dim),), dtype=values.dtype)
     first = {}
     for k, (i, j) in enumerate(sym_pairs(grid.dim)):
         if i == j:
@@ -463,7 +513,7 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
         else:
             if j not in first:
                 first[j] = (
-                    _real_if_real(grad.values[..., j])
+                    grad.values[..., j]
                     if grad is not None
                     else _first_diff(values, j, h[j])
                 )
@@ -473,9 +523,9 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
 
 def divergence(F: VectorField) -> ScalarField:
     grid = F.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    acc = np.zeros(grid.shape, dtype=F.values.dtype)
     for ax, h in enumerate(grid.spacing):
-        acc += _first_diff(_real_if_real(F.values[..., ax]), ax, h)
+        acc += _first_diff(F.values[..., ax], ax, h)
     return ScalarField(grid, acc)
 
 
@@ -483,11 +533,10 @@ def tensor_divergence(A: SymTensorField) -> VectorField:
     """Row-wise divergence ``(div A)_i = sum_j d_j A_ij``."""
     grid = A.grid
     index = _sym_index(grid.dim)
-    out = np.zeros(grid.shape + (grid.dim,), dtype=np.complex128)
+    out = np.zeros(grid.shape + (grid.dim,), dtype=A.values.dtype)
     for i in range(grid.dim):
         for j, h in enumerate(grid.spacing):
-            entry = _real_if_real(A.values[..., index[i][j]])
-            out[..., i] += _first_diff(entry, j, h)
+            out[..., i] += _first_diff(A.values[..., index[i][j]], j, h)
     return VectorField(grid, out)
 
 
@@ -501,9 +550,9 @@ def jacobian(F: VectorField) -> np.ndarray:
     axis order equals it bit for bit.
     """
     grid = F.grid
-    out = np.empty(grid.shape + (grid.dim, grid.dim), dtype=np.complex128)
+    out = np.empty(grid.shape + (grid.dim, grid.dim), dtype=F.values.dtype)
     for i in range(grid.dim):
-        component = _real_if_real(F.values[..., i])
+        component = F.values[..., i]
         for j, h in enumerate(grid.spacing):
             out[..., i, j] = _first_diff(component, j, h)
     return out
@@ -538,12 +587,16 @@ def consistent_rings(values: np.ndarray, grid: Grid, rings: int = 2) -> np.ndarr
                     np.array([float(t)]), deg + 1, increasing=True
                 )[0]
                 weights = np.linalg.solve(vander.T, moments)
-                sub[lo_t] = np.tensordot(weights, sub[lo_s], axes=(0, 0))
+                # numpy's real and complex products round differently
+                sub[lo_t] = via_complex(
+                    lambda s: np.tensordot(weights, s, axes=(0, 0)), sub[lo_s]
+                )
     return out
 
 
 # ---------------------------------------------------------------------------
-# field files: raw little-endian complex128 payload plus a JSON sidecar
+# field files: raw little-endian complex128 payload plus a JSON sidecar,
+# whatever the storage dtype
 
 _KINDS = {"scalar": None, "vector": "dim", "symtensor": "sym"}
 
@@ -563,7 +616,8 @@ def write_field(fld, path: str) -> None:
 
     The payload is the C-ordered value array: grid points in lexicographic
     order, trailing component axis (if any) fastest, each value stored as
-    a little-endian (real, imag) float64 pair.
+    a little-endian (real, imag) float64 pair.  It is ``<c16`` whatever
+    the storage dtype: a real field writes zero imaginary parts.
     """
     grid = fld.grid
     kind = _kind_of(fld)
@@ -583,7 +637,12 @@ def write_field(fld, path: str) -> None:
 
 
 def read_field(path: str):
-    """Read a field written by :func:`write_field`; bit-exact round trip."""
+    """Read a field written by :func:`write_field`; bit-exact round trip.
+
+    The field is stored as ``float64`` when every imaginary part is
+    ``+0.0``, as :func:`write_field` writes a real field, and as
+    ``complex128`` otherwise, so writing it again gives the same bytes.
+    """
     sidecar_path = path + ".json"
     if not os.path.exists(sidecar_path):
         raise GridError(f"missing sidecar {sidecar_path}")
@@ -605,6 +664,9 @@ def read_field(path: str):
         raise GridError(
             f"{path}: expected {grid.num_points * comps} values, got {raw.size}"
         )
+    if not raw.imag.view(np.uint64).any():
+        # every imaginary part is +0.0, as a real field writes them
+        raw = raw.real
     if kind == "scalar":
         return ScalarField(grid, raw.reshape(grid.shape))
     shape = grid.shape + (comps,)

@@ -81,9 +81,9 @@ def _component_weights(fld) -> np.ndarray:
 def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
     """Sup of value, gradient, and Hessian magnitudes over a region.
 
-    A component whose imaginary part is identically zero, and hence its
-    derivatives, is squared as real numbers: ``np.abs(x) ** 2`` of a real
-    ``x`` equals that of ``x + 0j`` bit for bit.
+    A real component and its derivatives are squared as real numbers:
+    ``np.abs(x) ** 2`` of a real ``x`` equals that of ``x + 0j`` bit for
+    bit.
     """
     grid = fld.grid
     comps = _components(fld)
@@ -100,8 +100,6 @@ def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
         grad = gradient(f)
         hess = hessian(f, grad).values
         grad = grad.values
-        if not f.values.imag.any():
-            comp, grad, hess = comp.real, grad.real, hess.real
         val_sq += w * np.abs(comp) ** 2
         for ax in range(dim):
             grad_sq += w * np.abs(grad[..., ax]) ** 2

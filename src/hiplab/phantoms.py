@@ -11,9 +11,11 @@ traces in configuration files and on the command line:
 
 ``^`` is right-associative and binds tighter than unary minus, which binds
 tighter than ``* /``, which bind tighter than ``+ -``.  All arithmetic is
-complex; ``sqrt`` and non-integer powers take principal branches.  Parse
-errors report the byte offset of the offending character.  Printing a
-parsed expression and re-parsing it reproduces the same tree.
+complex; ``sqrt`` and non-integer powers take principal branches.  A
+sampled expression whose imaginary part is identically zero is stored
+as ``float64`` (see :mod:`hiplab.grids`).  Parse errors report the byte
+offset of the offending character.  Printing a parsed expression and
+re-parsing it reproduces the same tree.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExpressionError
-from .grids import Grid, ScalarField, SymTensorField, VectorField, sym_size
+from .grids import Grid, ScalarField, SymTensorField, VectorField, as_stored, sym_size
 
 __all__ = [
     "parse",
@@ -331,7 +333,7 @@ def _eval_on_grid(src: str, grid: Grid) -> np.ndarray:
         raise ExpressionError(
             f"expression {src!r} is not finite at {point}", 0
         )
-    return np.array(vals)
+    return np.array(as_stored(vals))
 
 
 def materialize_scalar(src: str, grid: Grid) -> ScalarField:

@@ -44,6 +44,7 @@ from .grids import (
     SymTensorField,
     VectorField,
     component_sum,
+    divide,
     gradient,
     hessian,
     principal_root,
@@ -165,7 +166,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     h1 = ms.functionals[0].values
     with np.errstate(divide="ignore", invalid="ignore"):
         fields = [
-            ScalarField(grid, np.where(h1 == 0, 0.0, f.values / h1))
+            ScalarField(grid, np.where(h1 == 0, 0.0, divide(f.values, h1)))
             for f in ms.functionals[1:]
         ]
     extras = extra_count(dim)
@@ -181,7 +182,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     if rs.count < dim:
         return rs
     grads = [g.values for g in rs.gradients]
-    vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.complex128)
+    vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.result_type(*grads))
     for k, (i, j) in enumerate(sym_pairs(dim)):
         vals[..., k] = component_sum(grads[i] * grads[j])
     det = sym_det(vals, dim)
@@ -202,7 +203,7 @@ def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray
     # a function of its own, so its temporaries are freed before the
     # null space is formed
     extras = extra_count(dim)
-    theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.complex128)
+    theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.result_type(*grads))
     for m in range(extras):
         rhs = [component_sum(grads[dim + m] * grads[k]) for k in range(dim)]
         for j, sol in enumerate(_gram_solve(gd, rhs, dim)):
@@ -230,7 +231,7 @@ def _check_ratios(ms: MeasurementSet, rs: RatioSet) -> None:
     for j, v in enumerate(rs.fields, start=1):
         f_j = ms.traces[j].values
         safe = bmask & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
-        expected = np.where(safe, f_j, 0) / np.where(safe, f1, 1)
+        expected = divide(np.where(safe, f_j, 0), np.where(safe, f1, 1))
         got = np.where(safe, v.values, 0)
         scale = float(np.max(np.abs(expected))) + 1.0
         err = float(np.max(np.abs(got - expected)))
@@ -324,7 +325,7 @@ def null_weights(rs: RatioSet) -> np.ndarray:
     theta = rs.theta
 
     # the defining property: weighted gradients sum to zero
-    resid = np.zeros(grid.shape + (grid.dim,), dtype=np.complex128)
+    resid = np.zeros(grid.shape + (grid.dim,), dtype=theta.dtype)
     top = 0.0
     for m in range(extras):
         resid[...] = 0.0
@@ -356,7 +357,7 @@ def constraint_matrices(rs: RatioSet, theta: np.ndarray) -> list[SymTensorField]
     need = theta.shape[-1]
     out = []
     for m in range(extras):
-        acc = np.zeros(grid.shape + (sym_size(grid.dim),), dtype=np.complex128)
+        acc = np.zeros(grid.shape + (sym_size(grid.dim),), dtype=theta.dtype)
         for j in range(need):
             acc += theta[..., m, j][..., None] * rs.hessians[j].values
         out.append(SymTensorField(grid, acc))
@@ -393,12 +394,14 @@ def diffusion_from_constraints(
     s = sym_size(dim)
     w = np.ones(s)
     w[dim:] = np.sqrt(2.0)
-    stack = np.empty(grid.shape + (m_rows, s), dtype=np.complex128)
+    stack = np.empty(
+        grid.shape + (m_rows, s), dtype=np.result_type(*(M.values for M in matrices))
+    )
     for m, M in enumerate(matrices):
         stack[..., m, :] = M.values * w
 
     null, quality = _cross_null_space(stack)
-    raw = null / w
+    raw = divide(null, w)
     degenerate = ~(quality >= quality_floor)  # NaN data is degenerate too
 
     trace = sym_trace(raw, dim)
@@ -407,7 +410,9 @@ def diffusion_from_constraints(
     degenerate = degenerate | tiny_trace
     # degenerate vertices end as NaN; skipping their divisions keeps a
     # zero or subnormal null vector from overflowing
-    phase = np.where(degenerate, 1.0, trace / np.where(degenerate, 1.0, np.abs(trace)))
+    phase = np.where(
+        degenerate, 1.0, divide(trace, np.where(degenerate, 1.0, np.abs(trace)))
+    )
     aligned = raw * np.conj(phase)[..., None]
 
     det = sym_det(aligned, dim)
@@ -420,7 +425,7 @@ def diffusion_from_constraints(
     # is taken on the upper side
     on_cut = (det.real < 0) & (np.abs(det.imag) * quality <= _CUT_BAND * det_unit)
     det[on_cut] = det.real[on_cut]
-    direction = aligned / principal_root(det, dim)[..., None]
+    direction = divide(aligned, principal_root(det, dim)[..., None])
     direction[degenerate] = np.nan
 
     quality_field = ScalarField(grid, quality)
@@ -466,7 +471,8 @@ def _cross_null_space(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = rows @ np.conj(np.swapaxes(rows, -1, -2))
     finite = np.isfinite(peak)
     gram[~finite] = 0.0  # LAPACK rejects NaN; the gap is NaN there
-    eig = np.linalg.eigvalsh(gram)
+    # real eigvalsh rounds differently from the complex one
+    eig = np.linalg.eigvalsh(gram.astype(np.complex128, copy=False))
     top = eig[..., -1]
     bottom = np.maximum(eig[..., 0], 0.0)
     quality = np.sqrt(bottom / np.where(top > 0, top, 1.0))
@@ -503,13 +509,13 @@ def _wedge_null_vector(rows: np.ndarray) -> np.ndarray:
     """
     m_rows, n = rows.shape[-2:]
     w = [rows[..., 0, j] for j in range(n)]
-    term = np.empty(rows.shape[:-2], dtype=np.complex128)
+    term = np.empty(rows.shape[:-2], dtype=rows.dtype)
     for k in range(1, m_rows):
         r = rows[..., k, :]
         table = _wedge_terms(n, k)
         # one buffer per exterior power keeps the many temporaries off
         # the heap
-        nxt = np.empty((len(table),) + rows.shape[:-2], dtype=np.complex128)
+        nxt = np.empty((len(table),) + rows.shape[:-2], dtype=rows.dtype)
         for i, terms in enumerate(table):
             acc = nxt[i, ...]
             (lower, col, negative), *rest = terms
@@ -529,8 +535,9 @@ def _wedge_null_vector(rows: np.ndarray) -> np.ndarray:
 
 
 def _sum_sq(z: np.ndarray) -> np.ndarray:
-    """``sum |z_i|^2`` over the last axis of complex ``z``, whose
-    entries must be adjacent in memory."""
+    """``sum |z_i|^2`` over the last axis of ``z``, whose entries must be
+    adjacent in memory; a complex ``z`` sums its real and imaginary parts
+    in turn."""
     x = z.view(np.float64)
     return component_sum(x * x)
 
@@ -551,9 +558,10 @@ def drift_from_diffusion(
         sym_dot(diffusion.values, rs.hessians[j].values, dim) for j in range(dim)
     ]
     weights = _gram_solve(gd, pair, dim)
-    out = np.zeros(grid.shape + (dim,), dtype=np.complex128)
+    grads = [rs.gradients[i].values for i in range(dim)]
+    out = np.zeros(grid.shape + (dim,), dtype=np.result_type(*weights, *grads))
     for i in range(dim):
-        out -= weights[i][..., None] * rs.gradients[i].values
+        out -= weights[i][..., None] * grads[i]
     return VectorField(grid, out)
 
 

@@ -37,6 +37,7 @@ from .grids import (
     Grid,
     VectorField,
     divergence,
+    divide,
     sym_inv,
     sym_matvec,
     write_field,
@@ -153,7 +154,7 @@ def resolve_measurements(
     grid = ms.grid
     h1 = ms.functionals[0]
     B = gauge.amplitude_of(coeffs.a)
-    ratio = BoundaryTrace(grid, B.values / ms.weight.values)
+    ratio = BoundaryTrace(grid, divide(B.values, ms.weight.values))
     name = ms.modality
     if name == "elastography":
         return gauge.resolve_elastography(tri, h1, ratio)

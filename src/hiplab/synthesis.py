@@ -31,7 +31,7 @@ from scipy import ndimage
 
 from .errors import ConfigurationError, GridError, NonVanishingError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_traces
-from .grids import Grid, ScalarField, gradient, hessian, read_field, write_field
+from .grids import Grid, ScalarField, divide, gradient, hessian, read_field, write_field
 
 __all__ = [
     "MODALITIES",
@@ -239,7 +239,7 @@ def compatible_traces(
         grad = gradient(f)
         grad_f = grad.values
         hess_f = hessian(f, grad)
-        corr = np.zeros(grid.shape, dtype=np.complex128)
+        corr = 0.0
         for idx, diag_a, bump in corner_data:
             second = sum(
                 diag_a[k] * hess_f.entry(k, k)[idx] for k in range(dim)
@@ -253,7 +253,7 @@ def compatible_traces(
                 + np.sum(coeffs.b.values[idx] * grad_f[idx])
                 + coeffs.c.values[idx] * f.values[idx]
             )
-            corr += (-mismatch / (0.5 * np.sum(diag_a))) * bump
+            corr = corr + divide(-mismatch, 0.5 * np.sum(diag_a)) * bump
         out.append(BoundaryTrace(grid, tr.values + corr))
     return out
 

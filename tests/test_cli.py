@@ -210,7 +210,7 @@ class TestRunDispatch:
             tmp_path, harmonic_doc(noise={"amplitude": 1e-4}, study=study)
         )
         out = tmp_path / "study"
-        argv = ["--config", cfg, "--out", str(out), "--dump-intermediates", "run"]
+        argv = ["--config", cfg, "--out", str(out), "run", "--dump-intermediates"]
         assert main(argv) == 2
         assert f"a {study['type']} study" in capsys.readouterr().err
         assert not (out / "fields").exists()
@@ -235,10 +235,35 @@ class TestRunDispatch:
         cfg = write_config(tmp_path, harmonic_doc())
         out = tmp_path / "full"
         code = main(
-            ["--config", cfg, "--out", str(out), "--dump-intermediates", "run"]
+            ["--config", cfg, "--out", str(out), "run", "--dump-intermediates"]
         )
         assert code == 0
         assert (out / "fields" / "h1.field").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["check", "forward", "synth", "reconstruct", "resolve"]
+    )
+    @pytest.mark.parametrize("before", [True, False], ids=["global", "after"])
+    def test_dump_intermediates_is_an_option_of_run_only(
+        self, tmp_path, command, before
+    ):
+        # a flag that would be accepted and ignored is refused instead
+        cfg = write_config(tmp_path, harmonic_doc())
+        out = tmp_path / "out"
+        flag = ["--dump-intermediates"]
+        argv = ["--config", cfg, "--out", str(out)]
+        argv += flag + [command] if before else [command] + flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_resolve_always_writes_the_field_dumps(self, tmp_path):
+        cfg = write_config(tmp_path, harmonic_doc())
+        out = tmp_path / "resolved"
+        assert main(["--config", cfg, "--out", str(out), "resolve"]) == 0
+        assert (out / "fields" / "h1.field").exists()
+        assert (out / "fields" / "alpha_hat.field").exists()
 
 
 class TestSeedOverride:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -340,3 +341,92 @@ def test_every_schema_study_type_has_a_driver():
     )
     types = schema["properties"]["study"]["properties"]["type"]["enum"]
     assert sorted(studies.STUDIES) == sorted(types)
+
+
+def _reachable_arrays(obj, path="result"):
+    """Every numpy array reachable from ``obj`` through dataclass fields,
+    dicts, lists and tuples, with the path that reaches it."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _reachable_arrays(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _reachable_arrays(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for k, value in enumerate(obj):
+            yield from _reachable_arrays(value, f"{path}[{k}]")
+
+
+_GRID_65 = {"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [65, 65]}
+
+
+def _qpat_data_doc() -> dict:
+    return bump_doc(
+        seed=1,
+        grid=_GRID_65,
+        coefficients={
+            "a": "1 + 0.3*exp(-((x-0.4)^2+(y-0.6)^2)/0.08)",
+            "c": "0.5 + 0.4*exp(-((x-0.6)^2+(y-0.4)^2)/0.08)",
+        },
+        modality={"name": "qpat", "gamma": "1 + 0.2*cos(x)*cos(y)"},
+        noise={"amplitude": 1e-4, "correlation_length": 0.1},
+    )
+
+
+class TestStorageDtype:
+    """Real data stay float64 from the sources to the metrics; complex
+    data stay complex."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [bump_doc(grid=_GRID_65), _qpat_data_doc()],
+        ids=["readme-quick-start", "qpat-data"],
+    )
+    def test_real_run_holds_no_complex_array(self, doc):
+        result = studies.run_pipeline(parse_config(doc))
+        arrays = list(_reachable_arrays(result))
+        # the measurement set, the normalized pair, the resolver output
+        # and every metric input are all reached
+        paths = {p.split(".values")[0] for p, _ in arrays}
+        parts = ("ms", "nc", "resolved", "quantities", "truths")
+        for part in (f"result.{name}" for name in parts):
+            assert any(p.startswith(part) for p in paths), part
+        complex_paths = [p for p, a in arrays if np.iscomplexobj(a)]
+        assert complex_paths == []
+        floats = [a for _, a in arrays if a.dtype.kind == "f"]
+        assert floats and all(a.dtype == np.float64 for a in floats)
+
+    def test_qtat_run_stays_complex_where_its_data_are(self):
+        doc = bump_doc(
+            grid=_GRID_65,
+            coefficients={
+                "a": [
+                    "10*(1+0.3*exp(-((x-0.5)^2+(y-0.5)^2)/0.1))",
+                    "1+0.2*exp(-((x-0.4)^2+(y-0.6)^2)/0.1)",
+                    "0.8*x*(1-x)*y*(1-y)",
+                ],
+                "c": "0.6+0.2*sin(2*x+1)*cos(y)"
+                " + i*(0.7+0.3*exp(-((x-0.55)^2+(y-0.45)^2)/0.08))",
+            },
+            modality={"name": "qtat", "gamma": "1 + 0.25*cos(x)*cos(y)"},
+        )
+        result = studies.run_pipeline(parse_config(doc))
+        assert np.iscomplexobj(result.coeffs.c.values)
+        assert all(np.iscomplexobj(f.values) for f in result.ms.functionals)
+        assert np.iscomplexobj(result.ms.weight.values)
+        fields = result.resolved.fields
+        complex_fields = (
+            "scalar_invariant",
+            "modality_invariant",
+            "weight_ratio",
+            "c_representative",
+        )
+        for name in complex_fields:
+            assert np.iscomplexobj(fields[name].values), name
+        # gamma is formed from Re(kappa) and Im(q), so it is real, as is
+        # the phantom's gamma it is measured against
+        assert result.resolved.gamma.values.dtype == np.float64
+        assert result.ms.gamma.values.dtype == np.float64
+        assert np.isfinite(result.metrics["gamma"]["c0_rel"])
