@@ -159,7 +159,6 @@ def check(
     ms: MeasurementSet,
     covering: list | None = None,
     thresholds: Thresholds | None = None,
-    margin: int = 2,
     analysis: RatioSet | None = None,
 ) -> AdmissibilityReport:
     """Evaluate the three admissibility margins on the trusted interior.
@@ -168,15 +167,15 @@ def check(
     sub-box per entry, each reported separately; the overall verdict
     requires the full region and every sub-box to pass.  ``analysis`` is
     the ratio analysis of ``ms`` (:func:`hiplab.recon.analyze`), which
-    fixes the mode and the trusted interior; without it the matrix-mode
-    analysis with ``margin`` is built here.  The independence margin is
+    alone fixes the mode and the trusted interior; without it
+    ``analyze(ms)`` is built here.  The independence margin is
     reported as None, and the pipeline as ``"scalar"``, when the
     analysis has no constraint null space: in scalar mode, or with too
     few functionals for the matrix pipeline.
     """
     thresholds = thresholds or Thresholds()
     grid = ms.grid
-    rs = analysis if analysis is not None else analyze(ms, margin=margin)
+    rs = analysis if analysis is not None else analyze(ms)
     h1_mag = np.abs(ms.functionals[0].values)
     grads = [g.values for g in rs.gradients[: grid.dim]]
     det = _gradient_det(grads)

@@ -2,9 +2,11 @@
 
 Every subcommand is driven by one JSON config (see ``config_schema.json``).
 One table, ``COMMANDS``, names each subcommand with its handler and help
-text; it builds the argument parser and drives the dispatch.  ``run``
-runs the study the config declares, whatever its type, through
-``studies.STUDIES``.
+text; it builds the argument parser and drives the dispatch.  ``run`` is
+the one pipeline command: it runs the study the config declares,
+whatever its type, through ``studies.STUDIES``.  For a single study it
+can also read a measurement set that ``synth`` wrote (``--data``) and
+write the intermediate fields (``--dump-intermediates``).
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 admissibility or degeneracy abort.
@@ -45,13 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, doc) in COMMANDS.items():
         cmd = sub.add_parser(name, help=doc)
-        if name in ("reconstruct", "resolve"):
+        if name == "run":
             cmd.add_argument(
                 "--data",
-                help="measurement directory from a previous synth "
-                "(skips the forward solves)",
+                help="measurement directory from a previous synth, for a "
+                "single study (skips the forward solves)",
             )
-        if name == "run":
             cmd.add_argument(
                 "--dump-intermediates",
                 action="store_true",
@@ -115,40 +116,6 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _measurements(args, cfg: ExperimentConfig):
-    if getattr(args, "data", None):
-        return load_measurements(args.data)
-    return None
-
-
-def _cmd_reconstruct(args, cfg: ExperimentConfig) -> int:
-    out = _out_dir(args, cfg, required=True)
-    result = studies.run_pipeline(cfg, ms=_measurements(args, cfg))
-    write_field(result.nc.diffusion, os.path.join(out, "alpha_hat.field"))
-    write_field(result.nc.drift, os.path.join(out, "beta.field"))
-    write_field(result.nc.quality, os.path.join(out, "quality.field"))
-    summary = {
-        "schema_version": studies.SCHEMA_VERSION,
-        "admissibility": result.admissibility,
-        "metrics": result.metrics,
-    }
-    studies.write_json(os.path.join(out, "reconstruction.json"), summary)
-    print(f"wrote normalized coefficients to {out}")
-    return 0
-
-
-def _cmd_resolve(args, cfg: ExperimentConfig) -> int:
-    out = _out_dir(args, cfg, required=True)
-    report = studies.run_single(
-        cfg, out_dir=out, dump_intermediates=True, ms=_measurements(args, cfg)
-    )
-    gauge_report = report.get("gauge")
-    if gauge_report is not None:
-        print(gauge_report["dimension_audit"]["statement"])
-    print(f"wrote resolved coefficients and report to {out}")
-    return 0
-
-
 def _cmd_check(args, cfg: ExperimentConfig) -> int:
     # The audit itself never raises on bad data: failing conditions are
     # report entries, and the verdict maps to the exit code.
@@ -169,14 +136,16 @@ def _cmd_check(args, cfg: ExperimentConfig) -> int:
 def _cmd_run(args, cfg: ExperimentConfig) -> int:
     kind = cfg.study_type
     options = {}
-    if args.dump_intermediates:
-        if kind != "single":
-            raise ConfigurationError(
-                f"--dump-intermediates writes the fields of a single run; "
-                f"a {kind} study has none to write",
-                stage="cli",
-            )
-        options["dump_intermediates"] = True
+    if kind == "single":
+        options["dump_intermediates"] = args.dump_intermediates
+        if args.data:
+            options["ms"] = load_measurements(args.data)
+    elif args.data or args.dump_intermediates:
+        flag = "--data" if args.data else "--dump-intermediates"
+        raise ConfigurationError(
+            f"{flag} applies to a single study only, not to a {kind} study",
+            stage="cli",
+        )
     out = _out_dir(args, cfg, required=False)
     report = studies.STUDIES[kind](cfg, out_dir=out, **options)
     _emit(report, out)
@@ -187,11 +156,6 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 COMMANDS = {
     "forward": (_cmd_forward, "solve the boundary problems and write each solution"),
     "synth": (_cmd_synth, "synthesize the measurement set and write it"),
-    "reconstruct": (_cmd_reconstruct, "reconstruct normalized coefficients from data"),
-    "resolve": (
-        _cmd_resolve,
-        "reconstruct and resolve the modality gauge; writes the field dumps",
-    ),
     "check": (_cmd_check, "run the admissibility audit and report margins"),
     "run": (_cmd_run, "run the study declared in the config"),
 }

@@ -450,7 +450,6 @@ def resolve_qtat(
     tri: InvariantTriple,
     h1: ScalarField,
     ratio_anchor: BoundaryTrace,
-    imag_floor: float = QTAT_IMAG_FLOOR,
 ) -> ResolvedCoefficients:
     """Resolution under ``b = 0``, ``d = gamma Im(c) conj(u_1)``, real ``a``.
 
@@ -459,7 +458,7 @@ def resolve_qtat(
     part of the scalar invariant is ``-Im(c)/B^2`` while
     ``|H_1| / |v|^2 = gamma Im(c) / B^2``, so ``gamma`` follows by
     division wherever ``Im q`` is bounded away from zero.  Vertices with
-    ``|Im q| < imag_floor * max|Im q|`` are flagged and left undefined.
+    ``|Im q| < QTAT_IMAG_FLOOR * max|Im q|`` are flagged and left undefined.
     ``(B, c)`` stay a gauge pair; the reported representative
     ``B = 1, c = -q`` reproduces the invariant pair exactly.
     """
@@ -470,7 +469,7 @@ def resolve_qtat(
     im_q = q.values.imag
     inside = tri.mask.flags
     scale = float(np.max(np.abs(im_q[inside]))) if np.any(inside) else 0.0
-    flags = np.abs(im_q) < imag_floor * max(scale, np.finfo(float).tiny)
+    flags = np.abs(im_q) < QTAT_IMAG_FLOOR * max(scale, np.finfo(float).tiny)
     gamma_vals = np.where(flags, np.nan, -kappa.values.real / np.where(flags, 1.0, im_q))
     gamma = ScalarField(grid, gamma_vals)
 

@@ -14,8 +14,7 @@ tighter than ``* /``, which bind tighter than ``+ -``.  All arithmetic is
 complex; ``sqrt`` and non-integer powers take principal branches.  A
 sampled expression whose imaginary part is identically zero is stored
 as ``float64`` (see :mod:`hiplab.grids`).  Parse errors report the byte
-offset of the offending character.  Printing a parsed expression and
-re-parsing it reproduces the same tree.
+offset of the offending character.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .grids import Grid, ScalarField, SymTensorField, VectorField, as_stored, sy
 
 __all__ = [
     "parse",
-    "to_string",
     "evaluate",
     "materialize_scalar",
     "materialize_vector",
@@ -209,71 +207,6 @@ def parse(src: str):
     if kind != "end":
         raise ExpressionError(f"trailing input {text!r}", off)
     return node
-
-
-# printing: precedence levels used to insert minimal parentheses
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _fmt_number(value: complex) -> str:
-    if value == 1j:
-        return "i"
-    real = value.real
-    if real == int(real) and abs(real) < 1e15:
-        return str(int(real))
-    return repr(real)
-
-
-def _render(node, min_level: int) -> str:
-    if isinstance(node, Num):
-        text, level = _fmt_number(node.value), _LEVEL["atom"]
-    elif isinstance(node, Var):
-        text, level = node.name, _LEVEL["atom"]
-    elif isinstance(node, Call):
-        text = f"{node.func}({_render(node.arg, 0)})"
-        level = _LEVEL["atom"]
-    elif isinstance(node, Neg):
-        text = "-" + _render(node.arg, _LEVEL["neg"])
-        level = _LEVEL["neg"]
-    elif isinstance(node, BinOp):
-        level = _LEVEL[node.op]
-        if node.op == "^":
-            # base must be atomic, exponent may carry a sign
-            text = _render(node.left, 5) + "^" + _render(node.right, 3)
-        else:
-            left = _render(node.left, level)
-            right = _render(node.right, level + 1)
-            text = f"{left} {node.op} {right}"
-    else:
-        raise ExpressionError(f"not an expression node: {node!r}")
-    if level < min_level:
-        return "(" + text + ")"
-    return text
-
-
-def to_string(node) -> str:
-    """Render a tree back to source; ``parse(to_string(t))`` equals ``t``
-    up to token offsets."""
-    return _render(node, 0)
-
-
-def _strip_offsets(node):
-    if isinstance(node, Num):
-        return ("num", node.value)
-    if isinstance(node, Var):
-        return ("var", node.name)
-    if isinstance(node, Neg):
-        return ("neg", _strip_offsets(node.arg))
-    if isinstance(node, BinOp):
-        return ("bin", node.op, _strip_offsets(node.left), _strip_offsets(node.right))
-    if isinstance(node, Call):
-        return ("call", node.func, _strip_offsets(node.arg))
-    raise ExpressionError(f"not an expression node: {node!r}")
-
-
-def same_tree(a, b) -> bool:
-    """Structural equality ignoring source offsets."""
-    return _strip_offsets(a) == _strip_offsets(b)
 
 
 def evaluate(node, env: dict[str, np.ndarray]) -> np.ndarray:

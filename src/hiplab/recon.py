@@ -17,10 +17,11 @@ recovers that pair up to normalization:
   trace pairing; its normalized generator is the determinant-one part of
   ``a``, and the vector coefficient follows by the same Gram solve.
 
-:func:`analyze` computes all of this once and never raises; the
-admissibility audit reads that object, and :func:`reconstruct` runs its
-checks on it and uses it.  Pointwise linear algebra is batched over the
-grid; no iteration over vertices takes place in Python.
+:func:`analyze` computes all of this once, in the mode it is given,
+and never raises on bad data; the admissibility audit reads that
+object, and :func:`reconstruct` runs its checks on it and uses it.
+Pointwise linear algebra is batched over the grid; no iteration over
+vertices takes place in Python.
 """
 
 from __future__ import annotations
@@ -114,12 +115,14 @@ class GramData:
 class RatioSet:
     """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
 
-    ``theta`` holds the null weights and ``null_space`` the output of
-    :func:`diffusion_from_constraints`; see :func:`analyze` for when
-    each part is None.
+    Its ``mode`` and trusted interior ``mask`` are the ones every reader
+    uses.  ``theta`` holds the null weights and ``null_space`` the
+    output of :func:`diffusion_from_constraints`; see :func:`analyze`
+    for when each part is None.
     """
 
     grid: Grid
+    mode: str
     fields: list[ScalarField]
     gradients: list[VectorField]
     hessians: list[SymTensorField]
@@ -150,7 +153,8 @@ class NormalizedCoefficients:
 
 
 def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioSet:
-    """The ratio analysis of ``ms``, computed once and without raising.
+    """The ratio analysis of ``ms``, computed once and without raising
+    on bad data.
 
     A vanishing ``H_1`` gives a zero ratio and a singular Gram matrix a
     zero inverse, so the admissibility audit can read deliberately bad
@@ -159,8 +163,11 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     pass (its Hessian reuses its gradient): the first ``dim`` in scalar
     mode, the first ``functional_budget(dim) - 1`` in matrix mode, where
     the null weights and the null space follow once that many exist.
-    The Gram data needs ``dim`` ratios.
+    The Gram data needs ``dim`` ratios.  An unknown ``mode`` raises
+    :class:`MeasurementCountError`, since it names no functional budget.
     """
+    if mode not in ("matrix", "scalar"):
+        raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
     grid = ms.grid
     dim = grid.dim
     h1 = ms.functionals[0].values
@@ -174,6 +181,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     gradients = [gradient(v) for v in fields[:need]]
     rs = RatioSet(
         grid=grid,
+        mode=mode,
         fields=fields,
         gradients=gradients,
         hessians=[hessian(v, g) for v, g in zip(fields, gradients)],
@@ -263,14 +271,14 @@ def ratios(ms: MeasurementSet, margin: int = 2) -> RatioSet:
     return rs
 
 
-def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
+def gram(rs: RatioSet) -> GramData:
     """Gram matrix ``G_ij = grad v_i . grad v_j`` over the first ``dim``
     ratios, inverted pointwise.
 
     Raises
     ------
     DegeneracyError
-        If ``|det G|`` falls below ``floor_scale * s^dim`` anywhere on the
+        If ``|det G|`` falls below ``GRAM_FLOOR * s^dim`` anywhere on the
         trusted interior, where ``s`` is the largest interior squared
         gradient magnitude.  The offending vertices are listed.
     """
@@ -285,7 +293,7 @@ def gram(rs: RatioSet, floor_scale: float = GRAM_FLOOR) -> GramData:
     inside = rs.mask.flags
     sq = np.max([component_sum(np.abs(g) ** 2) for g in grads], axis=0)
     scale = float(np.max(sq[inside])) if np.any(inside) else 0.0
-    floor = floor_scale * max(scale, np.finfo(float).tiny) ** dim
+    floor = GRAM_FLOOR * max(scale, np.finfo(float).tiny) ** dim
     bad = inside & (np.abs(gd.det) < floor)
     if np.any(bad):
         pts = [tuple(int(k) for k in p) for p in np.argwhere(bad)]
@@ -366,7 +374,6 @@ def constraint_matrices(rs: RatioSet, theta: np.ndarray) -> list[SymTensorField]
 
 def diffusion_from_constraints(
     matrices: list[SymTensorField],
-    quality_floor: float = QUALITY_FLOOR,
 ) -> tuple[SymTensorField, ScalarField, np.ndarray]:
     """Extract the determinant-one diffusion direction pointwise.
 
@@ -386,7 +393,8 @@ def diffusion_from_constraints(
     rounding does not pick the sign of the direction.
 
     Returns the direction, the quality field, and a boolean mask of
-    degenerate vertices, which carry NaN in the direction field.
+    degenerate vertices (quality below ``QUALITY_FLOOR``), which carry
+    NaN in the direction field.
     """
     grid = matrices[0].grid
     dim = grid.dim
@@ -402,7 +410,7 @@ def diffusion_from_constraints(
 
     null, quality = _cross_null_space(stack)
     raw = divide(null, w)
-    degenerate = ~(quality >= quality_floor)  # NaN data is degenerate too
+    degenerate = ~(quality >= QUALITY_FLOOR)  # NaN data is degenerate too
 
     trace = sym_trace(raw, dim)
     norm = np.sqrt(component_sum(np.abs(raw) ** 2))
@@ -566,36 +574,26 @@ def drift_from_diffusion(
 
 
 def reconstruct(
-    ms: MeasurementSet,
-    mode: str = "matrix",
-    margin: int = 2,
-    analysis: RatioSet | None = None,
+    ms: MeasurementSet, analysis: RatioSet | None = None
 ) -> NormalizedCoefficients:
-    """Full ratio-based reconstruction.
+    """Full ratio-based reconstruction from the ratio analysis of ``ms``.
 
-    ``mode="matrix"`` runs the null-space pipeline and needs
-    ``functional_budget(dim)`` functionals (extras beyond that are
-    ignored, so redundant measurements cannot change the answer);
-    ``mode="scalar"`` assumes scalar diffusion, needs ``dim + 1``
-    functionals, and reports the identity direction alongside
-    ``a^{-1} b``.  ``analysis`` is ``analyze(ms, mode, margin)`` when the
-    caller already holds it; the ratio, Gram and cancellation checks run
-    on it either way.
+    ``analysis`` is ``analyze(ms, mode, margin)`` when the caller
+    already holds it, and ``analyze(ms)`` otherwise; its mode and
+    trusted interior are the reconstruction's, and the ratio, Gram and
+    cancellation checks run on it either way.  Matrix mode runs the
+    null-space pipeline and needs ``functional_budget(dim)``
+    functionals (extras beyond that are ignored, so redundant
+    measurements cannot change the answer; fewer raise
+    :class:`MeasurementCountError`).  Scalar mode, which is
+    ``reconstruct(ms, analyze(ms, "scalar"))``, assumes scalar
+    diffusion, needs ``dim + 1`` functionals, and reports the identity
+    direction alongside ``a^{-1} b``.
     """
-    if mode not in ("matrix", "scalar"):
-        raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
-    dim = ms.grid.dim
-    if mode == "matrix":
-        budget = functional_budget(dim)
-        if ms.count < budget:
-            raise MeasurementCountError(
-                f"matrix-valued diffusion in dimension {dim} needs "
-                f"{budget} functionals; got {ms.count}"
-            )
-    rs = analysis if analysis is not None else analyze(ms, mode, margin)
+    rs = analysis if analysis is not None else analyze(ms)
     _check_ratios(ms, rs)
     gd = gram(rs)
-    if mode == "scalar":
+    if rs.mode == "scalar":
         diffusion = SymTensorField.identity(ms.grid)
         quality = ScalarField.constant(ms.grid, 1.0)
         degenerate = np.zeros(ms.grid.shape, dtype=bool)

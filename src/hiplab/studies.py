@@ -256,7 +256,7 @@ def recover(
             stage="admissibility",
         )
 
-    nc = reconstruct(ms, mode=cfg.recon_mode, margin=cfg.margin, analysis=rs)
+    nc = reconstruct(ms, rs)
     del rs  # the resolvers do not read it; free it before their solves
     resolved = None
     flags = nc.degenerate.copy()

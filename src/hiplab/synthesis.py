@@ -188,7 +188,6 @@ def default_traces(grid: Grid, count: int | None = None) -> list[BoundaryTrace]:
 def compatible_traces(
     coeffs: CoefficientSet,
     traces: list[BoundaryTrace],
-    sharpness: float | None = None,
 ) -> list[BoundaryTrace]:
     """Adjust traces so the equation holds at the corners of the box.
 
@@ -199,7 +198,8 @@ def compatible_traces(
     fixed-cell neighborhood of each corner no matter how fine the grid.
     Adding one localized paraboloid bump per corner cancels that leading
     mismatch without moving the data anywhere else (the bump decays like
-    ``exp(-r^2 / sharpness)``).
+    ``exp(-r^2 / sharpness)``, with ``sharpness`` a tenth of the square
+    of the box's shortest side).
 
     Off-diagonal diffusion entries at a corner couple to the mixed
     derivative the datum does not determine; the recipe requires them to
@@ -207,11 +207,8 @@ def compatible_traces(
     """
     grid = coeffs.a.grid
     dim = grid.dim
-    if sharpness is None:
-        side = min(b[1] - b[0] for b in grid.bounds)
-        sharpness = 0.1 * side * side
-    if sharpness <= 0:
-        raise ConfigurationError("sharpness must be positive")
+    side = min(b[1] - b[0] for b in grid.bounds)
+    sharpness = 0.1 * side * side
     mesh = grid.meshgrid()
     scale_a = float(np.max(np.abs(coeffs.a.values)))
     corner_data = []

@@ -178,7 +178,7 @@ def test_scalar_drift_formula_recovers_constant_drift():
             c=ScalarField.constant(grid, 0.0),
         )
         ms = synthesize(coeffs, unit_weight(grid), default_traces(grid, count=3))
-        nc = recon.reconstruct(ms, mode="scalar")
+        nc = recon.reconstruct(ms, recon.analyze(ms, "scalar"))
         em = error_norms(nc.drift, coeffs.b, mask=grid.interior(2))
         errors.append(em.c0_rel)
     elapsed = time.monotonic() - t0

@@ -17,7 +17,7 @@ from hiplab.admissibility import AdmissibilityReport, Thresholds, check
 from hiplab.errors import ConfigurationError
 from hiplab.forward import CoefficientSet
 from hiplab.grids import ScalarField, VectorField
-from hiplab.recon import reconstruct
+from hiplab.recon import analyze, reconstruct
 from hiplab.synthesis import BoundaryTrace, Modality, synthesize
 
 HARMONIC = ("1", "x", "y", "x*y", "x^2 - y^2")
@@ -147,6 +147,13 @@ class TestDegenerateSets:
         assert rec.degenerate[grid.interior(2).flags].all()
         (entry,) = check(ms).entries
         assert entry.independence_margin < Thresholds().independence
+
+    def test_mode_and_trusted_interior_come_from_the_analysis(self):
+        grid = unit_grid(17)
+        ms = measurements(grid, HARMONIC)
+        (entry,) = check(ms, analysis=analyze(ms, "scalar", margin=4)).entries
+        assert entry.point_count == int(np.count_nonzero(grid.interior(4).flags))
+        assert entry.independence_margin is None
 
 
 class TestCovering:

@@ -98,7 +98,7 @@ class TestExitCodes:
 
     def test_out_required_for_file_writers(self, tmp_path, capsys):
         cfg = write_config(tmp_path, harmonic_doc())
-        for command in ("forward", "synth", "reconstruct", "resolve"):
+        for command in ("forward", "synth"):
             assert main(["--config", cfg, command]) == 2, command
             assert "--out" in capsys.readouterr().err
 
@@ -124,25 +124,48 @@ class TestSynthReconstructRoundTrip:
         assert (data / "functional_00.field").exists()
 
         out = tmp_path / "recon"
-        code = main(
-            ["--config", cfg, "--out", str(out), "reconstruct", "--data", str(data)]
-        )
-        assert code == 0
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv + ["--dump-intermediates"]) == 0
         for name in ("alpha_hat.field", "beta.field", "quality.field"):
-            assert (out / name).exists(), name
-        summary = json.loads((out / "reconstruction.json").read_text())
-        assert summary["admissibility"]["passed"] is True
-        assert summary["metrics"]["ahat"]["c0"] <= 1e-8
+            assert (out / "fields" / name).exists(), name
+        report = json.loads((out / "report.json").read_text())
+        assert report["admissibility"]["passed"] is True
+        assert report["metrics"]["ahat"]["c0"] <= 1e-8
 
-    def test_resolve_writes_report_and_states_the_gauge(self, tmp_path, capsys):
+    def test_resolve_writes_report_and_states_the_gauge(self, tmp_path):
         cfg = write_config(tmp_path, harmonic_doc())
+        data = tmp_path / "data"
+        assert main(["--config", cfg, "--out", str(data), "synth"]) == 0
         out = tmp_path / "resolved"
-        assert main(["--config", cfg, "--out", str(out), "resolve"]) == 0
-        stdout = capsys.readouterr().out
-        assert "two" in stdout  # the two-function gauge statement
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv + ["--dump-intermediates"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["gauge"]["modality"] == "elastography"
+        # the two-function gauge statement
+        assert "two" in report["gauge"]["dimension_audit"]["statement"]
         assert (out / "fields" / "resolved_a.field").exists()
+
+    @pytest.mark.parametrize(
+        "study",
+        [
+            {"type": "convergence", "levels": [9, 17, 33]},
+            {"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]},
+        ],
+        ids=["convergence", "noise-sweep"],
+    )
+    def test_data_needs_a_single_study(self, tmp_path, capsys, study):
+        data = tmp_path / "data"
+        single = write_config(tmp_path, harmonic_doc(), "single.json")
+        assert main(["--config", single, "--out", str(data), "synth"]) == 0
+        cfg = write_config(
+            tmp_path, harmonic_doc(noise={"amplitude": 1e-4}, study=study)
+        )
+        out = tmp_path / "study"
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--data" in err and f"a {study['type']} study" in err
+        assert not out.exists()
 
 
 class TestCheck:
@@ -240,6 +263,8 @@ class TestRunDispatch:
         assert code == 0
         assert (out / "fields" / "h1.field").exists()
 
+    # reconstruct and resolve are no longer subcommands (`run --data` and
+    # `run --data --dump-intermediates` replace them), and stay refused
     @pytest.mark.parametrize(
         "command", ["check", "forward", "synth", "reconstruct", "resolve"]
     )
@@ -259,11 +284,25 @@ class TestRunDispatch:
         assert not out.exists()
 
     def test_resolve_always_writes_the_field_dumps(self, tmp_path):
+        # `run --data --dump-intermediates` is the resolve path
         cfg = write_config(tmp_path, harmonic_doc())
+        data = tmp_path / "data"
+        assert main(["--config", cfg, "--out", str(data), "synth"]) == 0
         out = tmp_path / "resolved"
-        assert main(["--config", cfg, "--out", str(out), "resolve"]) == 0
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv + ["--dump-intermediates"]) == 0
         assert (out / "fields" / "h1.field").exists()
         assert (out / "fields" / "alpha_hat.field").exists()
+
+    @pytest.mark.parametrize("command", ["check", "forward", "synth"])
+    def test_data_is_an_option_of_run_only(self, tmp_path, command):
+        cfg = write_config(tmp_path, harmonic_doc())
+        out = tmp_path / "out"
+        argv = ["--config", cfg, "--out", str(out), command, "--data", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestSeedOverride:

@@ -1,8 +1,9 @@
 """Every module-level import in ``src/hiplab`` is used by its module,
 every module-level private definition is used somewhere in the package,
 no module differentiates with ``numpy.gradient`` (first differences
-take the one stencil in ``grids``), and every function the benchmark's
-tracer rebinds exists."""
+take the one stencil in ``grids``), every function the benchmark's
+tracer rebinds exists, and the benchmark's own calls into the package
+still work."""
 
 from __future__ import annotations
 
@@ -14,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import laplace_coefficients, unit_grid
+from hiplab import forward
+from hiplab.grids import ScalarField
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "hiplab"
-TRACING = SOURCE.parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = SOURCE.parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -153,3 +159,35 @@ def test_traced_layer_functions_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert tracing.LAYER_FUNCTIONS and missing == []
+
+
+def load_module(monkeypatch, name: str, path: Path):
+    """``path`` imported as ``name`` for the duration of one test."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_calls_outside_the_traced_names_resolve(monkeypatch):
+    """``perfbench/run.py`` also calls ``cfg.solver()``, ``synthesize``
+    with a positional ``settings``, ``add_noise``, and ``forward.residual``
+    on the arguments of each recorded ``solve_dirichlet`` call, bound by
+    parameter name.  The runner is imported from its file and only read."""
+    # the runner imports its siblings by bare name and puts src on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in ("tracing", "workloads"):
+        load_module(monkeypatch, name, PERFBENCH / f"{name}.py")
+    run = load_module(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+
+    _, ms = run.set_up(run.WORKLOADS["qpat-2d-data"], 1)
+    assert ms.noise is not None and ms.noise.amplitude > 0
+
+    grid = unit_grid(9)
+    coeffs = laplace_coefficients(grid)
+    trace = forward.BoundaryTrace.from_expression(grid, "1 + x*y")
+    source = ScalarField.constant(grid, 0.0)
+    solution = forward.solve_dirichlet(coeffs, trace, source=source)
+    # the gauge solves pass the trace by position and the source by name
+    assert run._residuals([((coeffs, trace), {"source": source}, solution)]) < 1e-10

@@ -4,24 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import unit_grid
 from hiplab.errors import ExpressionError
 from hiplab.phantoms import (
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Var,
     evaluate,
     materialize_scalar,
     materialize_sym,
     materialize_vector,
     parse,
-    same_tree,
-    to_string,
 )
 
 
@@ -67,18 +58,6 @@ class TestParseAndEvaluate:
         with pytest.raises(ExpressionError):
             evaluate(parse("x + q"), {"x": np.complex128(1.0)})
 
-    def test_round_trip_is_a_fixpoint(self):
-        for src in (
-            "1 + 2*x - sin(y)^2",
-            "-(x*y) / (1 + x^2)",
-            "exp(i*x) * cos(y - 0.5)",
-            "2^3^x",
-        ):
-            tree = parse(src)
-            printed = to_string(tree)
-            assert same_tree(parse(printed), tree)
-            assert to_string(parse(printed)) == printed
-
     def test_constants_pi_and_e(self):
         x = np.linspace(-1.0, 2.0, 7).astype(np.complex128)
         for src, expected in (
@@ -87,35 +66,6 @@ class TestParseAndEvaluate:
         ):
             got = evaluate(parse(src), {"x": x})
             assert np.allclose(got, expected, rtol=1e-14, atol=1e-15), src
-            again = evaluate(parse(to_string(parse(src))), {"x": x})
-            assert np.array_equal(again, got), src
-
-
-# trees the parser can produce: numbers are non-negative reals or ``i``
-# (a sign is a ``Neg`` node), variables are x, y, z
-_LEAVES = st.one_of(
-    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(
-        lambda v: Num(complex(v))
-    ),
-    st.just(Num(1j)),
-    st.sampled_from("xyz").map(Var),
-)
-_TREES = st.recursive(
-    _LEAVES,
-    lambda kids: st.one_of(
-        kids.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "tanh", "sqrt", "abs"]), kids),
-    ),
-    max_leaves=12,
-)
-
-
-class TestRoundTripProperty:
-    @given(tree=_TREES)
-    @settings(max_examples=300, deadline=None)
-    def test_printed_tree_parses_back_to_itself(self, tree):
-        assert same_tree(parse(to_string(tree)), tree)
 
 
 class TestMaterializers:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import shlex
 from importlib import resources
+
+import pytest
 
 from hiplab import cli, forward, studies
 from hiplab.config import parse_config
@@ -56,3 +59,42 @@ def test_solver_bullet_names_the_schema_methods_and_constants():
         forward._RESIDUAL_CAP,
     ):
         assert f"`{value:g}`" in text
+
+
+def hiplab_lines() -> list[str]:
+    return [
+        line.split("#", 1)[0].strip()
+        for block in code_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("hiplab ")
+    ]
+
+
+def test_every_command_line_parses():
+    # an unknown subcommand or option exits through argparse
+    lines = hiplab_lines()
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
+def tree(root: pathlib.Path) -> dict[str, bytes]:
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+@pytest.mark.parametrize("flags", [[], ["--dump-intermediates"]], ids=["plain", "dump"])
+def test_run_from_saved_data_writes_what_a_plain_run_writes(tmp_path, flags):
+    (text,) = code_blocks("json")
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(text)
+    base = ["--config", str(cfg), "--out"]
+    data, plain, loaded = tmp_path / "data", tmp_path / "run", tmp_path / "rec"
+    assert cli.main(base + [str(data), "synth"]) == 0
+    assert cli.main(base + [str(plain), "run", *flags]) == 0
+    assert cli.main(base + [str(loaded), "run", "--data", str(data), *flags]) == 0
+    written = tree(plain)
+    assert "report.json" in written and "metrics.csv" in written
+    assert ("fields/h1.field" in written) == bool(flags)
+    assert tree(loaded) == written

@@ -22,6 +22,7 @@ from hiplab.grids import ScalarField, SymTensorField, VectorField, sym_to_full, 
 from hiplab.phantoms import materialize_scalar
 from hiplab.recon import (
     QUALITY_FLOOR,
+    analyze,
     constraint_matrices,
     diffusion_from_constraints,
     extra_count,
@@ -166,7 +167,7 @@ class TestScalarDrift:
     def test_harmonic_pair_gives_zero(self):
         grid = unit_grid(9)
         ms = hand_measurements(grid, ["1", "x", "y"])
-        out = reconstruct(ms, mode="scalar").drift
+        out = reconstruct(ms, analyze(ms, "scalar")).drift
         inside = grid.interior(2).flags
         assert np.max(np.abs(out.values[inside])) < 1e-12
 
@@ -198,7 +199,7 @@ class TestScalarDrift:
                 Modality.generic(materialize_scalar("1", grid)),
                 traces,
             )
-            out = reconstruct(ms, mode="scalar").drift
+            out = reconstruct(ms, analyze(ms, "scalar")).drift
             inside = grid.interior(2).flags
             gauge_part = np.zeros(grid.shape + (2,))
             gauge_part[..., 0] = 1.0
@@ -226,7 +227,7 @@ class TestScalarDrift:
             ms = synthesize(
                 coeffs, Modality.generic(materialize_scalar("1", grid)), traces
             )
-            out = reconstruct(ms, mode="scalar").drift
+            out = reconstruct(ms, analyze(ms, "scalar")).drift
             inside = grid.interior(2).flags
             errs.append(
                 float(np.max(np.abs(out.values[inside] - bvals[inside])))
@@ -361,10 +362,23 @@ class TestReconstruct:
             weight=ms.weight,
         )
         with pytest.raises(MeasurementCountError):
-            reconstruct(short, mode="matrix")
-        nc = reconstruct(short, mode="scalar")
+            reconstruct(short)
+        nc = reconstruct(short, analyze(short, "scalar"))
         inside = grid.interior(2).flags
         assert np.max(np.abs(nc.drift.values[inside])) < 1e-10
+
+    def test_unknown_mode_is_refused_by_the_analysis(self):
+        _, ms = self.harmonic_set(9)
+        with pytest.raises(MeasurementCountError, match="bogus"):
+            analyze(ms, mode="bogus")
+
+    def test_mode_and_margin_come_from_the_analysis(self):
+        grid, ms = self.harmonic_set()
+        scalar = analyze(ms, "scalar", margin=4)
+        nc = reconstruct(ms, scalar)
+        assert scalar.mode == "scalar"
+        assert np.array_equal(nc.mask.flags, grid.interior(4).flags)
+        assert np.array_equal(nc.diffusion.values, SymTensorField.identity(grid).values)
 
     def test_scalar_reduction_matches_matrix_drift_combination(self):
         """Both drift routes agree on scalar-diffusion data.
@@ -383,8 +397,8 @@ class TestReconstruct:
             Modality.generic(materialize_scalar("1", grid)),
             default_traces(grid, 5),
         )
-        nc = reconstruct(ms, mode="matrix")
-        scalar = reconstruct(ms, mode="scalar").drift
+        nc = reconstruct(ms)
+        scalar = reconstruct(ms, analyze(ms, "scalar")).drift
         inside = grid.interior(2).flags & ~nc.degenerate
         assert np.max(np.abs(nc.drift.values[inside] - scalar.values[inside])) < 1e-10
 

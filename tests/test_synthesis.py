@@ -302,16 +302,6 @@ class TestCompatibleTraces:
         with pytest.raises(ConfigurationError):
             compatible_traces(coeffs, [BoundaryTrace.from_expression(grid, "1")])
 
-    def test_nonpositive_sharpness_rejected(self):
-        grid = unit_grid(17)
-        coeffs = laplace_coefficients(grid)
-        with pytest.raises(ConfigurationError):
-            compatible_traces(
-                coeffs,
-                [BoundaryTrace.from_expression(grid, "1")],
-                sharpness=0.0,
-            )
-
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
