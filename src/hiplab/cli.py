@@ -20,12 +20,10 @@ import os
 import sys
 
 from . import studies
-from .admissibility import check as check_admissibility
 from .config import ExperimentConfig, load_config, parse_config
 from .errors import ConfigurationError, HiplabError
 from .forward import solve_traces
 from .grids import write_field
-from .recon import analyze
 from .synthesis import load_measurements, save_measurements
 
 __all__ = ["main", "build_parser", "COMMANDS"]
@@ -120,9 +118,7 @@ def _cmd_check(args, cfg: ExperimentConfig) -> int:
     # The audit itself never raises on bad data: failing conditions are
     # report entries, and the verdict maps to the exit code.
     out = _out_dir(args, cfg, required=False)
-    ms = _synthesize(cfg)
-    rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
-    audit = check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
+    _, audit = studies.audit(cfg, _synthesize(cfg))
     print(audit.to_text())
     if out is not None:
         report = {

@@ -29,6 +29,7 @@ from .synthesis import (
     BoundaryTrace,
     Modality,
     NoiseSpec,
+    TRACE_POOLS,
     check_modality_parameters,
     compatible_traces,
     default_traces,
@@ -241,6 +242,16 @@ class ExperimentConfig:
         if spec.get("corner_compatible", False):
             out = compatible_traces(coeffs, out)
         return out
+
+    @property
+    def trace_count(self) -> int:
+        """How many traces :meth:`traces` builds, without building them."""
+        spec = self.doc.get("traces", "default")
+        if spec == "default":
+            spec = {}
+        if "expressions" in spec:
+            return len(spec["expressions"])
+        return spec.get("count", len(TRACE_POOLS[self.dim]))
 
     def noise(self) -> NoiseSpec | None:
         spec = self.doc.get("noise")

@@ -20,9 +20,11 @@ Conventions used throughout the package:
   boundary, the stencils of ``numpy.gradient`` with ``edge_order=2`` and
   its bits on complex data.  Pure second derivatives use the 3-point
   interior stencil and a 4-point one-sided closure; both are exact on
-  quadratics.  Mixed second derivatives compose two first-derivative
-  passes, which commute exactly, so discrete Hessians are symmetric by
-  construction.
+  quadratics.  The closures' weights live in :func:`first_closure` and
+  :func:`second_closure`, which also serve callers that need a
+  derivative at a few face points only.  Mixed second derivatives
+  compose two first-derivative passes, which commute exactly, so
+  discrete Hessians are symmetric by construction.
 * Real storage: a field's dtype is decided where its values enter the
   program (phantom materialization, boundary traces, noise and
   :func:`read_field`), which keep ``float64`` when the imaginary part is
@@ -70,6 +72,8 @@ __all__ = [
     "as_stored",
     "divide",
     "via_complex",
+    "first_closure",
+    "second_closure",
     "gradient",
     "hessian",
     "divergence",
@@ -456,19 +460,40 @@ def sym_dot(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
 # discrete calculus
 
 
+def first_closure(v0, v1, v2, h: float):
+    """One-sided first derivative at a face, exact on quadratics.
+
+    ``v0``, ``v1`` and ``v2`` are the values 0, 1 and 2 steps in from
+    the face, and ``h`` is the step inward: negative at a far face.  The
+    weights are ``(-3/2, 2, -1/2)/h``, and the products are summed from
+    the lowest grid index up, so the far face adds ``v2``'s term first.
+    """
+    w0, w1, w2 = -1.5 / h, 2.0 / h, -0.5 / h
+    if h > 0:
+        return w0 * v0 + w1 * v1 + w2 * v2
+    return w2 * v2 + w1 * v1 + w0 * v0
+
+
+def second_closure(v0, v1, v2, v3, h: float):
+    """One-sided pure second derivative at a face, exact on quadratics:
+    the weights ``(2, -5, 4, -1)/h^2`` on the values 0 to 3 steps in
+    from the face, summed from the face inward."""
+    return (2.0 * v0 - 5.0 * v1 + 4.0 * v2 - v3) * (1.0 / h**2)
+
+
 def _first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """First derivative along one axis, exact on quadratics.
 
-    Interior uses the centered stencil; each face uses the one-sided
-    closure (-3/2, 2, -1/2)/h, mirrored at the far face.  Every quotient
-    is a product with a reciprocal, so real input returns the real part
-    of the complex result bit for bit (see the module docstring).
+    Interior uses the centered stencil; each face uses
+    :func:`first_closure`.  Every quotient is a product with a
+    reciprocal, so real input returns the real part of the complex
+    result bit for bit (see the module docstring).
     """
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) * (1.0 / (2.0 * h))
-    out[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
-    out[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
+    out[0] = first_closure(v[0], v[1], v[2], h)
+    out[-1] = first_closure(v[-1], v[-2], v[-3], -h)
     return np.moveaxis(out, 0, axis)
 
 
@@ -481,15 +506,14 @@ def gradient(f: ScalarField) -> VectorField:
 def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Pure second derivative along one axis, exact on quadratics.
 
-    Interior uses the 3-point stencil; each face uses the one-sided
-    4-point closure (2, -5, 4, -1)/h^2 which is also second order.
+    Interior uses the 3-point stencil; each face uses the 4-point
+    :func:`second_closure`, which is also second order.
     """
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
-    inv_h2 = 1.0 / h**2
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) * inv_h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) * inv_h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) * inv_h2
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) * (1.0 / h**2)
+    out[0] = second_closure(v[0], v[1], v[2], v[3], h)
+    out[-1] = second_closure(v[-1], v[-2], v[-3], v[-4], h)
     return np.moveaxis(out, 0, axis)
 
 

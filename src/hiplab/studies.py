@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gauge
-from .admissibility import check as check_admissibility
+from .admissibility import AdmissibilityReport, check as check_admissibility
 from .config import ExperimentConfig
-from .errors import DegeneracyError
+from .errors import ConfigurationError, DegeneracyError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings
 from .grids import (
     Grid,
@@ -43,12 +43,13 @@ from .grids import (
     write_field,
 )
 from .metrics import error_norms
-from .recon import NormalizedCoefficients, analyze, reconstruct
+from .recon import NormalizedCoefficients, RatioSet, analyze, reconstruct
 from .synthesis import MeasurementSet, NoiseSpec, add_noise, synthesize
 
 __all__ = [
     "PipelineResult",
     "synthesize_measurements",
+    "audit",
     "recover",
     "run_pipeline",
     "resolve_measurements",
@@ -240,6 +241,15 @@ def synthesize_measurements(
     return ms
 
 
+def audit(
+    cfg: ExperimentConfig, ms: MeasurementSet
+) -> tuple[RatioSet, AdmissibilityReport]:
+    """The ratio analysis of ``ms`` in the configured mode and margin,
+    and the admissibility audit of it under the configured thresholds."""
+    rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
+    return rs, check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
+
+
 def recover(
     cfg: ExperimentConfig, ms: MeasurementSet, coeffs: CoefficientSet
 ) -> PipelineResult:
@@ -247,8 +257,7 @@ def recover(
     the configured mode; a failed audit raises :class:`DegeneracyError`.
     ``coeffs`` supplies the resolvers' anchors and the ground truths.
     """
-    rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
-    report = check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
+    rs, report = audit(cfg, ms)
     if not report.passed:
         failing = [e.name for e in report.entries if not e.passed]
         raise DegeneracyError(
@@ -279,6 +288,29 @@ def recover(
     )
 
 
+def _require_configured(
+    cfg: ExperimentConfig, grid: Grid, ms: MeasurementSet
+) -> None:
+    """Refuse a measurement set whose grid, modality or trace count is
+    not the configured experiment's."""
+    found = []
+    if not ms.grid.compatible(grid):
+        found.append(
+            f"grid {list(ms.grid.shape)} on {[list(b) for b in ms.grid.bounds]}, "
+            f"config {list(grid.shape)} on {[list(b) for b in grid.bounds]}"
+        )
+    modality = cfg.doc["modality"]["name"]
+    if ms.modality != modality:
+        found.append(f"modality {ms.modality}, config {modality}")
+    if ms.count != cfg.trace_count:
+        found.append(f"{ms.count} traces, config {cfg.trace_count}")
+    if found:
+        raise ConfigurationError(
+            "measurement set differs from the config: " + "; ".join(found),
+            stage="data",
+        )
+
+
 def run_pipeline(
     cfg: ExperimentConfig,
     grid: Grid | None = None,
@@ -287,11 +319,14 @@ def run_pipeline(
     """Synthesize, audit, reconstruct, resolve, and measure one run.
 
     Passing a prebuilt measurement set skips the forward solves; the
-    phantom is still materialized (on the data grid) for anchors and
-    error metrics.
+    phantom is still materialized for anchors and error metrics.  The
+    set must be of the configured grid, modality and trace count, or
+    :class:`ConfigurationError` names what differs.
     """
     if grid is None:
-        grid = cfg.grid_for() if ms is None else ms.grid
+        grid = cfg.grid_for()
+    if ms is not None:
+        _require_configured(cfg, grid, ms)
     coeffs = cfg.coefficients(grid)
     if ms is None:
         ms = synthesize_measurements(cfg, grid, coeffs)

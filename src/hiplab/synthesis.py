@@ -31,11 +31,20 @@ from scipy import ndimage
 
 from .errors import ConfigurationError, GridError, NonVanishingError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_traces
-from .grids import Grid, ScalarField, divide, gradient, hessian, read_field, write_field
+from .grids import (
+    Grid,
+    ScalarField,
+    divide,
+    first_closure,
+    read_field,
+    second_closure,
+    write_field,
+)
 
 __all__ = [
     "MODALITIES",
     "MODALITY_PARAMETERS",
+    "TRACE_POOLS",
     "check_modality_parameters",
     "Modality",
     "MeasurementSet",
@@ -56,6 +65,12 @@ MODALITY_PARAMETERS = {
     "generic": ("weight",),
 }
 MODALITIES = tuple(MODALITY_PARAMETERS)
+
+# the default trace family per dimension, in the order its prefixes take
+TRACE_POOLS = {
+    2: ("1", "x", "y", "x*y", "x^2 - y^2"),
+    3: ("1", "x", "y", "z", "x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"),
+}
 
 # functionals are rejected when min |H_1| drops below this times max |H_1|
 H1_FLOOR = 1e-8
@@ -165,17 +180,10 @@ def default_traces(grid: Grid, count: int | None = None) -> list[BoundaryTrace]:
     """Polynomial trace family known to behave well on box domains.
 
     Dimension 2 offers ``1, x, y, x*y, x^2 - y^2``; dimension 3 extends
-    the list with the remaining harmonic monomials.  ``count`` selects a
-    prefix (default: all).
+    the list with the remaining harmonic monomials (:data:`TRACE_POOLS`).
+    ``count`` selects a prefix (default: all).
     """
-    if grid.dim == 2:
-        pool = ["1", "x", "y", "x*y", "x^2 - y^2"]
-    else:
-        pool = [
-            "1", "x", "y", "z",
-            "x*y", "x*z", "y*z",
-            "x^2 - y^2", "x^2 - z^2",
-        ]
+    pool = TRACE_POOLS[grid.dim]
     if count is None:
         count = len(pool)
     if not (grid.dim + 1 <= count <= len(pool)):
@@ -183,6 +191,22 @@ def default_traces(grid: Grid, count: int | None = None) -> list[BoundaryTrace]:
             f"trace count must lie in [{grid.dim + 1}, {len(pool)}], got {count}"
         )
     return [BoundaryTrace.from_expression(grid, src) for src in pool[:count]]
+
+
+def _first_at_corners(rows: np.ndarray, low: np.ndarray, h) -> np.ndarray:
+    """``d_k`` at each corner along each axis ``k``.
+
+    ``rows[..., c, k, s]`` is the value ``s`` steps in from corner ``c``
+    along axis ``k``; ``low[c, k]`` says whether that corner sits on the
+    low face of axis ``k``, where the step inward is ``+h[k]``.
+    """
+    parts = []
+    for k in range(low.shape[1]):
+        v = [rows[..., k, s] for s in range(3)]
+        parts.append(
+            np.where(low[:, k], first_closure(*v, h[k]), first_closure(*v, -h[k]))
+        )
+    return np.stack(parts, axis=-1)
 
 
 def compatible_traces(
@@ -201,56 +225,78 @@ def compatible_traces(
     ``exp(-r^2 / sharpness)``, with ``sharpness`` a tenth of the square
     of the box's shortest side).
 
+    The mismatch applies the equation with the one-sided closures alone
+    (:func:`~hiplab.grids.first_closure` and
+    :func:`~hiplab.grids.second_closure`): along each axis from each
+    corner it reads the 3 points a first derivative takes and the 4 a
+    second one takes, for every trace at once, and gets the corner
+    values of full-grid derivatives bit for bit.
+
     Off-diagonal diffusion entries at a corner couple to the mixed
     derivative the datum does not determine; the recipe requires them to
     vanish there.
     """
     grid = coeffs.a.grid
     dim = grid.dim
+    h = grid.spacing
     side = min(b[1] - b[0] for b in grid.bounds)
     sharpness = 0.1 * side * side
-    mesh = grid.meshgrid()
+    axes = grid.axes()
     scale_a = float(np.max(np.abs(coeffs.a.values)))
-    corner_data = []
-    for pt in itertools.product(*[(b[0], b[1]) for b in grid.bounds]):
-        idx = tuple(
-            0 if pt[ax] == grid.bounds[ax][0] else grid.shape[ax] - 1
-            for ax in range(dim)
-        )
-        stored = coeffs.a.values[idx]  # diagonal first, then off-diagonal
-        off = stored[dim:]
+    corners = np.array(list(itertools.product(*[(0, n - 1) for n in grid.shape])))
+    low = corners == 0
+    at = tuple(corners.T)
+    bumps = []
+    for idx, on_low in zip(corners, low):
+        pt = tuple(b[0] if lo else b[1] for b, lo in zip(grid.bounds, on_low))
+        off = coeffs.a.values[tuple(idx)][dim:]
         if np.max(np.abs(off)) > 1e-12 * max(scale_a, 1.0):
             raise ConfigurationError(
                 "corner-compatible traces need diagonal diffusion at the "
                 f"corners; off-diagonal entries {off.tolist()} at {pt}"
             )
-        r2 = sum((mesh[ax].real - pt[ax]) ** 2 for ax in range(dim))
-        bump = 0.25 * r2 * np.exp(-r2 / sharpness)
-        corner_data.append((idx, stored[:dim], bump))
-    grad_a = [
-        gradient(ScalarField(grid, coeffs.a.entry(k, k))).values for k in range(dim)
-    ]
+        # the squares on each axis, broadcast: the full-mesh sum's bits
+        r2 = sum(
+            ((axes[ax] - pt[ax]) ** 2).reshape(
+                [-1 if j == ax else 1 for j in range(dim)]
+            )
+            for ax in range(dim)
+        )
+        bumps.append(0.25 * r2 * np.exp(-r2 / sharpness))
+
+    # rows[ax][c, k, s]: coordinate ax of the point s steps in from
+    # corner c along axis k
+    points = np.repeat(corners[:, None, None, :], dim, axis=1).repeat(4, axis=2)
+    for k in range(dim):
+        points[:, k, :, k] += np.where(low[:, k, None], 1, -1) * np.arange(4)
+    rows = tuple(points[..., ax] for ax in range(dim))
+
+    f_rows = np.stack([tr.values[rows] for tr in traces])  # (traces, c, k, s)
+    grad_f = _first_at_corners(f_rows, low, h)
+    a_rows = coeffs.a.values[(*rows, np.arange(dim)[:, None])]  # a_kk along k
+    grad_a = _first_at_corners(a_rows, low, h)
+    diag_a = coeffs.a.values[at][:, :dim]
+    second = sum(
+        diag_a[:, k] * second_closure(*(f_rows[..., k, s] for s in range(4)), h[k])
+        for k in range(dim)
+    )
+    drift_part = sum(grad_a[:, k] * grad_f[..., k] for k in range(dim))
+    # the equation at each corner, applied to each trace
+    mismatch = (
+        second
+        + drift_part
+        + np.sum(coeffs.b.values[at] * grad_f, axis=-1)
+        + coeffs.c.values[at] * f_rows[..., 0, 0]
+    )
+    weights = divide(-mismatch, 0.5 * np.sum(diag_a, axis=-1))
     out = []
-    for tr in traces:
-        f = ScalarField(grid, tr.values)
-        grad = gradient(f)
-        grad_f = grad.values
-        hess_f = hessian(f, grad)
-        corr = 0.0
-        for idx, diag_a, bump in corner_data:
-            second = sum(
-                diag_a[k] * hess_f.entry(k, k)[idx] for k in range(dim)
-            )
-            drift_part = sum(
-                grad_a[k][idx][k] * grad_f[idx][k] for k in range(dim)
-            )
-            mismatch = (
-                second
-                + drift_part
-                + np.sum(coeffs.b.values[idx] * grad_f[idx])
-                + coeffs.c.values[idx] * f.values[idx]
-            )
-            corr = corr + divide(-mismatch, 0.5 * np.sum(diag_a)) * bump
+    corr = np.empty(grid.shape, dtype=weights.dtype)
+    term = np.empty_like(corr)
+    for tr, per_corner in zip(traces, weights):
+        corr.fill(0.0)
+        for w, bump in zip(per_corner, bumps):
+            np.multiply(w, bump, out=term)
+            corr += term
         out.append(BoundaryTrace(grid, tr.values + corr))
     return out
 

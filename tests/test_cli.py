@@ -146,6 +146,39 @@ class TestSynthReconstructRoundTrip:
         assert (out / "fields" / "resolved_a.field").exists()
 
     @pytest.mark.parametrize(
+        "change, named",
+        [
+            (
+                {"grid": {"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [21, 21]}},
+                "grid [17, 17] on [[0.0, 1.0], [0.0, 1.0]], config [21, 21]",
+            ),
+            (
+                {"grid": {"bounds": [[0.0, 1.0], [0.0, 2.0]], "shape": [17, 17]}},
+                "config [17, 17] on [[0.0, 1.0], [0.0, 2.0]]",
+            ),
+            (
+                {"modality": {"name": "qpat", "gamma": "1"}},
+                "modality elastography, config qpat",
+            ),
+            ({"traces": {"count": 4}}, "5 traces, config 4"),
+        ],
+        ids=["shape", "bounds", "modality", "trace-count"],
+    )
+    def test_data_of_another_experiment_is_refused(
+        self, tmp_path, capsys, change, named
+    ):
+        data = tmp_path / "data"
+        single = write_config(tmp_path, harmonic_doc(), "single.json")
+        assert main(["--config", single, "--out", str(data), "synth"]) == 0
+        cfg = write_config(tmp_path, harmonic_doc(**change))
+        out = tmp_path / "run"
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "measurement set differs from the config" in err and named in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "study",
         [
             {"type": "convergence", "levels": [9, 17, 33]},

@@ -180,6 +180,23 @@ class TestTracesSection:
         assert len(traces) == 3
 
 
+    @pytest.mark.parametrize(
+        "dim, traces",
+        [
+            (2, "default"),
+            (3, "default"),
+            (2, {"corner_compatible": True}),
+            (3, {"count": 6}),
+            (2, {"expressions": ["1", "x", "y"], "corner_compatible": True}),
+        ],
+    )
+    def test_trace_count_is_the_number_built(self, dim, traces):
+        grid = {"bounds": [[0.0, 1.0]] * dim, "shape": [9] * dim}
+        cfg = parse_config(base_doc(grid=grid, traces=traces))
+        grid = cfg.grid_for()
+        assert cfg.trace_count == len(cfg.traces(grid, cfg.coefficients(grid)))
+
+
 class TestStudySection:
     def test_convergence_needs_three_levels(self):
         doc = base_doc(study={"type": "convergence", "levels": [17, 33]})

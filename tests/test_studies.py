@@ -220,6 +220,26 @@ class TestOneAnalysis:
         assert calls["sym_to_full"] == 0
 
 
+def test_check_and_the_pipeline_share_one_audit(tmp_path, monkeypatch):
+    """``hiplab check`` and every pipeline run take the configured ratio
+    analysis and audit from :func:`studies.audit`, once each."""
+    from hiplab.cli import main
+
+    calls = []
+    audit = studies.audit
+
+    def wrapper(cfg, ms):
+        calls.append(ms.grid.shape)
+        return audit(cfg, ms)
+
+    monkeypatch.setattr(studies, "audit", wrapper)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(harmonic_doc()))
+    assert main(["--config", str(path), "--out", str(tmp_path / "check"), "check"]) == 0
+    studies.run_pipeline(parse_config(harmonic_doc()))
+    assert calls == [(17, 17), (17, 17)]
+
+
 class TestFittedOrder:
     def test_clean_second_order(self):
         hs = [1 / 16, 1 / 32, 1 / 64]

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from conftest import bump, laplace_coefficients, unit_grid
+from conftest import bump, laplace_coefficients, same_bits, unit_grid
+from hiplab import grids
+from hiplab.config import parse_config
 from hiplab.errors import ConfigurationError, NonVanishingError
 from hiplab.forward import BoundaryTrace, CoefficientSet, solve_dirichlet
-from hiplab.grids import ScalarField, SymTensorField, VectorField
+from hiplab.grids import (
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    divide,
+    gradient,
+    hessian,
+)
 from hiplab.metrics import error_norms
 from hiplab.phantoms import materialize_scalar
 from hiplab.synthesis import (
@@ -301,6 +311,154 @@ class TestCompatibleTraces:
         )
         with pytest.raises(ConfigurationError):
             compatible_traces(coeffs, [BoundaryTrace.from_expression(grid, "1")])
+
+
+def full_grid_compatible_traces(coeffs, traces):
+    """The corner correction from full-grid gradients and Hessians of
+    every trace and of every ``a_kk``, read at the corners: the
+    evaluation :func:`compatible_traces` must reproduce bit for bit."""
+    grid = coeffs.a.grid
+    dim = grid.dim
+    side = min(b[1] - b[0] for b in grid.bounds)
+    sharpness = 0.1 * side * side
+    mesh = grid.meshgrid()
+    corner_data = []
+    for pt in itertools.product(*[(b[0], b[1]) for b in grid.bounds]):
+        idx = tuple(
+            0 if pt[ax] == grid.bounds[ax][0] else grid.shape[ax] - 1
+            for ax in range(dim)
+        )
+        r2 = sum((mesh[ax].real - pt[ax]) ** 2 for ax in range(dim))
+        corner_bump = 0.25 * r2 * np.exp(-r2 / sharpness)
+        corner_data.append((idx, coeffs.a.values[idx][:dim], corner_bump))
+    grad_a = [
+        gradient(ScalarField(grid, coeffs.a.entry(k, k))).values for k in range(dim)
+    ]
+    out = []
+    for tr in traces:
+        f = ScalarField(grid, tr.values)
+        grad = gradient(f)
+        grad_f = grad.values
+        hess_f = hessian(f, grad)
+        corr = 0.0
+        for idx, diag_a, corner_bump in corner_data:
+            second = sum(diag_a[k] * hess_f.entry(k, k)[idx] for k in range(dim))
+            drift_part = sum(grad_a[k][idx][k] * grad_f[idx][k] for k in range(dim))
+            mismatch = (
+                second
+                + drift_part
+                + np.sum(coeffs.b.values[idx] * grad_f[idx])
+                + coeffs.c.values[idx] * f.values[idx]
+            )
+            corr = corr + divide(-mismatch, 0.5 * np.sum(diag_a)) * corner_bump
+        out.append(BoundaryTrace(grid, tr.values + corr))
+    return out
+
+
+# (grid bounds, shape, coefficients, trace expressions or None for the
+# default family)
+_ORACLE_CASES = {
+    "2d-scalar-a": (
+        [[0.0, 1.0], [0.0, 1.0]],
+        [33, 33],
+        {
+            "a": "1 + 0.4*exp(-((x-0.5)^2+(y-0.5)^2)/0.08)",
+            "c": "0.5 + 0.3*sin(2*x)*cos(2*y)",
+        },
+        None,
+    ),
+    "2d-anisotropic-a-complex-c": (
+        [[0.0, 1.0], [0.0, 1.0]],
+        [33, 33],
+        {
+            "a": [
+                "10*(1+0.3*exp(-((x-0.5)^2+(y-0.5)^2)/0.1))",
+                "1+0.2*exp(-((x-0.4)^2+(y-0.6)^2)/0.1)",
+                "0.8*x*(1-x)*y*(1-y)",
+            ],
+            "c": "0.6+0.2*sin(2*x+1)*cos(y)"
+            " + i*(0.7+0.3*exp(-((x-0.55)^2+(y-0.45)^2)/0.08))",
+        },
+        None,
+    ),
+    "3d": (
+        [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        [17, 17, 17],
+        {
+            "a": [
+                "1 + 0.4*exp(-((x-0.5)^2+(y-0.5)^2+(z-0.5)^2)/0.08)",
+                "2 + 0.3*x*y + 0.1*sin(3*z + 0.2)",
+                "1.5 + 0.2*sin(z + 0.3)*cos(x)",
+                "0.1*y*(1-y)*z*(1-z)",
+                "0",
+                "0.2*x*(1-x)*y*(1-y)",
+            ],
+            "c": "0.5 + 0.3*sin(2*x)*cos(2*y)*cos(z)",
+        },
+        None,
+    ),
+    "non-square-box-with-drift": (
+        [[-0.5, 1.0], [0.2, 2.2]],
+        [17, 21],
+        {
+            "a": ["1.3 + 0.2*x*y", "0.7 + 0.1*exp(y)", "0"],
+            "b": ["0.3*x", "0.2 - 0.1*y"],
+            "c": "0.4 + 0.1*x",
+        },
+        ["2 + x*y", "1", "x^2 + 0.5*y", "y - x", "exp(x)*cos(y)"],
+    ),
+}
+
+
+def oracle_case(name):
+    bounds, shape, coefficients, expressions = _ORACLE_CASES[name]
+    cfg = parse_config(
+        {
+            "schema_version": 1,
+            "grid": {"bounds": bounds, "shape": shape},
+            "coefficients": coefficients,
+            "modality": {"name": "generic", "weight": "1"},
+            "study": {"type": "single"},
+        }
+    )
+    grid = cfg.grid_for()
+    if expressions is None:
+        traces = default_traces(grid)
+    else:
+        traces = [BoundaryTrace.from_expression(grid, e) for e in expressions]
+    return cfg.coefficients(grid), traces
+
+
+class TestCompatibleTracesAtTheCorners:
+    """The correction reads the one-sided closures at the corners only,
+    and writes the traces full-grid derivatives gave, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_traces_are_those_of_full_grid_derivatives(self, name):
+        coeffs, traces = oracle_case(name)
+        expect = full_grid_compatible_traces(coeffs, traces)
+        got = compatible_traces(coeffs, traces)
+        assert len(got) == len(traces)
+        for new, ref, raw in zip(got, expect, traces):
+            assert np.array_equal(new.values, ref.values)
+            assert same_bits(new.values, ref.values)
+            assert not np.array_equal(new.values, raw.values)
+
+    def test_takes_no_full_grid_derivative(self, monkeypatch):
+        coeffs, traces = oracle_case("3d")
+        calls = {}
+        # every full-grid derivative the package takes passes through these
+        for name in ("gradient", "hessian", "_first_diff", "_second_diff"):
+            fn = getattr(grids, name)
+            calls[name] = 0
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(grids, name, wrapper)
+        compatible_traces(coeffs, traces)
+        assert calls == dict.fromkeys(calls, 0)
 
 
 class TestPersistence:
