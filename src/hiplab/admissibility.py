@@ -189,7 +189,7 @@ def check(
     if rs.null_space is not None:
         quality = rs.null_space[1].values
         independence = np.where(rs.gram_data.singular, 0.0, quality)
-    inside = rs.mask.flags
+    inside = rs.inside
     pipeline = "scalar" if independence is None else "matrix"
     report = AdmissibilityReport(
         thresholds=thresholds,
@@ -213,7 +213,7 @@ def check(
         for ax, (lo, hi) in enumerate(box):
             if hi <= lo:
                 raise ConfigurationError(f"sub-box {k} axis {ax}: empty range")
-            region &= (coords[ax].real >= lo) & (coords[ax].real <= hi)
+            region &= (coords[ax] >= lo) & (coords[ax] <= hi)
         report.entries.append(
             _region_entry(
                 f"box_{k}",

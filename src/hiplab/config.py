@@ -108,6 +108,14 @@ def validate_document(doc: dict) -> None:
             "traces take either a count or explicit expressions, not both",
             stage="config",
         )
+    if isinstance(traces, dict) and "count" in traces:
+        pool = TRACE_POOLS[dim]
+        if not dim + 1 <= traces["count"] <= len(pool):
+            raise ConfigurationError(
+                f"trace count must lie in [{dim + 1}, {len(pool)}], "
+                f"got {traces['count']}",
+                stage="config",
+            )
 
     study = doc["study"]
     kind = study["type"]
@@ -244,14 +252,18 @@ class ExperimentConfig:
         return out
 
     @property
-    def trace_count(self) -> int:
-        """How many traces :meth:`traces` builds, without building them."""
+    def trace_expressions(self) -> list[str | None]:
+        """The expression of each trace :meth:`traces` builds, without
+        building them: None for corner-compatible traces, which
+        :func:`~hiplab.synthesis.compatible_traces` stores without one."""
         spec = self.doc.get("traces", "default")
         if spec == "default":
             spec = {}
-        if "expressions" in spec:
-            return len(spec["expressions"])
-        return spec.get("count", len(TRACE_POOLS[self.dim]))
+        pool = TRACE_POOLS[self.dim]
+        exprs = list(spec.get("expressions", pool[: spec.get("count", len(pool))]))
+        if spec.get("corner_compatible", False):
+            return [None] * len(exprs)
+        return exprs
 
     def noise(self) -> NoiseSpec | None:
         spec = self.doc.get("noise")

@@ -58,7 +58,6 @@ from .forward import (
     solve_poisson,
 )
 from .grids import (
-    InteriorMask,
     ScalarField,
     SymTensorField,
     VectorField,
@@ -144,7 +143,7 @@ class InvariantTriple:
 
     shape: SymTensorField
     vector_invariant: VectorField
-    mask: InteriorMask
+    inside: np.ndarray
     degenerate: np.ndarray
     masked_fraction: float
     shape_divergence: VectorField = field(init=False)
@@ -207,9 +206,8 @@ def invariant_triple(
 ) -> InvariantTriple:
     """Drift invariant from the normalized pair and the reference functional."""
     grid = nc.diffusion.grid
-    inside = nc.mask.flags
-    n_inside = max(int(np.count_nonzero(inside)), 1)
-    frac = float(np.count_nonzero(nc.degenerate & inside)) / n_inside
+    inside = nc.inside
+    frac = float(np.count_nonzero(nc.degenerate & inside) / np.count_nonzero(inside))
     if frac > MASKED_FRACTION_LIMIT:
         raise ReconstructionAbort(
             f"{frac:.1%} of the trusted interior is degenerate "
@@ -224,7 +222,7 @@ def invariant_triple(
     tri = InvariantTriple(
         shape=SymTensorField(grid, consistent_rings(shape.values, grid)),
         vector_invariant=VectorField.zero(grid),  # set below from div(ahat)
-        mask=nc.mask,
+        inside=nc.inside,
         degenerate=nc.degenerate,
         masked_fraction=frac,
     )
@@ -248,7 +246,7 @@ def invariant_triple(
 def integrate_gradient(
     F: VectorField,
     anchor: BoundaryTrace,
-    mask: InteriorMask,
+    mask: np.ndarray,
 ) -> tuple[ScalarField, float]:
     """Least-squares potential of an approximate gradient field.
 
@@ -276,9 +274,8 @@ def integrate_gradient(
         )
         rot_mag = np.sqrt(component_sum(np.abs(rot) ** 2))
     jac_mag = np.sqrt(component_sum(np.abs(jac.reshape(grid.shape + (-1,))) ** 2))
-    inside = mask.flags
-    top = float(np.max(rot_mag[inside])) if np.any(inside) else 0.0
-    scale = float(np.max(jac_mag[inside])) if np.any(inside) else 0.0
+    top = float(np.max(rot_mag[mask]))
+    scale = float(np.max(jac_mag[mask]))
     rel = top / max(scale, np.finfo(float).tiny)
     return psi, rel
 
@@ -332,7 +329,7 @@ def _integrate_drift(
     grid = tri.shape.grid
     inv = sym_inv(tri.shape.values, grid.dim)
     F = VectorField(grid, 0.5 * sym_matvec(inv, tri.vector_invariant.values, grid.dim))
-    psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.mask)
+    psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.inside)
     # numpy's real exp rounds differently from its complex one
     ratio = via_complex(np.exp, psi.values)
     v, _, q = _scalar_invariant(tri, h1, ratio)
@@ -467,8 +464,8 @@ def resolve_qtat(
 
     kappa = ScalarField(grid, divide(h1.values, np.abs(v.values) ** 2))
     im_q = q.values.imag
-    inside = tri.mask.flags
-    scale = float(np.max(np.abs(im_q[inside]))) if np.any(inside) else 0.0
+    inside = tri.inside
+    scale = float(np.max(np.abs(im_q[inside])))
     flags = np.abs(im_q) < QTAT_IMAG_FLOOR * max(scale, np.finfo(float).tiny)
     gamma_vals = np.where(flags, np.nan, -kappa.values.real / np.where(flags, 1.0, im_q))
     gamma = ScalarField(grid, gamma_vals)
@@ -482,7 +479,7 @@ def resolve_qtat(
         curl_residual=curl_rel,
         extras={
             "flagged_fraction": float(np.count_nonzero(flags & inside))
-            / max(int(np.count_nonzero(inside)), 1)
+            / float(np.count_nonzero(inside))
         },
     )
     return ResolvedCoefficients(
@@ -528,7 +525,7 @@ def resolve_generic(
     v, grad_v, q = _scalar_invariant(tri, h1, ratio)
 
     resid_field = divergence(drift_combo).values - known_divergence.values
-    inside = tri.mask.flags
+    inside = tri.inside
     scale = float(np.max(np.abs(known_divergence.values[inside]))) + 1.0
     constraint_residual = float(np.max(np.abs(resid_field[inside]))) / scale
 
@@ -603,7 +600,7 @@ def gauge_equivalent(
     grid = ca.grid
     if not grid.compatible(cb.grid):
         raise ConfigurationError("coefficient sets live on different grids")
-    inside = grid.interior(margin).flags
+    inside = grid.interior(margin)
     shape_a, g_a, q_a = _truth_triple(ca, wa)
     shape_b, g_b, q_b = _truth_triple(cb, wb)
 

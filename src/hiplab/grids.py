@@ -35,9 +35,9 @@ Conventions used throughout the package:
   result for a zero imaginary part is ``x * (1/y)``, so every quotient
   by a real divisor is that product (:func:`divide`); where a real
   ufunc or product rounds differently from its complex counterpart, as
-  ``exp``, ``log``, non-integer powers, ``mean``, ``eigvalsh`` and BLAS
-  products do, that one call is evaluated in complex and its real part
-  kept (:func:`via_complex`).
+  ``exp``, ``log``, non-integer powers, ``mean`` and ``eigvalsh`` do,
+  that one call is evaluated in complex and its real part kept
+  (:func:`via_complex`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "SymTensorField",
-    "InteriorMask",
     "sym_pairs",
     "sym_size",
     "sym_to_full",
@@ -230,30 +229,20 @@ class Grid:
             mask[tuple(sl)] = True
         return mask
 
-    def interior(self, margin: int = 2) -> "InteriorMask":
-        """Mask of points at least ``margin`` steps away from every face."""
+    def interior(self, margin: int = 2) -> np.ndarray:
+        """Boolean array, True at points ``margin`` or more steps from every face."""
         if margin < 1:
             raise GridError(f"interior margin must be >= 1, got {margin}")
         if any(2 * margin >= s for s in self.shape):
             raise GridError(
                 f"margin {margin} leaves no interior on shape {self.shape}"
             )
-        flags = np.zeros(self.shape, dtype=bool)
-        core = tuple(slice(margin, s - margin) for s in self.shape)
-        flags[core] = True
-        return InteriorMask(grid=self, margin=margin, flags=flags)
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[tuple(slice(margin, s - margin) for s in self.shape)] = True
+        return mask
 
     def compatible(self, other: "Grid") -> bool:
         return self.bounds == other.bounds and self.shape == other.shape
-
-
-@dataclass(frozen=True)
-class InteriorMask:
-    """Points on which pointwise reconstruction output is trusted."""
-
-    grid: Grid
-    margin: int
-    flags: np.ndarray
 
 
 def _storage_dtype(values) -> type:
@@ -317,9 +306,6 @@ class VectorField:
 
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.values.copy())
-
-    def component(self, k: int) -> np.ndarray:
-        return self.values[..., k]
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(component_sum(np.abs(self.values) ** 2))
@@ -582,39 +568,40 @@ def jacobian(F: VectorField) -> np.ndarray:
     return out
 
 
-def consistent_rings(values: np.ndarray, grid: Grid, rings: int = 2) -> np.ndarray:
-    """Rebuild the outer rings of a derived field by inward extrapolation.
+# Lagrange weights for the rows 0 and 1 steps in, on the rows 2, 3 (and 4)
+_QUADRATIC_RINGS = ((6.0, -8.0, 3.0), (3.0, -3.0, 1.0))
+_LINEAR_RINGS = ((3.0, -2.0), (2.0, -1.0))
+
+
+def consistent_rings(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Rebuild the two outer rings of a derived field by inward extrapolation.
 
     Fields produced by differentiating grid data carry larger truncation
     constants on the one-sided boundary rows than in the centered interior,
     so their error profile has a kink across the outer rings.  Any further
     derivative, or an elliptic solve fed by one, amplifies that kink into
     an O(1) artifact confined to a band of fixed cell width.  Replacing the
-    rings by per-axis quadratic extrapolation from the centered rows keeps
-    the error profile smooth without touching the interior values.
+    rings by per-axis extrapolation from the centered rows keeps the error
+    profile smooth without touching the interior values.
 
-    ``values`` may carry trailing component axes; leading axes must match
-    ``grid.shape``.  Axes too short to supply source rows are left alone.
+    The extrapolation is quadratic on axes of 7 or more points, linear
+    on 6-point axes; 5-point axes are left alone.  Its exact weights are
+    applied elementwise, so real input returns the real part of the
+    complex result bit for bit.  ``values`` may carry trailing component
+    axes; leading axes must match ``grid.shape``.
     """
     out = np.array(values, copy=True)
-    for ax in range(grid.dim):
-        n = grid.shape[ax]
-        deg = min(2, n - 2 * rings - 1)
-        if deg < 1:
+    for ax, n in enumerate(grid.shape):
+        if n < 6:
             continue
-        src = np.arange(rings, rings + deg + 1)
-        vander = np.vander(src.astype(float), deg + 1, increasing=True)
+        rule = _QUADRATIC_RINGS if n >= 7 else _LINEAR_RINGS
         sub = np.moveaxis(out, ax, 0)
-        for t in range(rings):
-            for lo_t, lo_s in ((t, src), (n - 1 - t, n - 1 - src)):
-                moments = np.vander(
-                    np.array([float(t)]), deg + 1, increasing=True
-                )[0]
-                weights = np.linalg.solve(vander.T, moments)
-                # numpy's real and complex products round differently
-                sub[lo_t] = via_complex(
-                    lambda s: np.tensordot(weights, s, axes=(0, 0)), sub[lo_s]
-                )
+        for ring, weights in enumerate(rule):
+            for face, inward in ((0, 1), (n - 1, -1)):
+                acc = weights[0] * sub[face + 2 * inward]
+                for step, w in enumerate(weights[1:], start=3):
+                    acc += w * sub[face + step * inward]
+                sub[face + ring * inward] = acc
     return out
 
 

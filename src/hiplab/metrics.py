@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import MetricsError
 from .grids import (
-    InteriorMask,
     ScalarField,
     SymTensorField,
     VectorField,
@@ -111,23 +110,20 @@ def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def error_norms(
-    candidate,
-    reference,
-    mask: InteriorMask | np.ndarray | None = None,
-    exclude: np.ndarray | None = None,
-) -> ErrorMetrics:
-    """Sup-norm errors of ``candidate - reference`` over a region.
+def error_norms(candidate, reference, mask: np.ndarray) -> ErrorMetrics:
+    """Sup-norm errors of ``candidate - reference`` over ``mask``.
 
-    ``mask`` restricts the comparison (an interior mask or boolean
-    array; default everything); ``exclude`` removes flagged vertices,
-    e.g. degenerate ones.  Relative norms divide by the corresponding
-    norm of ``reference`` and are infinite for a vanishing reference.
+    ``mask`` is one boolean array of the grid's shape, True at the
+    vertices compared; a caller that drops flagged vertices from a
+    trusted interior passes ``interior & ~flags``.  Relative norms
+    divide by the corresponding norm of ``reference`` and are infinite
+    for a vanishing reference.
 
     Raises
     ------
     MetricsError
-        If the fields are incompatible or the region is empty.
+        If the fields are incompatible, or ``mask`` does not match the
+        grid or selects no vertex.
     """
     if type(candidate) is not type(reference):
         raise MetricsError(
@@ -137,24 +133,14 @@ def error_norms(
     grid = candidate.grid
     if not grid.compatible(reference.grid):
         raise MetricsError("fields live on different grids")
-    if mask is None:
-        region = np.ones(grid.shape, dtype=bool)
-    elif isinstance(mask, InteriorMask):
-        region = mask.flags.copy()
-    else:
-        region = np.asarray(mask, dtype=bool).copy()
-        if region.shape != grid.shape:
-            raise MetricsError(
-                f"mask shape {region.shape} does not match grid {grid.shape}"
-            )
-    if exclude is not None:
-        region &= ~np.asarray(exclude, dtype=bool)
-    if not np.any(region):
+    if mask.shape != grid.shape:
+        raise MetricsError(f"mask shape {mask.shape} does not match grid {grid.shape}")
+    if not np.any(mask):
         raise MetricsError("comparison region is empty")
 
     diff = type(candidate)(grid, candidate.values - reference.values)
-    d0, d1, d2 = _sup_levels(diff, region)
-    r0, r1, r2 = _sup_levels(reference, region)
+    d0, d1, d2 = _sup_levels(diff, mask)
+    r0, r1, r2 = _sup_levels(reference, mask)
     c0 = d0
     c1 = d0 + d1
     c2 = d0 + d1 + d2
@@ -174,5 +160,5 @@ def error_norms(
         c0_rel=rel(c0, ref_c0),
         c1_rel=rel(c1, ref_c1),
         c2_rel=rel(c2, ref_c2),
-        region_fraction=float(np.count_nonzero(region)) / grid.num_points,
+        region_fraction=float(np.count_nonzero(mask)) / grid.num_points,
     )

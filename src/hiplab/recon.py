@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .grids import (
     Grid,
-    InteriorMask,
     ScalarField,
     SymTensorField,
     VectorField,
@@ -115,8 +115,8 @@ class GramData:
 class RatioSet:
     """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
 
-    Its ``mode`` and trusted interior ``mask`` are the ones every reader
-    uses.  ``theta`` holds the null weights and ``null_space`` the
+    Its ``mode`` and trusted interior ``inside`` are the ones every
+    reader uses.  ``theta`` holds the null weights and ``null_space`` the
     output of :func:`diffusion_from_constraints`; see :func:`analyze`
     for when each part is None.
     """
@@ -126,7 +126,7 @@ class RatioSet:
     fields: list[ScalarField]
     gradients: list[VectorField]
     hessians: list[SymTensorField]
-    mask: InteriorMask
+    inside: np.ndarray
     gram_data: GramData | None = None
     theta: np.ndarray | None = None
     null_space: tuple[SymTensorField, ScalarField, np.ndarray] | None = None
@@ -149,7 +149,12 @@ class NormalizedCoefficients:
     drift: VectorField
     quality: ScalarField
     degenerate: np.ndarray
-    mask: InteriorMask
+    inside: np.ndarray
+
+    @property
+    def mask(self) -> SimpleNamespace:
+        """``inside`` as ``mask.flags``, the form ``perfbench/run.py`` reads."""
+        return SimpleNamespace(flags=self.inside)
 
 
 def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioSet:
@@ -185,7 +190,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
         fields=fields,
         gradients=gradients,
         hessians=[hessian(v, g) for v, g in zip(fields, gradients)],
-        mask=grid.interior(margin),
+        inside=grid.interior(margin),
     )
     if rs.count < dim:
         return rs
@@ -290,9 +295,9 @@ def gram(rs: RatioSet) -> GramData:
         )
     gd = rs.gram_data
     grads = [rs.gradients[i].values for i in range(dim)]
-    inside = rs.mask.flags
+    inside = rs.inside
     sq = np.max([component_sum(np.abs(g) ** 2) for g in grads], axis=0)
-    scale = float(np.max(sq[inside])) if np.any(inside) else 0.0
+    scale = float(np.max(sq[inside]))
     floor = GRAM_FLOOR * max(scale, np.finfo(float).tiny) ** dim
     bad = inside & (np.abs(gd.det) < floor)
     if np.any(bad):
@@ -340,9 +345,9 @@ def null_weights(rs: RatioSet) -> np.ndarray:
         for j in range(need):
             resid += theta[..., m, j][..., None] * rs.gradients[j].values
         r = np.sqrt(component_sum(np.abs(resid) ** 2))
-        top = max(top, float(np.max(r[rs.mask.flags])))
+        top = max(top, float(np.max(r[rs.inside])))
     grad_top = max(
-        float(np.max(rs.gradients[j].magnitude()[rs.mask.flags]))
+        float(np.max(rs.gradients[j].magnitude()[rs.inside]))
         for j in range(need)
     )
     if top > _CONSISTENCY_TOL * max(grad_top, 1.0):
@@ -605,5 +610,5 @@ def reconstruct(
         drift=drift_from_diffusion(rs, gd, diffusion),
         quality=quality,
         degenerate=degenerate,
-        mask=rs.mask,
+        inside=rs.inside,
     )

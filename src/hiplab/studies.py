@@ -291,8 +291,9 @@ def recover(
 def _require_configured(
     cfg: ExperimentConfig, grid: Grid, ms: MeasurementSet
 ) -> None:
-    """Refuse a measurement set whose grid, modality or trace count is
-    not the configured experiment's."""
+    """Refuse a measurement set whose grid, modality, trace expressions
+    or noise spec are not the configured experiment's; the phantom is
+    not stored with the data, so a changed coefficient goes unseen."""
     found = []
     if not ms.grid.compatible(grid):
         found.append(
@@ -302,8 +303,13 @@ def _require_configured(
     modality = cfg.doc["modality"]["name"]
     if ms.modality != modality:
         found.append(f"modality {ms.modality}, config {modality}")
-    if ms.count != cfg.trace_count:
-        found.append(f"{ms.count} traces, config {cfg.trace_count}")
+    stored, expressions = [t.expression for t in ms.traces], cfg.trace_expressions
+    if len(stored) != len(expressions):
+        found.append(f"{len(stored)} traces, config {len(expressions)}")
+    elif stored != expressions:
+        found.append(f"trace expressions {stored}, config {expressions}")
+    if ms.noise != cfg.noise():
+        found.append(f"noise {ms.noise}, config {cfg.noise()}")
     if found:
         raise ConfigurationError(
             "measurement set differs from the config: " + "; ".join(found),
@@ -320,7 +326,7 @@ def run_pipeline(
 
     Passing a prebuilt measurement set skips the forward solves; the
     phantom is still materialized for anchors and error metrics.  The
-    set must be of the configured grid, modality and trace count, or
+    set must be of the configured grid, modality, traces and noise, or
     :class:`ConfigurationError` names what differs.
     """
     if grid is None:
@@ -331,9 +337,9 @@ def run_pipeline(
     if ms is None:
         ms = synthesize_measurements(cfg, grid, coeffs)
     result = recover(cfg, ms, coeffs)
-    mask, flags = result.nc.mask, result.flags
+    trusted = result.nc.inside & ~result.flags
     result.metrics = {
-        name: error_norms(q, result.truths[name], mask=mask, exclude=flags).to_dict()
+        name: error_norms(q, result.truths[name], trusted).to_dict()
         for name, q in sorted(result.quantities.items())
     }
     return result
@@ -507,7 +513,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         spec = NoiseSpec(amplitude=eps, correlation_length=corr, seed=base.seed)
         noisy = add_noise(clean, spec)
         delta = max(
-            error_norms(hn, hc, mask=mask).c2
+            error_norms(hn, hc, mask).c2
             for hn, hc in zip(noisy.functionals, clean.functionals)
         )
         result = recover(cfg, noisy, coeffs)
@@ -517,10 +523,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         entry = {"amplitude": eps, "delta_h_c2": delta, "quantities": {}}
         for name in sorted(quantities):
             em = error_norms(
-                quantities[name],
-                baseline[name],
-                mask=mask,
-                exclude=flags | baseline_flags,
+                quantities[name], baseline[name], mask & ~(flags | baseline_flags)
             )
             ratio = em.c0 / delta if delta > 0 else 0.0
             entry["quantities"][name] = {

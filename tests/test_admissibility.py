@@ -144,7 +144,7 @@ class TestDegenerateSets:
         grid = unit_grid(17)
         ms = measurements(grid, ("1", "x", "y", "x*y", "2*x*y"))
         rec = reconstruct(ms)
-        assert rec.degenerate[grid.interior(2).flags].all()
+        assert rec.degenerate[grid.interior(2)].all()
         (entry,) = check(ms).entries
         assert entry.independence_margin < Thresholds().independence
 
@@ -152,7 +152,7 @@ class TestDegenerateSets:
         grid = unit_grid(17)
         ms = measurements(grid, HARMONIC)
         (entry,) = check(ms, analysis=analyze(ms, "scalar", margin=4)).entries
-        assert entry.point_count == int(np.count_nonzero(grid.interior(4).flags))
+        assert entry.point_count == int(np.count_nonzero(grid.interior(4)))
         assert entry.independence_margin is None
 
 

@@ -161,8 +161,22 @@ class TestSynthReconstructRoundTrip:
                 "modality elastography, config qpat",
             ),
             ({"traces": {"count": 4}}, "5 traces, config 4"),
+            (
+                {"traces": {"expressions": ["1", "x", "y", "x*y", "x^2 + y^2"]}},
+                "trace expressions ['1', 'x', 'y', 'x*y', 'x^2 - y^2'], config",
+            ),
+            ({"traces": {"corner_compatible": True}}, "config [None, None"),
+            ({"noise": {"amplitude": 1e-2}}, "noise None, config NoiseSpec"),
         ],
-        ids=["shape", "bounds", "modality", "trace-count"],
+        ids=[
+            "shape",
+            "bounds",
+            "modality",
+            "trace-count",
+            "trace-expressions",
+            "corner-compatible",
+            "noise",
+        ],
     )
     def test_data_of_another_experiment_is_refused(
         self, tmp_path, capsys, change, named
@@ -177,6 +191,33 @@ class TestSynthReconstructRoundTrip:
         err = capsys.readouterr().err
         assert "measurement set differs from the config" in err and named in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            None,
+            {"amplitude": 1e-2, "seed": 1},
+            {"amplitude": 1e-2, "correlation_length": 0.2},
+        ],
+        ids=["none", "seed", "correlation-length"],
+    )
+    def test_data_with_other_noise_is_refused(self, tmp_path, capsys, noise):
+        data = tmp_path / "data"
+        doc = harmonic_doc(noise={"amplitude": 1e-2})
+        noisy = write_config(tmp_path, doc, "noisy.json")
+        assert main(["--config", noisy, "--out", str(data), "synth"]) == 0
+        doc = harmonic_doc() if noise is None else harmonic_doc(noise=noise)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        named = "noise NoiseSpec(amplitude=0.01, correlation_length=0.1, seed=0)"
+        assert "measurement set differs from the config" in err and named in err
+        assert not (out / "report.json").exists()
+        # the config the data were synthesized under accepts them
+        argv = ["--config", noisy, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize(
         "study",

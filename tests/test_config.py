@@ -154,6 +154,11 @@ class TestTracesSection:
         with pytest.raises(ConfigurationError, match="not both"):
             validate_document(doc)
 
+    @pytest.mark.parametrize("count", [2, 6])
+    def test_count_outside_the_pool_refused(self, count):
+        with pytest.raises(ConfigurationError, match="trace count must lie in"):
+            validate_document(base_doc(traces={"count": count}))
+
     def test_default_sentinel(self):
         cfg = parse_config(base_doc(traces="default"))
         grid = cfg.grid_for()
@@ -194,7 +199,8 @@ class TestTracesSection:
         grid = {"bounds": [[0.0, 1.0]] * dim, "shape": [9] * dim}
         cfg = parse_config(base_doc(grid=grid, traces=traces))
         grid = cfg.grid_for()
-        assert cfg.trace_count == len(cfg.traces(grid, cfg.coefficients(grid)))
+        built = cfg.traces(grid, cfg.coefficients(grid))
+        assert cfg.trace_expressions == [t.expression for t in built]
 
 
 class TestStudySection:

@@ -112,7 +112,7 @@ class TestIntegrateGradient:
         psi, curl_rel = integrate_gradient(
             F, BoundaryTrace(grid, phi.astype(np.complex128)), grid.interior(2)
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         assert np.max(np.abs(psi.values - phi)[inside]) < 5e-3
         assert curl_rel < 0.01
 
@@ -154,7 +154,7 @@ class TestInvariantTriple:
         grid = unit_grid(17)
         ms = harmonic_measurements(grid)
         tri = invariant_triple(reconstruct(ms), ms.functionals[0])
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         shape = sym_to_full(tri.shape.values, 2)
         assert np.max(np.abs(shape[inside] - np.eye(2))) < 1e-8
         assert np.max(np.abs(tri.vector_invariant.values[inside])) < 1e-8
@@ -172,7 +172,7 @@ class TestInvariantTriple:
             _, tri = synthetic_triple(
                 coeffs, Modality.generic(materialize_scalar("1", grid)), grid
             )
-            inside = grid.interior(2).flags
+            inside = grid.interior(2)
             expect = np.zeros(grid.shape + (2,))
             expect[..., 0] = 2.0
             errs.append(
@@ -361,7 +361,7 @@ class TestResolveElastography:
         res = resolve_elastography(
             tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "1")
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         assert np.max(np.abs(res.amplitude.values[inside] - 1.0)) < 1e-10
         assert np.max(np.abs(res.c.values[inside])) < 1e-10
         assert res.report.curl_residual < 1e-10
@@ -375,7 +375,7 @@ class TestResolveElastography:
             vector_invariant=VectorField(
                 grid, np.stack([-y, x], axis=-1).astype(np.complex128)
             ),
-            mask=grid.interior(2),
+            inside=grid.interior(2),
             degenerate=np.zeros(grid.shape, dtype=bool),
             masked_fraction=0.0,
         )
@@ -416,7 +416,7 @@ class TestResolveQpat:
             BoundaryTrace.from_expression(grid, "1"),
             BoundaryTrace.from_expression(grid, "1"),
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         assert np.max(np.abs(res.amplitude.values[inside] - 1.0)) < 1e-3
         assert np.max(np.abs(res.c.values[inside] - 1.0)) < 1e-3
 
@@ -437,7 +437,7 @@ class TestResolveQpat:
             BoundaryTrace.from_expression(grid, "1"),
             BoundaryTrace.from_expression(grid, "1"),
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         c_rec = res.c.values[inside].real
         assert np.max(np.abs(c_rec - 1.0)) > 0.4
         assert np.max(np.abs(c_rec - 0.5)) < 0.05
@@ -472,16 +472,16 @@ class TestResolveQtat:
             grid, res = self.qtat_resolution(n)
             # margin 4 skips the rebuilt rings whose one-sided constants
             # dominate the sup error without converging
-            inside = grid.interior(4).flags & ~res.flags
+            inside = grid.interior(4) & ~res.flags
             errs.append(float(np.max(np.abs(res.gamma.values[inside] - 1.0))))
-            assert not res.flags[grid.interior(2).flags].any()
+            assert not res.flags[grid.interior(2)].any()
             assert np.allclose(res.gamma.values[inside].imag, 0.0)
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] > 2.5
 
     def test_representatives_reproduce_the_invariant_pair(self):
         grid, res = self.qtat_resolution(33)
-        inside = grid.interior(4).flags & ~res.flags
+        inside = grid.interior(4) & ~res.flags
         B = res.fields["amplitude_representative"].values
         c_rep = res.fields["c_representative"].values
         mi = res.fields["modality_invariant"].values
@@ -517,7 +517,7 @@ class TestResolveGeneric:
         elast = resolve_elastography(
             tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "1")
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         ratio = res.fields["weight_ratio"].values
         assert np.max(np.abs(ratio[inside] - elast.amplitude.values[inside])) < 1e-12
         assert np.max(np.abs(res.fields["drift_combination"].values[inside])) < 2e-3
@@ -553,7 +553,7 @@ class TestResolveGeneric:
                 known_divergence,
                 BoundaryTrace.from_expression(grid, "1"),
             )
-            inside = grid.interior(2).flags
+            inside = grid.interior(2)
             errs.append(
                 float(
                     np.max(
@@ -583,7 +583,7 @@ class TestResolveGeneric:
             known_divergence,
             BoundaryTrace(grid, (1.0 / d).astype(np.complex128)),
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         ratio = res.fields["weight_ratio"].values
         assert np.max(np.abs(ratio - 1.0 / d)[inside]) < 1e-5
         # pushing the resolved ratio forward must reproduce the drift

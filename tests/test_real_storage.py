@@ -215,7 +215,7 @@ def run_stored(cfg, complex_storage: bool):
     ms = synthesize(coeffs, cfg.modality(grid), cfg.traces(grid, coeffs), cfg.solver())
     result = studies.recover(cfg, ms, coeffs)
     metrics = {
-        name: error_norms(q, result.truths[name], mask=result.nc.mask, exclude=result.flags)
+        name: error_norms(q, result.truths[name], mask=result.nc.inside & ~result.flags)
         for name, q in result.quantities.items()
     }
     return ms, result, metrics

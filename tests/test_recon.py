@@ -132,7 +132,7 @@ class TestGram:
     def test_orthonormal_pair(self):
         grid = unit_grid(9)
         gd = gram(ratios(hand_measurements(grid, ["1", "x", "y"])))
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         eye = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(sym_to_full(gd.gram.values, 2)[inside], eye, atol=1e-12)
         assert np.allclose(sym_to_full(gd.inverse.values, 2)[inside], eye, atol=1e-12)
@@ -140,7 +140,7 @@ class TestGram:
     def test_hand_inverse(self):
         grid = unit_grid(9)
         gd = gram(ratios(hand_measurements(grid, ["1", "x", "x + y"])))
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         expect = np.array([[1.0, 1.0], [1.0, 2.0]])
         expect_inv = np.array([[2.0, -1.0], [-1.0, 1.0]])
         assert np.allclose(sym_to_full(gd.gram.values, 2)[inside], expect, atol=1e-12)
@@ -153,7 +153,7 @@ class TestGram:
         gd = gram(
             ratios(hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"]))
         )
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         prod = sym_to_full(gd.gram.values, 2) @ sym_to_full(gd.inverse.values, 2)
         assert np.allclose(prod[inside], np.eye(2), atol=1e-10)
 
@@ -168,7 +168,7 @@ class TestScalarDrift:
         grid = unit_grid(9)
         ms = hand_measurements(grid, ["1", "x", "y"])
         out = reconstruct(ms, analyze(ms, "scalar")).drift
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         assert np.max(np.abs(out.values[inside])) < 1e-12
 
     def test_exponential_diffusion_leaves_only_log_derivative_drift(self):
@@ -200,7 +200,7 @@ class TestScalarDrift:
                 traces,
             )
             out = reconstruct(ms, analyze(ms, "scalar")).drift
-            inside = grid.interior(2).flags
+            inside = grid.interior(2)
             gauge_part = np.zeros(grid.shape + (2,))
             gauge_part[..., 0] = 1.0
             errs.append(
@@ -228,7 +228,7 @@ class TestScalarDrift:
                 coeffs, Modality.generic(materialize_scalar("1", grid)), traces
             )
             out = reconstruct(ms, analyze(ms, "scalar")).drift
-            inside = grid.interior(2).flags
+            inside = grid.interior(2)
             errs.append(
                 float(np.max(np.abs(out.values[inside] - bvals[inside])))
             )
@@ -251,7 +251,7 @@ class TestNullWeights:
         grid, rs = self.quintet()
         theta = null_weights(rs)
         x, y = grid.meshgrid()
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         expect_1 = np.stack([-y, -x, np.ones_like(x), np.zeros_like(x)], axis=-1)
         expect_2 = np.stack(
             [-2 * x, 2 * y, np.zeros_like(x), np.ones_like(x)], axis=-1
@@ -276,7 +276,7 @@ class TestNullWeights:
         theta = null_weights(rs)
         grads = np.stack([g.values for g in rs.gradients], axis=-2)
         scale = float(np.max(np.abs(grads)))
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         for m in range(theta.shape[-2]):
             combo = np.einsum("...j,...jk->...k", theta[..., m, :], grads)
             assert np.max(np.abs(combo[inside])) <= 1e-10 * scale
@@ -285,7 +285,7 @@ class TestNullWeights:
         grid, rs = self.quintet()
         theta = null_weights(rs)
         mats = constraint_matrices(rs, theta)
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         m1 = sym_to_full(mats[0].values, 2)
         m2 = sym_to_full(mats[1].values, 2)
         assert np.allclose(m1[inside], np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
@@ -300,7 +300,7 @@ class TestReconstruct:
     def test_harmonic_identity_alpha_and_zero_beta(self):
         grid, ms = self.harmonic_set()
         nc = reconstruct(ms)
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         alpha = sym_to_full(nc.diffusion.values, 2)
         assert np.allclose(alpha[inside], np.eye(2), atol=1e-8)
         assert np.max(np.abs(nc.drift.values[inside])) < 1e-8
@@ -319,7 +319,7 @@ class TestReconstruct:
             default_traces(grid, 5),
         )
         nc = reconstruct(ms)
-        inside = grid.interior(2).flags & ~nc.degenerate
+        inside = grid.interior(2) & ~nc.degenerate
         alpha = sym_to_full(nc.diffusion.values, 2)
         expect = np.array([[2.0, 0.0], [0.0, 0.5]])
         assert np.max(np.abs(alpha[inside] - expect)) < 1e-6
@@ -338,7 +338,7 @@ class TestReconstruct:
             default_traces(grid, 5),
         )
         nc = reconstruct(ms)
-        kept = nc.mask.flags & ~nc.degenerate
+        kept = nc.inside & ~nc.degenerate
         alpha = sym_to_full(nc.diffusion.values, 2)
         dets = np.linalg.det(alpha[kept])
         assert np.max(np.abs(dets - 1.0)) < 1e-8
@@ -348,7 +348,7 @@ class TestReconstruct:
         # duplicate the xy functional: M^2 becomes a multiple of M^1
         ms = hand_measurements(grid, ["1", "x", "y", "x*y", "2*x*y"])
         nc = reconstruct(ms)
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         assert nc.degenerate[inside].all()
         assert np.isnan(nc.diffusion.values[inside]).any()
 
@@ -364,7 +364,7 @@ class TestReconstruct:
         with pytest.raises(MeasurementCountError):
             reconstruct(short)
         nc = reconstruct(short, analyze(short, "scalar"))
-        inside = grid.interior(2).flags
+        inside = grid.interior(2)
         assert np.max(np.abs(nc.drift.values[inside])) < 1e-10
 
     def test_unknown_mode_is_refused_by_the_analysis(self):
@@ -377,7 +377,7 @@ class TestReconstruct:
         scalar = analyze(ms, "scalar", margin=4)
         nc = reconstruct(ms, scalar)
         assert scalar.mode == "scalar"
-        assert np.array_equal(nc.mask.flags, grid.interior(4).flags)
+        assert np.array_equal(nc.inside, grid.interior(4))
         assert np.array_equal(nc.diffusion.values, SymTensorField.identity(grid).values)
 
     def test_scalar_reduction_matches_matrix_drift_combination(self):
@@ -399,7 +399,7 @@ class TestReconstruct:
         )
         nc = reconstruct(ms)
         scalar = reconstruct(ms, analyze(ms, "scalar")).drift
-        inside = grid.interior(2).flags & ~nc.degenerate
+        inside = grid.interior(2) & ~nc.degenerate
         assert np.max(np.abs(nc.drift.values[inside] - scalar.values[inside])) < 1e-10
 
 
@@ -555,7 +555,7 @@ class TestClosedFormNullSpace:
         direction, _, flags = diffusion_from_constraints(mats)
         with mock.patch.object(recon, "_CUT_BAND", -1.0):
             plain, _, plain_flags = diffusion_from_constraints(mats)
-        assert not flags[rs.mask.flags].any()
+        assert not flags[rs.inside].any()
         assert np.array_equal(flags, plain_flags)
         assert np.array_equal(
             direction.values.view(np.float64), plain.values.view(np.float64), equal_nan=True
