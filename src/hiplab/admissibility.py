@@ -5,24 +5,20 @@ interior: the reference functional stays away from zero, the first
 ``dim`` ratio gradients stay uniformly independent, and the Hessian
 constraint matrices stay uniformly independent.  This module turns each
 into a normalized margin in [0, 1] and compares against thresholds.  A
-failing condition is a report entry, never an exception, so the checker
-can be run on deliberately bad data.
+failing condition is reported, never raised, so the checker can be run
+on deliberately bad data.
 
 Every margin is a reduction over the ratio analysis of
 :func:`hiplab.recon.analyze`, the object the reconstruction then reads.
-Margins are normalized per region: gradient determinants by the product
-of gradient magnitudes, the constraint stack by its largest singular
-value, and the reference margin as min/max of ``|H_1|`` over the region
-under scrutiny.  Restricting to a sub-box raises the min and lowers the
-max, so no margin ever decreases under restriction; a reference field
-with a huge global dynamic range can still be tame on every patch of a
-covering, which is exactly the local solvability viewpoint: data good on
-every patch is good enough for patchwise reconstruction.
+Margins are normalized over the trusted interior: gradient determinants
+by the product of gradient magnitudes, the constraint stack by its
+largest singular value, and the reference margin as min/max of
+``|H_1|``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +27,7 @@ from .grids import component_sum
 from .recon import RatioSet, analyze
 from .synthesis import MeasurementSet
 
-__all__ = ["Thresholds", "RegionMargins", "AdmissibilityReport", "check"]
+__all__ = ["Thresholds", "AdmissibilityReport", "check"]
 
 
 @dataclass(frozen=True)
@@ -44,32 +40,38 @@ class Thresholds:
 
     def __post_init__(self):
         for name in ("reference", "basis", "independence"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigurationError(
                     f"threshold {name!r} must be positive, got {getattr(self, name)}"
                 )
 
 
 @dataclass
-class RegionMargins:
-    """Worst-case margins over one region of the trusted interior."""
+class AdmissibilityReport:
+    """Worst-case margins over the trusted interior, with the verdict."""
 
-    name: str
-    bounds: list | None
+    thresholds: Thresholds
+    pipeline: str
+    functional_count: int
     point_count: int
     reference_margin: float
     basis_margin: float
     independence_margin: float | None
-    passed: bool
 
+    def failures(self) -> list[str]:
+        """Each margin below its floor, as ``"<name> margin <value> < <floor>"``;
+        a margin reported as None is not audited."""
+        out = []
+        for name in ("reference", "basis", "independence"):
+            value = getattr(self, f"{name}_margin")
+            floor = getattr(self.thresholds, name)
+            if value is not None and not value >= floor:
+                out.append(f"{name} margin {value:.3e} < {floor:.1e}")
+        return out
 
-@dataclass
-class AdmissibilityReport:
-    thresholds: Thresholds
-    pipeline: str
-    functional_count: int
-    entries: list[RegionMargins] = field(default_factory=list)
-    passed: bool = True
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
 
     def to_dict(self) -> dict:
         return {
@@ -81,37 +83,39 @@ class AdmissibilityReport:
                 "basis": self.thresholds.basis,
                 "independence": self.thresholds.independence,
             },
+            # a list of one region, the layout of report schema version 1
             "regions": [
                 {
-                    "name": e.name,
-                    "bounds": e.bounds,
-                    "point_count": e.point_count,
-                    "reference_margin": e.reference_margin,
-                    "basis_margin": e.basis_margin,
-                    "independence_margin": e.independence_margin,
-                    "passed": e.passed,
+                    "name": "full",
+                    "bounds": None,
+                    "point_count": self.point_count,
+                    "reference_margin": self.reference_margin,
+                    "basis_margin": self.basis_margin,
+                    "independence_margin": self.independence_margin,
+                    "passed": self.passed,
                 }
-                for e in self.entries
             ],
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"admissibility: {'PASS' if self.passed else 'FAIL'} "
-            f"({self.pipeline} pipeline, {self.functional_count} functionals)",
-            f"  thresholds: reference {self.thresholds.reference:.1e}, "
-            f"basis {self.thresholds.basis:.1e}, "
-            f"independence {self.thresholds.independence:.1e}",
-        ]
-        for e in self.entries:
-            ind = "n/a" if e.independence_margin is None else f"{e.independence_margin:.3e}"
-            lines.append(
-                f"  {e.name}: {'pass' if e.passed else 'FAIL'}  "
-                f"reference {e.reference_margin:.3e}  "
-                f"basis {e.basis_margin:.3e}  independence {ind}  "
-                f"({e.point_count} points)"
-            )
-        return "\n".join(lines)
+        ind = (
+            "n/a"
+            if self.independence_margin is None
+            else f"{self.independence_margin:.3e}"
+        )
+        return "\n".join(
+            [
+                f"admissibility: {'PASS' if self.passed else 'FAIL'} "
+                f"({self.pipeline} pipeline, {self.functional_count} functionals)",
+                f"  thresholds: reference {self.thresholds.reference:.1e}, "
+                f"basis {self.thresholds.basis:.1e}, "
+                f"independence {self.thresholds.independence:.1e}",
+                f"  full: {'pass' if self.passed else 'FAIL'}  "
+                f"reference {self.reference_margin:.3e}  "
+                f"basis {self.basis_margin:.3e}  independence {ind}  "
+                f"({self.point_count} points)",
+            ]
+        )
 
 
 def _gradient_det(grads: list[np.ndarray]) -> np.ndarray:
@@ -123,107 +127,45 @@ def _gradient_det(grads: list[np.ndarray]) -> np.ndarray:
     return component_sum(g1 * np.cross(g2, g3))
 
 
-def _region_entry(name, bounds, region, h1_mag, basis, independence, thr):
-    count = int(np.count_nonzero(region))
-    if count == 0:
-        return RegionMargins(
-            name=name,
-            bounds=bounds,
-            point_count=0,
-            reference_margin=0.0,
-            basis_margin=0.0,
-            independence_margin=None if independence is None else 0.0,
-            passed=False,
-        )
-    # min/max both over the region: restriction raises the min and
-    # lowers the max, so the margin never decreases on a sub-box.
-    peak = max(float(np.max(h1_mag[region])), np.finfo(float).tiny)
-    ref_m = float(np.min(h1_mag[region])) / peak
-    basis_m = float(np.min(basis[region]))
-    ind_m = None if independence is None else float(np.min(independence[region]))
-    passed = ref_m >= thr.reference and basis_m >= thr.basis
-    if ind_m is not None:
-        passed = passed and ind_m >= thr.independence
-    return RegionMargins(
-        name=name,
-        bounds=bounds,
-        point_count=count,
-        reference_margin=ref_m,
-        basis_margin=basis_m,
-        independence_margin=ind_m,
-        passed=passed,
-    )
-
-
 def check(
     ms: MeasurementSet,
-    covering: list | None = None,
     thresholds: Thresholds | None = None,
     analysis: RatioSet | None = None,
 ) -> AdmissibilityReport:
     """Evaluate the three admissibility margins on the trusted interior.
 
-    ``covering`` is an optional list of ``(lo, hi)`` pair tuples, one
-    sub-box per entry, each reported separately; the overall verdict
-    requires the full region and every sub-box to pass.  ``analysis`` is
-    the ratio analysis of ``ms`` (:func:`hiplab.recon.analyze`), which
-    alone fixes the mode and the trusted interior; without it
-    ``analyze(ms)`` is built here.  The independence margin is
-    reported as None, and the pipeline as ``"scalar"``, when the
-    analysis has no constraint null space: in scalar mode, or with too
-    few functionals for the matrix pipeline.
+    ``analysis`` is the ratio analysis of ``ms``
+    (:func:`hiplab.recon.analyze`), which alone fixes the mode and the
+    trusted interior; without it ``analyze(ms)`` is built here.  The
+    independence margin is reported as None, and the pipeline as
+    ``"scalar"``, when the analysis has no constraint null space: in
+    scalar mode, or with too few functionals for the matrix pipeline.
     """
     thresholds = thresholds or Thresholds()
-    grid = ms.grid
     rs = analysis if analysis is not None else analyze(ms)
-    h1_mag = np.abs(ms.functionals[0].values)
-    grads = [g.values for g in rs.gradients[: grid.dim]]
+    inside = rs.inside
+    h1_mag = np.abs(ms.functionals[0].values)[inside]
+    grads = [g.values for g in rs.gradients[: ms.grid.dim]]
     det = _gradient_det(grads)
     norms = np.prod([np.sqrt(component_sum(np.abs(g) ** 2)) for g in grads], axis=0)
     with np.errstate(all="ignore"):
         basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)
     basis = np.nan_to_num(basis, nan=0.0)
+    peak = max(float(np.max(h1_mag)), np.finfo(float).tiny)
+    ref_m = float(np.min(h1_mag)) / peak
     # the singular-value gap of the constraint stack, zero where the
     # Gram matrix is singular
-    independence = None
+    ind_m = None
     if rs.null_space is not None:
         quality = rs.null_space[1].values
         independence = np.where(rs.gram_data.singular, 0.0, quality)
-    inside = rs.inside
-    pipeline = "scalar" if independence is None else "matrix"
-    report = AdmissibilityReport(
+        ind_m = float(np.min(independence[inside]))
+    return AdmissibilityReport(
         thresholds=thresholds,
-        pipeline=pipeline,
+        pipeline="scalar" if ind_m is None else "matrix",
         functional_count=ms.count,
-        entries=[],
+        point_count=int(np.count_nonzero(inside)),
+        reference_margin=ref_m,
+        basis_margin=float(np.min(basis[inside])),
+        independence_margin=ind_m,
     )
-    report.entries.append(
-        _region_entry(
-            "full", None, inside, h1_mag, basis, independence, thresholds
-        )
-    )
-    coords = grid.meshgrid()
-    for k, box in enumerate(covering or []):
-        box = [tuple(map(float, pair)) for pair in box]
-        if len(box) != grid.dim:
-            raise ConfigurationError(
-                f"sub-box {k} has {len(box)} axes, expected {grid.dim}"
-            )
-        region = inside.copy()
-        for ax, (lo, hi) in enumerate(box):
-            if hi <= lo:
-                raise ConfigurationError(f"sub-box {k} axis {ax}: empty range")
-            region &= (coords[ax] >= lo) & (coords[ax] <= hi)
-        report.entries.append(
-            _region_entry(
-                f"box_{k}",
-                [list(pair) for pair in box],
-                region,
-                h1_mag,
-                basis,
-                independence,
-                thresholds,
-            )
-        )
-    report.passed = all(e.passed for e in report.entries)
-    return report

@@ -116,7 +116,7 @@ def _cmd_synth(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_check(args, cfg: ExperimentConfig) -> int:
     # The audit itself never raises on bad data: failing conditions are
-    # report entries, and the verdict maps to the exit code.
+    # reported, and the verdict maps to the exit code.
     out = _out_dir(args, cfg, required=False)
     _, audit = studies.audit(cfg, _synthesize(cfg))
     print(audit.to_text())

@@ -15,6 +15,7 @@ call into.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -56,11 +57,18 @@ def _schema() -> dict:
 def validate_document(doc: dict) -> None:
     """Check a raw configuration document against the shipped schema.
 
-    Schema violations and unknown keys raise a configuration error that
-    names the offending path.  Cross-field requirements the schema
-    cannot express (matching grid arity, modality parameters, study
-    parameters) are checked here as well.
+    Schema violations, unknown keys and non-finite numbers (Python's
+    ``json`` reads the tokens ``NaN`` and ``Infinity``) raise a
+    configuration error that names the offending path.  Cross-field
+    requirements the schema cannot express (matching grid arity,
+    modality parameters, study parameters) are checked here as well.
     """
+    for path, value in _numbers(doc):
+        if not math.isfinite(value):
+            where = "/".join(path) or "<root>"
+            raise ConfigurationError(
+                f"config number {value} is not finite (at {where})", stage="config"
+            )
     validator = jsonschema.Draft7Validator(_schema())
     problems = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if problems:
@@ -151,6 +159,18 @@ def validate_document(doc: dict) -> None:
             "amplitudes and correlation_length only apply to noise sweeps",
             stage="config",
         )
+
+
+def _numbers(node, path=()):
+    """Every float in a JSON document, with its path of keys and indices."""
+    if isinstance(node, float):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numbers(value, path + (str(key),))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _numbers(value, path + (str(k),))
 
 
 def _expressions_of(doc: dict) -> list[str]:

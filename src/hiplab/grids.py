@@ -57,6 +57,7 @@ __all__ = [
     "SymTensorField",
     "sym_pairs",
     "sym_size",
+    "sym_weights",
     "sym_to_full",
     "full_to_sym",
     "sym_identity",
@@ -101,6 +102,14 @@ def sym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 def sym_size(dim: int) -> int:
     """Number of stored components of a symmetric ``dim x dim`` matrix."""
     return dim * (dim + 1) // 2
+
+
+def sym_weights(dim: int) -> np.ndarray:
+    """Weights of the stored components under the trace pairing: 1 on
+    the diagonal, 2 on each off-diagonal entry, which stands for two."""
+    w = np.ones(sym_size(dim))
+    w[dim:] = 2.0
+    return w
 
 
 def _sym_index(dim: int) -> list[list[int]]:
@@ -343,9 +352,7 @@ class SymTensorField:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Frobenius norm (off-diagonal entries counted twice)."""
-        dim = self.grid.dim
-        w = np.ones(sym_size(dim))
-        w[dim:] = 2.0
+        w = sym_weights(self.grid.dim)
         return np.sqrt(component_sum(w * np.abs(self.values) ** 2))
 
 
@@ -437,9 +444,7 @@ def sym_inv(sym: np.ndarray, dim: int) -> np.ndarray:
 
 def sym_dot(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
     """Pointwise trace pairing ``tr(X Y)`` of two symmetric matrices."""
-    w = np.ones(sym_size(dim))
-    w[dim:] = 2.0
-    return component_sum(w * x * y)
+    return component_sum(sym_weights(dim) * x * y)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .grids import (
     gradient,
     hessian,
     sym_size,
+    sym_weights,
 )
 
 __all__ = ["ErrorMetrics", "error_norms"]
@@ -57,24 +58,17 @@ class ErrorMetrics:
         }
 
 
-def _components(fld) -> list[np.ndarray]:
+def _components(fld) -> tuple[list[np.ndarray], np.ndarray]:
+    """The components of ``fld`` and their Frobenius weights: symmetric
+    off-diagonal entries count twice."""
+    dim = fld.grid.dim
     if isinstance(fld, ScalarField):
-        return [fld.values]
+        return [fld.values], np.ones(1)
     if isinstance(fld, VectorField):
-        return [fld.values[..., k] for k in range(fld.grid.dim)]
+        return [fld.values[..., k] for k in range(dim)], np.ones(dim)
     if isinstance(fld, SymTensorField):
-        return [fld.values[..., k] for k in range(sym_size(fld.grid.dim))]
+        return [fld.values[..., k] for k in range(sym_size(dim))], sym_weights(dim)
     raise MetricsError(f"not a field: {type(fld).__name__}")
-
-
-def _component_weights(fld) -> np.ndarray:
-    """Frobenius weights: symmetric off-diagonal entries count twice."""
-    if isinstance(fld, SymTensorField):
-        dim = fld.grid.dim
-        w = np.ones(sym_size(dim))
-        w[dim:] = 2.0
-        return w
-    return np.ones(len(_components(fld)))
 
 
 def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
@@ -85,15 +79,13 @@ def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
     bit.
     """
     grid = fld.grid
-    comps = _components(fld)
-    weights = _component_weights(fld)
+    comps, weights = _components(fld)
 
     val_sq = np.zeros(grid.shape)
     grad_sq = np.zeros(grid.shape)
     hess_sq = np.zeros(grid.shape)
     dim = grid.dim
-    hess_weights = np.ones(sym_size(dim))
-    hess_weights[dim:] = 2.0
+    hess_weights = sym_weights(dim)
     for w, comp in zip(weights, comps):
         f = ScalarField(grid, comp)
         grad = gradient(f)

@@ -56,6 +56,7 @@ from .grids import (
     sym_pairs,
     sym_size,
     sym_trace,
+    sym_weights,
 )
 from .synthesis import H1_FLOOR, MeasurementSet
 
@@ -127,7 +128,7 @@ class RatioSet:
     gradients: list[VectorField]
     hessians: list[SymTensorField]
     inside: np.ndarray
-    gram_data: GramData | None = None
+    gram_data: GramData
     theta: np.ndarray | None = None
     null_space: tuple[SymTensorField, ScalarField, np.ndarray] | None = None
 
@@ -168,8 +169,8 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     pass (its Hessian reuses its gradient): the first ``dim`` in scalar
     mode, the first ``functional_budget(dim) - 1`` in matrix mode, where
     the null weights and the null space follow once that many exist.
-    The Gram data needs ``dim`` ratios.  An unknown ``mode`` raises
-    :class:`MeasurementCountError`, since it names no functional budget.
+    An unknown ``mode`` raises :class:`MeasurementCountError`, since it
+    names no functional budget.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
@@ -184,17 +185,8 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     extras = extra_count(dim)
     need = dim if mode == "scalar" else dim + extras
     gradients = [gradient(v) for v in fields[:need]]
-    rs = RatioSet(
-        grid=grid,
-        mode=mode,
-        fields=fields,
-        gradients=gradients,
-        hessians=[hessian(v, g) for v, g in zip(fields, gradients)],
-        inside=grid.interior(margin),
-    )
-    if rs.count < dim:
-        return rs
-    grads = [g.values for g in rs.gradients]
+    hessians = [hessian(v, g) for v, g in zip(fields, gradients)]
+    grads = [g.values for g in gradients]
     vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.result_type(*grads))
     for k, (i, j) in enumerate(sym_pairs(dim)):
         vals[..., k] = component_sum(grads[i] * grads[j])
@@ -204,7 +196,15 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
         inverse = sym_inv(vals, dim)
     inverse[singular] = 0.0
     gd = GramData(SymTensorField(grid, vals), SymTensorField(grid, inverse), det, singular)
-    rs.gram_data = gd
+    rs = RatioSet(
+        grid=grid,
+        mode=mode,
+        fields=fields,
+        gradients=gradients,
+        hessians=hessians,
+        inside=grid.interior(margin),
+        gram_data=gd,
+    )
     if mode == "scalar" or rs.count < need:
         return rs
     rs.theta = _null_weights(grads, gd, dim)
@@ -219,7 +219,7 @@ def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray
     theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.result_type(*grads))
     for m in range(extras):
         rhs = [component_sum(grads[dim + m] * grads[k]) for k in range(dim)]
-        for j, sol in enumerate(_gram_solve(gd, rhs, dim)):
+        for j, sol in enumerate(sym_apply(gd.inverse.values, rhs, dim)):
             theta[..., m, j] = -sol
         theta[..., m, dim + m] = 1.0
     return theta
@@ -288,11 +288,6 @@ def gram(rs: RatioSet) -> GramData:
         gradient magnitude.  The offending vertices are listed.
     """
     dim = rs.grid.dim
-    if rs.count < dim:
-        raise MeasurementCountError(
-            f"need at least {dim} ratio fields for a gradient basis, "
-            f"got {rs.count}"
-        )
     gd = rs.gram_data
     grads = [rs.gradients[i].values for i in range(dim)]
     inside = rs.inside
@@ -309,11 +304,6 @@ def gram(rs: RatioSet) -> GramData:
             stage="recon",
         )
     return gd
-
-
-def _gram_solve(gd: GramData, rhs: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Apply the inverse Gram matrix to per-index scalar arrays."""
-    return sym_apply(gd.inverse.values, rhs, dim)
 
 
 def null_weights(rs: RatioSet) -> np.ndarray:
@@ -405,8 +395,7 @@ def diffusion_from_constraints(
     dim = grid.dim
     m_rows = len(matrices)
     s = sym_size(dim)
-    w = np.ones(s)
-    w[dim:] = np.sqrt(2.0)
+    w = np.sqrt(sym_weights(dim))
     stack = np.empty(
         grid.shape + (m_rows, s), dtype=np.result_type(*(M.values for M in matrices))
     )
@@ -570,7 +559,7 @@ def drift_from_diffusion(
     pair = [
         sym_dot(diffusion.values, rs.hessians[j].values, dim) for j in range(dim)
     ]
-    weights = _gram_solve(gd, pair, dim)
+    weights = sym_apply(gd.inverse.values, pair, dim)
     grads = [rs.gradients[i].values for i in range(dim)]
     out = np.zeros(grid.shape + (dim,), dtype=np.result_type(*weights, *grads))
     for i in range(dim):

@@ -259,9 +259,8 @@ def recover(
     """
     rs, report = audit(cfg, ms)
     if not report.passed:
-        failing = [e.name for e in report.entries if not e.passed]
         raise DegeneracyError(
-            "admissibility audit failed; rejecting regions: " + ", ".join(failing),
+            "admissibility audit failed: " + "; ".join(report.failures()),
             stage="admissibility",
         )
 

@@ -137,9 +137,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        # written so that NaN fails
+        if not self.amplitude >= 0:
             raise ConfigurationError("noise amplitude must be >= 0")
-        if self.correlation_length < 0:
+        if not self.correlation_length >= 0:
             raise ConfigurationError("correlation length must be >= 0")
 
 

@@ -67,6 +67,15 @@ class TestExitCodes:
         assert main(["--config", cfg, "run"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_config_number_is_two(self, tmp_path, capsys):
+        # json.dumps writes float("nan") as the bare token NaN, which
+        # Python's json reads back
+        doc = harmonic_doc(noise={"amplitude": 1e-6, "correlation_length": float("nan")})
+        cfg = write_config(tmp_path, doc)
+        assert "NaN" in (tmp_path / "config.json").read_text()
+        assert main(["--config", cfg, "run"]) == 2
+        assert "noise/correlation_length" in capsys.readouterr().err
+
     def test_missing_config_file_is_two(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json"), "run"]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -73,6 +73,22 @@ class TestSchema:
         with pytest.raises(ConfigurationError):
             validate_document(doc)
 
+    @pytest.mark.parametrize(
+        "section, where",
+        [
+            ({"thresholds": {"basis": float("nan")}}, "thresholds/basis"),
+            ({"noise": {"amplitude": float("nan")}}, "noise/amplitude"),
+            ({"noise": {"amplitude": float("inf")}}, "noise/amplitude"),
+            (
+                {"noise": {"amplitude": 1e-6, "correlation_length": float("nan")}},
+                "noise/correlation_length",
+            ),
+        ],
+    )
+    def test_non_finite_number_names_its_path(self, section, where):
+        with pytest.raises(ConfigurationError, match=f"not finite \\(at {where}\\)"):
+            parse_config(base_doc(**section))
+
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             parse_config([1, 2, 3])

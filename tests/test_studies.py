@@ -140,6 +140,22 @@ class TestRunSingle:
         with pytest.raises(DegeneracyError, match="admissibility"):
             studies.run_single(cfg)
 
+    def test_failed_audit_names_each_margin_below_its_floor(self):
+        # a = exp(17 x) makes exp(-17 x) a solution whose min/max ratio
+        # over the trusted interior falls below the 1e-6 reference floor
+        cfg = parse_config(
+            harmonic_doc(
+                grid={"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [33, 33]},
+                coefficients={"a": "exp(17*x)", "c": "0"},
+                traces={"expressions": ["exp(-17*x)", "x", "y", "x*y", "x^2 - y^2"]},
+            )
+        )
+        with pytest.raises(DegeneracyError, match="reference margin") as exc:
+            studies.run_single(cfg)
+        assert str(exc.value).endswith(" < 1.0e-06")
+        assert "basis" not in str(exc.value)
+        assert "independence" not in str(exc.value)
+
 
 class TestOneAnalysis:
     def count_calls(self, monkeypatch, cfg) -> dict:

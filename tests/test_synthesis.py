@@ -192,6 +192,17 @@ class TestNoise:
             ],
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"amplitude": float("nan")},
+            {"amplitude": 0.0, "correlation_length": float("nan")},
+        ],
+    )
+    def test_nan_parameters_rejected(self, spec):
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            NoiseSpec(**spec)
+
     def test_zero_amplitude_is_bit_exact_identity(self):
         ms = self.make_measurements()
         noisy = add_noise(ms, NoiseSpec(amplitude=0.0, correlation_length=0.1, seed=4))
