@@ -137,9 +137,8 @@ def check(
     ``analysis`` is the ratio analysis of ``ms``
     (:func:`hiplab.recon.analyze`), which alone fixes the mode and the
     trusted interior; without it ``analyze(ms)`` is built here.  The
-    independence margin is reported as None, and the pipeline as
-    ``"scalar"``, when the analysis has no constraint null space: in
-    scalar mode, or with too few functionals for the matrix pipeline.
+    pipeline reported is the analysis's mode; in scalar mode the
+    independence margin is not audited and is reported as None.
     """
     thresholds = thresholds or Thresholds()
     rs = analysis if analysis is not None else analyze(ms)
@@ -156,13 +155,13 @@ def check(
     # the singular-value gap of the constraint stack, zero where the
     # Gram matrix is singular
     ind_m = None
-    if rs.null_space is not None:
+    if rs.mode == "matrix":
         quality = rs.null_space[1].values
         independence = np.where(rs.gram_data.singular, 0.0, quality)
         ind_m = float(np.min(independence[inside]))
     return AdmissibilityReport(
         thresholds=thresholds,
-        pipeline="scalar" if ind_m is None else "matrix",
+        pipeline=rs.mode,
         functional_count=ms.count,
         point_count=int(np.count_nonzero(inside)),
         reference_margin=ref_m,

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -83,12 +82,6 @@ def _out_dir(args, cfg: ExperimentConfig, required: bool) -> str | None:
     return out
 
 
-def _emit(report: dict, out: str | None) -> None:
-    if out is None:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-
-
 def _cmd_forward(args, cfg: ExperimentConfig) -> int:
     out = _out_dir(args, cfg, required=True)
     grid = cfg.grid_for()
@@ -144,7 +137,8 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
         )
     out = _out_dir(args, cfg, required=False)
     report = studies.STUDIES[kind](cfg, out_dir=out, **options)
-    _emit(report, out)
+    if out is None:
+        studies.dump_json(report, sys.stdout)
     return 0
 
 

@@ -33,7 +33,6 @@ from .synthesis import (
     TRACE_POOLS,
     check_modality_parameters,
     compatible_traces,
-    default_traces,
 )
 
 __all__ = [
@@ -259,31 +258,28 @@ class ExperimentConfig:
             spec["name"], **{k: materialize_scalar(v, grid) for k, v in params.items()}
         )
 
-    def traces(self, grid: Grid, coeffs: CoefficientSet) -> list[BoundaryTrace]:
+    def _trace_spec(self) -> tuple[list[str], bool]:
+        """The ``traces`` section: its expressions (a ``count`` prefix of the
+        pool by default) and whether they are made corner-compatible."""
         spec = self.doc.get("traces", "default")
         if spec == "default":
-            return default_traces(grid)
-        if "expressions" in spec:
-            out = [BoundaryTrace.from_expression(grid, e) for e in spec["expressions"]]
-        else:
-            out = default_traces(grid, count=spec.get("count"))
-        if spec.get("corner_compatible", False):
-            out = compatible_traces(coeffs, out)
-        return out
+            spec = {}
+        pool = TRACE_POOLS[self.dim]
+        exprs = list(spec.get("expressions", pool[: spec.get("count", len(pool))]))
+        return exprs, spec.get("corner_compatible", False)
+
+    def traces(self, grid: Grid, coeffs: CoefficientSet) -> list[BoundaryTrace]:
+        exprs, compatible = self._trace_spec()
+        out = [BoundaryTrace.from_expression(grid, e) for e in exprs]
+        return compatible_traces(coeffs, out) if compatible else out
 
     @property
     def trace_expressions(self) -> list[str | None]:
         """The expression of each trace :meth:`traces` builds, without
         building them: None for corner-compatible traces, which
         :func:`~hiplab.synthesis.compatible_traces` stores without one."""
-        spec = self.doc.get("traces", "default")
-        if spec == "default":
-            spec = {}
-        pool = TRACE_POOLS[self.dim]
-        exprs = list(spec.get("expressions", pool[: spec.get("count", len(pool))]))
-        if spec.get("corner_compatible", False):
-            return [None] * len(exprs)
-        return exprs
+        exprs, compatible = self._trace_spec()
+        return [None] * len(exprs) if compatible else exprs
 
     def noise(self) -> NoiseSpec | None:
         spec = self.doc.get("noise")

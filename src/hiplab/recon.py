@@ -117,9 +117,9 @@ class RatioSet:
     """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
 
     Its ``mode`` and trusted interior ``inside`` are the ones every
-    reader uses.  ``theta`` holds the null weights and ``null_space`` the
-    output of :func:`diffusion_from_constraints`; see :func:`analyze`
-    for when each part is None.
+    reader uses.  In matrix mode ``theta`` holds the null weights
+    (:func:`null_weights`) and ``null_space`` the output of
+    :func:`diffusion_from_constraints`; in scalar mode both are None.
     """
 
     grid: Grid
@@ -131,10 +131,6 @@ class RatioSet:
     gram_data: GramData
     theta: np.ndarray | None = None
     null_space: tuple[SymTensorField, ScalarField, np.ndarray] | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self.fields)
 
 
 @dataclass
@@ -167,23 +163,29 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     data; :func:`reconstruct` runs the raising checks on the same object.
     Only the ratios ``mode`` consumes are differentiated, each in one
     pass (its Hessian reuses its gradient): the first ``dim`` in scalar
-    mode, the first ``functional_budget(dim) - 1`` in matrix mode, where
-    the null weights and the null space follow once that many exist.
-    An unknown ``mode`` raises :class:`MeasurementCountError`, since it
-    names no functional budget.
+    mode, the first ``functional_budget(dim) - 1`` in matrix mode, which
+    also forms the null weights and the null space.  Matrix mode with
+    fewer than ``functional_budget(dim)`` functionals (the one budget
+    check) and an unknown ``mode`` raise :class:`MeasurementCountError`.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
     grid = ms.grid
     dim = grid.dim
+    extras = extra_count(dim)
+    need = dim if mode == "scalar" else dim + extras
+    # MeasurementSet itself refuses fewer than the scalar budget, dim + 1
+    if mode == "matrix" and ms.count <= need:
+        raise MeasurementCountError(
+            f"matrix-valued pipeline needs {need + 1} functionals "
+            f"({need} ratios), got {ms.count} ({ms.count - 1})"
+        )
     h1 = ms.functionals[0].values
     with np.errstate(divide="ignore", invalid="ignore"):
         fields = [
             ScalarField(grid, np.where(h1 == 0, 0.0, divide(f.values, h1)))
             for f in ms.functionals[1:]
         ]
-    extras = extra_count(dim)
-    need = dim if mode == "scalar" else dim + extras
     gradients = [gradient(v) for v in fields[:need]]
     hessians = [hessian(v, g) for v, g in zip(fields, gradients)]
     grads = [g.values for g in gradients]
@@ -205,7 +207,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
         inside=grid.interior(margin),
         gram_data=gd,
     )
-    if mode == "scalar" or rs.count < need:
+    if mode == "scalar":
         return rs
     rs.theta = _null_weights(grads, gd, dim)
     rs.null_space = diffusion_from_constraints(constraint_matrices(rs, rs.theta))
@@ -216,12 +218,11 @@ def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray
     # a function of its own, so its temporaries are freed before the
     # null space is formed
     extras = extra_count(dim)
-    theta = np.zeros(gd.det.shape + (extras, dim + extras), dtype=np.result_type(*grads))
+    theta = np.empty(gd.det.shape + (extras, dim), dtype=np.result_type(*grads))
     for m in range(extras):
         rhs = [component_sum(grads[dim + m] * grads[k]) for k in range(dim)]
         for j, sol in enumerate(sym_apply(gd.inverse.values, rhs, dim)):
             theta[..., m, j] = -sol
-        theta[..., m, dim + m] = 1.0
     return theta
 
 
@@ -309,36 +310,30 @@ def gram(rs: RatioSet) -> GramData:
 def null_weights(rs: RatioSet) -> np.ndarray:
     """Per-vertex weights combining ratios into gradient-free residuals.
 
-    Row ``m`` pairs extra ratio ``dim + m`` with the gradient basis so
-    that the weighted gradient sum cancels identically:
-    ``theta_j = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
-    ``theta_{dim+m} = 1``, zero otherwise.  :func:`analyze` forms them
-    from the Gram data of ``rs`` and stores them as ``rs.theta``; here
-    the cancellation is verified to rounding level.
+    Row ``m`` pairs extra ratio ``dim + m``, at unit weight, with the
+    gradient basis so that the weighted gradient sum cancels identically:
+    ``theta[m, j] = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
+    the ``(extra_count(dim), dim)`` array :func:`analyze` stores as
+    ``rs.theta``; here the cancellation is verified to rounding level.
     """
     grid = rs.grid
     dim = grid.dim
-    extras = extra_count(dim)
-    need = dim + extras
-    if rs.count < need:
-        raise MeasurementCountError(
-            f"matrix-valued pipeline needs {need + 1} functionals "
-            f"({need} ratios), got {rs.count + 1} ({rs.count})"
-        )
     theta = rs.theta
+    extras = theta.shape[-2]
 
     # the defining property: weighted gradients sum to zero
     resid = np.zeros(grid.shape + (grid.dim,), dtype=theta.dtype)
     top = 0.0
     for m in range(extras):
         resid[...] = 0.0
-        for j in range(need):
+        for j in range(dim):
             resid += theta[..., m, j][..., None] * rs.gradients[j].values
+        resid += rs.gradients[dim + m].values
         r = np.sqrt(component_sum(np.abs(resid) ** 2))
         top = max(top, float(np.max(r[rs.inside])))
     grad_top = max(
         float(np.max(rs.gradients[j].magnitude()[rs.inside]))
-        for j in range(need)
+        for j in range(dim + extras)
     )
     if top > _CONSISTENCY_TOL * max(grad_top, 1.0):
         raise InternalConsistencyError(
@@ -350,19 +345,19 @@ def null_weights(rs: RatioSet) -> np.ndarray:
 
 
 def constraint_matrices(rs: RatioSet, theta: np.ndarray) -> list[SymTensorField]:
-    """Hessian combinations ``M^m = sum_j theta^m_j D^2 v_j``.
+    """Hessian combinations ``M^m = D^2 v_{dim+m} + sum_{j<dim} theta[m, j] D^2 v_j``.
 
     By construction each ``M^m`` annihilates the diffusion direction
     under the trace pairing.
     """
     grid = rs.grid
-    extras = theta.shape[-2]
-    need = theta.shape[-1]
+    extras, dim = theta.shape[-2:]
     out = []
     for m in range(extras):
-        acc = np.zeros(grid.shape + (sym_size(grid.dim),), dtype=theta.dtype)
-        for j in range(need):
+        acc = np.zeros(grid.shape + (sym_size(dim),), dtype=theta.dtype)
+        for j in range(dim):
             acc += theta[..., m, j][..., None] * rs.hessians[j].values
+        acc += rs.hessians[dim + m].values
         out.append(SymTensorField(grid, acc))
     return out
 
@@ -578,8 +573,8 @@ def reconstruct(
     cancellation checks run on it either way.  Matrix mode runs the
     null-space pipeline and needs ``functional_budget(dim)``
     functionals (extras beyond that are ignored, so redundant
-    measurements cannot change the answer; fewer raise
-    :class:`MeasurementCountError`).  Scalar mode, which is
+    measurements cannot change the answer; :func:`analyze` refuses
+    fewer with :class:`MeasurementCountError`).  Scalar mode, which is
     ``reconstruct(ms, analyze(ms, "scalar"))``, assumes scalar
     diffusion, needs ``dim + 1`` functionals, and reports the identity
     direction alongside ``a^{-1} b``.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -59,6 +60,7 @@ __all__ = [
     "run_noise_sweep",
     "STUDIES",
     "SCHEMA_VERSION",
+    "dump_json",
     "write_json",
 ]
 
@@ -113,11 +115,26 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _finite_or_null(node):
+    """``node`` with every non-finite float replaced by None."""
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(value) for value in node]
+    return None if isinstance(node, float) and not math.isfinite(node) else node
+
+
+def dump_json(doc: dict, fh) -> None:
+    """Strict JSON of ``doc`` to ``fh``: sorted keys, 2-space indent, ``null``
+    for a non-finite float, and a final newline."""
+    json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
 def write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` with sorted keys, 2-space indent and a final newline."""
+    """Write ``doc`` to the file ``path`` as :func:`dump_json` does."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump_json(doc, fh)
 
 
 def _write_outputs(
@@ -212,14 +229,14 @@ _RESOLVED_QUANTITIES = {
 
 
 def _quantity_table(
-    cfg: ExperimentConfig,
+    mode: str,
     ms: MeasurementSet,
     coeffs: CoefficientSet,
     nc: NormalizedCoefficients,
     resolved: gauge.ResolvedCoefficients | None,
 ) -> tuple[dict, dict]:
     """Recovered fields and their ground-truth references, by name."""
-    if cfg.recon_mode == "scalar":
+    if mode == "scalar":
         return {"drift": nc.drift}, {"drift": coeffs.b}
     quantities = {"ahat": nc.diffusion}
     truths = {"ahat": gauge.shape_of(coeffs.a)}
@@ -245,7 +262,7 @@ def audit(
     cfg: ExperimentConfig, ms: MeasurementSet
 ) -> tuple[RatioSet, AdmissibilityReport]:
     """The ratio analysis of ``ms`` in the configured mode and margin,
-    and the admissibility audit of it under the configured thresholds."""
+    the one read of them, and its audit under the configured thresholds."""
     rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
     return rs, check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
 
@@ -253,8 +270,8 @@ def audit(
 def recover(
     cfg: ExperimentConfig, ms: MeasurementSet, coeffs: CoefficientSet
 ) -> PipelineResult:
-    """Audit, reconstruct and resolve ``ms`` from one ratio analysis in
-    the configured mode; a failed audit raises :class:`DegeneracyError`.
+    """Audit, reconstruct and resolve ``ms`` from one ratio analysis,
+    in its mode; a failed audit raises :class:`DegeneracyError`.
     ``coeffs`` supplies the resolvers' anchors and the ground truths.
     """
     rs, report = audit(cfg, ms)
@@ -265,15 +282,16 @@ def recover(
         )
 
     nc = reconstruct(ms, rs)
+    mode = rs.mode
     del rs  # the resolvers do not read it; free it before their solves
     resolved = None
     flags = nc.degenerate.copy()
-    if cfg.recon_mode == "matrix":
+    if mode == "matrix":
         tri = gauge.invariant_triple(nc, ms.functionals[0])
         resolved = resolve_measurements(ms, tri, coeffs, cfg.solver())
         flags = flags | resolved.flags
 
-    quantities, truths = _quantity_table(cfg, ms, coeffs, nc, resolved)
+    quantities, truths = _quantity_table(mode, ms, coeffs, nc, resolved)
     return PipelineResult(
         grid=ms.grid,
         coeffs=coeffs,
@@ -440,7 +458,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             if not all(np.isfinite(e) for e in errs):
                 warnings.append(
                     f"{name}: relative error undefined (vanishing reference), "
-                    "order reported as NaN"
+                    "order reported as null"
                 )
             elif max(errs) < 1e-9:
                 warnings.append(
@@ -448,7 +466,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 )
             else:
                 warnings.append(
-                    f"{name}: error sequence not monotone, order reported as NaN"
+                    f"{name}: error sequence not monotone, order reported as null"
                 )
         orders[name] = order
         for points, h, m in zip(levels, spacings, per_level):
@@ -498,10 +516,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     grid = cfg.grid_for()
     coeffs = cfg.coefficients(grid)
-    modality = cfg.modality(grid)
-    traces = cfg.traces(grid, coeffs)
-    clean = synthesize(coeffs, modality, traces, cfg.solver())
-    mask = grid.interior(cfg.margin)
+    clean = synthesize(coeffs, cfg.modality(grid), cfg.traces(grid, coeffs), cfg.solver())
 
     levels = sorted(float(a) for a in study["amplitudes"])
     baseline = None
@@ -511,12 +526,12 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     for eps in levels:
         spec = NoiseSpec(amplitude=eps, correlation_length=corr, seed=base.seed)
         noisy = add_noise(clean, spec)
+        result = recover(cfg, noisy, coeffs)
+        quantities, flags, mask = result.quantities, result.flags, result.nc.inside
         delta = max(
             error_norms(hn, hc, mask).c2
             for hn, hc in zip(noisy.functionals, clean.functionals)
         )
-        result = recover(cfg, noisy, coeffs)
-        quantities, flags = result.quantities, result.flags
         if eps == 0.0:
             baseline, baseline_flags = quantities, flags
         entry = {"amplitude": eps, "delta_h_c2": delta, "quantities": {}}

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import laplace_coefficients, scalar_tensor, unit_grid
 from hiplab.admissibility import AdmissibilityReport, Thresholds, check
-from hiplab.errors import ConfigurationError
+from hiplab.errors import ConfigurationError, MeasurementCountError
 from hiplab.forward import CoefficientSet
 from hiplab.grids import ScalarField, VectorField
 from hiplab.recon import analyze, reconstruct
@@ -193,7 +193,12 @@ class TestSteepPhantom:
 class TestScalarPipeline:
     def test_three_functionals_have_no_independence_margin(self):
         grid = unit_grid(17)
-        report = check(measurements(grid, ("1", "x", "y")))
+        ms = measurements(grid, ("1", "x", "y"))
+        # the matrix-mode analysis, built when none is handed over,
+        # refuses three functionals
+        with pytest.raises(MeasurementCountError, match="needs 5 functionals"):
+            check(ms)
+        report = check(ms, analysis=analyze(ms, "scalar"))
         assert report.pipeline == "scalar"
         assert report.functional_count == 3
         assert report.independence_margin is None

@@ -283,6 +283,23 @@ class TestCheck:
         assert "independence n/a" in out
 
 
+class TestFunctionalBudget:
+    def test_check_and_run_refuse_a_short_matrix_set_with_one_message(
+        self, tmp_path, capsys
+    ):
+        # three functionals admit the scalar pipeline only, and the config
+        # asks for the matrix one
+        cfg = write_config(tmp_path, bump_doc(traces={"count": 3}))
+        errors = []
+        for command in ("check", "run"):
+            assert main(["--config", cfg, command]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "needs 5 functionals (4 ratios), got 3 (2)" in errors[0]
+
+
 class TestRunDispatch:
     def test_run_dispatches_to_convergence(self, tmp_path):
         cfg = write_config(
@@ -294,6 +311,22 @@ class TestRunDispatch:
         report = json.loads((out / "report.json").read_text())
         assert report["study"] == "convergence"
         assert (out / "convergence.csv").exists()
+
+    def test_stdout_report_is_strict_json(self, tmp_path, capsys):
+        # c's reference vanishes: its relative errors are infinite and
+        # its order is NaN, which stdout writes as null
+        cfg = write_config(
+            tmp_path,
+            harmonic_doc(study={"type": "convergence", "levels": [9, 17, 33]}),
+        )
+        assert main(["--config", cfg, "run"]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["orders"]["c"] is None
+        assert report["errors"]["c"] == [None] * 3
 
     def test_study_type_must_match_dedicated_commands(self, tmp_path):
         # there are none: every study type runs through `run`

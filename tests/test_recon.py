@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import laplace_coefficients, unit_grid
+from conftest import laplace_coefficients, same_bits, unit_grid
 from hiplab import recon
 from hiplab.errors import (
     DegeneracyError,
@@ -18,7 +18,14 @@ from hiplab.errors import (
     NonVanishingError,
 )
 from hiplab.forward import BoundaryTrace, CoefficientSet, solve_dirichlet
-from hiplab.grids import ScalarField, SymTensorField, VectorField, sym_to_full, sym_trace
+from hiplab.grids import (
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    sym_size,
+    sym_to_full,
+    sym_trace,
+)
 from hiplab.phantoms import materialize_scalar
 from hiplab.recon import (
     QUALITY_FLOOR,
@@ -63,7 +70,7 @@ class TestBudgets:
 class TestRatios:
     def test_harmonic_triple(self):
         grid = unit_grid(9)
-        rs = ratios(hand_measurements(grid, ["1", "x", "y"]))
+        rs = analyze(hand_measurements(grid, ["1", "x", "y"]), "scalar")
         x, y = grid.meshgrid()
         assert np.allclose(rs.fields[0].values, x, atol=1e-14)
         assert np.allclose(rs.fields[1].values, y, atol=1e-14)
@@ -85,7 +92,7 @@ class TestRatios:
     def test_power_of_two_weight_cancels_bit_exactly(self):
         grid = unit_grid(9)
         x, _ = grid.meshgrid()
-        rs = ratios(self.weighted_set(grid, np.full(grid.shape, 8.0)))
+        rs = analyze(self.weighted_set(grid, np.full(grid.shape, 8.0)), "scalar")
         assert np.array_equal(rs.fields[0].values.real, x)
         assert np.all(rs.fields[0].values.imag == 0.0)
 
@@ -93,7 +100,7 @@ class TestRatios:
         grid = unit_grid(9)
         x, _ = grid.meshgrid()
         d = 1.5 + 0.5 * np.sin(3 * x)
-        rs = ratios(self.weighted_set(grid, d))
+        rs = analyze(self.weighted_set(grid, d), "scalar")
         assert np.max(np.abs(rs.fields[0].values - x)) < 4 * np.finfo(float).eps
 
     def test_qpat_ratios_match_hidden_solutions(self):
@@ -106,7 +113,7 @@ class TestRatios:
             BoundaryTrace.from_expression(grid, s) for s in ("2", "2 + x", "2 + y")
         ]
         ms = synthesize(coeffs, Modality.qpat(materialize_scalar("1", grid)), traces)
-        rs = ratios(ms)
+        rs = analyze(ms, "scalar")
         u = [solve_dirichlet(coeffs, tr) for tr in traces]
         for k in (0, 1):
             hidden = u[k + 1].values / u[0].values
@@ -124,14 +131,14 @@ class TestRatios:
             weight=materialize_scalar("1", grid),
         )
         with pytest.raises(NonVanishingError) as info:
-            ratios(ms)
+            reconstruct(ms, analyze(ms, "scalar"))
         assert "vertex" in str(info.value)
 
 
 class TestGram:
     def test_orthonormal_pair(self):
         grid = unit_grid(9)
-        gd = gram(ratios(hand_measurements(grid, ["1", "x", "y"])))
+        gd = gram(analyze(hand_measurements(grid, ["1", "x", "y"]), "scalar"))
         inside = grid.interior(2)
         eye = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(sym_to_full(gd.gram.values, 2)[inside], eye, atol=1e-12)
@@ -139,7 +146,7 @@ class TestGram:
 
     def test_hand_inverse(self):
         grid = unit_grid(9)
-        gd = gram(ratios(hand_measurements(grid, ["1", "x", "x + y"])))
+        gd = gram(analyze(hand_measurements(grid, ["1", "x", "x + y"]), "scalar"))
         inside = grid.interior(2)
         expect = np.array([[1.0, 1.0], [1.0, 2.0]])
         expect_inv = np.array([[2.0, -1.0], [-1.0, 1.0]])
@@ -151,7 +158,9 @@ class TestGram:
     def test_product_is_identity(self):
         grid = unit_grid(17)
         gd = gram(
-            ratios(hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"]))
+            analyze(
+                hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"]), "scalar"
+            )
         )
         inside = grid.interior(2)
         prod = sym_to_full(gd.gram.values, 2) @ sym_to_full(gd.inverse.values, 2)
@@ -160,7 +169,7 @@ class TestGram:
     def test_parallel_gradients_degenerate(self):
         grid = unit_grid(9)
         with pytest.raises(DegeneracyError):
-            gram(ratios(hand_measurements(grid, ["1", "x", "2*x"])))
+            gram(analyze(hand_measurements(grid, ["1", "x", "2*x"]), "scalar"))
 
 
 class TestScalarDrift:
@@ -252,10 +261,11 @@ class TestNullWeights:
         theta = null_weights(rs)
         x, y = grid.meshgrid()
         inside = grid.interior(2)
-        expect_1 = np.stack([-y, -x, np.ones_like(x), np.zeros_like(x)], axis=-1)
-        expect_2 = np.stack(
-            [-2 * x, 2 * y, np.zeros_like(x), np.ones_like(x)], axis=-1
-        )
+        # the weights of the basis ratios x, y; each extra ratio's own
+        # weight is 1 and is not stored
+        assert theta.shape == grid.shape + (extra_count(2), 2)
+        expect_1 = np.stack([-y, -x], axis=-1)
+        expect_2 = np.stack([-2 * x, 2 * y], axis=-1)
         assert np.allclose(theta[inside][:, 0, :], expect_1[inside], atol=1e-10)
         assert np.allclose(theta[inside][:, 1, :], expect_2[inside], atol=1e-10)
 
@@ -278,7 +288,8 @@ class TestNullWeights:
         scale = float(np.max(np.abs(grads)))
         inside = grid.interior(2)
         for m in range(theta.shape[-2]):
-            combo = np.einsum("...j,...jk->...k", theta[..., m, :], grads)
+            combo = np.einsum("...j,...jk->...k", theta[..., m, :], grads[..., :2, :])
+            combo += grads[..., 2 + m, :]
             assert np.max(np.abs(combo[inside])) <= 1e-10 * scale
 
     def test_constraint_matrices_for_harmonic_quintet(self):
@@ -290,6 +301,42 @@ class TestNullWeights:
         m2 = sym_to_full(mats[1].values, 2)
         assert np.allclose(m1[inside], np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
         assert np.allclose(m2[inside], np.array([[2.0, 0.0], [0.0, -2.0]]), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("c", ["0.5 + 0.2*x", "0.5 + 0.3*i*(1 + x)"])
+    def test_constraint_matrices_match_the_full_width_weights_bitwise(self, dim, c):
+        grid = unit_grid(17 if dim == 2 else 9, dim)
+        x = grid.meshgrid()[0].real
+        avals = np.zeros(grid.shape + (sym_size(dim),))
+        avals[..., 0] = 2.0 + x
+        avals[..., 1:dim] = 0.5
+        avals[..., -1] = 0.3 * x
+        coeffs = CoefficientSet(
+            a=SymTensorField(grid, avals),
+            b=VectorField.zero(grid),
+            c=materialize_scalar(c, grid),
+        )
+        ms = synthesize(
+            coeffs,
+            Modality.generic(materialize_scalar("1", grid)),
+            default_traces(grid, functional_budget(dim)),
+        )
+        rs = analyze(ms)
+        extras = extra_count(dim)
+        assert rs.theta.shape == grid.shape + (extras, dim)
+        assert rs.theta.dtype == (np.float64 if "i" not in c else np.complex128)
+        # the full-width weights (extras, dim + extras): the stored ones,
+        # then each extra ratio's unit weight among stored zeros
+        full = np.zeros(grid.shape + (extras, dim + extras), dtype=rs.theta.dtype)
+        full[..., :dim] = rs.theta
+        for m in range(extras):
+            full[..., m, dim + m] = 1.0
+        got = constraint_matrices(rs, rs.theta)
+        for m in range(extras):
+            ref = np.zeros(grid.shape + (sym_size(dim),), dtype=full.dtype)
+            for j in range(dim + extras):
+                ref += full[..., m, j][..., None] * rs.hessians[j].values
+            assert same_bits(got[m].values, ref)
 
 
 class TestReconstruct:

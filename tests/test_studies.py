@@ -302,6 +302,25 @@ class TestRunConvergence:
         # c has a vanishing reference, so its relative error is undefined
         assert "vanishing reference" in notes
 
+    def test_report_file_is_strict_json_with_null_for_non_finite_values(self, tmp_path):
+        cfg = parse_config(
+            harmonic_doc(study={"type": "convergence", "levels": [9, 17, 33]})
+        )
+        report = studies.run_convergence(cfg, out_dir=str(tmp_path))
+        # the returned dict keeps the floats; the file holds null for them
+        assert math.isnan(report["orders"]["c"])
+        assert report["errors"]["c"] == [math.inf] * 3
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "report.json").read_text()
+        written = json.loads(text, parse_constant=refuse)
+        assert written["orders"]["c"] is None
+        assert written["errors"]["c"] == [None] * 3
+        assert "c: relative error undefined" in "\n".join(written["warnings"])
+        assert "order reported as null" in "\n".join(written["warnings"])
+
     def test_two_levels_rejected(self):
         with pytest.raises(ConfigurationError, match="3 refinement"):
             ExperimentConfig(
