@@ -18,7 +18,8 @@ which relates to the coefficients, for vanishing first-order term, by
 ``q = div(ahat grad B)/B - c/B^2``.  Counting functions: the invariants
 carry ``dim(dim+3)/2`` scalar degrees of freedom while ``(a, b, c, d)``
 carry two more, so every resolution report states the two-function gauge
-family that remains.
+family that remains; scalar diffusion fixes ``ahat = I``, leaving
+``dim + 1`` against ``dim + 3``.
 
 Each modality resolver integrates the drift invariant to a logarithm
 (a least-squares Poisson solve whose Dirichlet anchor comes from known
@@ -116,16 +117,17 @@ def shape_of(a: SymTensorField) -> SymTensorField:
     return SymTensorField(a.grid, divide(a.values, principal_root(det, dim)[..., None]))
 
 
-def dimension_audit(dim: int) -> dict:
-    """Function count behind the two-parameter gauge statement."""
-    budget = functional_budget(dim)
+def dimension_audit(dim: int, mode: str = "matrix") -> dict:
+    """Function count behind the two-parameter gauge statement in ``mode``."""
+    budget = functional_budget(dim, mode)
+    a = "a" if mode == "matrix" else "scalar a"
     return {
         "invariant_functions": budget,
         "coefficient_functions": budget + 2,
         "gauge_functions": 2,
         "statement": (
             f"{budget} reconstructed invariant functions determine the "
-            f"{budget + 2} coefficient functions (a, b, c, d) up to a "
+            f"{budget + 2} coefficient functions ({a}, b, c, d) up to a "
             "two-function gauge family"
         ),
     }
@@ -139,6 +141,7 @@ class InvariantTriple:
     the drift invariant and every ``div(ahat grad f)`` read it.  The
     scalar invariant is not stored: it is defined only once a modality
     assumption pins the weight ratio ``B/d``, so each resolver forms it.
+    ``mode`` is the reconstruction's, which sets the dimension audit.
     """
 
     shape: SymTensorField
@@ -146,6 +149,7 @@ class InvariantTriple:
     inside: np.ndarray
     degenerate: np.ndarray
     masked_fraction: float
+    mode: str = "matrix"
     shape_divergence: VectorField = field(init=False)
 
     def __post_init__(self):
@@ -182,13 +186,13 @@ class ResolvedCoefficients:
     """Resolver output; fields the modality cannot determine stay None."""
 
     report: GaugeReport
+    flags: np.ndarray
     a: SymTensorField | None = None
     b: VectorField | None = None
     c: ScalarField | None = None
     weight: ScalarField | None = None
     amplitude: ScalarField | None = None
     gamma: ScalarField | None = None
-    flags: np.ndarray | None = None
     fields: dict = field(default_factory=dict)
 
 
@@ -225,6 +229,7 @@ def invariant_triple(
         inside=nc.inside,
         degenerate=nc.degenerate,
         masked_fraction=frac,
+        mode=nc.mode,
     )
     drift_vals = nc.drift.values
     if np.any(nc.degenerate):
@@ -344,7 +349,7 @@ def _report(
     return GaugeReport(
         modality=modality,
         residual_gauge=residual_gauge,
-        dimension_audit=dimension_audit(tri.shape.grid.dim),
+        dimension_audit=dimension_audit(tri.shape.grid.dim, tri.mode),
         masked_fraction=tri.masked_fraction,
         **rest,
     )

@@ -8,9 +8,9 @@ proportional to the diffusion matrix ``a`` and whose vector coefficient
 is determined by ``a``, ``b``, and the reference solution.  This module
 recovers that pair up to normalization:
 
-* with ``dim + 1`` functionals and scalar ``a``, the combination
-  ``a^{-1} b`` follows directly from a Gram solve against the ratio
-  gradients;
+* with ``dim + 1`` functionals and scalar ``a``, the shape is ``I`` and
+  the drift ``a^{-1} b + grad ln a + 2 grad ln u_1`` follows from a
+  Gram solve against the ratio gradients;
 * with ``I = dim (dim + 3) / 2`` functionals, each extra ratio yields a
   gradient-free linear combination of Hessians.  Those symmetric
   matrices cut out, pointwise, a one-dimensional null space under the
@@ -91,9 +91,10 @@ _CONSISTENCY_TOL = 1e-10
 _CUT_BAND = 64 * np.finfo(float).eps
 
 
-def functional_budget(dim: int) -> int:
-    """Functionals required by the full (matrix-valued) pipeline."""
-    return dim * (dim + 3) // 2
+def functional_budget(dim: int, mode: str = "matrix") -> int:
+    """Functionals required by the pipeline of ``mode``: ``n(n+3)/2`` for
+    matrix-valued diffusion, ``n + 1`` for scalar diffusion."""
+    return dim * (dim + 3) // 2 if mode == "matrix" else dim + 1
 
 
 def extra_count(dim: int) -> int:
@@ -139,7 +140,7 @@ class NormalizedCoefficients:
 
     ``quality`` is the pointwise singular-value gap of the constraint
     stack (1 is best); vertices flagged ``degenerate`` carry NaN rather
-    than an invented value.
+    than an invented value.  ``mode`` is the analysis's.
     """
 
     diffusion: SymTensorField
@@ -147,6 +148,7 @@ class NormalizedCoefficients:
     quality: ScalarField
     degenerate: np.ndarray
     inside: np.ndarray
+    mode: str
 
     @property
     def mask(self) -> SimpleNamespace:
@@ -161,19 +163,18 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     A vanishing ``H_1`` gives a zero ratio and a singular Gram matrix a
     zero inverse, so the admissibility audit can read deliberately bad
     data; :func:`reconstruct` runs the raising checks on the same object.
-    Only the ratios ``mode`` consumes are differentiated, each in one
-    pass (its Hessian reuses its gradient): the first ``dim`` in scalar
-    mode, the first ``functional_budget(dim) - 1`` in matrix mode, which
-    also forms the null weights and the null space.  Matrix mode with
-    fewer than ``functional_budget(dim)`` functionals (the one budget
-    check) and an unknown ``mode`` raise :class:`MeasurementCountError`.
+    Only the first ``functional_budget(dim, mode) - 1`` ratios, the ones
+    ``mode`` consumes, are differentiated, each in one pass (its Hessian
+    reuses its gradient); matrix mode also forms the null weights and
+    the null space.  Matrix mode with fewer than ``functional_budget(dim)``
+    functionals (the one budget check) and an unknown ``mode`` raise
+    :class:`MeasurementCountError`.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
     grid = ms.grid
     dim = grid.dim
-    extras = extra_count(dim)
-    need = dim if mode == "scalar" else dim + extras
+    need = functional_budget(dim, mode) - 1
     # MeasurementSet itself refuses fewer than the scalar budget, dim + 1
     if mode == "matrix" and ms.count <= need:
         raise MeasurementCountError(
@@ -546,8 +547,8 @@ def drift_from_diffusion(
 
     ``beta = - G^{ij} (A : D^2 v_j) grad v_i`` is the unique vector with
     the pairings required by the ratio equations; with the identity
-    direction it is the scalar-diffusion ``a^{-1} b``,
-    ``- G^{ij} (tr D^2 v_j) grad v_i``.
+    direction it is ``a^{-1} b + grad ln a + 2 grad ln u_1`` for scalar
+    ``a``, ``- G^{ij} (tr D^2 v_j) grad v_i``.
     """
     grid = rs.grid
     dim = grid.dim
@@ -577,7 +578,7 @@ def reconstruct(
     fewer with :class:`MeasurementCountError`).  Scalar mode, which is
     ``reconstruct(ms, analyze(ms, "scalar"))``, assumes scalar
     diffusion, needs ``dim + 1`` functionals, and reports the identity
-    direction alongside ``a^{-1} b``.
+    direction with its matching drift.
     """
     rs = analysis if analysis is not None else analyze(ms)
     _check_ratios(ms, rs)
@@ -595,4 +596,5 @@ def reconstruct(
         quality=quality,
         degenerate=degenerate,
         inside=rs.inside,
+        mode=rs.mode,
     )

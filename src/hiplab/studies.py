@@ -194,7 +194,7 @@ class PipelineResult:
     ms: MeasurementSet
     admissibility: dict
     nc: NormalizedCoefficients
-    resolved: gauge.ResolvedCoefficients | None
+    resolved: gauge.ResolvedCoefficients
     quantities: dict
     truths: dict
     flags: np.ndarray
@@ -229,15 +229,13 @@ _RESOLVED_QUANTITIES = {
 
 
 def _quantity_table(
-    mode: str,
     ms: MeasurementSet,
     coeffs: CoefficientSet,
     nc: NormalizedCoefficients,
-    resolved: gauge.ResolvedCoefficients | None,
+    resolved: gauge.ResolvedCoefficients,
 ) -> tuple[dict, dict]:
-    """Recovered fields and their ground-truth references, by name."""
-    if mode == "scalar":
-        return {"drift": nc.drift}, {"drift": coeffs.b}
+    """Recovered fields and their ground-truth references, by name; in
+    scalar mode ``ahat``'s error is how far the phantom's ``a`` is from scalar."""
     quantities = {"ahat": nc.diffusion}
     truths = {"ahat": gauge.shape_of(coeffs.a)}
     for name, recovered, truth in _RESOLVED_QUANTITIES[ms.modality]:
@@ -282,16 +280,12 @@ def recover(
         )
 
     nc = reconstruct(ms, rs)
-    mode = rs.mode
     del rs  # the resolvers do not read it; free it before their solves
-    resolved = None
-    flags = nc.degenerate.copy()
-    if mode == "matrix":
-        tri = gauge.invariant_triple(nc, ms.functionals[0])
-        resolved = resolve_measurements(ms, tri, coeffs, cfg.solver())
-        flags = flags | resolved.flags
+    tri = gauge.invariant_triple(nc, ms.functionals[0])
+    resolved = resolve_measurements(ms, tri, coeffs, cfg.solver())
+    flags = nc.degenerate | resolved.flags
 
-    quantities, truths = _quantity_table(mode, ms, coeffs, nc, resolved)
+    quantities, truths = _quantity_table(ms, coeffs, nc, resolved)
     return PipelineResult(
         grid=ms.grid,
         coeffs=coeffs,
@@ -370,13 +364,12 @@ def _dump_fields(result: PipelineResult, directory: str) -> list[str]:
     named["alpha_hat"] = result.nc.diffusion
     named["beta"] = result.nc.drift
     named["quality"] = result.nc.quality
-    if result.resolved is not None:
-        for attr in ("a", "b", "c", "weight", "amplitude", "gamma"):
-            fld = getattr(result.resolved, attr)
-            if fld is not None:
-                named[f"resolved_{attr}"] = fld
-        for key, fld in result.resolved.fields.items():
-            named[f"aux_{key}"] = fld
+    for attr in ("a", "b", "c", "weight", "amplitude", "gamma"):
+        fld = getattr(result.resolved, attr)
+        if fld is not None:
+            named[f"resolved_{attr}"] = fld
+    for key, fld in result.resolved.fields.items():
+        named[f"aux_{key}"] = fld
     written = []
     for name in sorted(named):
         path = os.path.join(directory, name + ".field")
@@ -399,9 +392,7 @@ def run_single(
         "study": "single",
         "config": cfg.doc,
         "admissibility": result.admissibility,
-        "gauge": None
-        if result.resolved is None
-        else result.resolved.report.to_dict(),
+        "gauge": result.resolved.report.to_dict(),
         "flagged_fraction": float(np.count_nonzero(result.flags))
         / float(np.prod(result.grid.shape)),
         "metrics": result.metrics,

@@ -149,6 +149,21 @@ class TestIntegrateGradient:
         assert curl_rel < 1e-12
 
 
+class TestDimensionAudit:
+    @pytest.mark.parametrize(
+        "dim, mode, counts",
+        [(2, "scalar", (3, 5)), (2, "matrix", (5, 7)), (3, "matrix", (9, 11))],
+    )
+    def test_counts_follow_the_reconstruction_mode(self, dim, mode, counts):
+        audit = gauge.dimension_audit(dim, mode)
+        assert (audit["invariant_functions"], audit["coefficient_functions"]) == counts
+        assert audit["gauge_functions"] == 2
+        assert audit["statement"].startswith(
+            f"{counts[0]} reconstructed invariant functions determine the "
+            f"{counts[1]} coefficient functions"
+        )
+
+
 class TestInvariantTriple:
     def test_harmonic_quintet_is_flat(self):
         grid = unit_grid(17)

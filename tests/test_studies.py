@@ -41,6 +41,18 @@ def bump_doc(**overrides) -> dict:
     return doc
 
 
+def scalar_doc(**overrides) -> dict:
+    """The quick-start phantom at 33^2 in scalar mode, from the three
+    corner-compatible traces scalar mode needs."""
+    doc = bump_doc(
+        grid={"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [33, 33]},
+        traces={"count": 3, "corner_compatible": True},
+        reconstruction={"mode": "scalar"},
+    )
+    doc.update(overrides)
+    return doc
+
+
 def noise_doc(**overrides) -> dict:
     doc = bump_doc(
         seed=11,
@@ -108,11 +120,17 @@ class TestRunSingle:
             fld = read_field(os.path.join(str(tmp_path), "fields", name))
             assert fld.grid.shape == (17, 17)
 
-    def test_scalar_mode_reports_drift_only(self):
-        cfg = parse_config(harmonic_doc(reconstruction={"mode": "scalar"}))
-        report = studies.run_single(cfg)
-        assert report["gauge"] is None
-        assert set(report["metrics"]) == {"drift"}
+    def test_scalar_mode_resolves_the_gauge_as_matrix_mode_does(self):
+        report = studies.run_single(parse_config(scalar_doc()))
+        assert set(report["metrics"]) == {"a", "ahat", "amplitude", "c"}
+        gauge = report["gauge"]
+        assert gauge["modality"] == "elastography"
+        audit = gauge["dimension_audit"]
+        assert (audit["invariant_functions"], audit["coefficient_functions"]) == (3, 5)
+        # the phantom's a is scalar, so the assumed identity shape is exact
+        assert report["metrics"]["ahat"]["c0_rel"] <= 1e-12
+        for name in ("a", "amplitude", "c"):
+            assert report["metrics"][name]["c0_rel"] < 1e-2, name
 
     def test_scalar_mode_audits_only_what_it_uses(self):
         # x*y and 2*x*y give proportional Hessian constraints, a failure
@@ -290,6 +308,14 @@ class TestRunConvergence:
             errs = report["errors"][name]
             assert errs[0] > errs[1] > errs[2], name
             assert report["orders"][name] >= 1.5, name
+
+    def test_scalar_mode_ladder_converges_at_second_order(self):
+        cfg = parse_config(
+            scalar_doc(study={"type": "convergence", "levels": [17, 33, 65]})
+        )
+        orders = studies.run_convergence(cfg)["orders"]
+        for name in ("a", "amplitude", "c"):
+            assert orders[name] >= 1.9, name
 
     def test_harmonic_ladder_reports_nan_with_note(self):
         cfg = parse_config(
