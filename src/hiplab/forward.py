@@ -18,6 +18,7 @@ exactly by elimination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +177,7 @@ class SolverSettings:
 class LinearSystem:
     """Assembled interior system ``matrix @ u_int = rhs``.
 
-    ``rhs`` is a vector for one trace and has one column per trace when
-    several traces share the operator.
+    ``rhs`` has one column per trace; the traces share the operator.
     """
 
     grid: Grid
@@ -192,26 +192,31 @@ def _core_slice(shape, offset):
     )
 
 
-def _assemble(
-    coeffs: CoefficientSet,
-    traces: list[BoundaryTrace],
-    source: ScalarField | None = None,
-) -> LinearSystem:
-    """Build one interior matrix and one right-hand-side column per trace."""
-    grid = coeffs.grid
-    if not all(grid.compatible(tr.grid) for tr in traces):
-        raise GridError("trace grid does not match coefficient grid")
-    if source is not None and not grid.compatible(source.grid):
-        raise GridError("source grid does not match coefficient grid")
-    coeffs.validate_spd()
+def _boundary_slabs(box, offset):
+    """Disjoint slabs of the unknown box that together hold the rows
+    whose neighbour at ``offset`` is a boundary vertex.
 
+    Each nonzero component points out of one face of the box, and the
+    rows on that face form one slab; a later slab leaves out the faces
+    already taken, so a diagonal offset yields each row once.
+    """
+    ranges = [slice(0, m) for m in box]
+    for p, o in enumerate(offset):
+        if o == 0:
+            continue
+        face = 0 if o < 0 else box[p] - 1
+        yield tuple(ranges[:p] + [slice(face, face + 1)] + ranges[p + 1 :])
+        ranges[p] = slice(1, box[p]) if o < 0 else slice(0, box[p] - 1)
+
+
+def _stencil(coeffs: CoefficientSet) -> dict[tuple[int, ...], np.ndarray]:
+    """Stencil weights per offset over the unknown block, real unless a
+    coefficient is complex, in the order the offsets are first added."""
+    grid = coeffs.grid
     shape = grid.shape
     dim = grid.dim
     h = grid.spacing
     core = _core_slice(shape, (0,) * dim)
-
-    # accumulate stencil weights per offset over the unknown block, real
-    # unless a coefficient is complex
     stencil: dict[tuple[int, ...], np.ndarray] = {}
 
     def add(offset, weights):
@@ -255,61 +260,85 @@ def _assemble(
             add([ep - eq for ep, eq in zip(e_p, e_q)], -a_plus * w)
             add([eq - ep for ep, eq in zip(e_p, e_q)], -a_minus * w)
             add([-o for o in pq], a_minus * w)
-
-    flat_index = np.arange(grid.num_points).reshape(shape)
-    boundary = grid.boundary_mask()
-    interior_flat = flat_index[core].ravel()
-    n_unknown = interior_flat.size
-    unknown_id = np.full(grid.num_points, -1, dtype=np.int64)
-    unknown_id[interior_flat] = np.arange(n_unknown)
-
-    f_flat = np.stack([tr.values.ravel() for tr in traces], axis=1)
-    weight_dtype = np.result_type(*stencil.values())
-    rhs = np.zeros((n_unknown, len(traces)), dtype=np.result_type(weight_dtype, f_flat))
-    if source is not None:
-        rhs = rhs + source.values[core].reshape(-1, 1)
-
-    # Each offset gives every row one matrix entry.  In lexicographic
-    # offset order a row's columns ascend, so the entries kept, row by
-    # row, are the CSR arrays.  The right-hand side subtracts the
-    # boundary terms in the order the offsets were added.
-    column = {offset: k for k, offset in enumerate(sorted(stencil))}
-    weights = np.empty((n_unknown, len(column)), dtype=weight_dtype)
-    cols = np.empty((n_unknown, len(column)), dtype=np.int64)
-    keep = np.empty((n_unknown, len(column)), dtype=bool)
-    row_ids = np.arange(n_unknown)
-    bnd_flat = boundary.ravel()
-    for offset in list(stencil):
-        w = stencil.pop(offset).ravel()
-        col_flat = flat_index[_core_slice(shape, offset)].ravel()
-        on_boundary = bnd_flat[col_flat]
-        if np.any(on_boundary):
-            # the row indices are distinct
-            rhs[row_ids[on_boundary]] -= (
-                w[on_boundary, None] * f_flat[col_flat[on_boundary]]
-            )
-        k = column[offset]
-        weights[:, k] = w
-        cols[:, k] = unknown_id[col_flat]
-        # with a scalar a the mixed-term weights are exactly zero
-        keep[:, k] = ~on_boundary & (w != 0)
-
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-    matrix = sp.csr_matrix(
-        (weights[keep], cols[keep], indptr), shape=(n_unknown, n_unknown)
-    )
-    return LinearSystem(grid=grid, matrix=matrix, rhs=rhs, interior_flat=interior_flat)
+    return stencil
 
 
 def assemble(
     coeffs: CoefficientSet,
-    trace: BoundaryTrace,
+    traces: list[BoundaryTrace],
     source: ScalarField | None = None,
 ) -> LinearSystem:
-    """Build the interior linear system for the Dirichlet problem."""
-    system = _assemble(coeffs, [trace], source)
-    system.rhs = system.rhs[:, 0]
-    return system
+    """Build one interior matrix and one right-hand-side column per trace."""
+    grid = coeffs.grid
+    if not all(grid.compatible(tr.grid) for tr in traces):
+        raise GridError("trace grid does not match coefficient grid")
+    if source is not None and not grid.compatible(source.grid):
+        raise GridError("source grid does not match coefficient grid")
+    coeffs.validate_spd()
+    stencil = _stencil(coeffs)
+
+    shape = grid.shape
+    dim = grid.dim
+    core = _core_slice(shape, (0,) * dim)
+    # the unknowns are the core vertices in C order; their flat grid
+    # indices add up per axis
+    box = tuple(s - 2 for s in shape)
+    n_unknown = int(np.prod(box))
+    interior_flat = functools.reduce(
+        np.add.outer,
+        [np.arange(1, s - 1) * int(np.prod(shape[p + 1 :])) for p, s in enumerate(shape)],
+    ).ravel()
+
+    weight_dtype = np.result_type(*stencil.values())
+    rhs = np.zeros(
+        (n_unknown, len(traces)),
+        dtype=np.result_type(weight_dtype, *(tr.values for tr in traces)),
+    )
+    if source is not None:
+        rhs = rhs + source.values[core].reshape(-1, 1)
+
+    # Each offset gives every row one matrix entry, whose column is the
+    # row plus the offset's stride in the unknown box.  In lexicographic
+    # offset order a row's columns ascend, so the entries kept, row by
+    # row, are the CSR arrays.  Rows whose neighbour is a boundary
+    # vertex drop the entry and subtract the boundary term from the
+    # right-hand side instead, in the order the offsets were added.
+    offsets = sorted(stencil)
+    column = {offset: k for k, offset in enumerate(offsets)}
+    strides = [int(np.prod(box[p + 1 :])) for p in range(dim)]
+    shift = np.array(
+        [sum(o * st for o, st in zip(offset, strides)) for offset in offsets],
+        dtype=np.int32,
+    )
+    weights = np.empty((n_unknown, len(offsets)), dtype=weight_dtype)
+    keep = np.empty((n_unknown, len(offsets)), dtype=bool)
+    rhs_box = rhs.reshape(box + (len(traces),))
+    keep_box = keep.reshape(box + (len(offsets),))
+    for offset in list(stencil):
+        w = stencil.pop(offset)
+        k = column[offset]
+        weights[:, k] = w.ravel()
+        # with a scalar a the mixed-term weights are exactly zero
+        keep[:, k] = w.ravel() != 0
+        for rows in _boundary_slabs(box, offset):
+            nbrs = tuple(
+                slice(r.start + 1 + o, r.stop + 1 + o) for r, o in zip(rows, offset)
+            )
+            keep_box[rows + (k,)] = False
+            rhs_box[rows] -= w[rows][..., None] * np.stack(
+                [tr.values[nbrs] for tr in traces], axis=-1
+            )
+
+    counts = np.count_nonzero(keep, axis=1)
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    data = weights[keep]
+    del weights
+    indices = np.broadcast_to(shift, keep.shape)[keep]
+    del keep
+    indices += np.repeat(np.arange(n_unknown, dtype=np.int32), counts)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
+    return LinearSystem(grid=grid, matrix=matrix, rhs=rhs, interior_flat=interior_flat)
 
 
 def _relative_residuals(defect, x, rhs, a_inf: float):
@@ -469,7 +498,7 @@ def solve_traces(
     for all traces; the factorization lives only for this call.  Each
     solution's relative residual is verified against ``_RESIDUAL_CAP``.
     """
-    system = _assemble(coeffs, traces, source)
+    system = assemble(coeffs, traces, source)
     x = _solve_system(system, coeffs, settings or SolverSettings())
     rel = _relative_residuals(
         system.matrix @ x - system.rhs, x, system.rhs, _row_sum_max(system.matrix)
@@ -554,12 +583,11 @@ def residual(
     Combines the scaled interior equation residual with the boundary
     mismatch; an exact discrete solution scores at rounding level.
     """
-    system = assemble(coeffs, trace, source)
+    system = assemble(coeffs, [trace], source)
     x = u.values.ravel()[system.interior_flat]
+    rhs = system.rhs[:, 0]
     rel = float(
-        _relative_residuals(
-            system.matrix @ x - system.rhs, x, system.rhs, _row_sum_max(system.matrix)
-        )
+        _relative_residuals(system.matrix @ x - rhs, x, rhs, _row_sum_max(system.matrix))
     )
     bmask = coeffs.grid.boundary_mask()
     f_scale = float(np.max(np.abs(trace.values[bmask]))) + np.finfo(float).tiny

@@ -397,9 +397,13 @@ def diffusion_from_constraints(
     )
     for m, M in enumerate(matrices):
         stack[..., m, :] = M.values * w
+    # each per-vertex intermediate is dropped once the next one exists
+    del matrices
 
     null, quality = _cross_null_space(stack)
+    del stack
     raw = divide(null, w)
+    del null
     degenerate = ~(quality >= QUALITY_FLOOR)  # NaN data is degenerate too
 
     trace = sym_trace(raw, dim)
@@ -412,6 +416,7 @@ def diffusion_from_constraints(
         degenerate, 1.0, divide(trace, np.where(degenerate, 1.0, np.abs(trace)))
     )
     aligned = raw * np.conj(phase)[..., None]
+    del raw
 
     det = sym_det(aligned, dim)
     det_unit = np.maximum(norm, np.finfo(float).tiny) ** dim
@@ -424,6 +429,7 @@ def diffusion_from_constraints(
     on_cut = (det.real < 0) & (np.abs(det.imag) * quality <= _CUT_BAND * det_unit)
     det[on_cut] = det.real[on_cut]
     direction = divide(aligned, principal_root(det, dim)[..., None])
+    del aligned
     direction[degenerate] = np.nan
 
     quality_field = ScalarField(grid, quality)

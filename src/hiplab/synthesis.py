@@ -328,7 +328,9 @@ def synthesize(
 ) -> MeasurementSet:
     """Solve the forward problem for every trace and form ``H_j = d u_j``.
 
-    All traces share one operator, which is assembled and factored once.
+    All traces share one operator, which is assembled once; ``direct``
+    factors it once, and ``auto`` only if its LU fallback runs (see
+    :func:`hiplab.forward.solve_traces`).
 
     Raises
     ------

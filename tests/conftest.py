@@ -6,12 +6,20 @@ the bump amplitudes keep all coefficients uniformly elliptic.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from hiplab.config import parse_config
 from hiplab.forward import CoefficientSet
 from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
+
+WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def unit_grid(n: int, dim: int = 2) -> Grid:
@@ -63,3 +71,35 @@ def elastography_coefficients(grid: Grid) -> CoefficientSet:
     a = scalar_tensor(grid, bump(grid, (0.5, 0.5), 0.08, 0.4))
     c = ScalarField(grid, 0.5 + 0.3 * np.sin(2 * x) * np.cos(2 * y))
     return CoefficientSet(a=a, b=VectorField.zero(grid), c=c)
+
+
+def workload_inputs(name: str, shape: tuple[int, ...]):
+    """Config, coefficients, modality and traces of a benchmark workload
+    on ``shape`` instead of its own grid.  ``perfbench/workloads.py`` is
+    imported from its file and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the file executes
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    doc = module.WORKLOADS[name].config(1)
+    doc["grid"]["shape"] = list(shape)
+    cfg = parse_config(doc)
+    grid = cfg.grid_for()
+    coeffs = cfg.coefficients(grid)
+    return cfg, coeffs, cfg.modality(grid), cfg.traces(grid, coeffs)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that call allocated, in
+    bytes, as tracemalloc counts it; an untraced first call warms caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

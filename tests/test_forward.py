@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,9 @@ from conftest import (
     odd_spacing_grids,
     same_bits,
     scalar_tensor,
+    traced_peak,
     unit_grid,
+    workload_inputs,
 )
 from hiplab import forward
 from hiplab.errors import AssemblyError, GridError, SolverFailure
@@ -47,7 +51,7 @@ def drift_coefficients(grid, b0, b1):
 class TestAssembly:
     def test_laplace_center_row_is_five_point(self):
         grid = unit_grid(5)
-        system = assemble(laplace_coefficients(grid), BoundaryTrace.from_expression(grid, "0"))
+        system = assemble(laplace_coefficients(grid), [BoundaryTrace.from_expression(grid, "0")])
         row = system.matrix.toarray()[4] * grid.spacing[0] ** 2
         assert np.allclose(row, [0, 1, 0, 1, -4, 1, 0, 1, 0], atol=1e-12)
 
@@ -58,15 +62,15 @@ class TestAssembly:
             a=SymTensorField(grid, base.a.values * 2.0), b=base.b, c=base.c
         )
         tr = BoundaryTrace.from_expression(grid, "0")
-        m1 = assemble(base, tr).matrix.toarray()
-        m2 = assemble(doubled, tr).matrix.toarray()
+        m1 = assemble(base, [tr]).matrix.toarray()
+        m2 = assemble(doubled, [tr]).matrix.toarray()
         assert np.allclose(m2, 2 * m1, atol=1e-12)
 
     def test_drift_perturbs_neighbors_by_centered_difference(self):
         grid = unit_grid(5)
         tr = BoundaryTrace.from_expression(grid, "0")
-        plain = assemble(laplace_coefficients(grid), tr).matrix.toarray()
-        with_b = assemble(drift_coefficients(grid, 1.0, 0.0), tr).matrix.toarray()
+        plain = assemble(laplace_coefficients(grid), [tr]).matrix.toarray()
+        with_b = assemble(drift_coefficients(grid, 1.0, 0.0), [tr]).matrix.toarray()
         delta = (with_b - plain)[4]
         # b0/(2h) = 2 lands on the axis-0 neighbors with opposite signs
         assert np.allclose(delta, [0, -2, 0, 0, 0, 0, 0, 2, 0], atol=1e-12)
@@ -77,8 +81,131 @@ class TestAssembly:
         with pytest.raises(GridError):
             assemble(
                 laplace_coefficients(grid),
-                BoundaryTrace.from_expression(other, "0"),
+                [BoundaryTrace.from_expression(other, "0")],
             )
+
+
+def index_table_assembly(coeffs, traces, source=None):
+    """The interior system built from full-grid index tables, one column
+    gather per offset: the reference for the bytes of :func:`assemble`."""
+    grid = coeffs.grid
+    shape = grid.shape
+    core = forward._core_slice(shape, (0,) * grid.dim)
+    stencil = forward._stencil(coeffs)
+
+    flat_index = np.arange(grid.num_points).reshape(shape)
+    boundary = grid.boundary_mask()
+    interior_flat = flat_index[core].ravel()
+    n_unknown = interior_flat.size
+    unknown_id = np.full(grid.num_points, -1, dtype=np.int64)
+    unknown_id[interior_flat] = np.arange(n_unknown)
+
+    f_flat = np.stack([tr.values.ravel() for tr in traces], axis=1)
+    weight_dtype = np.result_type(*stencil.values())
+    rhs = np.zeros((n_unknown, len(traces)), dtype=np.result_type(weight_dtype, f_flat))
+    if source is not None:
+        rhs = rhs + source.values[core].reshape(-1, 1)
+
+    column = {offset: k for k, offset in enumerate(sorted(stencil))}
+    weights = np.empty((n_unknown, len(column)), dtype=weight_dtype)
+    cols = np.empty((n_unknown, len(column)), dtype=np.int64)
+    keep = np.empty((n_unknown, len(column)), dtype=bool)
+    row_ids = np.arange(n_unknown)
+    bnd_flat = boundary.ravel()
+    for offset in list(stencil):
+        w = stencil.pop(offset).ravel()
+        col_flat = flat_index[forward._core_slice(shape, offset)].ravel()
+        on_boundary = bnd_flat[col_flat]
+        if np.any(on_boundary):
+            rhs[row_ids[on_boundary]] -= (
+                w[on_boundary, None] * f_flat[col_flat[on_boundary]]
+            )
+        k = column[offset]
+        weights[:, k] = w
+        cols[:, k] = unknown_id[col_flat]
+        keep[:, k] = ~on_boundary & (w != 0)
+
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    matrix = sp.csr_matrix(
+        (weights[keep], cols[keep], indptr), shape=(n_unknown, n_unknown)
+    )
+    return forward.LinearSystem(
+        grid=grid, matrix=matrix, rhs=rhs, interior_flat=interior_flat
+    )
+
+
+def system_arrays(system):
+    matrix = system.matrix
+    return [matrix.data, matrix.indices, matrix.indptr, system.rhs, system.interior_flat]
+
+
+def system_bytes(system):
+    return sum(x.nbytes for x in system_arrays(system))
+
+
+def random_operator(grid, rng, anisotropic, complex_c):
+    """Random drift and reaction with scalar or rotated anisotropic ``a``."""
+    dim = grid.dim
+    scale = rng.uniform(1.0, 2.0, size=grid.shape)
+    if anisotropic:
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        full = rot @ np.diag(np.geomspace(10.0, 0.1, dim)) @ rot.T
+        a = SymTensorField(grid, full_to_sym(full, dim) * scale[..., None])
+    else:
+        a = scalar_tensor(grid, scale)
+    c = rng.uniform(-0.5, 0.5, size=grid.shape)
+    if complex_c:
+        c = c + 1j * rng.uniform(0.1, 0.5, size=grid.shape)
+    b = VectorField(grid, 0.3 * rng.normal(size=grid.shape + (dim,)))
+    return CoefficientSet(a=a, b=b, c=ScalarField(grid, c))
+
+
+class TestSlabAssembly:
+    """The assembly from face slabs and strides builds the bytes the
+    full-grid index tables built, with less memory."""
+
+    @pytest.mark.parametrize(
+        "shape, anisotropic, complex_c, with_source, count",
+        [
+            (shape, *flags)
+            for shape in ((5, 9), (7, 5, 6))
+            for flags in itertools.product(*[(False, True)] * 3, (1, 5))
+        ],
+    )
+    def test_system_is_the_index_table_one(
+        self, shape, anisotropic, complex_c, with_source, count
+    ):
+        bounds = tuple((0.0, 1.0 + 0.3 * p) for p in range(len(shape)))
+        grid = Grid(bounds=bounds, shape=shape)
+        rng = np.random.default_rng(len(shape) * 17 + count)
+        coeffs = random_operator(grid, rng, anisotropic, complex_c)
+        # odd traces are complex, so five traces mix the dtypes
+        traces = []
+        for j in range(count):
+            values = rng.normal(size=shape)
+            if j % 2:
+                values = values + 1j * rng.normal(size=shape)
+            traces.append(BoundaryTrace(grid, values))
+        source = ScalarField(grid, rng.normal(size=shape)) if with_source else None
+        got = assemble(coeffs, traces, source)
+        ref = index_table_assembly(coeffs, traces, source)
+        assert got.matrix.indices.dtype == np.int32
+        assert got.matrix.indptr.dtype == np.int32
+        for x, y in zip(system_arrays(got), system_arrays(ref)):
+            assert same_bits(x, y)
+
+    @pytest.mark.parametrize(
+        "name, shape, bound",
+        [
+            # the index tables peaked at 2.71x and 4.41x; slabs at 1.61x and 2.65x
+            ("qtat-2d-aniso", (129, 129), 1.8),
+            ("elasto-3d", (25, 25, 25), 3.0),
+        ],
+    )
+    def test_allocation_peak_is_a_small_multiple_of_the_system(self, name, shape, bound):
+        _, coeffs, _, traces = workload_inputs(name, shape)
+        system, peak = traced_peak(assemble, coeffs, traces)
+        assert peak <= bound * system_bytes(system)
 
 
 def with_vertex_matrix(grid, point, matrix):
@@ -128,7 +255,7 @@ class TestValidateSPD:
         coeffs = with_vertex_matrix(grid, (5, 5), [[1.0, 2.0], [2.0, 1.0]])
         coeffs.a.values[3, 4] = full_to_sym(np.diag([1.0, -3.0]), 2)
         with pytest.raises(AssemblyError, match=re.escape("vertex (3, 4): min eigenvalue -3.000e+00")):
-            assemble(coeffs, BoundaryTrace.from_expression(grid, "0"))
+            assemble(coeffs, [BoundaryTrace.from_expression(grid, "0")])
 
     def test_rotated_anisotropic_matrices_pass(self):
         grid = unit_grid(9, dim=3)
@@ -453,7 +580,7 @@ class TestKrylov:
     def test_scalar_diffusion_stores_no_zero_entries(self):
         grid = unit_grid(9)
         system = assemble(
-            elastography_coefficients(grid), BoundaryTrace.from_expression(grid, "x")
+            elastography_coefficients(grid), [BoundaryTrace.from_expression(grid, "x")]
         )
         assert np.all(system.matrix.data != 0)
         # the five-point stencil: every unknown and its interior neighbours
@@ -497,7 +624,7 @@ class TestRealArithmetic:
         source = ScalarField(grid, rng.normal(size=grid.shape)) if with_source else None
         got = solve_traces(coeffs, traces, source)
 
-        system = forward._assemble(coeffs, traces, source)
+        system = assemble(coeffs, traces, source)
         eig = forward._mean_operator_eigenvalues(coeffs)
         precond = spla.LinearOperator(
             system.matrix.shape,

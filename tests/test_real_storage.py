@@ -150,8 +150,8 @@ class TestForward:
         real, cplx = real_and_complex(sample, with_source)
         assert real[1][0].values.dtype == np.float64
         assert cplx[1][0].values.dtype == np.complex128
-        got = forward._assemble(*real)
-        ref = forward._assemble(*cplx)
+        got = forward.assemble(*real)
+        ref = forward.assemble(*cplx)
         assert got.matrix.dtype == np.float64 and got.rhs.dtype == np.float64
         assert ref.matrix.dtype == np.complex128
         # the CSR arrays are canonical: one entry per nonzero, columns
