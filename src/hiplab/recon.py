@@ -18,10 +18,12 @@ recovers that pair up to normalization:
   ``a``, and the vector coefficient follows by the same Gram solve.
 
 :func:`analyze` computes all of this once, in the mode it is given,
-and never raises on bad data; the admissibility audit reads that
-object, and :func:`reconstruct` runs its checks on it and uses it.
-Pointwise linear algebra is batched over the grid; no iteration over
-vertices takes place in Python.
+as its named stages (:func:`ratios`, derivatives, :func:`gram`, and in
+matrix mode :func:`null_weights`, :func:`constraint_matrices` and
+:func:`diffusion_from_constraints`), none of which raises on bad data.
+:func:`reconstruct` checks the result (the ``H_1`` floor, the boundary
+quotients, the Gram floor, the cancellation of the null weights) and
+uses it.  Pointwise linear algebra is batched over the grid.
 """
 
 from __future__ import annotations
@@ -104,10 +106,10 @@ def extra_count(dim: int) -> int:
 
 @dataclass
 class GramData:
-    """Gram matrix of the first ``dim`` ratio gradients and its inverse,
-    which is zero where ``|det|`` underflows (``singular``)."""
+    """The output of :func:`gram`: the inverse Gram matrix of the first
+    ``dim`` ratio gradients, zero where ``|det|`` underflows
+    (``singular``), and ``det``, which the Gram floor reads."""
 
-    gram: SymTensorField
     inverse: SymTensorField
     det: np.ndarray
     singular: np.ndarray
@@ -117,10 +119,12 @@ class GramData:
 class RatioSet:
     """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
 
-    Its ``mode`` and trusted interior ``inside`` are the ones every
-    reader uses.  In matrix mode ``theta`` holds the null weights
-    (:func:`null_weights`) and ``null_space`` the output of
-    :func:`diffusion_from_constraints`; in scalar mode both are None.
+    One field per stage of :func:`analyze`: ``fields`` (:func:`ratios`),
+    ``gradients``, ``hessians``, ``gram_data`` (:func:`gram`), and in
+    matrix mode ``theta`` (:func:`null_weights`) and ``null_space``
+    (:func:`diffusion_from_constraints`), None in scalar mode.  Its
+    ``mode`` and trusted interior ``inside`` are the ones every reader
+    uses.
     """
 
     grid: Grid
@@ -160,35 +164,63 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     """The ratio analysis of ``ms``, computed once and without raising
     on bad data.
 
-    A vanishing ``H_1`` gives a zero ratio and a singular Gram matrix a
-    zero inverse, so the admissibility audit can read deliberately bad
-    data; :func:`reconstruct` runs the raising checks on the same object.
-    Only the first ``functional_budget(dim, mode) - 1`` ratios, the ones
-    ``mode`` consumes, are differentiated, each in one pass (its Hessian
-    reuses its gradient); matrix mode also forms the null weights and
-    the null space.  Matrix mode with fewer than ``functional_budget(dim)``
-    functionals (the one budget check) and an unknown ``mode`` raise
-    :class:`MeasurementCountError`.
+    The stages in order: :func:`ratios`; one gradient and Hessian of
+    each of the first ``functional_budget(dim, mode) - 1`` ratios, the
+    ones ``mode`` consumes (the Hessian reuses the gradient); :func:`gram`;
+    in matrix mode :func:`null_weights`, :func:`constraint_matrices` and
+    :func:`diffusion_from_constraints`.  A vanishing ``H_1`` gives a zero
+    ratio and a singular Gram matrix a zero inverse, so the audit can
+    read deliberately bad data.  Matrix mode with fewer than
+    ``functional_budget(dim)`` functionals (the one budget check) and an
+    unknown ``mode`` raise :class:`MeasurementCountError`.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
     grid = ms.grid
-    dim = grid.dim
-    need = functional_budget(dim, mode) - 1
+    need = functional_budget(grid.dim, mode) - 1
     # MeasurementSet itself refuses fewer than the scalar budget, dim + 1
     if mode == "matrix" and ms.count <= need:
         raise MeasurementCountError(
             f"matrix-valued pipeline needs {need + 1} functionals "
             f"({need} ratios), got {ms.count} ({ms.count - 1})"
         )
-    h1 = ms.functionals[0].values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fields = [
-            ScalarField(grid, np.where(h1 == 0, 0.0, divide(f.values, h1)))
-            for f in ms.functionals[1:]
-        ]
+    fields = ratios(ms)
     gradients = [gradient(v) for v in fields[:need]]
     hessians = [hessian(v, g) for v, g in zip(fields, gradients)]
+    rs = RatioSet(
+        grid=grid,
+        mode=mode,
+        fields=fields,
+        gradients=gradients,
+        hessians=hessians,
+        inside=grid.interior(margin),
+        gram_data=gram(gradients),
+    )
+    if mode == "scalar":
+        return rs
+    rs.theta = null_weights(rs)
+    rs.null_space = diffusion_from_constraints(constraint_matrices(rs, rs.theta))
+    return rs
+
+
+def ratios(ms: MeasurementSet) -> list[ScalarField]:
+    """Ratios ``v_j = H_{j+1} / H_1`` of every functional after the
+    first, zero where ``H_1`` vanishes."""
+    h1 = ms.functionals[0].values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [
+            ScalarField(ms.grid, np.where(h1 == 0, 0.0, divide(f.values, h1)))
+            for f in ms.functionals[1:]
+        ]
+
+
+def gram(gradients: list[VectorField]) -> GramData:
+    """The Gram matrix ``G_ij = grad v_i . grad v_j`` of the first
+    ``dim`` ratio gradients, inverted pointwise, zero where ``|det|``
+    underflows.  It is formed in the dtype of all of ``gradients``: a
+    real basis beside a complex extra ratio gives a complex ``G``."""
+    grid = gradients[0].grid
+    dim = grid.dim
     grads = [g.values for g in gradients]
     vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.result_type(*grads))
     for k, (i, j) in enumerate(sym_pairs(dim)):
@@ -198,39 +230,36 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = sym_inv(vals, dim)
     inverse[singular] = 0.0
-    gd = GramData(SymTensorField(grid, vals), SymTensorField(grid, inverse), det, singular)
-    rs = RatioSet(
-        grid=grid,
-        mode=mode,
-        fields=fields,
-        gradients=gradients,
-        hessians=hessians,
-        inside=grid.interior(margin),
-        gram_data=gd,
-    )
-    if mode == "scalar":
-        return rs
-    rs.theta = _null_weights(grads, gd, dim)
-    rs.null_space = diffusion_from_constraints(constraint_matrices(rs, rs.theta))
-    return rs
+    return GramData(SymTensorField(grid, inverse), det, singular)
 
 
-def _null_weights(grads: list[np.ndarray], gd: GramData, dim: int) -> np.ndarray:
-    # a function of its own, so its temporaries are freed before the
-    # null space is formed
+def null_weights(rs: RatioSet) -> np.ndarray:
+    """Per-vertex weights combining ratios into gradient-free residuals.
+
+    Row ``m`` pairs extra ratio ``dim + m``, at unit weight, with the
+    gradient basis so that the weighted gradient sum cancels identically:
+    ``theta[m, j] = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
+    the ``(extra_count(dim), dim)`` array :func:`analyze` stores as
+    ``rs.theta``.  It is a function of its own, so its temporaries are
+    freed before the null space is formed.
+    """
+    dim = rs.grid.dim
+    grads = [g.values for g in rs.gradients]
+    inverse = rs.gram_data.inverse.values
     extras = extra_count(dim)
-    theta = np.empty(gd.det.shape + (extras, dim), dtype=np.result_type(*grads))
+    theta = np.empty(rs.grid.shape + (extras, dim), dtype=np.result_type(*grads))
     for m in range(extras):
         rhs = [component_sum(grads[dim + m] * grads[k]) for k in range(dim)]
-        for j, sol in enumerate(sym_apply(gd.inverse.values, rhs, dim)):
+        for j, sol in enumerate(sym_apply(inverse, rhs, dim)):
             theta[..., m, j] = -sol
     return theta
 
 
-def _check_ratios(ms: MeasurementSet, rs: RatioSet) -> None:
-    """Raise unless ``H_1`` stays off zero and each ratio of ``rs``
-    reproduces the known quotient of boundary traces."""
+def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
+    """Raise unless the analysis ``rs`` of ``ms`` passes the four
+    checks of :func:`reconstruct`, in its order."""
     grid = ms.grid
+    dim = grid.dim
     mag = np.abs(ms.functionals[0].values)
     top = float(mag.max()) or 1.0
     if float(mag.min()) < H1_FLOOR * top:
@@ -240,12 +269,12 @@ def _check_ratios(ms: MeasurementSet, rs: RatioSet) -> None:
             f"(max {top:.3e}) at vertex {point}; ratios are unreliable",
             stage="recon",
         )
-    bmask = grid.boundary_mask()
+
     f1 = ms.traces[0].values
+    safe = grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
     noise_amp = ms.noise.amplitude if ms.noise is not None else 0.0
     for j, v in enumerate(rs.fields, start=1):
         f_j = ms.traces[j].values
-        safe = bmask & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
         expected = divide(np.where(safe, f_j, 0), np.where(safe, f1, 1))
         got = np.where(safe, v.values, 0)
         scale = float(np.max(np.abs(expected))) + 1.0
@@ -264,39 +293,13 @@ def _check_ratios(ms: MeasurementSet, rs: RatioSet) -> None:
                 stage="recon",
             )
 
-
-def ratios(ms: MeasurementSet, margin: int = 2) -> RatioSet:
-    """The matrix-mode analysis of ``ms``, after the ratio checks.
-
-    The reference functional must stay off zero, and the boundary
-    restriction of each ratio must reproduce the known quotient of
-    boundary traces; a mismatch means the functionals and traces are
-    inconsistent.
-    """
-    rs = analyze(ms, margin=margin)
-    _check_ratios(ms, rs)
-    return rs
-
-
-def gram(rs: RatioSet) -> GramData:
-    """Gram matrix ``G_ij = grad v_i . grad v_j`` over the first ``dim``
-    ratios, inverted pointwise.
-
-    Raises
-    ------
-    DegeneracyError
-        If ``|det G|`` falls below ``GRAM_FLOOR * s^dim`` anywhere on the
-        trusted interior, where ``s`` is the largest interior squared
-        gradient magnitude.  The offending vertices are listed.
-    """
-    dim = rs.grid.dim
-    gd = rs.gram_data
-    grads = [rs.gradients[i].values for i in range(dim)]
-    inside = rs.inside
-    sq = np.max([component_sum(np.abs(g) ** 2) for g in grads], axis=0)
-    scale = float(np.max(sq[inside]))
-    floor = GRAM_FLOOR * max(scale, np.finfo(float).tiny) ** dim
-    bad = inside & (np.abs(gd.det) < floor)
+    # largest interior squared gradient magnitude, per ratio
+    peaks = [
+        float(np.max(component_sum(np.abs(g.values) ** 2)[rs.inside]))
+        for g in rs.gradients
+    ]
+    floor = GRAM_FLOOR * max(float(np.max(peaks[:dim])), np.finfo(float).tiny) ** dim
+    bad = rs.inside & (np.abs(rs.gram_data.det) < floor)
     if np.any(bad):
         pts = [tuple(int(k) for k in p) for p in np.argwhere(bad)]
         raise DegeneracyError(
@@ -305,44 +308,28 @@ def gram(rs: RatioSet) -> GramData:
             points=pts,
             stage="recon",
         )
-    return gd
 
-
-def null_weights(rs: RatioSet) -> np.ndarray:
-    """Per-vertex weights combining ratios into gradient-free residuals.
-
-    Row ``m`` pairs extra ratio ``dim + m``, at unit weight, with the
-    gradient basis so that the weighted gradient sum cancels identically:
-    ``theta[m, j] = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
-    the ``(extra_count(dim), dim)`` array :func:`analyze` stores as
-    ``rs.theta``; here the cancellation is verified to rounding level.
-    """
-    grid = rs.grid
-    dim = grid.dim
+    if rs.mode == "scalar":
+        return
     theta = rs.theta
-    extras = theta.shape[-2]
-
-    # the defining property: weighted gradients sum to zero
-    resid = np.zeros(grid.shape + (grid.dim,), dtype=theta.dtype)
-    top = 0.0
-    for m in range(extras):
+    resid = np.zeros(grid.shape + (dim,), dtype=theta.dtype)
+    worst = 0.0
+    for m in range(theta.shape[-2]):
         resid[...] = 0.0
         for j in range(dim):
             resid += theta[..., m, j][..., None] * rs.gradients[j].values
         resid += rs.gradients[dim + m].values
         r = np.sqrt(component_sum(np.abs(resid) ** 2))
-        top = max(top, float(np.max(r[rs.inside])))
-    grad_top = max(
-        float(np.max(rs.gradients[j].magnitude()[rs.inside]))
-        for j in range(dim + extras)
-    )
-    if top > _CONSISTENCY_TOL * max(grad_top, 1.0):
+        worst = max(worst, float(np.max(r[rs.inside])))
+    # sqrt is monotone and correctly rounded: the root of the peak is
+    # the peak of the magnitudes
+    grad_top = max(float(np.sqrt(p)) for p in peaks)
+    if worst > _CONSISTENCY_TOL * max(grad_top, 1.0):
         raise InternalConsistencyError(
-            f"gradient cancellation failed: residual {top:.3e} "
+            f"gradient cancellation failed: residual {worst:.3e} "
             f"against gradient scale {grad_top:.3e}",
             stage="recon",
         )
-    return theta
 
 
 def constraint_matrices(rs: RatioSet, theta: np.ndarray) -> list[SymTensorField]:
@@ -546,9 +533,7 @@ def _sum_sq(z: np.ndarray) -> np.ndarray:
     return component_sum(x * x)
 
 
-def drift_from_diffusion(
-    rs: RatioSet, gd: GramData, diffusion: SymTensorField
-) -> VectorField:
+def drift_from_diffusion(rs: RatioSet, diffusion: SymTensorField) -> VectorField:
     """Vector coefficient matching a given diffusion direction.
 
     ``beta = - G^{ij} (A : D^2 v_j) grad v_i`` is the unique vector with
@@ -561,7 +546,7 @@ def drift_from_diffusion(
     pair = [
         sym_dot(diffusion.values, rs.hessians[j].values, dim) for j in range(dim)
     ]
-    weights = sym_apply(gd.inverse.values, pair, dim)
+    weights = sym_apply(rs.gram_data.inverse.values, pair, dim)
     grads = [rs.gradients[i].values for i in range(dim)]
     out = np.zeros(grid.shape + (dim,), dtype=np.result_type(*weights, *grads))
     for i in range(dim):
@@ -576,8 +561,13 @@ def reconstruct(
 
     ``analysis`` is ``analyze(ms, mode, margin)`` when the caller
     already holds it, and ``analyze(ms)`` otherwise; its mode and
-    trusted interior are the reconstruction's, and the ratio, Gram and
-    cancellation checks run on it either way.  Matrix mode runs the
+    trusted interior are the reconstruction's.  Before any output is
+    formed, four checks run on it, in order: the ``H_1`` floor
+    (:class:`NonVanishingError`), the boundary quotients of the ratios
+    (:class:`InternalConsistencyError`), the Gram floor on the trusted
+    interior (:class:`DegeneracyError`) and, in matrix mode, the
+    cancellation of the gradients by the null weights
+    (:class:`InternalConsistencyError`).  Matrix mode runs the
     null-space pipeline and needs ``functional_budget(dim)``
     functionals (extras beyond that are ignored, so redundant
     measurements cannot change the answer; :func:`analyze` refuses
@@ -587,18 +577,16 @@ def reconstruct(
     direction with its matching drift.
     """
     rs = analysis if analysis is not None else analyze(ms)
-    _check_ratios(ms, rs)
-    gd = gram(rs)
+    _check_analysis(ms, rs)
     if rs.mode == "scalar":
         diffusion = SymTensorField.identity(ms.grid)
         quality = ScalarField.constant(ms.grid, 1.0)
         degenerate = np.zeros(ms.grid.shape, dtype=bool)
     else:
-        null_weights(rs)  # raises unless the weights cancel the gradients
         diffusion, quality, degenerate = rs.null_space
     return NormalizedCoefficients(
         diffusion=diffusion,
-        drift=drift_from_diffusion(rs, gd, diffusion),
+        drift=drift_from_diffusion(rs, diffusion),
         quality=quality,
         degenerate=degenerate,
         inside=rs.inside,

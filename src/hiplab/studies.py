@@ -500,6 +500,11 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     measured against the noiseless reconstruction, and each quantity
     reports the ratio of its error to the discrete-C2 size of the data
     perturbation, plus the spread of that ratio over the sweep.
+
+    The config's ``noise`` section gives the seed and the correlation
+    length, which the study's ``correlation_length`` overrides; its
+    ``amplitude``, required by the schema, is ignored, since each level
+    is one of the study's ``amplitudes``.
     """
     study = cfg.doc["study"]
     base = cfg.noise()

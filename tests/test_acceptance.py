@@ -67,7 +67,7 @@ def test_harmonic_suite_identity_diffusion_zero_drift_and_hessian_combos():
     grid = unit_grid(65)
     ms = synthesize(laplace_coefficients(grid), unit_weight(grid), default_traces(grid))
     nc = recon.reconstruct(ms)
-    rs = recon.ratios(ms)
+    rs = recon.analyze(ms)
     theta = recon.null_weights(rs)
     mats = recon.constraint_matrices(rs, theta)
     elapsed = time.monotonic() - t0
@@ -145,7 +145,7 @@ def test_weight_gauge_invariance_of_ratios_and_normalized_diffusion():
     r_unit = recon.ratios(ms_unit)
     r_pow2 = recon.ratios(ms_pow2)
     r_smooth = recon.ratios(ms_smooth)
-    for v1, v8, vs in zip(r_unit.fields, r_pow2.fields, r_smooth.fields):
+    for v1, v8, vs in zip(r_unit, r_pow2, r_smooth):
         assert np.array_equal(v8.values, v1.values)
         assert np.max(np.abs(vs.values - v1.values)) <= 4 * np.finfo(float).eps
 

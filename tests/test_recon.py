@@ -14,6 +14,7 @@ from conftest import laplace_coefficients, same_bits, traced_peak, unit_grid, wo
 from hiplab import recon
 from hiplab.errors import (
     DegeneracyError,
+    InternalConsistencyError,
     MeasurementCountError,
     NonVanishingError,
 )
@@ -36,7 +37,6 @@ from hiplab.recon import (
     functional_budget,
     gram,
     null_weights,
-    ratios,
     reconstruct,
 )
 from hiplab.synthesis import MeasurementSet, Modality, default_traces, synthesize
@@ -138,38 +138,42 @@ class TestRatios:
 class TestGram:
     def test_orthonormal_pair(self):
         grid = unit_grid(9)
-        gd = gram(analyze(hand_measurements(grid, ["1", "x", "y"]), "scalar"))
+        gd = gram(analyze(hand_measurements(grid, ["1", "x", "y"]), "scalar").gradients)
         inside = grid.interior(2)
         eye = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(sym_to_full(gd.gram.values, 2)[inside], eye, atol=1e-12)
         assert np.allclose(sym_to_full(gd.inverse.values, 2)[inside], eye, atol=1e-12)
+        assert np.allclose(gd.det[inside], 1.0, atol=1e-12)
+        assert not gd.singular.any()
 
     def test_hand_inverse(self):
         grid = unit_grid(9)
-        gd = gram(analyze(hand_measurements(grid, ["1", "x", "x + y"]), "scalar"))
+        gd = gram(
+            analyze(hand_measurements(grid, ["1", "x", "x + y"]), "scalar").gradients
+        )
         inside = grid.interior(2)
-        expect = np.array([[1.0, 1.0], [1.0, 2.0]])
+        # the inverse of [[1, 1], [1, 2]], whose determinant is 1
         expect_inv = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(sym_to_full(gd.gram.values, 2)[inside], expect, atol=1e-12)
         assert np.allclose(
             sym_to_full(gd.inverse.values, 2)[inside], expect_inv, atol=1e-12
         )
+        assert np.allclose(gd.det[inside], 1.0, atol=1e-12)
 
     def test_product_is_identity(self):
         grid = unit_grid(17)
-        gd = gram(
-            analyze(
-                hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"]), "scalar"
-            )
+        rs = analyze(
+            hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"]), "scalar"
         )
+        g = np.stack([v.values for v in rs.gradients], axis=-2)
+        gram_matrix = g @ np.swapaxes(g, -1, -2)
         inside = grid.interior(2)
-        prod = sym_to_full(gd.gram.values, 2) @ sym_to_full(gd.inverse.values, 2)
+        prod = gram_matrix @ sym_to_full(gram(rs.gradients).inverse.values, 2)
         assert np.allclose(prod[inside], np.eye(2), atol=1e-10)
 
     def test_parallel_gradients_degenerate(self):
         grid = unit_grid(9)
+        ms = hand_measurements(grid, ["1", "x", "2*x"])
         with pytest.raises(DegeneracyError):
-            gram(analyze(hand_measurements(grid, ["1", "x", "2*x"]), "scalar"))
+            reconstruct(ms, analyze(ms, "scalar"))
 
 
 class TestScalarDrift:
@@ -252,7 +256,7 @@ class TestScalarDrift:
 class TestNullWeights:
     def quintet(self, n=9):
         grid = unit_grid(n)
-        return grid, ratios(
+        return grid, analyze(
             hand_measurements(grid, ["1", "x", "y", "x*y", "x^2 - y^2"])
         )
 
@@ -271,7 +275,7 @@ class TestNullWeights:
 
     def test_null_combination_residual(self):
         grid = unit_grid(17)
-        rs = ratios(
+        rs = analyze(
             hand_measurements(
                 grid,
                 [
@@ -414,6 +418,13 @@ class TestReconstruct:
         inside = grid.interior(2)
         assert np.max(np.abs(nc.drift.values[inside])) < 1e-10
 
+    def test_moved_null_weight_fails_the_cancellation_check(self):
+        grid, ms = self.harmonic_set()
+        rs = analyze(ms)
+        rs.theta[8, 8, 0, 0] += 1e-3
+        with pytest.raises(InternalConsistencyError, match="gradient cancellation failed"):
+            reconstruct(ms, rs)
+
     def test_unknown_mode_is_refused_by_the_analysis(self):
         _, ms = self.harmonic_set(9)
         with pytest.raises(MeasurementCountError, match="bogus"):
@@ -448,6 +459,35 @@ class TestReconstruct:
         scalar = reconstruct(ms, analyze(ms, "scalar")).drift
         inside = grid.interior(2) & ~nc.degenerate
         assert np.max(np.abs(nc.drift.values[inside] - scalar.values[inside])) < 1e-10
+
+
+STAGES = ("ratios", "gram", "null_weights", "constraint_matrices", "diffusion_from_constraints")
+
+
+@pytest.mark.parametrize(
+    "mode, once", [("matrix", STAGES), ("scalar", ("ratios", "gram"))]
+)
+def test_analysis_runs_each_stage_once_and_reconstruction_none(monkeypatch, mode, once):
+    """Each stage is computed by its own function, once per analysis,
+    and the reconstruction only checks and reads what it was handed;
+    the stages are counted through the module's names, as the
+    benchmark's tracer rebinds them."""
+    counts = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        original = getattr(recon, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(recon, name, counted)
+    grid = unit_grid(9)
+    ms = hand_measurements(grid, ["1", "x", "y", "x*y", "x^2 - y^2"])
+    expected = {name: int(name in once) for name in STAGES}
+    rs = analyze(ms, mode)
+    assert counts == expected
+    reconstruct(ms, rs)
+    assert counts == expected
 
 
 EPS = np.finfo(float).eps
