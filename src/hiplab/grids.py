@@ -74,6 +74,8 @@ __all__ = [
     "via_complex",
     "first_closure",
     "second_closure",
+    "first_derivatives",
+    "second_derivatives",
     "gradient",
     "hessian",
     "divergence",
@@ -488,9 +490,34 @@ def _first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def first_derivatives(values: np.ndarray, spacing) -> list[np.ndarray]:
+    """First derivatives of ``values`` along each axis, at ``spacing``.
+
+    The components of :func:`gradient` on an array: any box of a field
+    with at least 3 points per axis, which matches the field's own
+    derivatives a ring or more from the box's cut faces.
+    """
+    return [_first_diff(values, ax, h) for ax, h in enumerate(spacing)]
+
+
+def second_derivatives(values: np.ndarray, spacing, first):
+    """The entries of :func:`hessian` on an array, in storage order.
+
+    ``first[j]`` is the first derivative of ``values`` along axis ``j``;
+    mixed entries differentiate it again.  Each entry is computed as it
+    is drawn, so a caller holds one at a time.  An array needs at least
+    4 points per axis.
+    """
+    for i, j in sym_pairs(len(spacing)):
+        if i == j:
+            yield _second_diff(values, i, spacing[i])
+        else:
+            yield _first_diff(first[j], i, spacing[i])
+
+
 def gradient(f: ScalarField) -> VectorField:
     """Second-order gradient (centered interior, one-sided boundary)."""
-    parts = [_first_diff(f.values, ax, h) for ax, h in enumerate(f.grid.spacing)]
+    parts = first_derivatives(f.values, f.grid.spacing)
     return VectorField(f.grid, np.stack(parts, axis=-1))
 
 
@@ -518,21 +545,14 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
     for bit, without differentiating ``f`` again.
     """
     grid = f.grid
-    h = grid.spacing
     values = f.values
+    if grad is None:
+        first = first_derivatives(values, grid.spacing)
+    else:
+        first = np.moveaxis(grad.values, -1, 0)
     out = np.empty(grid.shape + (sym_size(grid.dim),), dtype=values.dtype)
-    first = {}
-    for k, (i, j) in enumerate(sym_pairs(grid.dim)):
-        if i == j:
-            out[..., k] = _second_diff(values, i, h[i])
-        else:
-            if j not in first:
-                first[j] = (
-                    grad.values[..., j]
-                    if grad is not None
-                    else _first_diff(values, j, h[j])
-                )
-            out[..., k] = _first_diff(first[j], i, h[i])
+    for k, entry in enumerate(second_derivatives(values, grid.spacing, first)):
+        out[..., k] = entry
     return SymTensorField(grid, out)
 
 

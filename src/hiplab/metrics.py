@@ -11,6 +11,10 @@ where the pointwise magnitudes aggregate all components (Euclidean over
 vector components, Frobenius over matrix entries with off-diagonal
 terms counted twice).  Relative variants divide by the same norm of the
 reference field.
+
+The norms are computed on the region's box: its bounding box widened by
+one ring.  Inside the region the stencils read there what they read on
+the whole grid, so the norms keep the whole grid's bits.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from .grids import (
     ScalarField,
     SymTensorField,
     VectorField,
-    component_sum,
-    gradient,
-    hessian,
+    first_derivatives,
+    second_derivatives,
     sym_size,
     sym_weights,
 )
@@ -71,34 +74,54 @@ def _components(fld) -> tuple[list[np.ndarray], np.ndarray]:
     raise MetricsError(f"not a field: {type(fld).__name__}")
 
 
-def _sup_levels(fld, region: np.ndarray) -> tuple[float, float, float]:
+def _box(region: np.ndarray) -> tuple[slice, ...]:
+    """The region's bounding box widened by one ring, clipped to the
+    grid, with at least 5 points per axis, as a grid has.
+
+    Every vertex of the region is then a face vertex of the grid or a
+    ring or more from the box's faces, so the stencils read there the
+    values they read on the whole grid.
+    """
+    box = []
+    for ax, n in enumerate(region.shape):
+        rest = tuple(k for k in range(region.ndim) if k != ax)
+        hit = np.flatnonzero(region.any(axis=rest))
+        lo, hi = max(int(hit[0]) - 1, 0), min(int(hit[-1]) + 2, n)
+        hi = max(hi, min(lo + 5, n))
+        box.append(slice(min(lo, hi - 5), hi))
+    return tuple(box)
+
+
+def _square(x: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """``weight * np.abs(x) ** 2``: a real ``x`` is squared as ``x * x``
+    and a weight of 1 multiplies nothing, with the same bits."""
+    sq = np.abs(x) ** 2 if np.iscomplexobj(x) else x * x
+    return sq if weight == 1.0 else weight * sq
+
+
+def _sup_levels(comps, weights, spacing, region) -> tuple[float, float, float]:
     """Sup of value, gradient, and Hessian magnitudes over a region.
 
-    A real component and its derivatives are squared as real numbers:
-    ``np.abs(x) ** 2`` of a real ``x`` equals that of ``x + 0j`` bit for
-    bit.
+    ``comps`` are a field's components on a box that holds ``region``
+    (see :func:`_box`) and ``weights`` their Frobenius weights.  The
+    squares are summed over components, then axes, and over Hessian
+    entries in storage order before the component's weight applies:
+    the order of the whole-grid sums, which keeps their bits.
     """
-    grid = fld.grid
-    comps, weights = _components(fld)
-
-    val_sq = np.zeros(grid.shape)
-    grad_sq = np.zeros(grid.shape)
-    hess_sq = np.zeros(grid.shape)
-    dim = grid.dim
-    hess_weights = sym_weights(dim)
+    hess_weights = sym_weights(len(spacing))
+    # each sum starts as 0.0 + its first square, which is that square
+    val_sq = grad_sq = hess_sq = 0.0
     for w, comp in zip(weights, comps):
-        f = ScalarField(grid, comp)
-        grad = gradient(f)
-        hess = hessian(f, grad).values
-        grad = grad.values
-        val_sq += w * np.abs(comp) ** 2
-        for ax in range(dim):
-            grad_sq += w * np.abs(grad[..., ax]) ** 2
-        hess_sq += w * component_sum(hess_weights * np.abs(hess) ** 2)
-    return (
-        float(np.sqrt(np.max(val_sq[region]))),
-        float(np.sqrt(np.max(grad_sq[region]))),
-        float(np.sqrt(np.max(hess_sq[region]))),
+        grad = first_derivatives(comp, spacing)
+        hess = 0.0
+        for hw, entry in zip(hess_weights, second_derivatives(comp, spacing, grad)):
+            hess += _square(entry, hw)
+        val_sq += _square(comp, w)
+        for g in grad:
+            grad_sq += _square(g, w)
+        hess_sq += hess if w == 1.0 else w * hess
+    return tuple(
+        float(np.sqrt(np.max(sq[region]))) for sq in (val_sq, grad_sq, hess_sq)
     )
 
 
@@ -130,9 +153,13 @@ def error_norms(candidate, reference, mask: np.ndarray) -> ErrorMetrics:
     if not np.any(mask):
         raise MetricsError("comparison region is empty")
 
-    diff = type(candidate)(grid, candidate.values - reference.values)
-    d0, d1, d2 = _sup_levels(diff, mask)
-    r0, r1, r2 = _sup_levels(reference, mask)
+    box = _box(mask)
+    region = mask[box]
+    cand, weights = _components(candidate)
+    ref, _ = _components(reference)
+    diff = [c[box] - r[box] for c, r in zip(cand, ref)]
+    d0, d1, d2 = _sup_levels(diff, weights, grid.spacing, region)
+    r0, r1, r2 = _sup_levels([r[box] for r in ref], weights, grid.spacing, region)
     c0 = d0
     c1 = d0 + d1
     c2 = d0 + d1 + d2

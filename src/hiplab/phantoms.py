@@ -15,10 +15,17 @@ complex; ``sqrt`` and non-integer powers take principal branches.  A
 sampled expression whose imaginary part is identically zero is stored
 as ``float64`` (see :mod:`hiplab.grids`).  Parse errors report the byte
 offset of the offending character.
+
+Each source is parsed once (:func:`parse`).  On a grid the variables are
+its 1-D axes, shaped to broadcast against each other, so a term in one
+variable costs one evaluation per point of its axis.  Broadcasting
+leaves each element's arithmetic as it is: the result equals the
+evaluation on full coordinate meshes bit for bit, which a test pins.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -198,9 +205,18 @@ class _Parser:
 
 
 def parse(src: str):
-    """Parse an expression string into a tree."""
+    """Parse an expression string into a tree.
+
+    Trees are immutable, so each source is parsed once: a repeated
+    source returns the same tree, and a bad one raises on every call.
+    """
     if not isinstance(src, str) or src.strip() == "":
         raise ExpressionError("empty expression", 0)
+    return _parse(src)
+
+
+@functools.lru_cache(maxsize=512)
+def _parse(src: str):
     parser = _Parser(src)
     node = parser.sum()
     kind, text, off = parser.peek()
@@ -246,19 +262,18 @@ def evaluate(node, env: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _grid_env(grid: Grid) -> dict[str, np.ndarray]:
-    coords = grid.meshgrid()
-    env = {}
-    for name, arr in zip(_VARIABLES, coords):
-        env[name] = arr.astype(np.complex128)
-    return env
+    """The grid's axes as complex coordinates, each shaped to broadcast
+    against the others: a term in one variable costs one evaluation per
+    point of its axis."""
+    axes = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    return {name: ax.astype(np.complex128) for name, ax in zip(_VARIABLES, axes)}
 
 
 def _eval_on_grid(src: str, grid: Grid) -> np.ndarray:
-    node = parse(src)
-    vals = evaluate(node, _grid_env(grid))
-    vals = np.broadcast_to(np.asarray(vals, dtype=np.complex128), grid.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
+    vals = np.asarray(evaluate(parse(src), _grid_env(grid)), dtype=np.complex128)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = np.broadcast_to(~finite, grid.shape)
         idx = tuple(int(k) for k in np.argwhere(bad)[0])
         point = tuple(
             lo + k * s for (lo, _), k, s in zip(grid.bounds, idx, grid.spacing)
@@ -266,7 +281,7 @@ def _eval_on_grid(src: str, grid: Grid) -> np.ndarray:
         raise ExpressionError(
             f"expression {src!r} is not finite at {point}", 0
         )
-    return np.array(as_stored(vals))
+    return np.array(np.broadcast_to(as_stored(vals), grid.shape))
 
 
 def materialize_scalar(src: str, grid: Grid) -> ScalarField:

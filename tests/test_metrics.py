@@ -11,8 +11,19 @@ import numpy as np
 import pytest
 
 from conftest import unit_grid
+from hiplab import metrics
 from hiplab.errors import MetricsError
-from hiplab.grids import ScalarField, SymTensorField, VectorField
+from hiplab.grids import (
+    Grid,
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    component_sum,
+    gradient,
+    hessian,
+    sym_size,
+    sym_weights,
+)
 from hiplab.metrics import error_norms
 
 
@@ -213,3 +224,111 @@ class TestRelativeNorms:
             "c0", "c1", "c2", "c0_rel", "c1_rel", "c2_rel", "region_fraction",
         }
         assert d["c0"] == 1.0
+
+
+def whole_grid_levels(fld, region):
+    """The levels as they were computed on the whole grid, with zero
+    accumulators, ``np.abs(x) ** 2`` squares and every weight applied:
+    the reference the box's levels must equal."""
+    grid = fld.grid
+    comps, weights = metrics._components(fld)
+
+    val_sq = np.zeros(grid.shape)
+    grad_sq = np.zeros(grid.shape)
+    hess_sq = np.zeros(grid.shape)
+    dim = grid.dim
+    hess_weights = sym_weights(dim)
+    for w, comp in zip(weights, comps):
+        f = ScalarField(grid, comp)
+        grad = gradient(f)
+        hess = hessian(f, grad).values
+        grad = grad.values
+        val_sq += w * np.abs(comp) ** 2
+        for ax in range(dim):
+            grad_sq += w * np.abs(grad[..., ax]) ** 2
+        hess_sq += w * component_sum(hess_weights * np.abs(hess) ** 2)
+    return (
+        float(np.sqrt(np.max(val_sq[region]))),
+        float(np.sqrt(np.max(grad_sq[region]))),
+        float(np.sqrt(np.max(hess_sq[region]))),
+    )
+
+
+def box_levels(fld, region):
+    comps, weights = metrics._components(fld)
+    box = metrics._box(region)
+    return metrics._sup_levels(
+        [c[box] for c in comps], weights, fld.grid.spacing, region[box]
+    )
+
+
+def random_field(grid, kind, dtype, rng):
+    fields = {"scalar": ScalarField, "vector": VectorField, "tensor": SymTensorField}
+    comps = {"scalar": (), "vector": (grid.dim,), "tensor": (sym_size(grid.dim),)}
+    vals = rng.standard_normal(grid.shape + comps[kind])
+    if dtype == "complex":
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    return fields[kind](grid, vals)
+
+
+def region_of(grid, name, rng):
+    if name == "interior":
+        return grid.interior(2)
+    if name == "interior minus flags":
+        return grid.interior(2) & (rng.random(grid.shape) > 0.3)
+    mask = np.zeros(grid.shape, dtype=bool)
+    if name == "touches a face":
+        mask[(slice(0, 3),) + (slice(2, 6),) * (grid.dim - 1)] = True
+    else:  # a single vertex
+        mask[(4,) + (1,) * (grid.dim - 1)] = True
+    return mask
+
+
+class TestBoxLevels:
+    """Levels on the region's box equal the whole grid's, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "tensor"])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "region", ["interior", "interior minus flags", "touches a face", "a single vertex"]
+    )
+    def test_box_levels_are_the_whole_grid_levels(self, dim, kind, dtype, region):
+        # spacings that are not powers of two, so products round
+        grid = Grid(
+            bounds=((0.0, 1.3), (-0.2, 0.7), (0.1, 2.9))[:dim], shape=(11, 9, 10)[:dim]
+        )
+        rng = np.random.default_rng(dim * 1000 + len(kind) * 10 + len(region))
+        fld = random_field(grid, kind, dtype, rng)
+        mask = region_of(grid, region, rng)
+        assert box_levels(fld, mask) == whole_grid_levels(fld, mask)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_box_holds_one_ring_and_five_points(self, dim):
+        grid = unit_grid(12, dim)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[(4,) + (0,) * (dim - 1)] = True
+        mask[(6,) + (1,) * (dim - 1)] = True
+        box = metrics._box(mask)
+        assert box[0] == slice(3, 8)
+        assert all(b == slice(0, 5) for b in box[1:])
+        mask[:] = False
+        mask[(11,) * dim] = True
+        assert metrics._box(mask) == (slice(7, 12),) * dim
+
+    def test_error_norms_keep_the_whole_grid_bits(self):
+        grid = Grid(bounds=((0.0, 1.3), (-0.2, 0.7), (0.1, 2.9)), shape=(11, 9, 10))
+        rng = np.random.default_rng(5)
+        cand = random_field(grid, "tensor", "complex", rng)
+        ref = random_field(grid, "tensor", "real", rng)
+        mask = region_of(grid, "interior minus flags", rng)
+        diff = SymTensorField(grid, cand.values - ref.values)
+        d0, d1, d2 = whole_grid_levels(diff, mask)
+        r0, r1, r2 = whole_grid_levels(ref, mask)
+        m = error_norms(cand, ref, mask)
+        assert (m.c0, m.c1, m.c2) == (d0, d0 + d1, d0 + d1 + d2)
+        assert (m.c0_rel, m.c1_rel, m.c2_rel) == (
+            d0 / r0,
+            (d0 + d1) / (r0 + r1),
+            (d0 + d1 + d2) / (r0 + r1 + r2),
+        )

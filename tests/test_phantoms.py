@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import unit_grid
+from conftest import odd_spacing_grids, same_bits, unit_grid
+from hiplab import phantoms
 from hiplab.errors import ExpressionError
+from hiplab.grids import Grid, as_stored
 from hiplab.phantoms import (
     evaluate,
     materialize_scalar,
@@ -120,3 +124,97 @@ class TestMaterializers:
         grid = unit_grid(5)
         with pytest.raises(ExpressionError):
             materialize_scalar("z", grid)
+
+
+def expressions(variables: str):
+    """Sources over the whole grammar: numbers, constants, the given
+    variables, the binary operators, unary minus and the six functions,
+    with and without parentheses."""
+    numbers = st.one_of(
+        st.sampled_from(["0", "2", ".25", "3.", "1.5e-1", "2E+1"]),
+        st.floats(0.0, 50.0).map(repr),
+    )
+    leaves = st.one_of(numbers, st.sampled_from(["i", "pi", "e", *variables]))
+    operators = st.sampled_from(["+", "-", "*", "/", "^"])
+    functions = st.sampled_from(sorted(phantoms._FUNCTIONS))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("-{}".format, inner),
+            st.builds("{}({})".format, functions, inner),
+            st.builds("({}) {} ({})".format, inner, operators, inner),
+            st.builds("{}{}{}".format, inner, operators, inner),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def mesh_env(grid) -> dict[str, np.ndarray]:
+    """Full complex coordinate meshes, one per variable."""
+    return {name: m.astype(np.complex128) for name, m in zip("xyz", grid.meshgrid())}
+
+
+def sampled(tree, env, shape):
+    """The stored samples of ``tree`` on a grid of ``shape``, or the
+    exception's text: a constant division by zero raises in Python's
+    complex arithmetic whatever the environment."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = evaluate(tree, env)
+    except ZeroDivisionError as exc:
+        return repr(exc)
+    vals = np.broadcast_to(np.asarray(vals, dtype=np.complex128), shape)
+    return np.ascontiguousarray(as_stored(vals))
+
+
+class TestAxesEvaluation:
+    """The variables are the grid's axes, broadcast: every element's
+    arithmetic is the full mesh's."""
+
+    @given(sample=odd_spacing_grids(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_on_axes_equal_bits_on_the_mesh(self, sample, data):
+        grid, _ = sample
+        tree = parse(data.draw(expressions("xyz"[: grid.dim])))
+        got = sampled(tree, phantoms._grid_env(grid), grid.shape)
+        ref = sampled(tree, mesh_env(grid), grid.shape)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert same_bits(got, ref)
+
+    def test_axes_are_shaped_to_broadcast(self):
+        grid = Grid(bounds=((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), shape=(5, 6, 7))
+        env = phantoms._grid_env(grid)
+        assert [env[v].shape for v in "xyz"] == [(5, 1, 1), (1, 6, 1), (1, 1, 7)]
+        for name, mesh in mesh_env(grid).items():
+            assert same_bits(np.ascontiguousarray(np.broadcast_to(env[name], grid.shape)), mesh)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_vertex_is_named_as_on_the_mesh(self, dim):
+        """``1/(x-0.5)`` on a grid through 0.5: the same error text,
+        naming the first vertex in C order of the full-mesh values."""
+        grid = Grid(bounds=((0.0, 1.0),) + ((-1.0, 1.0),) * (dim - 1), shape=(5,) * dim)
+        src = "1/(x-0.5)"
+        with pytest.raises(ExpressionError) as info:
+            materialize_scalar(src, grid)
+        with np.errstate(all="ignore"):
+            mesh_vals = evaluate(parse(src), mesh_env(grid))
+        idx = tuple(np.argwhere(~np.isfinite(mesh_vals))[0])
+        assert idx == (2,) + (0,) * (dim - 1)
+        point = (0.5,) + (-1.0,) * (dim - 1)
+        assert str(info.value) == (
+            f"[expression] expression {src!r} is not finite at {point} (at offset 0)"
+        )
+
+    def test_a_repeated_source_returns_the_same_tree(self):
+        src = "0.6+0.2*sin(2*x+1)*cos(y)"
+        assert parse(src) is parse(src)
+        # an equal string built anew
+        assert parse(src) is parse("".join(list(src)))
+
+    def test_a_bad_source_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ExpressionError) as info:
+                parse("sin(")
+            assert "offset 4" in str(info.value)
