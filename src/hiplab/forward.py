@@ -14,6 +14,13 @@ The resulting stencil touches at most 9 points in dimension 2 and 19 in
 dimension 3, is exact on affine solutions for constant coefficients, and
 is second-order accurate for smooth data.  Boundary values are imposed
 exactly by elimination.
+
+Variable-coefficient systems are solved by BiCGSTAB, preconditioned by
+a DST-I solve of a constant-coefficient operator (:func:`_bicgstab`, a
+transcription of SciPy's with inner products that do not depend on the
+BLAS thread count), or from one sparse LU factorization; SciPy's LU is
+imported only when a factorization runs.  Identity Laplacians are
+solved by DST-I alone (:func:`solve_poisson`).
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
 from .errors import AssemblyError, GridError, SolverFailure
@@ -70,6 +76,13 @@ _KRYLOV_TOLERANCE = 3e-14
 # budget therefore sits above every measured count, and the fallback
 # catches columns that stagnate or break down.
 _AUTO_KRYLOV_BUDGET = 100
+
+# BiCGSTAB's inner products and norms sum fixed chunks of this many
+# entries in order.  This numpy's OpenBLAS splits a dot product over its
+# threads above 10 000 entries, so an unchunked product's bits follow
+# the thread count; a system of at most this many unknowns keeps the
+# unchunked product's bits.
+_DOT_CHUNK = 8192
 
 # largest relative residual a solution may carry (see _relative_residuals)
 _RESIDUAL_CAP = 1e-10
@@ -421,17 +434,12 @@ def _krylov_operators(system: LinearSystem, eig: np.ndarray):
     path.
     """
     matrix = system.matrix
-    n = eig.size
     solve = _dst_solver(eig)
     real = not any(np.iscomplexobj(x) for x in (matrix.data, system.rhs, eig))
     part = np.real if real else np.asarray
 
     def complex_operator(apply):
-        return spla.LinearOperator(
-            (n, n),
-            matvec=lambda v: np.asarray(apply(part(v)), dtype=np.complex128),
-            dtype=np.complex128,
-        )
+        return lambda v: np.asarray(apply(part(v)), dtype=np.complex128)
 
     return (
         complex_operator(lambda v: matrix @ v),
@@ -439,12 +447,94 @@ def _krylov_operators(system: LinearSystem, eig: np.ndarray):
     )
 
 
+def _chunked(product, x: np.ndarray, y: np.ndarray):
+    """``product(x, y)`` summed over consecutive ``_DOT_CHUNK`` entries,
+    in order; one chunk is one call."""
+    total = product(x[:_DOT_CHUNK], y[:_DOT_CHUNK])
+    for k in range(_DOT_CHUNK, x.size, _DOT_CHUNK):
+        total = total + product(x[k : k + _DOT_CHUNK], y[k : k + _DOT_CHUNK])
+    return total
+
+
+def _vdot(x: np.ndarray, y: np.ndarray):
+    return _chunked(np.vdot, x, y)
+
+
+def _norm(x: np.ndarray):
+    """The 2-norm of a complex vector as ``np.linalg.norm`` forms it: the
+    squares of the real parts, then those of the imaginary parts."""
+    return np.sqrt(_chunked(np.dot, x.real, x.real) + _chunked(np.dot, x.imag, x.imag))
+
+
+def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
+    """Solve ``A x = b`` by right-preconditioned BiCGSTAB from a zero
+    guess (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992).
+
+    A transcription of ``scipy.sparse.linalg.bicgstab`` (SciPy 1.17.1)
+    with ``x0=None`` and ``atol=0``: the same steps in the same order,
+    the same stopping tests and the same ``info``: 0 on convergence to
+    ``rtol * |b|``, ``maxiter`` when the budget runs out, -10 on a
+    ``rho`` and -11 on an ``omega`` breakdown.  ``b`` is complex128 and
+    ``matvec`` (``A``) and ``psolve`` (the preconditioner) map complex128
+    vectors to new complex128 vectors.  Inner products and norms are
+    chunked (``_DOT_CHUNK``), so up to that many unknowns the iterates
+    carry SciPy's bits, and beyond it bits that do not depend on the
+    BLAS thread count.
+    """
+    bnrm2 = _norm(b)
+    atol = rtol * float(bnrm2)
+    if bnrm2 == 0:
+        return b, 0
+    # SciPy's breakdown thresholds, from the original Fortran code
+    rhotol = omegatol = np.finfo(np.float64).eps ** 2
+    x = np.zeros_like(b)
+    r = b.copy()
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if _norm(r) < atol:
+            return x, 0
+        rho = _vdot(rtilde, r)
+        if np.abs(rho) < rhotol:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < omegatol:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = psolve(p)
+        v = matvec(phat)
+        rv = _vdot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        # SciPy's s is a copy of r, read before r next changes
+        if _norm(r) < atol:
+            x += alpha * phat
+            return x, 0
+        shat = psolve(r)
+        t = matvec(shat)
+        omega = _vdot(t, r) / _vdot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
+
+
 def _lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve from one sparse LU factorization of a complex128 copy of
     ``matrix``, so a real system gets the complex factorization's bits;
-    the solution is real when ``matrix`` and ``rhs`` are."""
+    the solution is real when ``matrix`` and ``rhs`` are.  SciPy's sparse
+    LU is imported here, where it runs."""
+    from scipy.sparse.linalg import splu
+
     try:
-        lu = spla.splu(matrix.tocsc().astype(np.complex128))
+        lu = splu(matrix.tocsc().astype(np.complex128))
     except RuntimeError as exc:
         raise SolverFailure(
             f"direct factorization failed: {exc} (n={matrix.shape[0]})"
@@ -466,16 +556,15 @@ def _solve_system(
         raise SolverFailure("linear system has a non-finite entry")
     if settings.method == "direct":
         return _lu_solve(matrix, rhs)
-    operator, precond = _krylov_operators(system, _mean_operator_eigenvalues(coeffs))
+    matvec, psolve = _krylov_operators(system, _mean_operator_eigenvalues(coeffs))
     x = np.empty(rhs.shape, dtype=np.result_type(matrix.dtype, rhs.dtype))
     for j in range(rhs.shape[1]):
-        column, info = spla.bicgstab(
-            operator,
+        column, info = _bicgstab(
+            matvec,
+            psolve,
             rhs[:, j].astype(np.complex128),
-            rtol=_KRYLOV_TOLERANCE,
-            atol=0.0,
-            maxiter=_AUTO_KRYLOV_BUDGET,
-            M=precond,
+            _KRYLOV_TOLERANCE,
+            _AUTO_KRYLOV_BUDGET,
         )
         if info == 0:
             x[:, j] = column if np.iscomplexobj(x) else column.real

@@ -252,7 +252,12 @@ def evaluate(node, env: dict[str, np.ndarray]) -> np.ndarray:
             if node.op == "*":
                 return left * right
             if node.op == "/":
-                return left / right
+                try:
+                    return left / right
+                except ZeroDivisionError:
+                    # a constant over a constant zero: numpy's non-finite
+                    # quotient, which the caller reports like any other
+                    return np.complex128(left) / np.complex128(right)
             if node.op == "^":
                 return np.power(
                     np.asarray(left, dtype=np.complex128),

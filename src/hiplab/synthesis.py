@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, GridError, NonVanishingError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_traces
@@ -395,6 +394,9 @@ def synthesize(
 def _noise_field(rng, grid: Grid, correlation_length: float) -> np.ndarray:
     white = rng.standard_normal(grid.shape)
     if correlation_length > 0:
+        # imported where it runs: a run without correlated noise never loads it
+        from scipy import ndimage
+
         sigma = [correlation_length / h for h in grid.spacing]
         white = ndimage.gaussian_filter(white, sigma=sigma, mode="nearest")
     top = float(np.max(np.abs(white)))

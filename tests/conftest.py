@@ -7,6 +7,8 @@ the bump amplitudes keep all coefficients uniformly elliptic.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,6 +22,7 @@ from hiplab.forward import CoefficientSet
 from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
 
 WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 
 def unit_grid(n: int, dim: int = 2) -> Grid:
@@ -103,3 +106,17 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_python(code: str, **env: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    hiplab from this checkout, with ``env`` added to the environment."""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT), **env},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout

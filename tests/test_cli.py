@@ -76,6 +76,12 @@ class TestExitCodes:
         assert main(["--config", cfg, "run"]) == 2
         assert "noise/correlation_length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["1/0", "2*x + 1/(1-1)", "1/(x-0.5)"])
+    def test_expression_not_finite_at_a_vertex_is_two(self, tmp_path, capsys, c):
+        cfg = write_config(tmp_path, harmonic_doc(coefficients={"a": "1", "c": c}))
+        assert main(["--config", cfg, "check"]) == 2
+        assert f"expression {c!r} is not finite at" in capsys.readouterr().err
+
     def test_missing_config_file_is_two(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json"), "run"]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from conftest import (
     elastography_coefficients,
     laplace_coefficients,
     odd_spacing_grids,
+    run_python,
     same_bits,
     scalar_tensor,
     traced_peak,
@@ -586,6 +587,163 @@ class TestKrylov:
         # the five-point stencil: every unknown and its interior neighbours
         n = 7
         assert system.matrix.nnz == n * n + 4 * n * (n - 1)
+
+
+def scipy_bicgstab(matvec, psolve, b, rtol, maxiter):
+    """SciPy's BiCGSTAB from a zero guess on the same operator and
+    preconditioner."""
+    n = b.size
+    return spla.bicgstab(
+        spla.LinearOperator((n, n), matvec=matvec, dtype=np.complex128),
+        b,
+        rtol=rtol,
+        atol=0.0,
+        maxiter=maxiter,
+        M=spla.LinearOperator((n, n), matvec=psolve, dtype=np.complex128),
+    )
+
+
+def assert_bicgstab_is_scipys(matvec, psolve, b, rtol, maxiter):
+    ref, ref_info = scipy_bicgstab(matvec, psolve, b.copy(), rtol, maxiter)
+    got, info = forward._bicgstab(matvec, psolve, b.copy(), rtol, maxiter)
+    assert info == ref_info
+    assert got.dtype == ref.dtype == np.complex128
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    return info
+
+
+def krylov_problem(coeffs, trace_values):
+    """The operator, preconditioner and first right-hand side that
+    ``solve_traces`` hands BiCGSTAB."""
+    grid = coeffs.grid
+    system = assemble(coeffs, [BoundaryTrace(grid, trace_values)])
+    matvec, psolve = forward._krylov_operators(
+        system, forward._mean_operator_eigenvalues(coeffs)
+    )
+    return matvec, psolve, system.rhs[:, 0].astype(np.complex128)
+
+
+# a 2-D Krylov solve of 127^2 unknowns, printed as the SHA-256 of its bytes
+SOLVE_129 = """
+import hashlib
+from hiplab import phantoms
+from hiplab.forward import BoundaryTrace, CoefficientSet, solve_traces
+from hiplab.grids import Grid, SymTensorField, VectorField
+
+grid = Grid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(129, 129))
+bump = phantoms.materialize_scalar("1 + 0.4*exp(-((x-0.5)^2+(y-0.5)^2)/0.08)", grid)
+coeffs = CoefficientSet(
+    a=SymTensorField(grid, SymTensorField.identity(grid).values * bump.values[..., None]),
+    b=VectorField.zero(grid),
+    c=phantoms.materialize_scalar("0.5 + 0.3*sin(2*x)*cos(2*y)", grid),
+)
+traces = [BoundaryTrace.from_expression(grid, s) for s in ("x^2 - y^2", "exp(x)*cos(y)")]
+u = solve_traces(coeffs, traces)
+print(hashlib.sha256(b"".join(f.values.tobytes() for f in u)).hexdigest())
+"""
+
+
+# SciPy ends each of these small systems with the info code named
+BREAKDOWN_SYSTEMS = {
+    0: ([[1, 0, -1], [-1, -2, -2], [-2, -2, 2]], [1, 2, 0]),
+    -10: ([[0, 2, 1], [1, -1, 1], [-2, 0, 0]], [2, -2, 2]),
+    -11: ([[2, 1], [1, 0]], [0, 2]),
+    20: ([[0, 1, 0], [-1, -2, 0], [2, -2, 0]], [0, -2, 0]),
+}
+
+
+class TestBicgstab:
+    """``forward._bicgstab`` is SciPy's BiCGSTAB bit for bit on systems of
+    at most ``_DOT_CHUNK`` unknowns, and beyond that its bits do not
+    follow the BLAS thread count."""
+
+    @given(
+        sample=odd_spacing_grids(),
+        anisotropic=st.booleans(),
+        complex_c=st.booleans(),
+        zero_rhs=st.booleans(),
+        maxiter=st.sampled_from([1, 2, 3, forward._AUTO_KRYLOV_BUDGET]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_on_the_pipeline_systems(
+        self, sample, anisotropic, complex_c, zero_rhs, maxiter
+    ):
+        grid, rng = sample
+        # without a complex c the system is real, and its operators act
+        # on the real parts
+        coeffs = random_operator(grid, rng, anisotropic, complex_c)
+        values = np.zeros(grid.shape) if zero_rhs else rng.normal(size=grid.shape)
+        matvec, psolve, b = krylov_problem(coeffs, values)
+        info = assert_bicgstab_is_scipys(
+            matvec, psolve, b, forward._KRYLOV_TOLERANCE, maxiter
+        )
+        if zero_rhs:
+            assert info == 0
+
+    @pytest.mark.parametrize(
+        "shape, anisotropic, complex_c",
+        [((92, 92), True, True), ((92, 92), False, False), ((22, 22, 22), True, False)],
+    )
+    def test_matches_scipy_up_to_one_chunk(self, shape, anisotropic, complex_c):
+        grid = Grid(bounds=((0.0, 1.0),) * len(shape), shape=shape)
+        rng = np.random.default_rng(7)
+        matvec, psolve, b = krylov_problem(
+            random_operator(grid, rng, anisotropic, complex_c), rng.normal(size=shape)
+        )
+        assert 7900 < b.size <= forward._DOT_CHUNK
+        info = assert_bicgstab_is_scipys(
+            matvec, psolve, b, forward._KRYLOV_TOLERANCE, forward._AUTO_KRYLOV_BUDGET
+        )
+        assert info == 0
+
+    @given(
+        n=st.integers(1, 4),
+        data=st.data(),
+        maxiter=st.integers(1, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_on_small_integer_systems(self, n, data, maxiter):
+        """Small integer matrices break down often, so each of SciPy's
+        exits is taken."""
+        entries = st.integers(-2, 2)
+        matrix = np.array(
+            data.draw(st.lists(entries, min_size=n * n, max_size=n * n)), dtype=complex
+        ).reshape(n, n)
+        b = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)), dtype=complex)
+        with np.errstate(all="ignore"):
+            assert_bicgstab_is_scipys(lambda v: matrix @ v, np.copy, b, 1e-12, maxiter)
+
+    @pytest.mark.parametrize("expected", sorted(BREAKDOWN_SYSTEMS))
+    def test_every_exit_code_is_scipys(self, expected):
+        matrix, b = (np.array(x, dtype=complex) for x in BREAKDOWN_SYSTEMS[expected])
+        with np.errstate(all="ignore"):
+            info = assert_bicgstab_is_scipys(lambda v: matrix @ v, np.copy, b, 1e-12, 20)
+        assert info == expected
+
+    @given(n=st.integers(1, 3 * forward._DOT_CHUNK + 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_inner_products_sum_chunks_in_order(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+        chunk = forward._DOT_CHUNK
+        if n <= chunk:
+            vdot_ref, norm_ref = np.vdot(x, y), np.linalg.norm(x)
+        else:
+            starts = range(0, n, chunk)
+            vdot_ref = sum(np.vdot(x[k : k + chunk], y[k : k + chunk]) for k in starts)
+            norm_ref = np.sqrt(
+                sum(np.dot(x.real[k : k + chunk], x.real[k : k + chunk]) for k in starts)
+                + sum(np.dot(x.imag[k : k + chunk], x.imag[k : k + chunk]) for k in starts)
+            )
+        assert same_bits(np.asarray(forward._vdot(x, y)), np.asarray(vdot_ref))
+        assert same_bits(np.asarray(forward._norm(x)), np.asarray(norm_ref))
+
+    def test_solutions_do_not_follow_the_blas_thread_count(self):
+        """A solve of 16 129 unknowns, past the 10 000 entries above which
+        OpenBLAS splits a dot product over its threads, writes the same
+        bytes on one thread and on two."""
+        one, two = (run_python(SOLVE_129, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert len(one.strip()) == 64 and one == two
 
 
 class TestRealArithmetic:

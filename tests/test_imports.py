@@ -2,20 +2,22 @@
 every module-level private definition is used somewhere in the package,
 no module differentiates with ``numpy.gradient`` (first differences
 take the one stencil in ``grids``), every function the benchmark's
-tracer rebinds exists, and the benchmark's own calls into the package
-still work."""
+tracer rebinds exists, the benchmark's own calls into the package
+still work, and SciPy's sparse LU and image filters load only where
+they run."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import laplace_coefficients, unit_grid
+from conftest import laplace_coefficients, run_python, unit_grid
 from hiplab import forward
 from hiplab.grids import ScalarField
 
@@ -191,3 +193,51 @@ def test_benchmark_calls_outside_the_traced_names_resolve(monkeypatch):
     solution = forward.solve_dirichlet(coeffs, trace, source=source)
     # the gauge solves pass the trace by position and the source by name
     assert run._residuals([((coeffs, trace), {"source": source}, solution)]) < 1e-10
+
+
+# SciPy modules a run loads only for a direct solve or correlated noise
+DEFERRED = ("scipy.sparse.linalg", "scipy.linalg", "scipy.ndimage")
+
+IMPORT_FOOTPRINT = """
+import json, sys
+import hiplab.cli
+
+deferred = %r
+after_import = [m for m in deferred if m in sys.modules]
+
+import numpy as np
+from hiplab import forward, synthesis
+from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
+
+grid = Grid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9))
+coeffs = forward.CoefficientSet(
+    a=SymTensorField.identity(grid),
+    b=VectorField.zero(grid),
+    c=ScalarField.constant(grid, 0.5),
+)
+trace = forward.BoundaryTrace.from_expression(grid, "1 + x*y")
+u = forward.solve_dirichlet(coeffs, trace, settings=forward.SolverSettings("direct"))
+ms = synthesis.synthesize(
+    coeffs, synthesis.Modality.elastography(), synthesis.default_traces(grid)
+)
+noisy = synthesis.add_noise(
+    ms, synthesis.NoiseSpec(amplitude=1e-3, correlation_length=0.1, seed=3)
+)
+print(json.dumps({
+    "after_import": after_import,
+    "after_use": [m for m in deferred if m in sys.modules],
+    "residual": forward.residual(coeffs, u, trace),
+    "noise": float(np.max(np.abs(noisy.functionals[0].values - ms.functionals[0].values))),
+}))
+""" % (DEFERRED,)
+
+
+def test_scipy_lu_and_filters_load_only_where_they_run():
+    """``import hiplab.cli`` leaves SciPy's sparse LU (and ``scipy.linalg``,
+    which it loads) and ``scipy.ndimage`` unloaded; a direct solve and
+    correlated noise load them and still work."""
+    found = json.loads(run_python(IMPORT_FOOTPRINT))
+    assert found["after_import"] == []
+    assert found["after_use"] == list(DEFERRED)
+    assert found["residual"] < 1e-12
+    assert 0.0 < found["noise"] < 1e-2
