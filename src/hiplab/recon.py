@@ -23,7 +23,8 @@ matrix mode :func:`null_weights`, :func:`constraint_matrices` and
 :func:`diffusion_from_constraints`), none of which raises on bad data.
 :func:`reconstruct` checks the result (the ``H_1`` floor, the boundary
 quotients, the Gram floor, the cancellation of the null weights) and
-uses it.  Pointwise linear algebra is batched over the grid.
+uses it.  Pointwise linear algebra is batched over the grid, the
+per-vertex null-space tail over slabs of whole axis-0 planes.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ _CONSISTENCY_TOL = 1e-10
 # eps |raw|^dim / quality, inside which the det-one root's branch is fixed
 _CUT_BAND = 64 * np.finfo(float).eps
 
+# most vertices in one slab of the analysis's per-vertex tail (a slab
+# holds at least one axis-0 plane); chosen by measurement, see README
+_SLAB_VERTICES = 2048
+
 
 def functional_budget(dim: int, mode: str = "matrix") -> int:
     """Functionals required by the pipeline of ``mode``: ``n(n+3)/2`` for
@@ -119,12 +124,13 @@ class GramData:
 class RatioSet:
     """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
 
-    One field per stage of :func:`analyze`: ``fields`` (:func:`ratios`),
-    ``gradients``, ``hessians``, ``gram_data`` (:func:`gram`), and in
-    matrix mode ``theta`` (:func:`null_weights`) and ``null_space``
-    (:func:`diffusion_from_constraints`), None in scalar mode.  Its
-    ``mode`` and trusted interior ``inside`` are the ones every reader
-    uses.
+    One whole-grid field per stage of :func:`analyze`: ``fields``
+    (:func:`ratios`), ``gradients``, ``hessians``, ``gram_data``
+    (:func:`gram`), and in matrix mode ``theta`` (:func:`null_weights`)
+    and ``null_space`` (:func:`diffusion_from_constraints`: direction,
+    quality and degenerate mask), None in scalar mode; the last two are
+    computed slab by slab and gathered here.  Its ``mode`` and trusted
+    interior ``inside`` are the ones every reader uses.
     """
 
     grid: Grid
@@ -168,7 +174,13 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     each of the first ``functional_budget(dim, mode) - 1`` ratios, the
     ones ``mode`` consumes (the Hessian reuses the gradient); :func:`gram`;
     in matrix mode :func:`null_weights`, :func:`constraint_matrices` and
-    :func:`diffusion_from_constraints`.  A vanishing ``H_1`` gives a zero
+    :func:`diffusion_from_constraints`, which see one slab of whole
+    axis-0 planes at a time (at least one plane, otherwise at most
+    ``_SLAB_VERTICES`` vertices) and whose results are written into
+    whole-grid arrays.  Every step of that tail is pointwise but the
+    direction's dtype: a negative det at any vertex makes the whole
+    direction complex, so slabs whose directions differ in dtype are
+    redone as one.  The slabs change no bit.  A vanishing ``H_1`` gives a zero
     ratio and a singular Gram matrix a zero inverse, so the audit can
     read deliberately bad data.  Matrix mode with fewer than
     ``functional_budget(dim)`` functionals (the one budget check) and an
@@ -198,9 +210,52 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     )
     if mode == "scalar":
         return rs
-    rs.theta = null_weights(rs)
-    rs.null_space = diffusion_from_constraints(constraint_matrices(rs, rs.theta))
+    # the tail's many intermediates per vertex live for one slab at a
+    # time.  Division by a complex root gives +0 where a real one keeps
+    # -0, so a real slab differs from the same vertices of a complex grid
+    inputs = (gradients, hessians, rs.gram_data.inverse.values)
+    results = _gathered_tail(*inputs, _slabs(grid.shape))
+    if results is None:
+        results = _gathered_tail(*inputs, [slice(None)])
+    rs.theta, direction, quality, degenerate = results
+    rs.null_space = (SymTensorField(grid, direction), ScalarField(grid, quality), degenerate)
     return rs
+
+
+def _slabs(shape: tuple[int, ...]):
+    """Slices of whole axis-0 planes, at least one plane and otherwise
+    at most ``_SLAB_VERTICES`` vertices each, that cover ``shape``."""
+    plane = int(np.prod(shape[1:]))
+    step = max(1, _SLAB_VERTICES // plane)
+    for lo in range(0, shape[0], step):
+        yield slice(lo, lo + step)
+
+
+def _gathered_tail(
+    gradients: list[VectorField],
+    hessians: list[SymTensorField],
+    inverse: np.ndarray,
+    parts,
+) -> list[np.ndarray] | None:
+    """``theta``, direction, quality and degenerate mask of the vertices
+    ``parts`` of the grid, one :func:`null_weights`,
+    :func:`constraint_matrices` and :func:`diffusion_from_constraints`
+    per part, written into whole-grid arrays; None if the parts'
+    directions differ in dtype."""
+    grid = gradients[0].grid
+    results = None
+    for part in parts:
+        theta = null_weights([g.values[part] for g in gradients], inverse[part])
+        slab = (theta,) + diffusion_from_constraints(
+            constraint_matrices([h.values[part] for h in hessians], theta)
+        )
+        if results is None:
+            results = [np.empty(grid.shape + r.shape[grid.dim :], r.dtype) for r in slab]
+        elif slab[1].dtype != results[1].dtype:
+            return None
+        for out, r in zip(results, slab):
+            out[part] = r
+    return results
 
 
 def ratios(ms: MeasurementSet) -> list[ScalarField]:
@@ -233,23 +288,25 @@ def gram(gradients: list[VectorField]) -> GramData:
     return GramData(SymTensorField(grid, inverse), det, singular)
 
 
-def null_weights(rs: RatioSet) -> np.ndarray:
+def null_weights(gradients: list[np.ndarray], inverse: np.ndarray) -> np.ndarray:
     """Per-vertex weights combining ratios into gradient-free residuals.
 
-    Row ``m`` pairs extra ratio ``dim + m``, at unit weight, with the
-    gradient basis so that the weighted gradient sum cancels identically:
+    ``gradients`` are the ratio gradients' values and ``inverse`` the
+    inverse Gram matrix of the first ``dim`` of them, in triangle
+    storage, on the same vertices.  Row ``m`` pairs extra ratio
+    ``dim + m``, at unit weight, with the gradient basis so that the
+    weighted gradient sum cancels identically:
     ``theta[m, j] = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
     the ``(extra_count(dim), dim)`` array :func:`analyze` stores as
-    ``rs.theta``.  It is a function of its own, so its temporaries are
-    freed before the null space is formed.
+    ``rs.theta``.
     """
-    dim = rs.grid.dim
-    grads = [g.values for g in rs.gradients]
-    inverse = rs.gram_data.inverse.values
+    dim = gradients[0].shape[-1]
     extras = extra_count(dim)
-    theta = np.empty(rs.grid.shape + (extras, dim), dtype=np.result_type(*grads))
+    theta = np.empty(
+        gradients[0].shape[:-1] + (extras, dim), dtype=np.result_type(*gradients)
+    )
     for m in range(extras):
-        rhs = [component_sum(grads[dim + m] * grads[k]) for k in range(dim)]
+        rhs = [component_sum(gradients[dim + m] * gradients[k]) for k in range(dim)]
         for j, sol in enumerate(sym_apply(inverse, rhs, dim)):
             theta[..., m, j] = -sol
     return theta
@@ -332,58 +389,60 @@ def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
         )
 
 
-def constraint_matrices(rs: RatioSet, theta: np.ndarray) -> list[SymTensorField]:
+def constraint_matrices(hessians: list[np.ndarray], theta: np.ndarray) -> list[np.ndarray]:
     """Hessian combinations ``M^m = D^2 v_{dim+m} + sum_{j<dim} theta[m, j] D^2 v_j``.
 
-    By construction each ``M^m`` annihilates the diffusion direction
-    under the trace pairing.
+    ``hessians`` are the ratio Hessians' values in triangle storage and
+    ``theta`` the :func:`null_weights` on the same vertices.  By
+    construction each ``M^m`` annihilates the diffusion direction under
+    the trace pairing.
     """
-    grid = rs.grid
     extras, dim = theta.shape[-2:]
     out = []
     for m in range(extras):
-        acc = np.zeros(grid.shape + (sym_size(dim),), dtype=theta.dtype)
+        acc = np.zeros(theta.shape[:-2] + (sym_size(dim),), dtype=theta.dtype)
         for j in range(dim):
-            acc += theta[..., m, j][..., None] * rs.hessians[j].values
-        acc += rs.hessians[dim + m].values
-        out.append(SymTensorField(grid, acc))
+            acc += theta[..., m, j][..., None] * hessians[j]
+        acc += hessians[dim + m]
+        out.append(acc)
     return out
 
 
 def diffusion_from_constraints(
-    matrices: list[SymTensorField],
-) -> tuple[SymTensorField, ScalarField, np.ndarray]:
+    matrices: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extract the determinant-one diffusion direction pointwise.
 
-    Stacks the constraint matrices as rows of a small rectangular system
-    under the trace pairing (off-diagonal entries weighted by sqrt(2) so
-    the Euclidean product matches the trace product) and takes its null
-    vector in closed form over the whole grid: the generalized cross
-    product of the rows (:func:`_cross_null_space`), in 2-D the cross
-    product of two rows in C^3, in 3-D the signed 5x5 minors of five
-    rows in C^6.  The quality ``s_min / s_max`` comes from the rows'
-    Gram matrix: in closed form in 2-D, from one batched ``eigvalsh``
-    of the 5x5 Gram matrices in 3-D.  The generator is normalized to
-    real positive trace and determinant one.  The principal root of the
-    determinant changes sign across the negative real axis, where the
-    determinant of an indefinite generator lies; a determinant within
-    rounding of that axis is taken on its upper side, so the sign of its
-    rounding does not pick the sign of the direction.
+    Stacks the constraint matrices (triangle storage) as rows of a small
+    rectangular system under the trace pairing (off-diagonal entries
+    weighted by sqrt(2) so the Euclidean product matches the trace
+    product) and takes its null vector in closed form at every vertex
+    given: the generalized cross product of the rows
+    (:func:`_cross_null_space`), in 2-D the cross product of two rows in
+    C^3, in 3-D the signed 5x5 minors of five rows in C^6.  The quality
+    ``s_min / s_max`` comes from the rows' Gram matrix: in closed form
+    in 2-D, from one batched ``eigvalsh`` of the 5x5 Gram matrices in
+    3-D.  The generator is normalized to real positive trace and
+    determinant one.  The principal root of the determinant changes
+    sign across the negative real axis, where the determinant of an
+    indefinite generator lies; a determinant within rounding of that
+    axis is taken on its upper side, so the sign of its rounding does
+    not pick the sign of the direction.
 
-    Returns the direction, the quality field, and a boolean mask of
+    Returns the direction, the quality, and a boolean mask of
     degenerate vertices (quality below ``QUALITY_FLOOR``), which carry
-    NaN in the direction field.
+    NaN in the direction.  Each vertex's outputs depend on its own
+    matrices alone, except that a real direction is complex at every
+    vertex if one vertex's determinant is negative.
     """
-    grid = matrices[0].grid
-    dim = grid.dim
-    m_rows = len(matrices)
-    s = sym_size(dim)
+    s = matrices[0].shape[-1]
+    dim = 2 if s == 3 else 3  # 3 or 6 stored entries
     w = np.sqrt(sym_weights(dim))
     stack = np.empty(
-        grid.shape + (m_rows, s), dtype=np.result_type(*(M.values for M in matrices))
+        matrices[0].shape[:-1] + (len(matrices), s), dtype=np.result_type(*matrices)
     )
     for m, M in enumerate(matrices):
-        stack[..., m, :] = M.values * w
+        stack[..., m, :] = M * w
     # each per-vertex intermediate is dropped once the next one exists
     del matrices
 
@@ -418,9 +477,7 @@ def diffusion_from_constraints(
     direction = divide(aligned, principal_root(det, dim)[..., None])
     del aligned
     direction[degenerate] = np.nan
-
-    quality_field = ScalarField(grid, quality)
-    return SymTensorField(grid, direction), quality_field, degenerate
+    return direction, quality, degenerate
 
 
 def _cross_null_space(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -68,16 +68,16 @@ def test_harmonic_suite_identity_diffusion_zero_drift_and_hessian_combos():
     ms = synthesize(laplace_coefficients(grid), unit_weight(grid), default_traces(grid))
     nc = recon.reconstruct(ms)
     rs = recon.analyze(ms)
-    theta = recon.null_weights(rs)
-    mats = recon.constraint_matrices(rs, theta)
+    theta = recon.null_weights([g.values for g in rs.gradients], rs.gram_data.inverse.values)
+    mats = recon.constraint_matrices([h.values for h in rs.hessians], theta)
     elapsed = time.monotonic() - t0
 
     inside = grid.interior(2)
     ident = SymTensorField.identity(grid).values
     assert np.max(np.abs(nc.diffusion.values - ident)[inside]) <= 1e-8
     assert np.max(np.abs(nc.drift.values)[inside]) <= 1e-8
-    m1 = sym_to_full(mats[0].values, 2)
-    m2 = sym_to_full(mats[1].values, 2)
+    m1 = sym_to_full(mats[0], 2)
+    m2 = sym_to_full(mats[1], 2)
     assert np.max(np.abs(m1 - np.array([[0.0, 1.0], [1.0, 0.0]]))[inside]) <= 1e-8
     assert np.max(np.abs(m2 - np.array([[2.0, 0.0], [0.0, -2.0]]))[inside]) <= 1e-8
     assert elapsed < 5.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import laplace_coefficients, same_bits, traced_peak, unit_grid, workload_inputs
 from hiplab import recon
+from hiplab.config import parse_config
 from hiplab.errors import (
     DegeneracyError,
     InternalConsistencyError,
@@ -56,6 +57,36 @@ def hand_measurements(grid, sources):
         traces=traces,
         functionals=fields,
         weight=materialize_scalar("1", grid),
+    )
+
+
+def whole_grid_weights(rs):
+    """:func:`null_weights` of the whole grid of ``rs``."""
+    return null_weights([g.values for g in rs.gradients], rs.gram_data.inverse.values)
+
+
+def hessian_values(rs):
+    return [h.values for h in rs.hessians]
+
+
+def anisotropic_measurements(grid, c):
+    """Five (2-D) or nine (3-D) functionals of a generic modality whose
+    diffusion varies along x with an off-diagonal entry, for ``c``."""
+    dim = grid.dim
+    x = grid.meshgrid()[0].real
+    avals = np.zeros(grid.shape + (sym_size(dim),))
+    avals[..., 0] = 2.0 + x
+    avals[..., 1:dim] = 0.5
+    avals[..., -1] = 0.3 * x
+    coeffs = CoefficientSet(
+        a=SymTensorField(grid, avals),
+        b=VectorField.zero(grid),
+        c=materialize_scalar(c, grid),
+    )
+    return synthesize(
+        coeffs,
+        Modality.generic(materialize_scalar("1", grid)),
+        default_traces(grid, functional_budget(dim)),
     )
 
 
@@ -262,7 +293,7 @@ class TestNullWeights:
 
     def test_hand_checked_weights(self):
         grid, rs = self.quintet()
-        theta = null_weights(rs)
+        theta = whole_grid_weights(rs)
         x, y = grid.meshgrid()
         inside = grid.interior(2)
         # the weights of the basis ratios x, y; each extra ratio's own
@@ -287,7 +318,7 @@ class TestNullWeights:
                 ],
             )
         )
-        theta = null_weights(rs)
+        theta = whole_grid_weights(rs)
         grads = np.stack([g.values for g in rs.gradients], axis=-2)
         scale = float(np.max(np.abs(grads)))
         inside = grid.interior(2)
@@ -298,11 +329,10 @@ class TestNullWeights:
 
     def test_constraint_matrices_for_harmonic_quintet(self):
         grid, rs = self.quintet()
-        theta = null_weights(rs)
-        mats = constraint_matrices(rs, theta)
+        mats = constraint_matrices(hessian_values(rs), whole_grid_weights(rs))
         inside = grid.interior(2)
-        m1 = sym_to_full(mats[0].values, 2)
-        m2 = sym_to_full(mats[1].values, 2)
+        m1 = sym_to_full(mats[0], 2)
+        m2 = sym_to_full(mats[1], 2)
         assert np.allclose(m1[inside], np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
         assert np.allclose(m2[inside], np.array([[2.0, 0.0], [0.0, -2.0]]), atol=1e-10)
 
@@ -310,22 +340,7 @@ class TestNullWeights:
     @pytest.mark.parametrize("c", ["0.5 + 0.2*x", "0.5 + 0.3*i*(1 + x)"])
     def test_constraint_matrices_match_the_full_width_weights_bitwise(self, dim, c):
         grid = unit_grid(17 if dim == 2 else 9, dim)
-        x = grid.meshgrid()[0].real
-        avals = np.zeros(grid.shape + (sym_size(dim),))
-        avals[..., 0] = 2.0 + x
-        avals[..., 1:dim] = 0.5
-        avals[..., -1] = 0.3 * x
-        coeffs = CoefficientSet(
-            a=SymTensorField(grid, avals),
-            b=VectorField.zero(grid),
-            c=materialize_scalar(c, grid),
-        )
-        ms = synthesize(
-            coeffs,
-            Modality.generic(materialize_scalar("1", grid)),
-            default_traces(grid, functional_budget(dim)),
-        )
-        rs = analyze(ms)
+        rs = analyze(anisotropic_measurements(grid, c))
         extras = extra_count(dim)
         assert rs.theta.shape == grid.shape + (extras, dim)
         assert rs.theta.dtype == (np.float64 if "i" not in c else np.complex128)
@@ -335,12 +350,12 @@ class TestNullWeights:
         full[..., :dim] = rs.theta
         for m in range(extras):
             full[..., m, dim + m] = 1.0
-        got = constraint_matrices(rs, rs.theta)
+        got = constraint_matrices(hessian_values(rs), rs.theta)
         for m in range(extras):
             ref = np.zeros(grid.shape + (sym_size(dim),), dtype=full.dtype)
             for j in range(dim + extras):
                 ref += full[..., m, j][..., None] * rs.hessians[j].values
-            assert same_bits(got[m].values, ref)
+            assert same_bits(got[m], ref)
 
 
 class TestReconstruct:
@@ -468,10 +483,10 @@ STAGES = ("ratios", "gram", "null_weights", "constraint_matrices", "diffusion_fr
     "mode, once", [("matrix", STAGES), ("scalar", ("ratios", "gram"))]
 )
 def test_analysis_runs_each_stage_once_and_reconstruction_none(monkeypatch, mode, once):
-    """Each stage is computed by its own function, once per analysis,
-    and the reconstruction only checks and reads what it was handed;
-    the stages are counted through the module's names, as the
-    benchmark's tracer rebinds them."""
+    """Each stage is computed by its own function, once per analysis of
+    a grid that is one slab, and the reconstruction only checks and
+    reads what it was handed; the stages are counted through the
+    module's names, as the benchmark's tracer rebinds them."""
     counts = dict.fromkeys(STAGES, 0)
     for name in STAGES:
         original = getattr(recon, name)
@@ -488,6 +503,115 @@ def test_analysis_runs_each_stage_once_and_reconstruction_none(monkeypatch, mode
     assert counts == expected
     reconstruct(ms, rs)
     assert counts == expected
+
+
+def qtat_measurements():
+    """A 3-D qtat set on a 13x12x11 box with anisotropic ``a`` and complex ``c``."""
+    cfg = parse_config(
+        {
+            "schema_version": 1,
+            "grid": {"bounds": [[0.0, 1.0]] * 3, "shape": [13, 12, 11]},
+            "coefficients": {
+                "a": [
+                    "3*(1 + 0.2*x)",
+                    "1 + 0.1*y",
+                    "1.5 + 0.1*z",
+                    "0.2*x*(1-x)*y*(1-y)",
+                    "0.1*y*(1-y)*z*(1-z)",
+                    "0.15*x*(1-x)*z*(1-z)",
+                ],
+                "c": "0.5 + 0.2*i*(1 + x*y)",
+            },
+            "modality": {"name": "qtat", "gamma": "1 + 0.1*x*y"},
+            "traces": {"corner_compatible": True},
+            "study": {"type": "single"},
+        }
+    )
+    grid = cfg.grid_for()
+    coeffs = cfg.coefficients(grid)
+    return synthesize(coeffs, cfg.modality(grid), cfg.traces(grid, coeffs), cfg.solver())
+
+
+class TestSlabs:
+    """The per-vertex tail of the analysis runs over slabs of whole
+    axis-0 planes; every output is that of one whole-grid slab, bit for
+    bit."""
+
+    def slabbed_runs(self, monkeypatch, ms):
+        """Analysis and reconstruction of ``ms`` in one slab, in slabs of
+        two planes with a one-plane remainder, and in one-plane slabs;
+        with the dtype of the direction of each slab in turn."""
+        grid = ms.grid
+        assert grid.shape[0] % 2 == 1
+        plane = grid.num_points // grid.shape[0]
+        tail = recon.diffusion_from_constraints
+        runs = []
+        for vertices in (grid.num_points, 2 * plane + 1, 1):
+            dtypes = []
+
+            def recorded(matrices, _dtypes=dtypes):
+                out = tail(matrices)
+                _dtypes.append(out[0].dtype)
+                return out
+
+            monkeypatch.setattr(recon, "_SLAB_VERTICES", vertices)
+            monkeypatch.setattr(recon, "diffusion_from_constraints", recorded)
+            rs = analyze(ms)
+            runs.append((rs, reconstruct(ms, rs), dtypes))
+        return runs
+
+    def assert_same_bits(self, runs):
+        (ref, ref_nc, _), *rest = runs
+        for rs, nc, _ in rest:
+            assert same_bits(rs.theta, ref.theta)
+            for got, want in zip(rs.null_space, ref.null_space):
+                assert same_bits(getattr(got, "values", got), getattr(want, "values", want))
+            for name in ("diffusion", "drift", "quality"):
+                assert same_bits(getattr(nc, name).values, getattr(ref_nc, name).values)
+            assert same_bits(nc.degenerate, ref_nc.degenerate)
+
+    @pytest.mark.parametrize(
+        "dim, c",
+        [
+            (2, "0.5 + 0.2*x"),
+            (2, "0.5 + 0.3*i*(1 + x)"),
+            (3, "0.5 + 0.2*x"),
+            (3, "0.5 + 0.3*i*(1 + x)"),
+        ],
+    )
+    def test_slabs_give_the_bits_of_one_slab(self, monkeypatch, dim, c):
+        grid = unit_grid(17 if dim == 2 else 9, dim)
+        runs = self.slabbed_runs(monkeypatch, anisotropic_measurements(grid, c))
+        assert [len(dtypes) for _, _, dtypes in runs] == [1, grid.shape[0] // 2 + 1, grid.shape[0]]
+        self.assert_same_bits(runs)
+
+    def test_slabs_give_the_bits_of_one_slab_on_a_non_cubic_qtat_box(self, monkeypatch):
+        runs = self.slabbed_runs(monkeypatch, qtat_measurements())
+        assert [len(dtypes) for _, _, dtypes in runs] == [1, 7, 13]
+        assert runs[0][0].null_space[0].values.dtype == np.complex128
+        self.assert_same_bits(runs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_degenerate_and_indefinite_slabs_keep_the_bits_of_one_slab(self, monkeypatch):
+        """The generator is ``diag(-(x - 1/2), 1)`` up to scale: positive
+        definite left of x = 1/2, where a slab's direction is real,
+        indefinite right of it, where the negative det makes it complex,
+        and degenerate on the plane x = 1/2, which a one-plane slab holds
+        alone.  No division in the tail warns there.  The first slab right
+        of that plane has a complex direction where the ones before it
+        were real, so the tail is redone as one slab."""
+        grid = unit_grid(17)
+        ms = hand_measurements(grid, ["1", "x", "y", "x*y", "x^2 + (x-0.5)*y^2"])
+        runs = self.slabbed_runs(monkeypatch, ms)
+        direction, _, degenerate = runs[0][0].null_space
+        assert direction.values.dtype == np.complex128
+        assert degenerate[8].all() and np.isnan(direction.values[8]).all()
+        elsewhere = np.ones(grid.shape, dtype=bool)
+        elsewhere[8] = False
+        assert not degenerate[elsewhere].any()
+        one_plane = [np.dtype(np.float64)] * 9 + [np.dtype(np.complex128)] * 2
+        assert runs[2][2] == one_plane
+        self.assert_same_bits(runs)
 
 
 EPS = np.finfo(float).eps
@@ -532,12 +656,9 @@ def constraint_stack(draw, rows_count=2):
 
 
 def constraint_fields(grid, stack):
-    """Constant constraint fields whose weighted rows are ``stack``."""
+    """Constant constraint matrices on ``grid`` whose weighted rows are ``stack``."""
     weights = _TRACE_WEIGHTS[grid.dim]
-    return [
-        SymTensorField(grid, np.broadcast_to(row / weights, grid.shape + (len(weights),)))
-        for row in stack
-    ]
+    return [np.broadcast_to(row / weights, grid.shape + (len(weights),)) for row in stack]
 
 
 def scaled_rows(stack):
@@ -588,14 +709,14 @@ class TestClosedFormNullSpace:
         (got, _, got_flags), (ref, ref_q, ref_flags) = both_paths(
             constraint_fields(grid, stack)
         )
-        q = ref_q.values[0, 0].real
+        q = ref_q[0, 0]
         if abs(q - QUALITY_FLOOR) <= QUALITY_FLOOR / 2:
             return  # too close to the floor to expect the same verdict
         assert np.array_equal(got_flags, ref_flags)
         if ref_flags[0, 0]:
-            assert np.isnan(got.values).all()
+            assert np.isnan(got).all()
             return
-        d, r = got.values[0, 0], ref.values[0, 0]
+        d, r = got[0, 0], ref[0, 0]
         # the null vector moves by eps / quality; the trace phase and the
         # det-one scale amplify that by up to |direction|^2 and
         # |direction| / |trace|
@@ -619,7 +740,7 @@ class TestClosedFormNullSpace:
         (got, _, _), (ref, _, _) = both_paths(constraint_fields(unit_grid(5), stack))
         expect = np.array([0.0, -1j * np.sqrt(2.0), 1j])
         for direction in (got, ref):
-            assert np.max(np.abs(direction.values[0, 0] - expect)) <= 16 * EPS
+            assert np.max(np.abs(direction[0, 0] - expect)) <= 16 * EPS
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_fixing_the_branch_leaves_spd_data_bitwise_unchanged(self, dim):
@@ -638,14 +759,14 @@ class TestClosedFormNullSpace:
             default_traces(grid, functional_budget(dim)),
         )
         rs = recon.analyze(ms)
-        mats = constraint_matrices(rs, rs.theta)
+        mats = constraint_matrices(hessian_values(rs), rs.theta)
         direction, _, flags = diffusion_from_constraints(mats)
         with mock.patch.object(recon, "_CUT_BAND", -1.0):
             plain, _, plain_flags = diffusion_from_constraints(mats)
         assert not flags[rs.inside].any()
         assert np.array_equal(flags, plain_flags)
         assert np.array_equal(
-            direction.values.view(np.float64), plain.values.view(np.float64), equal_nan=True
+            direction.view(np.float64), plain.view(np.float64), equal_nan=True
         )
 
     def test_zero_and_coincident_rows_are_degenerate_without_warnings(self):
@@ -657,9 +778,9 @@ class TestClosedFormNullSpace:
                 direction, quality, degenerate = diffusion_from_constraints(
                     constraint_fields(grid, stack)
                 )
-            assert np.all(quality.values == 0.0)
+            assert np.all(quality == 0.0)
             assert degenerate.all()
-            assert np.isnan(direction.values).all()
+            assert np.isnan(direction).all()
 
 
 class TestWedgeNullSpace:
@@ -701,10 +822,22 @@ class TestWedgeNullSpace:
         assert flags.all()
 
 
+def test_slabbed_analysis_peaks_below_40_mb_at_33_cubed():
+    """The traced peak of the 3-D analysis on the ``elasto-3d`` phantom
+    at 33^3: 65.3 MB while the null-space tail ran on the whole grid at
+    once, 32.9 MB in slabs of at most ``_SLAB_VERTICES`` = 2048
+    vertices.  The 40 MB bound lies between the two readings."""
+    cfg, coeffs, modality, traces = workload_inputs("elasto-3d", (33, 33, 33))
+    ms = synthesize(coeffs, modality, traces, cfg.solver())
+    _, peak = traced_peak(recon.analyze, ms)
+    assert peak < 40e6
+
+
 def test_analysis_frees_the_null_space_intermediates():
     """The null-space tail drops each per-vertex intermediate once the
     next one exists: the 3-D analysis peaked at 2057 bytes per vertex
-    while it held them all, and measures 1865."""
+    while the whole-grid tail held them all, and at 1865 once it
+    dropped them; run in slabs, it measures 1032."""
     cfg, coeffs, modality, traces = workload_inputs("elasto-3d", (25, 25, 25))
     ms = synthesize(coeffs, modality, traces, cfg.solver())
     _, peak = traced_peak(recon.analyze, ms)
