@@ -179,8 +179,8 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     ``_SLAB_VERTICES`` vertices) and whose results are written into
     whole-grid arrays.  Every step of that tail is pointwise but the
     direction's dtype: a negative det at any vertex makes the whole
-    direction complex, so slabs whose directions differ in dtype are
-    redone as one.  The slabs change no bit.  A vanishing ``H_1`` gives a zero
+    direction complex, so a complex slab widens the gathered direction.
+    The slabs change no bit.  A vanishing ``H_1`` gives a zero
     ratio and a singular Gram matrix a zero inverse, so the audit can
     read deliberately bad data.  Matrix mode with fewer than
     ``functional_budget(dim)`` functionals (the one budget check) and an
@@ -210,14 +210,10 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     )
     if mode == "scalar":
         return rs
-    # the tail's many intermediates per vertex live for one slab at a
-    # time.  Division by a complex root gives +0 where a real one keeps
-    # -0, so a real slab differs from the same vertices of a complex grid
-    inputs = (gradients, hessians, rs.gram_data.inverse.values)
-    results = _gathered_tail(*inputs, _slabs(grid.shape))
-    if results is None:
-        results = _gathered_tail(*inputs, [slice(None)])
-    rs.theta, direction, quality, degenerate = results
+    # the tail's many intermediates per vertex live for one slab at a time
+    rs.theta, direction, quality, degenerate = _gathered_tail(
+        gradients, hessians, rs.gram_data.inverse.values, _slabs(grid.shape)
+    )
     rs.null_space = (SymTensorField(grid, direction), ScalarField(grid, quality), degenerate)
     return rs
 
@@ -236,12 +232,13 @@ def _gathered_tail(
     hessians: list[SymTensorField],
     inverse: np.ndarray,
     parts,
-) -> list[np.ndarray] | None:
+) -> list[np.ndarray]:
     """``theta``, direction, quality and degenerate mask of the vertices
     ``parts`` of the grid, one :func:`null_weights`,
     :func:`constraint_matrices` and :func:`diffusion_from_constraints`
-    per part, written into whole-grid arrays; None if the parts'
-    directions differ in dtype."""
+    per part, written into zeroed whole-grid arrays.  Real directions
+    joined with complex ones get zero added, which turns -0 into +0 as
+    division by a complex root does, so the bits are one whole part's."""
     grid = gradients[0].grid
     results = None
     for part in parts:
@@ -250,9 +247,12 @@ def _gathered_tail(
             constraint_matrices([h.values[part] for h in hessians], theta)
         )
         if results is None:
-            results = [np.empty(grid.shape + r.shape[grid.dim :], r.dtype) for r in slab]
+            results = [np.zeros(grid.shape + r.shape[grid.dim :], r.dtype) for r in slab]
         elif slab[1].dtype != results[1].dtype:
-            return None
+            if np.iscomplexobj(slab[1]):
+                results[1] = results[1] + 0j
+            else:
+                slab = (theta, slab[1] + 0.0, *slab[2:])
         for out, r in zip(results, slab):
             out[part] = r
     return results

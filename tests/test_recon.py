@@ -60,6 +60,16 @@ def hand_measurements(grid, sources):
     )
 
 
+def indefinite_sources(dim, sign="+"):
+    """Sources whose generator is ``diag(-(x - 1/2), 1)`` up to scale
+    (``diag(-(x - 1/2), 1, 1)`` in 3-D): indefinite for x > 1/2 and
+    degenerate on x = 1/2; sign ``-`` flips the first entry, and so the
+    sides."""
+    axes = "yz"[: dim - 1]
+    cross = ["x*y"] if dim == 2 else ["x*y", "y*z", "x*z"]
+    return ["1", "x", *axes, *cross] + [f"x^2 {sign} (x-0.5)*{a}^2" for a in axes]
+
+
 def whole_grid_weights(rs):
     """:func:`null_weights` of the whole grid of ``rs``."""
     return null_weights([g.values for g in rs.gradients], rs.gram_data.inverse.values)
@@ -592,25 +602,32 @@ class TestSlabs:
         self.assert_same_bits(runs)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_degenerate_and_indefinite_slabs_keep_the_bits_of_one_slab(self, monkeypatch):
-        """The generator is ``diag(-(x - 1/2), 1)`` up to scale: positive
-        definite left of x = 1/2, where a slab's direction is real,
-        indefinite right of it, where the negative det makes it complex,
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("dim, n", [(2, 17), (3, 9)])
+    def test_degenerate_and_indefinite_slabs_keep_the_bits_of_one_slab(
+        self, monkeypatch, dim, n, sign
+    ):
+        """The generator of :func:`indefinite_sources` is positive
+        definite on one side of x = 1/2, where a slab's direction is real,
+        indefinite on the other, where the negative det makes it complex,
         and degenerate on the plane x = 1/2, which a one-plane slab holds
-        alone.  No division in the tail warns there.  The first slab right
-        of that plane has a complex direction where the ones before it
-        were real, so the tail is redone as one slab."""
-        grid = unit_grid(17)
-        ms = hand_measurements(grid, ["1", "x", "y", "x*y", "x^2 + (x-0.5)*y^2"])
+        alone.  No division in the tail warns there.  With sign ``+`` the
+        first complex slab widens the real direction gathered before it;
+        with sign ``-`` real slabs are written into a complex one.  Each
+        slab runs once."""
+        grid = unit_grid(n, dim)
+        ms = hand_measurements(grid, indefinite_sources(dim, sign))
         runs = self.slabbed_runs(monkeypatch, ms)
         direction, _, degenerate = runs[0][0].null_space
         assert direction.values.dtype == np.complex128
-        assert degenerate[8].all() and np.isnan(direction.values[8]).all()
+        half = n // 2
+        assert degenerate[half].all() and np.isnan(direction.values[half]).all()
         elsewhere = np.ones(grid.shape, dtype=bool)
-        elsewhere[8] = False
+        elsewhere[half] = False
         assert not degenerate[elsewhere].any()
-        one_plane = [np.dtype(np.float64)] * 9 + [np.dtype(np.complex128)] * 2
-        assert runs[2][2] == one_plane
+        # the degenerate plane's direction is real
+        real, cplx = [np.dtype(np.float64)] * (half + 1), [np.dtype(np.complex128)] * half
+        assert runs[2][2] == (real + cplx if sign == "+" else cplx + real)
         self.assert_same_bits(runs)
 
 
@@ -822,14 +839,30 @@ class TestWedgeNullSpace:
         assert flags.all()
 
 
-def test_slabbed_analysis_peaks_below_40_mb_at_33_cubed():
-    """The traced peak of the 3-D analysis on the ``elasto-3d`` phantom
-    at 33^3: 65.3 MB while the null-space tail ran on the whole grid at
+def elasto_3d_measurements(shape):
+    """Data of the ``elasto-3d`` workload on ``shape``."""
+    cfg, coeffs, modality, traces = workload_inputs("elasto-3d", shape)
+    return synthesize(coeffs, modality, traces, cfg.solver())
+
+
+@pytest.mark.parametrize(
+    "measurements",
+    [
+        lambda: elasto_3d_measurements((33, 33, 33)),
+        lambda: hand_measurements(unit_grid(33, 3), indefinite_sources(3)),
+    ],
+    ids=["elasto-3d", "indefinite"],
+)
+def test_slabbed_analysis_peaks_below_40_mb_at_33_cubed(measurements):
+    """The traced peak of the 3-D analysis at 33^3.  On the ``elasto-3d``
+    phantom: 65.3 MB while the null-space tail ran on the whole grid at
     once, 32.9 MB in slabs of at most ``_SLAB_VERTICES`` = 2048
-    vertices.  The 40 MB bound lies between the two readings."""
-    cfg, coeffs, modality, traces = workload_inputs("elasto-3d", (33, 33, 33))
-    ms = synthesize(coeffs, modality, traces, cfg.solver())
-    _, peak = traced_peak(recon.analyze, ms)
+    vertices.  On the indefinite :func:`indefinite_sources`, whose
+    direction is complex in some slabs only: 65.3 MB while such slabs
+    sent the tail back to one whole-grid slab, 35.3 MB now that a
+    complex slab widens the gathered direction.  The 40 MB bound lies
+    between the readings."""
+    _, peak = traced_peak(recon.analyze, measurements())
     assert peak < 40e6
 
 
@@ -838,7 +871,6 @@ def test_analysis_frees_the_null_space_intermediates():
     next one exists: the 3-D analysis peaked at 2057 bytes per vertex
     while the whole-grid tail held them all, and at 1865 once it
     dropped them; run in slabs, it measures 1032."""
-    cfg, coeffs, modality, traces = workload_inputs("elasto-3d", (25, 25, 25))
-    ms = synthesize(coeffs, modality, traces, cfg.solver())
+    ms = elasto_3d_measurements((25, 25, 25))
     _, peak = traced_peak(recon.analyze, ms)
     assert peak <= 1950 * ms.grid.num_points
