@@ -361,7 +361,14 @@ def _relative_residuals(defect, x, rhs, a_inf: float):
 
 
 def _row_sum_max(matrix: sp.csr_matrix) -> float:
-    return float(np.abs(matrix).sum(axis=1).max())
+    """Largest absolute row sum of ``matrix``, which holds no duplicate
+    entries, as ``np.abs(matrix).sum(axis=1).max()`` reduces it (one
+    ``np.add.reduceat`` over the nonempty rows, 0 for the empty ones)
+    without copying the index arrays."""
+    rows = np.flatnonzero(np.diff(matrix.indptr))
+    sums = np.zeros(matrix.shape[0])
+    sums[rows] = np.add.reduceat(np.abs(matrix.data), matrix.indptr[rows])
+    return float(sums.max())
 
 
 def _require_within_cap(rel: np.ndarray) -> None:

@@ -14,7 +14,8 @@ reference field.
 
 The norms are computed on the region's box: its bounding box widened by
 one ring.  Inside the region the stencils read there what they read on
-the whole grid, so the norms keep the whole grid's bits.
+the whole grid, and each maximum is taken over the region in place,
+without gathering its vertices, so the norms keep the whole grid's bits.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def _sup_levels(comps, weights, spacing, region) -> tuple[float, float, float]:
     # each sum starts as 0.0 + its first square, which is that square
     val_sq = grad_sq = hess_sq = 0.0
     for w, comp in zip(weights, comps):
+        # a contiguous copy of a strided view: nine stencil passes read it
+        comp = np.ascontiguousarray(comp)
         grad = first_derivatives(comp, spacing)
         hess = 0.0
         for hw, entry in zip(hess_weights, second_derivatives(comp, spacing, grad)):
@@ -120,8 +123,10 @@ def _sup_levels(comps, weights, spacing, region) -> tuple[float, float, float]:
         for g in grad:
             grad_sq += _square(g, w)
         hess_sq += hess if w == 1.0 else w * hess
+    # in place: the maximum is exact, and a NaN in the region gives NaN
     return tuple(
-        float(np.sqrt(np.max(sq[region]))) for sq in (val_sq, grad_sq, hess_sq)
+        float(np.sqrt(np.max(sq, where=region, initial=-np.inf)))
+        for sq in (val_sq, grad_sq, hess_sq)
     )
 
 

@@ -93,9 +93,10 @@ _CONSISTENCY_TOL = 1e-10
 # eps |raw|^dim / quality, inside which the det-one root's branch is fixed
 _CUT_BAND = 64 * np.finfo(float).eps
 
-# most vertices in one slab of the analysis's per-vertex tail (a slab
-# holds at least one axis-0 plane); chosen by measurement, see README
-_SLAB_VERTICES = 2048
+# most vertices in one slab of the analysis's per-vertex tail, by grid
+# dimension (a slab holds at least one axis-0 plane); chosen by
+# measurement, see README
+_SLAB_BUDGET = {2: 4096, 3: 2048}
 
 
 def functional_budget(dim: int, mode: str = "matrix") -> int:
@@ -176,15 +177,16 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     in matrix mode :func:`null_weights`, :func:`constraint_matrices` and
     :func:`diffusion_from_constraints`, which see one slab of whole
     axis-0 planes at a time (at least one plane, otherwise at most
-    ``_SLAB_VERTICES`` vertices) and whose results are written into
-    whole-grid arrays.  Every step of that tail is pointwise but the
-    direction's dtype: a negative det at any vertex makes the whole
-    direction complex, so a complex slab widens the gathered direction.
-    The slabs change no bit.  A vanishing ``H_1`` gives a zero
-    ratio and a singular Gram matrix a zero inverse, so the audit can
-    read deliberately bad data.  Matrix mode with fewer than
-    ``functional_budget(dim)`` functionals (the one budget check) and an
-    unknown ``mode`` raise :class:`MeasurementCountError`.
+    ``_SLAB_BUDGET[dim]`` vertices: 4096 in 2-D, 2048 in 3-D) and whose
+    results are written into whole-grid arrays.  Every step of that
+    tail is pointwise but the direction's dtype: a negative det at any
+    vertex makes the whole direction complex, so a complex slab widens
+    the gathered direction.  The slabs change no bit.  A vanishing
+    ``H_1`` gives a zero ratio and a singular Gram matrix a zero
+    inverse, so the audit can read deliberately bad data.  Matrix mode
+    with fewer than ``functional_budget(dim)`` functionals (the one
+    budget check) and an unknown ``mode`` raise
+    :class:`MeasurementCountError`.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
@@ -220,9 +222,11 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
 
 def _slabs(shape: tuple[int, ...]):
     """Slices of whole axis-0 planes, at least one plane and otherwise
-    at most ``_SLAB_VERTICES`` vertices each, that cover ``shape``."""
+    at most ``_SLAB_BUDGET[len(shape)]`` vertices each, that cover
+    ``shape``: 18 slabs of 15 planes or fewer for 257^2, 3 of 7 or
+    fewer for 17^3, 33 of one plane for 33^3."""
     plane = int(np.prod(shape[1:]))
-    step = max(1, _SLAB_VERTICES // plane)
+    step = max(1, _SLAB_BUDGET[len(shape)] // plane)
     for lo in range(0, shape[0], step):
         yield slice(lo, lo + step)
 
@@ -330,12 +334,12 @@ def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
     f1 = ms.traces[0].values
     safe = grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
     noise_amp = ms.noise.amplitude if ms.noise is not None else 0.0
+    f1_safe = f1[safe]
     for j, v in enumerate(rs.fields, start=1):
-        f_j = ms.traces[j].values
-        expected = divide(np.where(safe, f_j, 0), np.where(safe, f1, 1))
-        got = np.where(safe, v.values, 0)
-        scale = float(np.max(np.abs(expected))) + 1.0
-        err = float(np.max(np.abs(got - expected)))
+        # on the safe boundary vertices only; an empty ``safe`` reads 0
+        expected = divide(ms.traces[j].values[safe], f1_safe)
+        scale = float(np.max(np.abs(expected), initial=0.0)) + 1.0
+        err = float(np.max(np.abs(v.values[safe] - expected), initial=0.0))
         # declared noise moves each functional by amp * max|H|, so the
         # ratio may drift from the trace quotient by the induced amount
         drift = (

@@ -331,6 +331,28 @@ class TestResidual:
             assert nxt > last
             last = nxt
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_row_sum_max_is_scipys_row_sum_bit_for_bit(self, dtype):
+        """``_row_sum_max`` reduces ``|data|`` row by row without the
+        index copies ``np.abs(matrix)`` makes; the pipeline's systems, a
+        random matrix, one with empty rows, last row included, and one
+        with no entry give the float SciPy's row sums give."""
+        rng = np.random.default_rng(7)
+        grid = unit_grid(19)
+        coeffs = random_operator(grid, rng, anisotropic=True, complex_c=dtype is np.complex128)
+        system = assemble(coeffs, [BoundaryTrace.from_expression(grid, "x")])
+        random = sp.random(40, 30, density=0.2, format="csr", dtype=dtype, rng=rng)
+        random.data *= rng.uniform(0.5, 2.0, random.nnz) * 10.0 ** rng.integers(-5, 5, random.nnz)
+        holes = random.tolil()
+        holes[[0, 3, 17, 39]] = 0
+        holes = holes.tocsr()
+        assert np.count_nonzero(np.diff(holes.indptr)) < holes.shape[0] - 3
+        for matrix in (system.matrix, random, holes, sp.csr_matrix((4, 4), dtype=dtype)):
+            assert matrix.data.dtype == dtype
+            want = float(np.abs(matrix).sum(axis=1).max())
+            got = forward._row_sum_max(matrix)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_sampled_continuum_solution_residual_is_second_order(self):
         vals = []
         for n in (17, 33, 65):

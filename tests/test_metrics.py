@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import unit_grid
+from conftest import same_bits, unit_grid
 from hiplab import metrics
 from hiplab.errors import MetricsError
 from hiplab.grids import (
@@ -254,6 +254,19 @@ def whole_grid_levels(fld, region):
     )
 
 
+def gathered_norms(cand, ref, mask):
+    """The values of ``error_norms(cand, ref, mask).to_dict()`` with each
+    maximum taken over the gathered vertices of the region, as
+    :func:`whole_grid_levels` takes it."""
+    grid = cand.grid
+    d0, d1, d2 = whole_grid_levels(type(cand)(grid, cand.values - ref.values), mask)
+    r0, r1, r2 = whole_grid_levels(ref, mask)
+    errs = (d0, d0 + d1, d0 + d1 + d2)
+    refs = (r0, r0 + r1, r0 + r1 + r2)
+    fraction = float(np.count_nonzero(mask)) / grid.num_points
+    return np.array([*errs, *(e / r for e, r in zip(errs, refs)), fraction])
+
+
 def box_levels(fld, region):
     comps, weights = metrics._components(fld)
     box = metrics._box(region)
@@ -316,19 +329,44 @@ class TestBoxLevels:
         mask[(11,) * dim] = True
         assert metrics._box(mask) == (slice(7, 12),) * dim
 
-    def test_error_norms_keep_the_whole_grid_bits(self):
-        grid = Grid(bounds=((0.0, 1.3), (-0.2, 0.7), (0.1, 2.9)), shape=(11, 9, 10))
-        rng = np.random.default_rng(5)
-        cand = random_field(grid, "tensor", "complex", rng)
-        ref = random_field(grid, "tensor", "real", rng)
-        mask = region_of(grid, "interior minus flags", rng)
-        diff = SymTensorField(grid, cand.values - ref.values)
-        d0, d1, d2 = whole_grid_levels(diff, mask)
-        r0, r1, r2 = whole_grid_levels(ref, mask)
-        m = error_norms(cand, ref, mask)
-        assert (m.c0, m.c1, m.c2) == (d0, d0 + d1, d0 + d1 + d2)
-        assert (m.c0_rel, m.c1_rel, m.c2_rel) == (
-            d0 / r0,
-            (d0 + d1) / (r0 + r1),
-            (d0 + d1 + d2) / (r0 + r1 + r2),
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("where", ["hole", "region"])
+    def test_a_nan_counts_only_inside_the_region(self, dim, where):
+        """The region is the trusted interior less a hole of radius 2
+        about the centre.  A NaN at the centre lies in the region's box,
+        and the stencils carry it no further than the hole, so every norm
+        stays finite; a NaN at a vertex of the region makes every norm
+        NaN.  Both as the gathered maxima give them."""
+        grid = Grid(
+            bounds=((0.0, 1.3), (-0.2, 0.7), (0.1, 2.9))[:dim], shape=(13, 12, 13)[:dim]
         )
+        rng = np.random.default_rng(dim)
+        cand = random_field(grid, "vector", "complex", rng)
+        ref = random_field(grid, "vector", "real", rng)
+        mask = grid.interior(2)
+        mask[(slice(4, 9),) * dim] = False
+        point = (6,) * dim if where == "hole" else (2,) * dim
+        cand.values[point] = np.nan
+        got = np.array(list(error_norms(cand, ref, mask).to_dict().values()))
+        assert same_bits(got, gathered_norms(cand, ref, mask))
+        assert np.isnan(got[:6]).all() == (where == "region")
+        assert np.isfinite(got).all() == (where == "hole")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "tensor"])
+    @pytest.mark.parametrize(
+        "dtypes", [("complex", "real"), ("real", "real"), ("complex", "complex")]
+    )
+    def test_error_norms_keep_the_whole_grid_bits(self, dim, kind, dtypes):
+        """On a region with holes, every norm is the one the gathered
+        maxima of the whole grid's levels give, bit for bit, for every
+        kind of field, real and complex."""
+        grid = Grid(
+            bounds=((0.0, 1.3), (-0.2, 0.7), (0.1, 2.9))[:dim], shape=(11, 9, 10)[:dim]
+        )
+        rng = np.random.default_rng(dim * 100 + len(kind) * 10 + len(dtypes[1]))
+        cand = random_field(grid, kind, dtypes[0], rng)
+        ref = random_field(grid, kind, dtypes[1], rng)
+        mask = region_of(grid, "interior minus flags", rng)
+        got = np.array(list(error_norms(cand, ref, mask).to_dict().values()))
+        assert same_bits(got, gathered_norms(cand, ref, mask))

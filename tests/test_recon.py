@@ -24,6 +24,7 @@ from hiplab.grids import (
     ScalarField,
     SymTensorField,
     VectorField,
+    divide,
     sym_size,
     sym_to_full,
     sym_trace,
@@ -40,7 +41,13 @@ from hiplab.recon import (
     null_weights,
     reconstruct,
 )
-from hiplab.synthesis import MeasurementSet, Modality, default_traces, synthesize
+from hiplab.synthesis import (
+    MeasurementSet,
+    Modality,
+    add_noise,
+    default_traces,
+    synthesize,
+)
 
 
 def hand_measurements(grid, sources):
@@ -450,6 +457,53 @@ class TestReconstruct:
         with pytest.raises(InternalConsistencyError, match="gradient cancellation failed"):
             reconstruct(ms, rs)
 
+    @pytest.mark.parametrize("corrupt", [None, "safe", "unsafe"])
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 0.25j])
+    def test_boundary_quotients_read_the_safe_vertices_only(self, corrupt, factor):
+        """The trace of ``H_1`` vanishes on half of the face x = 0, whose
+        vertices the boundary-quotient check skips.  Clean, with a
+        corrupted trace at a checked vertex, or at a skipped one, the
+        check raises exactly when, and with the text, the whole-grid
+        formula below gives."""
+        grid = unit_grid(17)
+        sources = ["2 + x", "x", "y", "x*y", "x^2 - y^2"]
+        x, y = grid.meshgrid()
+        weight = factor * (1.0 + 0.5 * y) * ~((x == 0) & (y < 0.5))
+        fields = [materialize_scalar(s, grid) for s in sources]
+        traces = [BoundaryTrace(grid, f.values * weight) for f in fields]
+        if corrupt == "safe":
+            traces[3].values[16, 5] *= 1.0 + 1e-6
+        elif corrupt == "unsafe":
+            traces[2].values[0, 3] = 5.0
+        ms = MeasurementSet(
+            grid=grid,
+            modality="generic",
+            traces=traces,
+            functionals=fields,
+            weight=materialize_scalar("1", grid),
+        )
+        rs = analyze(ms)
+
+        f1 = traces[0].values
+        safe = grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
+        assert not safe[0, :8].any() and safe[0, 8:].all()
+        failures = []
+        for j, v in enumerate(rs.fields, start=1):
+            expected = divide(np.where(safe, traces[j].values, 0), np.where(safe, f1, 1))
+            got = np.where(safe, v.values, 0)
+            scale = float(np.max(np.abs(expected))) + 1.0
+            err = float(np.max(np.abs(got - expected)))
+            if err > 1e-8 * scale:
+                failures.append(f"ratio {j} disagrees with its boundary quotient by {err:.3e}")
+        if corrupt == "safe":
+            assert failures and failures[0].startswith("ratio 3 ")
+            with pytest.raises(InternalConsistencyError) as info:
+                recon._check_analysis(ms, rs)
+            assert str(info.value) == f"[recon] {failures[0]}"
+        else:
+            assert not failures
+            recon._check_analysis(ms, rs)
+
     def test_unknown_mode_is_refused_by_the_analysis(self):
         _, ms = self.harmonic_set(9)
         with pytest.raises(MeasurementCountError, match="bogus"):
@@ -564,7 +618,7 @@ class TestSlabs:
                 _dtypes.append(out[0].dtype)
                 return out
 
-            monkeypatch.setattr(recon, "_SLAB_VERTICES", vertices)
+            monkeypatch.setitem(recon._SLAB_BUDGET, grid.dim, vertices)
             monkeypatch.setattr(recon, "diffusion_from_constraints", recorded)
             rs = analyze(ms)
             runs.append((rs, reconstruct(ms, rs), dtypes))
@@ -579,6 +633,20 @@ class TestSlabs:
             for name in ("diffusion", "drift", "quality"):
                 assert same_bits(getattr(nc, name).values, getattr(ref_nc, name).values)
             assert same_bits(nc.degenerate, ref_nc.degenerate)
+
+    @pytest.mark.parametrize(
+        "shape, count, planes",
+        [((257, 257), 18, 15), ((17, 17, 17), 3, 7), ((33, 33, 33), 33, 1)],
+    )
+    def test_slab_budget_is_per_dimension(self, shape, count, planes):
+        """2-D slabs hold at most 4096 vertices and 3-D slabs 2048: 257^2
+        runs in 18 slabs of 15 planes or fewer, 17^3 in 3 of 7 or fewer,
+        and 33^3 in one-plane slabs; the slabs cover axis 0 in order."""
+        slabs = list(recon._slabs(shape))
+        assert len(slabs) == count
+        assert [s.stop - s.start for s in slabs[:-1]] == [planes] * (count - 1)
+        covered = np.concatenate([np.arange(shape[0])[s] for s in slabs])
+        assert np.array_equal(covered, np.arange(shape[0]))
 
     @pytest.mark.parametrize(
         "dim, c",
@@ -856,7 +924,7 @@ def elasto_3d_measurements(shape):
 def test_slabbed_analysis_peaks_below_40_mb_at_33_cubed(measurements):
     """The traced peak of the 3-D analysis at 33^3.  On the ``elasto-3d``
     phantom: 65.3 MB while the null-space tail ran on the whole grid at
-    once, 32.9 MB in slabs of at most ``_SLAB_VERTICES`` = 2048
+    once, 32.9 MB in slabs of at most ``_SLAB_BUDGET[3]`` = 2048
     vertices.  On the indefinite :func:`indefinite_sources`, whose
     direction is complex in some slabs only: 65.3 MB while such slabs
     sent the tail back to one whole-grid slab, 35.3 MB now that a
@@ -864,6 +932,20 @@ def test_slabbed_analysis_peaks_below_40_mb_at_33_cubed(measurements):
     between the readings."""
     _, peak = traced_peak(recon.analyze, measurements())
     assert peak < 40e6
+
+
+def test_slabbed_analysis_of_qpat_2d_data_peaks_below_21_mb():
+    """The traced peak of the 2-D analysis of the ``qpat-2d-data``
+    workload's noisy 257^2 set: 28.9 MB with the null-space tail on the
+    whole grid at once, 19.8 MB in slabs of at most 2048 vertices, 20.4 MB
+    in slabs of ``_SLAB_BUDGET[2]`` = 4096 and 21.5 MB in slabs of 8192.
+    The bound keeps 2-D slabs below the size at which ``qtat-2d-aniso``'s
+    analysis would pass its ``reconstruct`` as the operation's highest
+    stage."""
+    cfg, coeffs, modality, traces = workload_inputs("qpat-2d-data", (257, 257))
+    ms = add_noise(synthesize(coeffs, modality, traces, cfg.solver()), cfg.noise())
+    _, peak = traced_peak(recon.analyze, ms)
+    assert peak < 21e6
 
 
 def test_analysis_frees_the_null_space_intermediates():
