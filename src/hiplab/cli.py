@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", help="output directory (default: config 'output')")
     parser.add_argument(
-        "--seed", type=int, help="override the config seed", default=None
+        "--seed", type=int, help="the seed of the noise draw", default=None
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, doc) in COMMANDS.items():

@@ -24,15 +24,21 @@ import jsonschema
 from .admissibility import Thresholds
 from .errors import ConfigurationError
 from .forward import CoefficientSet, SolverSettings
-from .grids import Grid, ScalarField, SymTensorField, VectorField, sym_size
-from .phantoms import materialize_scalar, materialize_sym, materialize_vector, parse
+from .grids import Grid, ScalarField, SymTensorField, VectorField
+from .phantoms import (
+    check_component_count,
+    materialize_scalar,
+    materialize_sym,
+    materialize_vector,
+    parse,
+)
 from .synthesis import (
     BoundaryTrace,
     Modality,
     NoiseSpec,
-    TRACE_POOLS,
     check_modality_parameters,
     compatible_traces,
+    trace_pool,
 )
 
 __all__ = [
@@ -58,9 +64,11 @@ def validate_document(doc: dict) -> None:
 
     Schema violations, unknown keys and non-finite numbers (Python's
     ``json`` reads the tokens ``NaN`` and ``Infinity``) raise a
-    configuration error that names the offending path.  Cross-field
-    requirements the schema cannot express (matching grid arity,
-    modality parameters, study parameters) are checked here as well.
+    configuration error that names the offending path.  The grid, the
+    component counts of ``a`` and ``b``, the modality parameters and the
+    trace count are checked by the code that owns each rule (``Grid``,
+    ``check_component_count``, ``check_modality_parameters``,
+    ``trace_pool``); the study parameters are checked here.
     """
     for path, value in _numbers(doc):
         if not math.isfinite(value):
@@ -75,32 +83,13 @@ def validate_document(doc: dict) -> None:
         where = "/".join(str(p) for p in first.absolute_path) or "<root>"
         raise ConfigurationError(f"config schema: {first.message} (at {where})", stage="config")
 
-    grid = doc["grid"]
-    if len(grid["bounds"]) != len(grid["shape"]):
-        raise ConfigurationError(
-            f"grid bounds describe {len(grid['bounds'])} axes but shape has "
-            f"{len(grid['shape'])}",
-            stage="config",
-        )
-    for ax, (lo, hi) in enumerate(grid["bounds"]):
-        if not hi > lo:
-            raise ConfigurationError(
-                f"grid axis {ax} has degenerate interval [{lo}, {hi}]", stage="config"
-            )
-    dim = len(grid["shape"])
+    dim = Grid(**doc["grid"]).dim
 
     coeffs = doc["coefficients"]
-    if isinstance(coeffs["a"], list) and len(coeffs["a"]) != sym_size(dim):
-        raise ConfigurationError(
-            f"matrix diffusion needs {sym_size(dim)} component expressions "
-            f"in {dim}d, got {len(coeffs['a'])}",
-            stage="config",
-        )
-    if "b" in coeffs and len(coeffs["b"]) != dim:
-        raise ConfigurationError(
-            f"drift needs {dim} component expressions, got {len(coeffs['b'])}",
-            stage="config",
-        )
+    if isinstance(coeffs["a"], list):
+        check_component_count(coeffs["a"], dim, symmetric=True)
+    if "b" in coeffs:
+        check_component_count(coeffs["b"], dim)
     for src in _expressions_of(doc):
         parse(src)
 
@@ -109,20 +98,14 @@ def validate_document(doc: dict) -> None:
         modality["name"], [k for k in modality if k != "name"], stage="config"
     )
 
-    traces = doc.get("traces", "default")
-    if isinstance(traces, dict) and "count" in traces and "expressions" in traces:
+    traces = doc.get("traces", {})
+    if "count" in traces and "expressions" in traces:
         raise ConfigurationError(
             "traces take either a count or explicit expressions, not both",
             stage="config",
         )
-    if isinstance(traces, dict) and "count" in traces:
-        pool = TRACE_POOLS[dim]
-        if not dim + 1 <= traces["count"] <= len(pool):
-            raise ConfigurationError(
-                f"trace count must lie in [{dim + 1}, {len(pool)}], "
-                f"got {traces['count']}",
-                stage="config",
-            )
+    if "count" in traces:
+        trace_pool(dim, traces["count"], stage="config")
 
     study = doc["study"]
     kind = study["type"]
@@ -151,13 +134,8 @@ def validate_document(doc: dict) -> None:
             )
     if kind != "convergence" and "levels" in study:
         raise ConfigurationError("levels only apply to convergence studies", stage="config")
-    if kind != "noise-sweep" and (
-        "amplitudes" in study or "correlation_length" in study
-    ):
-        raise ConfigurationError(
-            "amplitudes and correlation_length only apply to noise sweeps",
-            stage="config",
-        )
+    if kind != "noise-sweep" and "amplitudes" in study:
+        raise ConfigurationError("amplitudes only apply to noise sweeps", stage="config")
 
 
 def _numbers(node, path=()):
@@ -181,9 +159,7 @@ def _expressions_of(doc: dict) -> list[str]:
     if "c" in coeffs:
         out.append(coeffs["c"])
     out.extend(v for k, v in doc["modality"].items() if k != "name")
-    traces = doc.get("traces", "default")
-    if isinstance(traces, dict):
-        out.extend(traces.get("expressions", []))
+    out.extend(doc.get("traces", {}).get("expressions", []))
     return out
 
 
@@ -223,13 +199,8 @@ class ExperimentConfig:
         return self.doc.get("output")
 
     def grid_for(self, points: int | None = None) -> Grid:
-        spec = self.doc["grid"]
-        bounds = tuple(tuple(float(v) for v in b) for b in spec["bounds"])
-        if points is None:
-            shape = tuple(int(n) for n in spec["shape"])
-        else:
-            shape = (int(points),) * len(bounds)
-        return Grid(bounds=bounds, shape=shape)
+        grid = Grid(**self.doc["grid"])
+        return grid if points is None else Grid(grid.bounds, (points,) * grid.dim)
 
     def coefficients(self, grid: Grid) -> CoefficientSet:
         spec = self.doc["coefficients"]
@@ -261,11 +232,8 @@ class ExperimentConfig:
     def _trace_spec(self) -> tuple[list[str], bool]:
         """The ``traces`` section: its expressions (a ``count`` prefix of the
         pool by default) and whether they are made corner-compatible."""
-        spec = self.doc.get("traces", "default")
-        if spec == "default":
-            spec = {}
-        pool = TRACE_POOLS[self.dim]
-        exprs = list(spec.get("expressions", pool[: spec.get("count", len(pool))]))
+        spec = self.doc.get("traces", {})
+        exprs = list(spec.get("expressions", trace_pool(self.dim, spec.get("count"))))
         return exprs, spec.get("corner_compatible", False)
 
     def traces(self, grid: Grid, coeffs: CoefficientSet) -> list[BoundaryTrace]:
@@ -282,14 +250,14 @@ class ExperimentConfig:
         return [None] * len(exprs) if compatible else exprs
 
     def noise(self) -> NoiseSpec | None:
+        """The ``noise`` section, drawn from the top-level ``seed``."""
         spec = self.doc.get("noise")
-        return None if spec is None else self._noise_from(spec)
-
-    def _noise_from(self, spec: dict) -> NoiseSpec:
+        if spec is None:
+            return None
         return NoiseSpec(
             amplitude=float(spec["amplitude"]),
             correlation_length=float(spec.get("correlation_length", 0.1)),
-            seed=int(spec.get("seed", self.seed)),
+            seed=self.seed,
         )
 
     def solver(self) -> SolverSettings:

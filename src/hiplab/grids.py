@@ -194,16 +194,16 @@ class Grid:
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "shape", shape)
         if len(bounds) not in (2, 3):
-            raise GridError(f"dimension must be 2 or 3, got {len(bounds)}")
+            raise GridError(f"grid bounds describe {len(bounds)} axes, not 2 or 3")
         if len(shape) != len(bounds):
             raise GridError(
-                f"shape {shape} does not match {len(bounds)} bounded axes"
+                f"grid bounds describe {len(bounds)} axes but shape has {len(shape)}"
             )
         for ax, ((lo, hi), s) in enumerate(zip(bounds, shape)):
             if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-                raise GridError(f"axis {ax}: invalid bounds ({lo}, {hi})")
+                raise GridError(f"grid axis {ax} has degenerate interval [{lo}, {hi}]")
             if s < 5:
-                raise GridError(f"axis {ax}: need at least 5 points, got {s}")
+                raise GridError(f"grid axis {ax} needs at least 5 points, got {s}")
 
     @property
     def dim(self) -> int:

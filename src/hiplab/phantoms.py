@@ -37,6 +37,7 @@ from .grids import Grid, ScalarField, SymTensorField, VectorField, as_stored, sy
 __all__ = [
     "parse",
     "evaluate",
+    "check_component_count",
     "materialize_scalar",
     "materialize_vector",
     "materialize_sym",
@@ -294,13 +295,23 @@ def materialize_scalar(src: str, grid: Grid) -> ScalarField:
     return ScalarField(grid, _eval_on_grid(src, grid))
 
 
+def check_component_count(sources, dim: int, symmetric: bool = False) -> None:
+    """Raise unless ``sources`` holds one expression per stored component
+    of a vector field, or with ``symmetric`` of a symmetric-matrix field,
+    in ``dim`` dimensions."""
+    want = sym_size(dim) if symmetric else dim
+    if len(sources) != want:
+        kind = "symmetric matrix" if symmetric else "vector"
+        raise ExpressionError(
+            f"{kind} needs {want} component expressions in {dim}d, "
+            f"got {len(sources)}"
+        )
+
+
 def materialize_vector(sources, grid: Grid) -> VectorField:
     """Sample one expression per vector component."""
     sources = list(sources)
-    if len(sources) != grid.dim:
-        raise ExpressionError(
-            f"vector needs {grid.dim} component expressions, got {len(sources)}"
-        )
+    check_component_count(sources, grid.dim)
     vals = np.stack([_eval_on_grid(s, grid) for s in sources], axis=-1)
     return VectorField(grid, vals)
 
@@ -312,11 +323,6 @@ def materialize_sym(sources, grid: Grid) -> SymTensorField:
     :mod:`hiplab.grids`.
     """
     sources = list(sources)
-    want = sym_size(grid.dim)
-    if len(sources) != want:
-        raise ExpressionError(
-            f"symmetric matrix needs {want} component expressions, "
-            f"got {len(sources)}"
-        )
+    check_component_count(sources, grid.dim, symmetric=True)
     vals = np.stack([_eval_on_grid(s, grid) for s in sources], axis=-1)
     return SymTensorField(grid, vals)

@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .grids import (
 )
 from .metrics import error_norms
 from .recon import NormalizedCoefficients, RatioSet, analyze, reconstruct
-from .synthesis import MeasurementSet, NoiseSpec, add_noise, synthesize
+from .synthesis import MeasurementSet, add_noise, synthesize
 
 __all__ = [
     "PipelineResult",
@@ -501,14 +501,11 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     reports the ratio of its error to the discrete-C2 size of the data
     perturbation, plus the spread of that ratio over the sweep.
 
-    The config's ``noise`` section gives the seed and the correlation
-    length, which the study's ``correlation_length`` overrides; its
-    ``amplitude``, required by the schema, is ignored, since each level
-    is one of the study's ``amplitudes``.
+    Each level is the config's noise (:meth:`ExperimentConfig.noise`)
+    at one of the study's ``amplitudes``.
     """
     study = cfg.doc["study"]
     base = cfg.noise()
-    corr = float(study.get("correlation_length", base.correlation_length))
 
     grid = cfg.grid_for()
     coeffs = cfg.coefficients(grid)
@@ -520,8 +517,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     rows = []
     table = []
     for eps in levels:
-        spec = NoiseSpec(amplitude=eps, correlation_length=corr, seed=base.seed)
-        noisy = add_noise(clean, spec)
+        noisy = add_noise(clean, replace(base, amplitude=eps))
         result = recover(cfg, noisy, coeffs)
         quantities, flags, mask = result.quantities, result.flags, result.nc.inside
         delta = max(
@@ -568,7 +564,7 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "study": "noise-sweep",
         "config": cfg.doc,
-        "correlation_length": corr,
+        "correlation_length": base.correlation_length,
         "seed": base.seed,
         "table": table,
         "ratio_spread": spreads,

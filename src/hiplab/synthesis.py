@@ -49,6 +49,7 @@ __all__ = [
     "MeasurementSet",
     "NoiseSpec",
     "default_traces",
+    "trace_pool",
     "compatible_traces",
     "synthesize",
     "add_noise",
@@ -176,6 +177,23 @@ class MeasurementSet:
         return len(self.functionals)
 
 
+def trace_pool(
+    dim: int, count: int | None = None, stage: str | None = None
+) -> tuple[str, ...]:
+    """The first ``count`` expressions of :data:`TRACE_POOLS` in ``dim``
+    dimensions (default: all), raising unless ``count`` lies in
+    ``[dim + 1, len(pool)]``."""
+    pool = TRACE_POOLS[dim]
+    if count is None:
+        return pool
+    if not dim + 1 <= count <= len(pool):
+        raise ConfigurationError(
+            f"trace count must lie in [{dim + 1}, {len(pool)}], got {count}",
+            stage=stage,
+        )
+    return pool[:count]
+
+
 def default_traces(grid: Grid, count: int | None = None) -> list[BoundaryTrace]:
     """Polynomial trace family known to behave well on box domains.
 
@@ -183,14 +201,8 @@ def default_traces(grid: Grid, count: int | None = None) -> list[BoundaryTrace]:
     the list with the remaining harmonic monomials (:data:`TRACE_POOLS`).
     ``count`` selects a prefix (default: all).
     """
-    pool = TRACE_POOLS[grid.dim]
-    if count is None:
-        count = len(pool)
-    if not (grid.dim + 1 <= count <= len(pool)):
-        raise ConfigurationError(
-            f"trace count must lie in [{grid.dim + 1}, {len(pool)}], got {count}"
-        )
-    return [BoundaryTrace.from_expression(grid, src) for src in pool[:count]]
+    pool = trace_pool(grid.dim, count)
+    return [BoundaryTrace.from_expression(grid, src) for src in pool]
 
 
 def _first_at_corners(rows: np.ndarray, low: np.ndarray, h) -> np.ndarray:

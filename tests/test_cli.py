@@ -82,6 +82,32 @@ class TestExitCodes:
         assert main(["--config", cfg, "check"]) == 2
         assert f"expression {c!r} is not finite at" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"noise": {"amplitude": 1e-4, "seed": 3}}, "'seed'"),
+            (
+                {
+                    "noise": {"amplitude": 1e-4},
+                    "study": {
+                        "type": "noise-sweep",
+                        "amplitudes": [0.0, 1e-4, 2e-4],
+                        "correlation_length": 0.2,
+                    },
+                },
+                "'correlation_length'",
+            ),
+            ({"traces": "default"}, "(at traces)"),
+        ],
+        ids=["noise-seed", "study-correlation-length", "traces-default"],
+    )
+    def test_removed_config_keys_are_two(self, tmp_path, capsys, change, key):
+        # each setting has one spelling: the top-level seed, the noise
+        # section's correlation length, and an omitted traces section
+        cfg = write_config(tmp_path, harmonic_doc(**change))
+        assert main(["--config", cfg, "run"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_config_file_is_two(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json"), "run"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -208,21 +234,20 @@ class TestSynthReconstructRoundTrip:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "noise",
+        "change",
         [
-            None,
-            {"amplitude": 1e-2, "seed": 1},
-            {"amplitude": 1e-2, "correlation_length": 0.2},
+            {},
+            {"seed": 1, "noise": {"amplitude": 1e-2}},
+            {"noise": {"amplitude": 1e-2, "correlation_length": 0.2}},
         ],
         ids=["none", "seed", "correlation-length"],
     )
-    def test_data_with_other_noise_is_refused(self, tmp_path, capsys, noise):
+    def test_data_with_other_noise_is_refused(self, tmp_path, capsys, change):
         data = tmp_path / "data"
         doc = harmonic_doc(noise={"amplitude": 1e-2})
         noisy = write_config(tmp_path, doc, "noisy.json")
         assert main(["--config", noisy, "--out", str(data), "synth"]) == 0
-        doc = harmonic_doc() if noise is None else harmonic_doc(noise=noise)
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, harmonic_doc(**change))
         out = tmp_path / "run"
         argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
         assert main(argv) == 2
@@ -364,9 +389,9 @@ class TestRunDispatch:
         cfg = write_config(
             tmp_path,
             bump_doc(
-                seed=11,
+                seed=21,
                 grid={"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [17, 17]},
-                noise={"amplitude": 1e-4, "seed": 21},
+                noise={"amplitude": 1e-4},
                 study={"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]},
             ),
         )
@@ -429,8 +454,8 @@ class TestRunDispatch:
 
 class TestSeedOverride:
     def test_seed_flag_matches_config_seed(self, tmp_path):
-        # a noise section without its own seed falls back to the top
-        # level, so --seed must reproduce a config-seeded run exactly
+        # the top-level seed is the noise seed, so --seed must reproduce
+        # a config-seeded run exactly
         noisy = dict(
             grid={"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [17, 17]},
             noise={"amplitude": 1e-4},
@@ -448,3 +473,20 @@ class TestSeedOverride:
             out[name] = (d / "metrics.csv").read_bytes()
         assert out["config"] == out["flag"]
         assert out["config"] != out["other"]
+
+    def test_seed_flag_moves_the_sweep_draw(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            bump_doc(
+                noise={"amplitude": 1e-4},
+                study={"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]},
+            ),
+        )
+        out = {}
+        for seed in ("5", "7"):
+            d = tmp_path / seed
+            assert main(["--config", cfg, "--seed", seed, "--out", str(d), "run"]) == 0
+            report = json.loads((d / "report.json").read_text())
+            assert report["seed"] == int(seed)
+            out[seed] = (d / "noise_sweep.csv").read_bytes()
+        assert out["5"] != out["7"]

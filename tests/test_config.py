@@ -175,8 +175,8 @@ class TestTracesSection:
         with pytest.raises(ConfigurationError, match="trace count must lie in"):
             validate_document(base_doc(traces={"count": count}))
 
-    def test_default_sentinel(self):
-        cfg = parse_config(base_doc(traces="default"))
+    def test_omitted_section_builds_the_whole_pool(self):
+        cfg = parse_config(base_doc())
         grid = cfg.grid_for()
         traces = cfg.traces(grid, cfg.coefficients(grid))
         assert len(traces) == 5
@@ -204,8 +204,8 @@ class TestTracesSection:
     @pytest.mark.parametrize(
         "dim, traces",
         [
-            (2, "default"),
-            (3, "default"),
+            (2, {}),
+            (3, {}),
             (2, {"corner_compatible": True}),
             (3, {"count": 6}),
             (2, {"expressions": ["1", "x", "y"], "corner_compatible": True}),
@@ -315,11 +315,11 @@ class TestBuilders:
         spec = cfg.noise()
         assert spec.amplitude == 1e-4
         assert spec.correlation_length == 0.1
-        assert spec.seed == 7  # falls back to the top-level seed
+        assert spec.seed == 7  # the top-level seed is the noise seed
 
     def test_noise_overrides(self):
         cfg = parse_config(
-            base_doc(noise={"amplitude": 2e-3, "correlation_length": 0.05, "seed": 3})
+            base_doc(seed=3, noise={"amplitude": 2e-3, "correlation_length": 0.05})
         )
         spec = cfg.noise()
         assert spec.correlation_length == 0.05

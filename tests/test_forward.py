@@ -610,6 +610,16 @@ class TestKrylov:
         n = 7
         assert system.matrix.nnz == n * n + 4 * n * (n - 1)
 
+    def test_singular_factorization_is_a_solver_failure(self):
+        # an empty row makes the matrix exactly singular
+        matrix = sp.csr_matrix(
+            np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverFailure, match=r"factorization failed.*\(n=3\)"):
+                forward._lu_solve(matrix, np.ones(3))
+
 
 def scipy_bicgstab(matvec, psolve, b, rtol, maxiter):
     """SciPy's BiCGSTAB from a zero guess on the same operator and

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import bump, laplace_coefficients, unit_grid
 from hiplab import gauge
-from hiplab.errors import ConfigurationError, ReconstructionAbort
+from hiplab.errors import ConfigurationError, PositivityError, ReconstructionAbort
 from hiplab.forward import BoundaryTrace, CoefficientSet, solve_dirichlet
 from hiplab.gauge import (
     InvariantTriple,
@@ -29,6 +31,7 @@ from hiplab.grids import (
     VectorField,
     divergence,
     gradient,
+    sym_identity,
     sym_matvec,
     sym_to_full,
     tensor_divergence,
@@ -195,6 +198,37 @@ class TestInvariantTriple:
             )
         assert errs[0] < 0.1
         assert errs[0] / errs[1] > 3.0
+
+    def test_degenerate_vertices_are_filled_and_flagged(self):
+        grid = unit_grid(17)
+        ms = harmonic_measurements(grid)
+        nc = reconstruct(ms)
+        inner = [(5, 7), (8, 8), (10, 4)]
+        outer = [(0, 3), (1, 9), (16, 16)]
+        degenerate = np.zeros(grid.shape, dtype=bool)
+        for vertex in inner + outer:
+            degenerate[vertex] = True
+        # the analysis leaves NaN at the vertices it flags
+        diffusion = nc.diffusion.values.copy()
+        drift = nc.drift.values.copy()
+        diffusion[degenerate] = np.nan
+        drift[degenerate] = np.nan
+        nc = dataclasses.replace(
+            nc,
+            diffusion=SymTensorField(grid, diffusion),
+            drift=VectorField(grid, drift),
+            degenerate=degenerate,
+        )
+        tri = invariant_triple(nc, ms.functionals[0])
+        assert np.all(np.isfinite(tri.shape.values))
+        assert np.all(np.isfinite(tri.vector_invariant.values))
+        for vertex in inner:
+            assert np.array_equal(tri.shape.values[vertex], sym_identity(2))
+        assert tri.masked_fraction == len(inner) / np.count_nonzero(nc.inside)
+        res = resolve_elastography(
+            tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "1")
+        )
+        assert np.array_equal(res.flags, degenerate)
 
     def test_mostly_degenerate_interior_aborts(self):
         grid = unit_grid(9)
@@ -401,6 +435,15 @@ class TestResolveElastography:
         )
         assert res.report.curl_residual > 0.5
 
+    def test_negative_amplitude_anchor_is_not_positive(self):
+        grid = unit_grid(17)
+        ms = harmonic_measurements(grid)
+        tri = invariant_triple(reconstruct(ms), ms.functionals[0])
+        with pytest.raises(PositivityError, match="amplitude is not positive"):
+            resolve_elastography(
+                tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "-1")
+            )
+
     def test_vanishing_amplitude_anchor_rejected(self):
         grid = unit_grid(17)
         ms = harmonic_measurements(grid)
@@ -434,6 +477,18 @@ class TestResolveQpat:
         inside = grid.interior(2)
         assert np.max(np.abs(res.amplitude.values[inside] - 1.0)) < 1e-3
         assert np.max(np.abs(res.c.values[inside] - 1.0)) < 1e-3
+
+    def test_negative_amplitude_anchor_is_not_positive(self):
+        grid = unit_grid(17)
+        ms, tri, gamma = self.qpat_setup(grid)
+        with pytest.raises(PositivityError, match="amplitude is not positive"):
+            resolve_qpat(
+                tri,
+                ms.functionals[0],
+                gamma,
+                BoundaryTrace.from_expression(grid, "1"),
+                BoundaryTrace.from_expression(grid, "-1"),
+            )
 
     def test_misdeclared_gamma_rescales_absorption(self):
         """Declaring twice the true calibration halves the recovered c.

@@ -55,9 +55,9 @@ def scalar_doc(**overrides) -> dict:
 
 def noise_doc(**overrides) -> dict:
     doc = bump_doc(
-        seed=11,
+        seed=21,
         grid={"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [33, 33]},
-        noise={"amplitude": 1e-4, "seed": 21},
+        noise={"amplitude": 1e-4},
         study={"type": "noise-sweep", "amplitudes": [0.0, 1e-4, 2e-4]},
     )
     doc.update(overrides)
@@ -328,6 +328,25 @@ class TestRunConvergence:
         # c has a vanishing reference, so its relative error is undefined
         assert "vanishing reference" in notes
 
+    def test_rising_middle_level_reports_null_with_note(self, monkeypatch):
+        errors = iter([1e-2, 2e-2, 1e-3])
+
+        def rising(cfg, grid):
+            c0 = next(errors)
+            metric = {"c0_rel": c0, "c1_rel": c0, "c2_rel": c0}
+            return dataclasses.replace(result, metrics={"ahat": metric})
+
+        cfg = parse_config(
+            harmonic_doc(study={"type": "convergence", "levels": [9, 17, 33]})
+        )
+        result = studies.run_pipeline(cfg)
+        monkeypatch.setattr(studies, "run_pipeline", rising)
+        report = studies.run_convergence(cfg)
+        assert math.isnan(report["orders"]["ahat"])
+        assert report["warnings"] == [
+            "ahat: error sequence not monotone, order reported as null"
+        ]
+
     def test_report_file_is_strict_json_with_null_for_non_finite_values(self, tmp_path):
         cfg = parse_config(
             harmonic_doc(study={"type": "convergence", "levels": [9, 17, 33]})
@@ -387,7 +406,7 @@ class TestRunNoiseSweep:
         reports = {}
         for ell in (0.2, 0.05):
             doc = noise_doc()
-            doc["study"] = {**doc["study"], "correlation_length": ell}
+            doc["noise"] = {**doc["noise"], "correlation_length": ell}
             reports[ell] = studies.run_noise_sweep(parse_config(doc))
         row = lambda rep: [e for e in rep["table"] if e["amplitude"] == 1e-4][0]
         smooth, rough = row(reports[0.2]), row(reports[0.05])
