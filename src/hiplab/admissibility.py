@@ -8,12 +8,12 @@ into a normalized margin in [0, 1] and compares against thresholds.  A
 failing condition is reported, never raised, so the checker can be run
 on deliberately bad data.
 
-Every margin is a reduction over the ratio analysis of
-:func:`hiplab.recon.analyze`, the object the reconstruction then reads.
-Margins are normalized over the trusted interior: gradient determinants
-by the product of gradient magnitudes, the constraint stack by its
-largest singular value, and the reference margin as min/max of
-``|H_1|``.
+Every margin is a reduction over the trusted interior of the ratio
+analysis of :func:`hiplab.recon.analyze`, the object the reconstruction
+then reads: the reference margin as min/max of ``|H_1|``, and the two
+that the analysis's slab pass reads, gradient determinants over the
+product of gradient magnitudes and the constraint stack's singular-value
+gap.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import component_sum
 from .recon import RatioSet, analyze
 from .synthesis import MeasurementSet
 
@@ -118,15 +117,6 @@ class AdmissibilityReport:
         )
 
 
-def _gradient_det(grads: list[np.ndarray]) -> np.ndarray:
-    """Pointwise determinant of the matrix whose rows are ``grads``."""
-    if len(grads) == 2:
-        g1, g2 = grads
-        return g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
-    g1, g2, g3 = grads
-    return component_sum(g1 * np.cross(g2, g3))
-
-
 def check(
     ms: MeasurementSet,
     thresholds: Thresholds | None = None,
@@ -136,35 +126,21 @@ def check(
 
     ``analysis`` is the ratio analysis of ``ms``
     (:func:`hiplab.recon.analyze`), which alone fixes the mode and the
-    trusted interior; without it ``analyze(ms)`` is built here.  The
-    pipeline reported is the analysis's mode; in scalar mode the
-    independence margin is not audited and is reported as None.
+    trusted interior and reads the basis and independence margins;
+    without it ``analyze(ms)`` is built here.  The pipeline reported is
+    the analysis's mode; in scalar mode the independence margin is not
+    audited and is reported as None.
     """
     thresholds = thresholds or Thresholds()
     rs = analysis if analysis is not None else analyze(ms)
-    inside = rs.inside
-    h1_mag = np.abs(ms.functionals[0].values)[inside]
-    grads = [g.values for g in rs.gradients[: ms.grid.dim]]
-    det = _gradient_det(grads)
-    norms = np.prod([np.sqrt(component_sum(np.abs(g) ** 2)) for g in grads], axis=0)
-    with np.errstate(all="ignore"):
-        basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)
-    basis = np.nan_to_num(basis, nan=0.0)
+    h1_mag = np.abs(ms.functionals[0].values)[rs.inside]
     peak = max(float(np.max(h1_mag)), np.finfo(float).tiny)
-    ref_m = float(np.min(h1_mag)) / peak
-    # the singular-value gap of the constraint stack, zero where the
-    # Gram matrix is singular
-    ind_m = None
-    if rs.mode == "matrix":
-        quality = rs.null_space[1].values
-        independence = np.where(rs.gram_data.singular, 0.0, quality)
-        ind_m = float(np.min(independence[inside]))
     return AdmissibilityReport(
         thresholds=thresholds,
         pipeline=rs.mode,
         functional_count=ms.count,
-        point_count=int(np.count_nonzero(inside)),
-        reference_margin=ref_m,
-        basis_margin=float(np.min(basis[inside])),
-        independence_margin=ind_m,
+        point_count=int(np.count_nonzero(rs.inside)),
+        reference_margin=float(np.min(h1_mag)) / peak,
+        basis_margin=rs.basis_margin,
+        independence_margin=rs.independence_margin,
     )

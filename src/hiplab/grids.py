@@ -474,65 +474,80 @@ def second_closure(v0, v1, v2, v3, h: float):
     return (2.0 * v0 - 5.0 * v1 + 4.0 * v2 - v3) * (1.0 / h**2)
 
 
-def _first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _first_diff(values: np.ndarray, axis: int, h: float, window=None) -> np.ndarray:
     """First derivative along one axis, exact on quadratics.
 
     Interior uses the centered stencil; each face uses
     :func:`first_closure`.  Every quotient is a product with a
     reciprocal, so real input returns the real part of the complex
-    result bit for bit (see the module docstring).
+    result bit for bit (see the module docstring).  A ``window``
+    ``(lo, hi, at, n)`` gives the points ``lo:hi`` of an axis of ``n``
+    only, from ``values`` holding those from ``at`` on that it reads.
     """
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) * (1.0 / (2.0 * h))
-    out[0] = first_closure(v[0], v[1], v[2], h)
-    out[-1] = first_closure(v[-1], v[-2], v[-3], -h)
-    return np.moveaxis(out, 0, axis)
+    return _diff(values, axis, h, False, window)
 
 
-def first_derivatives(values: np.ndarray, spacing) -> list[np.ndarray]:
+def _second_diff(values: np.ndarray, axis: int, h: float, window=None) -> np.ndarray:
+    """Pure second derivative along one axis, exact on quadratics: the
+    3-point stencil inside, :func:`second_closure` at each face."""
+    return _diff(values, axis, h, True, window)
+
+
+def _diff(values: np.ndarray, axis: int, h: float, second: bool, window) -> np.ndarray:
+    # swapping axes is its own inverse, and cheaper than moving one
+    v = values.swapaxes(0, axis)
+    lo, hi, at, n = window or (0, len(v), 0, len(v))
+    out = np.empty_like(v[lo - at : hi - at])
+    a, b = max(lo, 1), min(hi, n - 1)
+    below, mid, above = (v[a + s - at : b + s - at] for s in (-1, 0, 1))
+    if second:
+        out[a - lo : b - lo] = (below - 2.0 * mid + above) * (1.0 / h**2)
+    else:
+        out[a - lo : b - lo] = (above - below) * (1.0 / (2.0 * h))
+    for face, step in ((0, 1), (n - 1, -1)):
+        if lo <= face < hi:
+            near = [v[face + k * step - at] for k in range(4 if second else 3)]
+            out[face - lo] = second_closure(*near, h) if second else first_closure(*near, step * h)
+    return out.swapaxes(0, axis)
+
+
+def first_derivatives(values: np.ndarray, spacing, window=None) -> list[np.ndarray]:
     """First derivatives of ``values`` along each axis, at ``spacing``.
 
     The components of :func:`gradient` on an array: any box of a field
     with at least 3 points per axis, which matches the field's own
-    derivatives a ring or more from the box's cut faces.
+    derivatives a ring or more from the box's cut faces.  The grid axes
+    are the last ones, after any stacking axes, and an axis-0 ``window``
+    (:func:`_first_diff`) applies to the axis-0 derivative.
     """
-    return [_first_diff(values, ax, h) for ax, h in enumerate(spacing)]
+    dim = len(spacing)
+    return [
+        _first_diff(values, ax - dim, h, None if ax else window) for ax, h in enumerate(spacing)
+    ]
 
 
-def second_derivatives(values: np.ndarray, spacing, first):
+def second_derivatives(values: np.ndarray, spacing, first, window=None):
     """The entries of :func:`hessian` on an array, in storage order.
 
     ``first[j]`` is the first derivative of ``values`` along axis ``j``;
     mixed entries differentiate it again.  Each entry is computed as it
     is drawn, so a caller holds one at a time.  An array needs at least
-    4 points per axis.
+    4 points per axis, the grid axes last.  With an axis-0 ``window``,
+    ``first`` is :func:`first_derivatives`'s and the entries the
+    window's planes.
     """
-    for i, j in sym_pairs(len(spacing)):
-        if i == j:
-            yield _second_diff(values, i, spacing[i])
-        else:
-            yield _first_diff(first[j], i, spacing[i])
+    dim = len(spacing)
+    own = slice(window[0] - window[2], window[1] - window[2]) if window else slice(None)
+    own = (..., own) + (slice(None),) * (dim - 1)
+    for i, j in sym_pairs(dim):
+        x, diff = (values, _second_diff) if i == j else (first[j], _first_diff)
+        yield diff(x, -dim, spacing[0], window) if i == 0 else diff(x[own], i - dim, spacing[i])
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Second-order gradient (centered interior, one-sided boundary)."""
     parts = first_derivatives(f.values, f.grid.spacing)
     return VectorField(f.grid, np.stack(parts, axis=-1))
-
-
-def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Pure second derivative along one axis, exact on quadratics.
-
-    Interior uses the 3-point stencil; each face uses the 4-point
-    :func:`second_closure`, which is also second order.
-    """
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) * (1.0 / h**2)
-    out[0] = second_closure(v[0], v[1], v[2], v[3], h)
-    out[-1] = second_closure(v[-1], v[-2], v[-3], v[-4], h)
-    return np.moveaxis(out, 0, axis)
 
 
 def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
@@ -554,6 +569,36 @@ def hessian(f: ScalarField, grad: VectorField | None = None) -> SymTensorField:
     for k, entry in enumerate(second_derivatives(values, grid.spacing, first)):
         out[..., k] = entry
     return SymTensorField(grid, out)
+
+
+def window_derivatives(
+    values: list[np.ndarray], spacing, planes: slice
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The :func:`gradient` and :func:`hessian` values of each whole-grid
+    array in ``values`` at the axis-0 ``planes``, bit for bit.
+
+    Arrays of one dtype are differentiated as one stack, on the planes
+    the stencils read: one beyond each side, 4 from a face in the window
+    (the closures run there only).  The in-plane first derivatives are
+    taken on all of them, for the mixed entries ``(0, j)``.
+    """
+    n = values[0].shape[0]
+    lo, hi = planes.start, planes.stop
+    at, stop = max(lo - 1, 0), min(hi + 1, n)
+    at, stop = (min(at, n - 4) if hi == n else at), (max(stop, 4) if lo == 0 else stop)
+    window = (lo, hi, at, n)
+    grads, hessians = [None] * len(values), [None] * len(values)
+    for dtype in {v.dtype for v in values}:
+        members = [k for k, v in enumerate(values) if v.dtype == dtype]
+        block = np.stack([values[k][at:stop] for k in members])
+        first = first_derivatives(block, spacing, window)
+        g = np.stack([first[0]] + [f[:, lo - at : hi - at] for f in first[1:]], axis=-1)
+        h = np.empty(g.shape[:-1] + (sym_size(len(spacing)),), dtype)
+        for k, entry in enumerate(second_derivatives(block, spacing, first, window)):
+            h[..., k] = entry
+        for member, gk, hk in zip(members, g, h):
+            grads[member], hessians[member] = gk, hk
+    return grads, hessians
 
 
 def divergence(F: VectorField) -> ScalarField:

@@ -17,14 +17,11 @@ recovers that pair up to normalization:
   trace pairing; its normalized generator is the determinant-one part of
   ``a``, and the vector coefficient follows by the same Gram solve.
 
-:func:`analyze` computes all of this once, in the mode it is given,
-as its named stages (:func:`ratios`, derivatives, :func:`gram`, and in
-matrix mode :func:`null_weights`, :func:`constraint_matrices` and
-:func:`diffusion_from_constraints`), none of which raises on bad data.
-:func:`reconstruct` checks the result (the ``H_1`` floor, the boundary
-quotients, the Gram floor, the cancellation of the null weights) and
-uses it.  Pointwise linear algebra is batched over the grid, the
-per-vertex null-space tail over slabs of whole axis-0 planes.
+All of it after the ratios is pointwise, so :func:`analyze` runs it, and
+the readings of every check and of the audit, in one pass over slabs of
+whole axis-0 planes that drops each slab's derivatives after use; none
+of it raises on bad data.  :func:`reconstruct` checks the readings and
+hands the pass's output on.
 """
 
 from __future__ import annotations
@@ -43,14 +40,11 @@ from .errors import (
     NonVanishingError,
 )
 from .grids import (
-    Grid,
     ScalarField,
     SymTensorField,
     VectorField,
     component_sum,
     divide,
-    gradient,
-    hessian,
     principal_root,
     sym_apply,
     sym_det,
@@ -60,6 +54,7 @@ from .grids import (
     sym_size,
     sym_trace,
     sym_weights,
+    window_derivatives,
 )
 from .synthesis import H1_FLOOR, MeasurementSet
 
@@ -67,7 +62,6 @@ __all__ = [
     "functional_budget",
     "extra_count",
     "RatioSet",
-    "GramData",
     "NormalizedCoefficients",
     "analyze",
     "ratios",
@@ -93,10 +87,9 @@ _CONSISTENCY_TOL = 1e-10
 # eps |raw|^dim / quality, inside which the det-one root's branch is fixed
 _CUT_BAND = 64 * np.finfo(float).eps
 
-# most vertices in one slab of the analysis's per-vertex tail, by grid
-# dimension (a slab holds at least one axis-0 plane); chosen by
-# measurement, see README
-_SLAB_BUDGET = {2: 4096, 3: 2048}
+# most vertices in one slab of the analysis's pass, by grid dimension (a
+# slab holds at least one axis-0 plane); chosen by measurement, see README
+_SLAB_BUDGET = {2: 4096, 3: 1536}
 
 
 def functional_budget(dim: int, mode: str = "matrix") -> int:
@@ -108,41 +101,6 @@ def functional_budget(dim: int, mode: str = "matrix") -> int:
 def extra_count(dim: int) -> int:
     """Hessian constraints available beyond the gradient basis."""
     return dim * (dim + 1) // 2 - 1
-
-
-@dataclass
-class GramData:
-    """The output of :func:`gram`: the inverse Gram matrix of the first
-    ``dim`` ratio gradients, zero where ``|det|`` underflows
-    (``singular``), and ``det``, which the Gram floor reads."""
-
-    inverse: SymTensorField
-    det: np.ndarray
-    singular: np.ndarray
-
-
-@dataclass
-class RatioSet:
-    """Ratios ``v_j = H_{j+1}/H_1`` and the pointwise algebra built on them.
-
-    One whole-grid field per stage of :func:`analyze`: ``fields``
-    (:func:`ratios`), ``gradients``, ``hessians``, ``gram_data``
-    (:func:`gram`), and in matrix mode ``theta`` (:func:`null_weights`)
-    and ``null_space`` (:func:`diffusion_from_constraints`: direction,
-    quality and degenerate mask), None in scalar mode; the last two are
-    computed slab by slab and gathered here.  Its ``mode`` and trusted
-    interior ``inside`` are the ones every reader uses.
-    """
-
-    grid: Grid
-    mode: str
-    fields: list[ScalarField]
-    gradients: list[VectorField]
-    hessians: list[SymTensorField]
-    inside: np.ndarray
-    gram_data: GramData
-    theta: np.ndarray | None = None
-    null_space: tuple[SymTensorField, ScalarField, np.ndarray] | None = None
 
 
 @dataclass
@@ -167,31 +125,54 @@ class NormalizedCoefficients:
         return SimpleNamespace(flags=self.inside)
 
 
+@dataclass
+class RatioSet:
+    """What the pass of :func:`analyze` keeps: on the whole grid the
+    ratios, the trusted interior, ``|det|`` of the Gram matrix (which
+    the Gram floor lists vertices from) and the ``coefficients``
+    :func:`reconstruct` returns; reduced over ``inside``, NaN if any
+    input is, each ratio's largest squared gradient magnitude, the
+    audit's two margins and the cancellation check's largest residual
+    with its vertex (the last two None in scalar mode)."""
+
+    mode: str
+    fields: list[ScalarField]
+    inside: np.ndarray
+    gram_det: np.ndarray
+    peaks: np.ndarray | None = None
+    basis_margin: float | None = None
+    independence_margin: float | None = None
+    cancellation: tuple[float, tuple[int, ...]] | None = None
+    coefficients: NormalizedCoefficients | None = None
+
+
 def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioSet:
     """The ratio analysis of ``ms``, computed once and without raising
     on bad data.
 
-    The stages in order: :func:`ratios`; one gradient and Hessian of
-    each of the first ``functional_budget(dim, mode) - 1`` ratios, the
-    ones ``mode`` consumes (the Hessian reuses the gradient); :func:`gram`;
-    in matrix mode :func:`null_weights`, :func:`constraint_matrices` and
-    :func:`diffusion_from_constraints`, which see one slab of whole
-    axis-0 planes at a time (at least one plane, otherwise at most
-    ``_SLAB_BUDGET[dim]`` vertices: 4096 in 2-D, 2048 in 3-D) and whose
-    results are written into whole-grid arrays.  Every step of that
-    tail is pointwise but the direction's dtype: a negative det at any
-    vertex makes the whole direction complex, so a complex slab widens
-    the gathered direction.  The slabs change no bit.  A vanishing
-    ``H_1`` gives a zero ratio and a singular Gram matrix a zero
-    inverse, so the audit can read deliberately bad data.  Matrix mode
-    with fewer than ``functional_budget(dim)`` functionals (the one
-    budget check) and an unknown ``mode`` raise
+    After :func:`ratios`, one pass over slabs of whole axis-0 planes (at
+    least one plane, otherwise at most ``_SLAB_BUDGET[dim]`` vertices:
+    4096 in 2-D, 1536 in 3-D) takes, on each slab's planes, the
+    derivatives of the first ``functional_budget(dim, mode) - 1`` ratios
+    (:func:`hiplab.grids.window_derivatives`), :func:`gram`, in matrix
+    mode :func:`null_weights`, :func:`constraint_matrices` and
+    :func:`diffusion_from_constraints`, the drift of the direction (the
+    identity in scalar mode) and the readings.  The slabs change no bit
+    but the direction's dtype, complex everywhere if one det is negative:
+    a complex slab after real ones widens the direction and takes the
+    drift of the slabs before it again; a real slab after complex ones
+    is written as ``direction + 0.0``, which turns -0 into +0 as division
+    by a complex root does.  A vanishing ``H_1`` gives a zero ratio and
+    a singular Gram matrix a zero inverse, so the audit can read bad
+    data.  Matrix mode with fewer than ``functional_budget(dim)``
+    functionals (the one budget check) and an unknown ``mode`` raise
     :class:`MeasurementCountError`.
     """
     if mode not in ("matrix", "scalar"):
         raise MeasurementCountError(f"unknown reconstruction mode {mode!r}")
     grid = ms.grid
-    need = functional_budget(grid.dim, mode) - 1
+    dim = grid.dim
+    need = functional_budget(dim, mode) - 1
     # MeasurementSet itself refuses fewer than the scalar budget, dim + 1
     if mode == "matrix" and ms.count <= need:
         raise MeasurementCountError(
@@ -199,67 +180,89 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
             f"({need} ratios), got {ms.count} ({ms.count - 1})"
         )
     fields = ratios(ms)
-    gradients = [gradient(v) for v in fields[:need]]
-    hessians = [hessian(v, g) for v, g in zip(fields, gradients)]
-    rs = RatioSet(
-        grid=grid,
-        mode=mode,
-        fields=fields,
-        gradients=gradients,
-        hessians=hessians,
-        inside=grid.interior(margin),
-        gram_data=gram(gradients),
+    values = [v.values for v in fields[:need]]
+    rs = RatioSet(mode, fields, grid.interior(margin), np.empty(grid.shape))
+
+    def derivatives(part):
+        grads, hessians = window_derivatives(values, grid.spacing, part)
+        return grads, hessians, *gram(grads)
+
+    peaks, basis, independence, worst = np.full(need, -np.inf), np.inf, np.inf, (-np.inf, None)
+    quality, degenerate = np.ones(grid.shape), np.zeros(grid.shape, bool)
+    direction = SymTensorField.identity(grid).values if mode == "scalar" else None
+    drift = None
+    slabs = _slabs(grid.shape)
+    for k, part in enumerate(slabs):
+        grads, hessians, inverse, det, singular = derivatives(part)
+        rs.gram_det[part] = np.abs(det)
+        widened = False
+        if mode == "matrix":
+            theta = null_weights(grads, inverse)
+            d, q, bad = diffusion_from_constraints(constraint_matrices(hessians, theta))
+            if direction is None:
+                direction = np.empty(grid.shape + d.shape[dim:], d.dtype)
+            elif np.iscomplexobj(d) and not np.iscomplexobj(direction):
+                direction, widened = direction + 0j, True
+            elif np.iscomplexobj(direction) and not np.iscomplexobj(d):
+                d = d + 0.0
+            direction[part], quality[part], degenerate[part] = d, q, bad
+        slab_drift = drift_from_diffusion(direction[part], hessians[:dim], inverse, grads[:dim])
+        if drift is None or widened:
+            drift = np.empty(grid.shape + (dim,), slab_drift.dtype)
+            for earlier in slabs[:k]:
+                g, h, e, *_ = derivatives(earlier)
+                drift[earlier] = drift_from_diffusion(direction[earlier], h[:dim], e, g[:dim])
+        drift[part] = slab_drift
+
+        # the readings, reduced over the slab's trusted vertices in place
+        ins = rs.inside[part]
+        squares = [component_sum(np.abs(g) ** 2) for g in grads]
+        peaks = np.maximum(peaks, [np.max(s, where=ins, initial=-np.inf) for s in squares])
+        vertex_basis = _basis_margin(grads[:dim], squares[:dim])
+        basis = np.minimum(basis, np.min(vertex_basis, where=ins, initial=np.inf))
+        if mode == "matrix":
+            vertex_gap = np.where(singular, 0.0, q)
+            independence = np.minimum(independence, np.min(vertex_gap, where=ins, initial=np.inf))
+            lengths = [np.sqrt(component_sum(np.abs(r) ** 2)) for r in _weighted_sums(grads, theta)]
+            resid = np.where(ins, functools.reduce(np.maximum, lengths), -np.inf)
+            at = np.unravel_index(np.argmax(resid), resid.shape)  # the first NaN, if any
+            if not np.isnan(worst[0]) and not resid[at] <= worst[0]:
+                worst = (float(resid[at]), (int(at[0]) + part.start, *map(int, at[1:])))
+
+    rs.peaks, rs.basis_margin = peaks, float(basis)
+    if mode == "matrix":
+        rs.independence_margin, rs.cancellation = float(independence), worst
+    rs.coefficients = NormalizedCoefficients(
+        SymTensorField(grid, direction), VectorField(grid, drift), ScalarField(grid, quality),
+        degenerate, rs.inside, mode,
     )
-    if mode == "scalar":
-        return rs
-    # the tail's many intermediates per vertex live for one slab at a time
-    rs.theta, direction, quality, degenerate = _gathered_tail(
-        gradients, hessians, rs.gram_data.inverse.values, _slabs(grid.shape)
-    )
-    rs.null_space = (SymTensorField(grid, direction), ScalarField(grid, quality), degenerate)
     return rs
 
 
-def _slabs(shape: tuple[int, ...]):
+def _slabs(shape: tuple[int, ...]) -> list[slice]:
     """Slices of whole axis-0 planes, at least one plane and otherwise
     at most ``_SLAB_BUDGET[len(shape)]`` vertices each, that cover
-    ``shape``: 18 slabs of 15 planes or fewer for 257^2, 3 of 7 or
-    fewer for 17^3, 33 of one plane for 33^3."""
+    ``shape`` in order: 18 slabs of 15 planes or fewer for 257^2, 4 of 5
+    or fewer for 17^3, 33 of one plane for 33^3."""
     plane = int(np.prod(shape[1:]))
     step = max(1, _SLAB_BUDGET[len(shape)] // plane)
-    for lo in range(0, shape[0], step):
-        yield slice(lo, lo + step)
+    return [slice(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
 
 
-def _gathered_tail(
-    gradients: list[VectorField],
-    hessians: list[SymTensorField],
-    inverse: np.ndarray,
-    parts,
-) -> list[np.ndarray]:
-    """``theta``, direction, quality and degenerate mask of the vertices
-    ``parts`` of the grid, one :func:`null_weights`,
-    :func:`constraint_matrices` and :func:`diffusion_from_constraints`
-    per part, written into zeroed whole-grid arrays.  Real directions
-    joined with complex ones get zero added, which turns -0 into +0 as
-    division by a complex root does, so the bits are one whole part's."""
-    grid = gradients[0].grid
-    results = None
-    for part in parts:
-        theta = null_weights([g.values[part] for g in gradients], inverse[part])
-        slab = (theta,) + diffusion_from_constraints(
-            constraint_matrices([h.values[part] for h in hessians], theta)
-        )
-        if results is None:
-            results = [np.zeros(grid.shape + r.shape[grid.dim :], r.dtype) for r in slab]
-        elif slab[1].dtype != results[1].dtype:
-            if np.iscomplexobj(slab[1]):
-                results[1] = results[1] + 0j
-            else:
-                slab = (theta, slab[1] + 0.0, *slab[2:])
-        for out, r in zip(results, slab):
-            out[part] = r
-    return results
+def _basis_margin(grads: list[np.ndarray], squares: list[np.ndarray]) -> np.ndarray:
+    """The audit's basis margin per vertex: ``|det|`` of the basis
+    gradients over the product of their lengths (``squares`` holds their
+    squares), zero where that is NaN."""
+    if len(grads) == 2:
+        g1, g2 = grads
+        det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
+    else:
+        g1, g2, g3 = grads
+        det = component_sum(g1 * np.cross(g2, g3))
+    norms = np.prod([np.sqrt(s) for s in squares], axis=0)
+    with np.errstate(all="ignore"):
+        basis = np.abs(det) / np.maximum(norms, np.finfo(float).tiny)
+    return np.nan_to_num(basis, nan=0.0)
 
 
 def ratios(ms: MeasurementSet) -> list[ScalarField]:
@@ -273,23 +276,22 @@ def ratios(ms: MeasurementSet) -> list[ScalarField]:
         ]
 
 
-def gram(gradients: list[VectorField]) -> GramData:
+def gram(gradients: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Gram matrix ``G_ij = grad v_i . grad v_j`` of the first
-    ``dim`` ratio gradients, inverted pointwise, zero where ``|det|``
-    underflows.  It is formed in the dtype of all of ``gradients``: a
-    real basis beside a complex extra ratio gives a complex ``G``."""
-    grid = gradients[0].grid
-    dim = grid.dim
-    grads = [g.values for g in gradients]
-    vals = np.empty(grid.shape + (sym_size(dim),), dtype=np.result_type(*grads))
+    ``dim`` ratio gradients' values: its inverse in triangle storage,
+    zero where ``|det|`` underflows, ``det`` and that ``singular`` mask.
+    It takes the dtype of all of ``gradients``: a real basis beside a
+    complex extra ratio gives a complex ``G``."""
+    *shape, dim = gradients[0].shape
+    vals = np.empty((*shape, sym_size(dim)), dtype=np.result_type(*gradients))
     for k, (i, j) in enumerate(sym_pairs(dim)):
-        vals[..., k] = component_sum(grads[i] * grads[j])
+        vals[..., k] = component_sum(gradients[i] * gradients[j])
     det = sym_det(vals, dim)
     singular = ~(np.abs(det) > np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = sym_inv(vals, dim)
     inverse[singular] = 0.0
-    return GramData(SymTensorField(grid, inverse), det, singular)
+    return inverse, det, singular
 
 
 def null_weights(gradients: list[np.ndarray], inverse: np.ndarray) -> np.ndarray:
@@ -301,14 +303,11 @@ def null_weights(gradients: list[np.ndarray], inverse: np.ndarray) -> np.ndarray
     ``dim + m``, at unit weight, with the gradient basis so that the
     weighted gradient sum cancels identically:
     ``theta[m, j] = -G^{jk} (grad v_{dim+m} . grad v_k)`` for ``j < dim``,
-    the ``(extra_count(dim), dim)`` array :func:`analyze` stores as
-    ``rs.theta``.
+    an ``(extra_count(dim), dim)`` array per vertex.
     """
-    dim = gradients[0].shape[-1]
+    *shape, dim = gradients[0].shape
     extras = extra_count(dim)
-    theta = np.empty(
-        gradients[0].shape[:-1] + (extras, dim), dtype=np.result_type(*gradients)
-    )
+    theta = np.empty((*shape, extras, dim), dtype=np.result_type(*gradients))
     for m in range(extras):
         rhs = [component_sum(gradients[dim + m] * gradients[k]) for k in range(dim)]
         for j, sol in enumerate(sym_apply(inverse, rhs, dim)):
@@ -317,14 +316,14 @@ def null_weights(gradients: list[np.ndarray], inverse: np.ndarray) -> np.ndarray
 
 
 def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
-    """Raise unless the analysis ``rs`` of ``ms`` passes the four
-    checks of :func:`reconstruct`, in its order."""
+    """Raise unless the analysis ``rs`` of ``ms`` passes the four checks
+    of :func:`reconstruct`, in its order, each by a comparison NaN fails."""
     grid = ms.grid
     dim = grid.dim
     mag = np.abs(ms.functionals[0].values)
     top = float(mag.max()) or 1.0
-    if float(mag.min()) < H1_FLOOR * top:
-        point = tuple(int(k) for k in np.argwhere(mag == mag.min())[0])
+    if not float(mag.min()) >= H1_FLOOR * top:
+        point = tuple(int(k) for k in np.unravel_index(np.argmin(mag), mag.shape))
         raise NonVanishingError(
             f"reference functional reaches {mag.min():.3e} "
             f"(max {top:.3e}) at vertex {point}; ratios are unreliable",
@@ -342,25 +341,17 @@ def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
         err = float(np.max(np.abs(v.values[safe] - expected), initial=0.0))
         # declared noise moves each functional by amp * max|H|, so the
         # ratio may drift from the trace quotient by the induced amount
-        drift = (
-            2.0
-            * noise_amp
-            * (float(np.max(np.abs(ms.functionals[j].values))) + float(np.max(np.abs(v.values))) * top)
-            / float(mag.min())
-        )
-        if err > 1e-8 * scale + drift:
+        drift = noise_amp and 2.0 * noise_amp * (
+            float(np.max(np.abs(ms.functionals[j].values))) + float(np.max(np.abs(v.values))) * top
+        ) / float(mag.min())
+        if not err <= 1e-8 * scale + drift:
             raise InternalConsistencyError(
                 f"ratio {j} disagrees with its boundary quotient by {err:.3e}",
                 stage="recon",
             )
 
-    # largest interior squared gradient magnitude, per ratio
-    peaks = [
-        float(np.max(component_sum(np.abs(g.values) ** 2)[rs.inside]))
-        for g in rs.gradients
-    ]
-    floor = GRAM_FLOOR * max(float(np.max(peaks[:dim])), np.finfo(float).tiny) ** dim
-    bad = rs.inside & (np.abs(rs.gram_data.det) < floor)
+    floor = GRAM_FLOOR * max(float(np.max(rs.peaks[:dim])), np.finfo(float).tiny) ** dim
+    bad = rs.inside & ~(rs.gram_det >= floor)
     if np.any(bad):
         pts = [tuple(int(k) for k in p) for p in np.argwhere(bad)]
         raise DegeneracyError(
@@ -372,23 +363,14 @@ def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
 
     if rs.mode == "scalar":
         return
-    theta = rs.theta
-    resid = np.zeros(grid.shape + (dim,), dtype=theta.dtype)
-    worst = 0.0
-    for m in range(theta.shape[-2]):
-        resid[...] = 0.0
-        for j in range(dim):
-            resid += theta[..., m, j][..., None] * rs.gradients[j].values
-        resid += rs.gradients[dim + m].values
-        r = np.sqrt(component_sum(np.abs(resid) ** 2))
-        worst = max(worst, float(np.max(r[rs.inside])))
+    worst, point = rs.cancellation
     # sqrt is monotone and correctly rounded: the root of the peak is
     # the peak of the magnitudes
-    grad_top = max(float(np.sqrt(p)) for p in peaks)
-    if worst > _CONSISTENCY_TOL * max(grad_top, 1.0):
+    grad_top = float(np.sqrt(np.max(rs.peaks)))
+    if not worst <= _CONSISTENCY_TOL * max(grad_top, 1.0):
         raise InternalConsistencyError(
-            f"gradient cancellation failed: residual {worst:.3e} "
-            f"against gradient scale {grad_top:.3e}",
+            f"gradient cancellation failed: residual {worst:.3e} at vertex "
+            f"{point} against gradient scale {grad_top:.3e}",
             stage="recon",
         )
 
@@ -401,13 +383,21 @@ def constraint_matrices(hessians: list[np.ndarray], theta: np.ndarray) -> list[n
     construction each ``M^m`` annihilates the diffusion direction under
     the trace pairing.
     """
+    return _weighted_sums(hessians, theta)
+
+
+def _weighted_sums(parts: list[np.ndarray], theta: np.ndarray) -> list[np.ndarray]:
+    """``parts[dim + m] + sum_{j<dim} theta[m, j] parts[j]`` for each
+    extra ratio ``m``, summed from zero in that order: of the Hessians,
+    the constraint matrices; of the gradients, what cancels by
+    construction."""
     extras, dim = theta.shape[-2:]
     out = []
     for m in range(extras):
-        acc = np.zeros(theta.shape[:-2] + (sym_size(dim),), dtype=theta.dtype)
+        acc = np.zeros(parts[0].shape, dtype=theta.dtype)
         for j in range(dim):
-            acc += theta[..., m, j][..., None] * hessians[j]
-        acc += hessians[dim + m]
+            acc += theta[..., m, j][..., None] * parts[j]
+        acc += parts[dim + m]
         out.append(acc)
     return out
 
@@ -594,25 +584,25 @@ def _sum_sq(z: np.ndarray) -> np.ndarray:
     return component_sum(x * x)
 
 
-def drift_from_diffusion(rs: RatioSet, diffusion: SymTensorField) -> VectorField:
-    """Vector coefficient matching a given diffusion direction.
+def drift_from_diffusion(
+    diffusion: np.ndarray, hessians: list, inverse: np.ndarray, gradients: list
+) -> np.ndarray:
+    """Vector coefficient matching the diffusion direction ``diffusion``,
+    from the first ``dim`` ratios' Hessians, inverse Gram matrix and
+    gradients on the same vertices.
 
     ``beta = - G^{ij} (A : D^2 v_j) grad v_i`` is the unique vector with
     the pairings required by the ratio equations; with the identity
     direction it is ``a^{-1} b + grad ln a + 2 grad ln u_1`` for scalar
     ``a``, ``- G^{ij} (tr D^2 v_j) grad v_i``.
     """
-    grid = rs.grid
-    dim = grid.dim
-    pair = [
-        sym_dot(diffusion.values, rs.hessians[j].values, dim) for j in range(dim)
-    ]
-    weights = sym_apply(rs.gram_data.inverse.values, pair, dim)
-    grads = [rs.gradients[i].values for i in range(dim)]
-    out = np.zeros(grid.shape + (dim,), dtype=np.result_type(*weights, *grads))
+    dim = gradients[0].shape[-1]
+    pair = [sym_dot(diffusion, hessians[j], dim) for j in range(dim)]
+    weights = sym_apply(inverse, pair, dim)
+    out = np.zeros(gradients[0].shape, dtype=np.result_type(*weights, *gradients))
     for i in range(dim):
-        out -= weights[i][..., None] * grads[i]
-    return VectorField(grid, out)
+        out -= weights[i][..., None] * gradients[i]
+    return out
 
 
 def reconstruct(
@@ -622,34 +612,20 @@ def reconstruct(
 
     ``analysis`` is ``analyze(ms, mode, margin)`` when the caller
     already holds it, and ``analyze(ms)`` otherwise; its mode and
-    trusted interior are the reconstruction's.  Before any output is
-    formed, four checks run on it, in order: the ``H_1`` floor
-    (:class:`NonVanishingError`), the boundary quotients of the ratios
-    (:class:`InternalConsistencyError`), the Gram floor on the trusted
-    interior (:class:`DegeneracyError`) and, in matrix mode, the
-    cancellation of the gradients by the null weights
-    (:class:`InternalConsistencyError`).  Matrix mode runs the
-    null-space pipeline and needs ``functional_budget(dim)``
-    functionals (extras beyond that are ignored, so redundant
-    measurements cannot change the answer; :func:`analyze` refuses
-    fewer with :class:`MeasurementCountError`).  Scalar mode, which is
-    ``reconstruct(ms, analyze(ms, "scalar"))``, assumes scalar
-    diffusion, needs ``dim + 1`` functionals, and reports the identity
-    direction with its matching drift.
+    trusted interior are the reconstruction's, and its ``coefficients``
+    the output once four checks of its readings pass, in order: the
+    ``H_1`` floor (:class:`NonVanishingError`), the boundary quotients
+    of the ratios (:class:`InternalConsistencyError`), the Gram floor on
+    the trusted interior (:class:`DegeneracyError`) and, in matrix mode,
+    the cancellation of the gradients by the null weights
+    (:class:`InternalConsistencyError`); NaN fails each.  Matrix mode
+    needs ``functional_budget(dim)`` functionals (extras beyond that are
+    ignored, so redundant measurements cannot change the answer;
+    :func:`analyze` refuses fewer with :class:`MeasurementCountError`).
+    Scalar mode, which is ``reconstruct(ms, analyze(ms, "scalar"))``,
+    assumes scalar diffusion, needs ``dim + 1`` functionals, and reports
+    the identity direction with its matching drift.
     """
     rs = analysis if analysis is not None else analyze(ms)
     _check_analysis(ms, rs)
-    if rs.mode == "scalar":
-        diffusion = SymTensorField.identity(ms.grid)
-        quality = ScalarField.constant(ms.grid, 1.0)
-        degenerate = np.zeros(ms.grid.shape, dtype=bool)
-    else:
-        diffusion, quality, degenerate = rs.null_space
-    return NormalizedCoefficients(
-        diffusion=diffusion,
-        drift=drift_from_diffusion(rs, diffusion),
-        quality=quality,
-        degenerate=degenerate,
-        inside=rs.inside,
-        mode=rs.mode,
-    )
+    return rs.coefficients

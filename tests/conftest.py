@@ -13,13 +13,24 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from hiplab import recon
 from hiplab.config import parse_config
 from hiplab.forward import CoefficientSet
-from hiplab.grids import Grid, ScalarField, SymTensorField, VectorField
+from hiplab.grids import (
+    Grid,
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    component_sum,
+    gradient,
+    hessian,
+)
 
 WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
@@ -94,6 +105,54 @@ def workload_inputs(name: str, shape: tuple[int, ...]):
     grid = cfg.grid_for()
     coeffs = cfg.coefficients(grid)
     return cfg, coeffs, cfg.modality(grid), cfg.traces(grid, coeffs)
+
+
+def whole_grid_analysis(ms, mode: str = "matrix", margin: int = 2) -> SimpleNamespace:
+    """What :func:`hiplab.recon.analyze` computes slab by slab, computed
+    on the whole grid at once from the whole-grid stencils and the stage
+    functions, with each reading taken over the whole trusted interior:
+    the reference its slabs must equal bit for bit."""
+    grid = ms.grid
+    dim = grid.dim
+    need = recon.functional_budget(dim, mode) - 1
+    fields = recon.ratios(ms)
+    grads = [gradient(v) for v in fields[:need]]
+    ref = SimpleNamespace(
+        fields=fields,
+        inside=grid.interior(margin),
+        gradients=[g.values for g in grads],
+        hessians=[hessian(v, g).values for v, g in zip(fields, grads)],
+    )
+    gv, hv, inside = ref.gradients, ref.hessians, ref.inside
+    ref.inverse, det, singular = recon.gram(gv)
+    if mode == "matrix":
+        ref.theta = recon.null_weights(gv, ref.inverse)
+        ref.direction, ref.quality, ref.degenerate = recon.diffusion_from_constraints(
+            recon.constraint_matrices(hv, ref.theta)
+        )
+        direction = ref.direction
+    else:
+        direction = SymTensorField.identity(grid).values
+    ref.drift = recon.drift_from_diffusion(direction, hv[:dim], ref.inverse, gv[:dim])
+
+    squares = [component_sum(np.abs(g) ** 2) for g in gv]
+    ref.peaks = np.array([np.max(s[inside]) for s in squares])
+    ref.gram_det = np.abs(det)
+    ref.basis_margin = float(np.min(recon._basis_margin(gv[:dim], squares[:dim])[inside]))
+    if mode == "matrix":
+        independence = np.where(singular, 0.0, ref.quality)
+        ref.independence_margin = float(np.min(independence[inside]))
+        worst = np.full(grid.shape, -np.inf)
+        for m in range(ref.theta.shape[-2]):
+            resid = np.zeros(gv[0].shape, dtype=ref.theta.dtype)
+            for j in range(dim):
+                resid += ref.theta[..., m, j][..., None] * gv[j]
+            resid += gv[dim + m]
+            worst = np.maximum(worst, np.sqrt(component_sum(np.abs(resid) ** 2)))
+        worst[~inside] = -np.inf
+        at = np.unravel_index(np.argmax(worst), grid.shape)
+        ref.cancellation = (float(worst[at]), tuple(int(k) for k in at))
+    return ref
 
 
 def traced_peak(fn, *args):

@@ -21,6 +21,7 @@ from conftest import (
     laplace_coefficients,
     scalar_tensor,
     unit_grid,
+    whole_grid_analysis,
 )
 from hiplab import gauge, recon, studies
 from hiplab.config import parse_config
@@ -67,9 +68,8 @@ def test_harmonic_suite_identity_diffusion_zero_drift_and_hessian_combos():
     grid = unit_grid(65)
     ms = synthesize(laplace_coefficients(grid), unit_weight(grid), default_traces(grid))
     nc = recon.reconstruct(ms)
-    rs = recon.analyze(ms)
-    theta = recon.null_weights([g.values for g in rs.gradients], rs.gram_data.inverse.values)
-    mats = recon.constraint_matrices([h.values for h in rs.hessians], theta)
+    ref = whole_grid_analysis(ms)
+    mats = recon.constraint_matrices(ref.hessians, ref.theta)
     elapsed = time.monotonic() - t0
 
     inside = grid.interior(2)

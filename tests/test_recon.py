@@ -10,8 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import laplace_coefficients, same_bits, traced_peak, unit_grid, workload_inputs
+from conftest import (
+    laplace_coefficients,
+    same_bits,
+    traced_peak,
+    unit_grid,
+    whole_grid_analysis,
+    workload_inputs,
+)
 from hiplab import recon
+from hiplab.admissibility import check as check_admissibility
 from hiplab.config import parse_config
 from hiplab.errors import (
     DegeneracyError,
@@ -25,6 +33,7 @@ from hiplab.grids import (
     SymTensorField,
     VectorField,
     divide,
+    gradient,
     sym_size,
     sym_to_full,
     sym_trace,
@@ -77,13 +86,9 @@ def indefinite_sources(dim, sign="+"):
     return ["1", "x", *axes, *cross] + [f"x^2 {sign} (x-0.5)*{a}^2" for a in axes]
 
 
-def whole_grid_weights(rs):
-    """:func:`null_weights` of the whole grid of ``rs``."""
-    return null_weights([g.values for g in rs.gradients], rs.gram_data.inverse.values)
-
-
-def hessian_values(rs):
-    return [h.values for h in rs.hessians]
+def basis_gradients(ms):
+    """The whole-grid gradients of the first ``dim`` ratios of ``ms``."""
+    return [gradient(v).values for v in recon.ratios(ms)[: ms.grid.dim]]
 
 
 def anisotropic_measurements(grid, c):
@@ -186,35 +191,31 @@ class TestRatios:
 class TestGram:
     def test_orthonormal_pair(self):
         grid = unit_grid(9)
-        gd = gram(analyze(hand_measurements(grid, ["1", "x", "y"]), "scalar").gradients)
+        inverse, det, singular = gram(basis_gradients(hand_measurements(grid, ["1", "x", "y"])))
         inside = grid.interior(2)
         eye = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(sym_to_full(gd.inverse.values, 2)[inside], eye, atol=1e-12)
-        assert np.allclose(gd.det[inside], 1.0, atol=1e-12)
-        assert not gd.singular.any()
+        assert np.allclose(sym_to_full(inverse, 2)[inside], eye, atol=1e-12)
+        assert np.allclose(det[inside], 1.0, atol=1e-12)
+        assert not singular.any()
 
     def test_hand_inverse(self):
         grid = unit_grid(9)
-        gd = gram(
-            analyze(hand_measurements(grid, ["1", "x", "x + y"]), "scalar").gradients
-        )
+        inverse, det, _ = gram(basis_gradients(hand_measurements(grid, ["1", "x", "x + y"])))
         inside = grid.interior(2)
         # the inverse of [[1, 1], [1, 2]], whose determinant is 1
         expect_inv = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(
-            sym_to_full(gd.inverse.values, 2)[inside], expect_inv, atol=1e-12
-        )
-        assert np.allclose(gd.det[inside], 1.0, atol=1e-12)
+        assert np.allclose(sym_to_full(inverse, 2)[inside], expect_inv, atol=1e-12)
+        assert np.allclose(det[inside], 1.0, atol=1e-12)
 
     def test_product_is_identity(self):
         grid = unit_grid(17)
-        rs = analyze(
-            hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"]), "scalar"
+        grads = basis_gradients(
+            hand_measurements(grid, ["1", "x + 0.2*y^2", "y + 0.1*x^2"])
         )
-        g = np.stack([v.values for v in rs.gradients], axis=-2)
+        g = np.stack(grads, axis=-2)
         gram_matrix = g @ np.swapaxes(g, -1, -2)
         inside = grid.interior(2)
-        prod = gram_matrix @ sym_to_full(gram(rs.gradients).inverse.values, 2)
+        prod = gram_matrix @ sym_to_full(gram(grads)[0], 2)
         assert np.allclose(prod[inside], np.eye(2), atol=1e-10)
 
     def test_parallel_gradients_degenerate(self):
@@ -304,13 +305,13 @@ class TestScalarDrift:
 class TestNullWeights:
     def quintet(self, n=9):
         grid = unit_grid(n)
-        return grid, analyze(
+        return grid, whole_grid_analysis(
             hand_measurements(grid, ["1", "x", "y", "x*y", "x^2 - y^2"])
         )
 
     def test_hand_checked_weights(self):
-        grid, rs = self.quintet()
-        theta = whole_grid_weights(rs)
+        grid, ref = self.quintet()
+        theta = ref.theta
         x, y = grid.meshgrid()
         inside = grid.interior(2)
         # the weights of the basis ratios x, y; each extra ratio's own
@@ -323,7 +324,7 @@ class TestNullWeights:
 
     def test_null_combination_residual(self):
         grid = unit_grid(17)
-        rs = analyze(
+        ref = whole_grid_analysis(
             hand_measurements(
                 grid,
                 [
@@ -335,8 +336,8 @@ class TestNullWeights:
                 ],
             )
         )
-        theta = whole_grid_weights(rs)
-        grads = np.stack([g.values for g in rs.gradients], axis=-2)
+        theta = ref.theta
+        grads = np.stack(ref.gradients, axis=-2)
         scale = float(np.max(np.abs(grads)))
         inside = grid.interior(2)
         for m in range(theta.shape[-2]):
@@ -345,8 +346,8 @@ class TestNullWeights:
             assert np.max(np.abs(combo[inside])) <= 1e-10 * scale
 
     def test_constraint_matrices_for_harmonic_quintet(self):
-        grid, rs = self.quintet()
-        mats = constraint_matrices(hessian_values(rs), whole_grid_weights(rs))
+        grid, ref = self.quintet()
+        mats = constraint_matrices(ref.hessians, ref.theta)
         inside = grid.interior(2)
         m1 = sym_to_full(mats[0], 2)
         m2 = sym_to_full(mats[1], 2)
@@ -357,22 +358,22 @@ class TestNullWeights:
     @pytest.mark.parametrize("c", ["0.5 + 0.2*x", "0.5 + 0.3*i*(1 + x)"])
     def test_constraint_matrices_match_the_full_width_weights_bitwise(self, dim, c):
         grid = unit_grid(17 if dim == 2 else 9, dim)
-        rs = analyze(anisotropic_measurements(grid, c))
+        ref = whole_grid_analysis(anisotropic_measurements(grid, c))
         extras = extra_count(dim)
-        assert rs.theta.shape == grid.shape + (extras, dim)
-        assert rs.theta.dtype == (np.float64 if "i" not in c else np.complex128)
+        assert ref.theta.shape == grid.shape + (extras, dim)
+        assert ref.theta.dtype == (np.float64 if "i" not in c else np.complex128)
         # the full-width weights (extras, dim + extras): the stored ones,
         # then each extra ratio's unit weight among stored zeros
-        full = np.zeros(grid.shape + (extras, dim + extras), dtype=rs.theta.dtype)
-        full[..., :dim] = rs.theta
+        full = np.zeros(grid.shape + (extras, dim + extras), dtype=ref.theta.dtype)
+        full[..., :dim] = ref.theta
         for m in range(extras):
             full[..., m, dim + m] = 1.0
-        got = constraint_matrices(hessian_values(rs), rs.theta)
+        got = constraint_matrices(ref.hessians, ref.theta)
         for m in range(extras):
-            ref = np.zeros(grid.shape + (sym_size(dim),), dtype=full.dtype)
+            want = np.zeros(grid.shape + (sym_size(dim),), dtype=full.dtype)
             for j in range(dim + extras):
-                ref += full[..., m, j][..., None] * rs.hessians[j].values
-            assert same_bits(got[m], ref)
+                want += full[..., m, j][..., None] * ref.hessians[j]
+            assert same_bits(got[m], want)
 
 
 class TestReconstruct:
@@ -450,12 +451,41 @@ class TestReconstruct:
         inside = grid.interior(2)
         assert np.max(np.abs(nc.drift.values[inside])) < 1e-10
 
-    def test_moved_null_weight_fails_the_cancellation_check(self):
+    @pytest.mark.parametrize("moved", [1e-3, np.nan])
+    def test_moved_null_weight_fails_the_cancellation_check(self, monkeypatch, moved):
+        """A null weight moved at one vertex, or made NaN there, leaves
+        a residual the cancellation check reads and names the vertex of;
+        the 17^2 grid is one slab."""
         grid, ms = self.harmonic_set()
+
+        def moved_weights(gradients, inverse, _original=recon.null_weights):
+            theta = _original(gradients, inverse)
+            theta[8, 8, 0, 0] += moved
+            return theta
+
+        monkeypatch.setattr(recon, "null_weights", moved_weights)
         rs = analyze(ms)
-        rs.theta[8, 8, 0, 0] += 1e-3
-        with pytest.raises(InternalConsistencyError, match="gradient cancellation failed"):
+        with pytest.raises(
+            InternalConsistencyError, match=r"gradient cancellation failed: .* at vertex \(8, 8\)"
+        ):
             reconstruct(ms, rs)
+
+    @pytest.mark.parametrize(
+        "functional, error, text",
+        [
+            (0, NonVanishingError, r"reaches nan .* at vertex \(7, 9\)"),
+            (4, InternalConsistencyError, r"gradient cancellation failed: residual nan"),
+        ],
+        ids=["H_1", "extra"],
+    )
+    def test_nan_at_one_vertex_fails_its_check(self, functional, error, text):
+        """A NaN at one interior vertex of ``H_1``, or of an extra
+        functional, fails the first check that reads it: every reading
+        passes only by a comparison that NaN fails."""
+        grid, ms = self.harmonic_set()
+        ms.functionals[functional].values[7, 9] = np.nan
+        with pytest.raises(error, match=text):
+            reconstruct(ms, analyze(ms))
 
     @pytest.mark.parametrize("corrupt", [None, "safe", "unsafe"])
     @pytest.mark.parametrize("factor", [1.0, 1.0 + 0.25j])
@@ -540,11 +570,18 @@ class TestReconstruct:
         assert np.max(np.abs(nc.drift.values[inside] - scalar.values[inside])) < 1e-10
 
 
-STAGES = ("ratios", "gram", "null_weights", "constraint_matrices", "diffusion_from_constraints")
+STAGES = (
+    "ratios",
+    "gram",
+    "null_weights",
+    "constraint_matrices",
+    "diffusion_from_constraints",
+    "drift_from_diffusion",
+)
 
 
 @pytest.mark.parametrize(
-    "mode, once", [("matrix", STAGES), ("scalar", ("ratios", "gram"))]
+    "mode, once", [("matrix", STAGES), ("scalar", ("ratios", "gram", "drift_from_diffusion"))]
 )
 def test_analysis_runs_each_stage_once_and_reconstruction_none(monkeypatch, mode, once):
     """Each stage is computed by its own function, once per analysis of
@@ -597,14 +634,17 @@ def qtat_measurements():
 
 
 class TestSlabs:
-    """The per-vertex tail of the analysis runs over slabs of whole
-    axis-0 planes; every output is that of one whole-grid slab, bit for
-    bit."""
+    """The analysis is one pass over slabs of whole axis-0 planes; each
+    output and reading is that of the whole grid at once
+    (:func:`conftest.whole_grid_analysis`), bit for bit, in one slab, in
+    slabs of two planes with a one-plane remainder, and in one-plane
+    slabs, whose first and last hold the grid's faces, where the
+    closures read 4 planes."""
 
-    def slabbed_runs(self, monkeypatch, ms):
-        """Analysis and reconstruction of ``ms`` in one slab, in slabs of
-        two planes with a one-plane remainder, and in one-plane slabs;
-        with the dtype of the direction of each slab in turn."""
+    def slabbed_runs(self, monkeypatch, ms, mode="matrix"):
+        """Analysis, audit and reconstruction of ``ms`` at each of the
+        three slab sizes, with the dtype of the direction of each slab in
+        turn."""
         grid = ms.grid
         assert grid.shape[0] % 2 == 1
         plane = grid.num_points // grid.shape[0]
@@ -620,34 +660,54 @@ class TestSlabs:
 
             monkeypatch.setitem(recon._SLAB_BUDGET, grid.dim, vertices)
             monkeypatch.setattr(recon, "diffusion_from_constraints", recorded)
-            rs = analyze(ms)
-            runs.append((rs, reconstruct(ms, rs), dtypes))
+            rs = analyze(ms, mode)
+            report = check_admissibility(ms, analysis=rs)
+            runs.append((rs, report, reconstruct(ms, rs), dtypes))
         return runs
 
-    def assert_same_bits(self, runs):
-        (ref, ref_nc, _), *rest = runs
-        for rs, nc, _ in rest:
-            assert same_bits(rs.theta, ref.theta)
-            for got, want in zip(rs.null_space, ref.null_space):
-                assert same_bits(getattr(got, "values", got), getattr(want, "values", want))
-            for name in ("diffusion", "drift", "quality"):
-                assert same_bits(getattr(nc, name).values, getattr(ref_nc, name).values)
-            assert same_bits(nc.degenerate, ref_nc.degenerate)
+    def assert_whole_grid_bits(self, ms, runs, mode="matrix"):
+        ref = whole_grid_analysis(ms, mode)
+        for rs, report, nc, _ in runs:
+            assert nc is rs.coefficients
+            assert same_bits(nc.drift.values, ref.drift)
+            assert same_bits(rs.gram_det, ref.gram_det)
+            assert same_bits(rs.peaks, ref.peaks)
+            assert same_bits(np.float64(rs.basis_margin), np.float64(ref.basis_margin))
+            assert report.basis_margin == ref.basis_margin
+            if mode == "scalar":
+                assert rs.independence_margin is rs.cancellation is None
+                continue
+            assert same_bits(nc.diffusion.values, ref.direction)
+            assert same_bits(nc.quality.values, ref.quality)
+            assert same_bits(nc.degenerate, ref.degenerate)
+            assert same_bits(
+                np.float64(rs.independence_margin), np.float64(ref.independence_margin)
+            )
+            assert report.independence_margin == ref.independence_margin
+            assert same_bits(np.float64(rs.cancellation[0]), np.float64(ref.cancellation[0]))
+            assert rs.cancellation[1] == ref.cancellation[1]
 
     @pytest.mark.parametrize(
         "shape, count, planes",
-        [((257, 257), 18, 15), ((17, 17, 17), 3, 7), ((33, 33, 33), 33, 1)],
+        [
+            ((257, 257), 18, 15),
+            ((17, 17, 17), 4, 5),
+            ((25, 25, 25), 13, 2),
+            ((33, 33, 33), 33, 1),
+        ],
     )
     def test_slab_budget_is_per_dimension(self, shape, count, planes):
-        """2-D slabs hold at most 4096 vertices and 3-D slabs 2048: 257^2
-        runs in 18 slabs of 15 planes or fewer, 17^3 in 3 of 7 or fewer,
-        and 33^3 in one-plane slabs; the slabs cover axis 0 in order."""
+        """2-D slabs hold at most 4096 vertices and 3-D slabs 1536: 257^2
+        runs in 18 slabs of 15 planes or fewer, 17^3 in 4 of 5 or fewer,
+        25^3 in 13 of 2 or fewer, and 33^3 in one-plane slabs; the slabs
+        cover axis 0 in order."""
         slabs = list(recon._slabs(shape))
         assert len(slabs) == count
         assert [s.stop - s.start for s in slabs[:-1]] == [planes] * (count - 1)
         covered = np.concatenate([np.arange(shape[0])[s] for s in slabs])
         assert np.array_equal(covered, np.arange(shape[0]))
 
+    @pytest.mark.parametrize("mode", ["matrix", "scalar"])
     @pytest.mark.parametrize(
         "dim, c",
         [
@@ -657,37 +717,42 @@ class TestSlabs:
             (3, "0.5 + 0.3*i*(1 + x)"),
         ],
     )
-    def test_slabs_give_the_bits_of_one_slab(self, monkeypatch, dim, c):
+    def test_slabs_give_the_whole_grid_bits(self, monkeypatch, dim, c, mode):
         grid = unit_grid(17 if dim == 2 else 9, dim)
-        runs = self.slabbed_runs(monkeypatch, anisotropic_measurements(grid, c))
-        assert [len(dtypes) for _, _, dtypes in runs] == [1, grid.shape[0] // 2 + 1, grid.shape[0]]
-        self.assert_same_bits(runs)
+        ms = anisotropic_measurements(grid, c)
+        runs = self.slabbed_runs(monkeypatch, ms, mode)
+        slabs = [1, grid.shape[0] // 2 + 1, grid.shape[0]] if mode == "matrix" else [0] * 3
+        assert [len(dtypes) for *_, dtypes in runs] == slabs
+        self.assert_whole_grid_bits(ms, runs, mode)
 
-    def test_slabs_give_the_bits_of_one_slab_on_a_non_cubic_qtat_box(self, monkeypatch):
-        runs = self.slabbed_runs(monkeypatch, qtat_measurements())
-        assert [len(dtypes) for _, _, dtypes in runs] == [1, 7, 13]
-        assert runs[0][0].null_space[0].values.dtype == np.complex128
-        self.assert_same_bits(runs)
+    def test_slabs_give_the_whole_grid_bits_on_a_non_cubic_qtat_box(self, monkeypatch):
+        ms = qtat_measurements()
+        runs = self.slabbed_runs(monkeypatch, ms)
+        assert [len(dtypes) for *_, dtypes in runs] == [1, 7, 13]
+        assert runs[0][2].diffusion.values.dtype == np.complex128
+        self.assert_whole_grid_bits(ms, runs)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("dim, n", [(2, 17), (3, 9)])
-    def test_degenerate_and_indefinite_slabs_keep_the_bits_of_one_slab(
+    def test_degenerate_and_indefinite_slabs_keep_the_whole_grid_bits(
         self, monkeypatch, dim, n, sign
     ):
         """The generator of :func:`indefinite_sources` is positive
         definite on one side of x = 1/2, where a slab's direction is real,
         indefinite on the other, where the negative det makes it complex,
         and degenerate on the plane x = 1/2, which a one-plane slab holds
-        alone.  No division in the tail warns there.  With sign ``+`` the
-        first complex slab widens the real direction gathered before it;
-        with sign ``-`` real slabs are written into a complex one.  Each
-        slab runs once."""
+        alone.  No division in the pass warns there.  With sign ``+`` the
+        first complex slab widens the real direction gathered before it,
+        and the drift of the slabs before it is taken again in complex;
+        with sign ``-`` real slabs are written into a complex one.  The
+        null space of each slab runs once."""
         grid = unit_grid(n, dim)
         ms = hand_measurements(grid, indefinite_sources(dim, sign))
         runs = self.slabbed_runs(monkeypatch, ms)
-        direction, _, degenerate = runs[0][0].null_space
-        assert direction.values.dtype == np.complex128
+        nc = runs[0][2]
+        direction, degenerate = nc.diffusion, nc.degenerate
+        assert direction.values.dtype == nc.drift.values.dtype == np.complex128
         half = n // 2
         assert degenerate[half].all() and np.isnan(direction.values[half]).all()
         elsewhere = np.ones(grid.shape, dtype=bool)
@@ -695,8 +760,8 @@ class TestSlabs:
         assert not degenerate[elsewhere].any()
         # the degenerate plane's direction is real
         real, cplx = [np.dtype(np.float64)] * (half + 1), [np.dtype(np.complex128)] * half
-        assert runs[2][2] == (real + cplx if sign == "+" else cplx + real)
-        self.assert_same_bits(runs)
+        assert runs[2][3] == (real + cplx if sign == "+" else cplx + real)
+        self.assert_whole_grid_bits(ms, runs)
 
 
 EPS = np.finfo(float).eps
@@ -843,12 +908,12 @@ class TestClosedFormNullSpace:
             Modality.generic(materialize_scalar("1", grid)),
             default_traces(grid, functional_budget(dim)),
         )
-        rs = recon.analyze(ms)
-        mats = constraint_matrices(hessian_values(rs), rs.theta)
+        ref = whole_grid_analysis(ms)
+        mats = constraint_matrices(ref.hessians, ref.theta)
         direction, _, flags = diffusion_from_constraints(mats)
         with mock.patch.object(recon, "_CUT_BAND", -1.0):
             plain, _, plain_flags = diffusion_from_constraints(mats)
-        assert not flags[rs.inside].any()
+        assert not flags[ref.inside].any()
         assert np.array_equal(flags, plain_flags)
         assert np.array_equal(
             direction.view(np.float64), plain.view(np.float64), equal_nan=True
@@ -924,12 +989,13 @@ def elasto_3d_measurements(shape):
 def test_slabbed_analysis_peaks_below_40_mb_at_33_cubed(measurements):
     """The traced peak of the 3-D analysis at 33^3.  On the ``elasto-3d``
     phantom: 65.3 MB while the null-space tail ran on the whole grid at
-    once, 32.9 MB in slabs of at most ``_SLAB_BUDGET[3]`` = 2048
-    vertices.  On the indefinite :func:`indefinite_sources`, whose
-    direction is complex in some slabs only: 65.3 MB while such slabs
-    sent the tail back to one whole-grid slab, 35.3 MB now that a
-    complex slab widens the gathered direction.  The 40 MB bound lies
-    between the readings."""
+    once, 32.9 MB in slabs of at most 2048 vertices, 8.5 MB once the
+    derivatives too are taken slab by slab.
+    On the indefinite :func:`indefinite_sources`, whose direction is
+    complex in some slabs only: 65.3 MB while such slabs sent the tail
+    back to one whole-grid slab, 35.3 MB once a complex slab widened the
+    gathered direction, 11.9 MB in the one slab pass.  The 40 MB bound
+    lies between the first readings."""
     _, peak = traced_peak(recon.analyze, measurements())
     assert peak < 40e6
 
@@ -938,7 +1004,8 @@ def test_slabbed_analysis_of_qpat_2d_data_peaks_below_21_mb():
     """The traced peak of the 2-D analysis of the ``qpat-2d-data``
     workload's noisy 257^2 set: 28.9 MB with the null-space tail on the
     whole grid at once, 19.8 MB in slabs of at most 2048 vertices, 20.4 MB
-    in slabs of ``_SLAB_BUDGET[2]`` = 4096 and 21.5 MB in slabs of 8192.
+    in slabs of ``_SLAB_BUDGET[2]`` = 4096 and 21.5 MB in slabs of 8192,
+    all with whole-grid derivatives; 8.9 MB in the one slab pass.
     The bound keeps 2-D slabs below the size at which ``qtat-2d-aniso``'s
     analysis would pass its ``reconstruct`` as the operation's highest
     stage."""
@@ -952,7 +1019,27 @@ def test_analysis_frees_the_null_space_intermediates():
     """The null-space tail drops each per-vertex intermediate once the
     next one exists: the 3-D analysis peaked at 2057 bytes per vertex
     while the whole-grid tail held them all, and at 1865 once it
-    dropped them; run in slabs, it measures 1032."""
+    dropped them; run in slabs, it measured 1032, and 338 once the
+    derivatives too are taken slab by slab."""
     ms = elasto_3d_measurements((25, 25, 25))
     _, peak = traced_peak(recon.analyze, ms)
     assert peak <= 1950 * ms.grid.num_points
+
+
+def test_analysis_through_reconstruction_peaks_below_63_mb_at_49_cubed():
+    """The traced peak from the start of :func:`analyze` through the end
+    of :func:`reconstruct`, the audit between them, on the ``elasto-3d``
+    phantom at 49^3 after synthesis: 114.3 MB here and 126.2 MB in an
+    earlier reading while the analysis kept every ratio's whole-grid
+    gradient and Hessian, the Gram data and the null weights for the
+    checks to read again; 24.6 MB in the one slab pass, which keeps the
+    ratios, the direction, quality, degenerate mask, drift and ``|det|``
+    of the Gram matrix.  The bound is half the higher former reading."""
+
+    def audited(ms):
+        rs = recon.analyze(ms)
+        check_admissibility(ms, analysis=rs)
+        return reconstruct(ms, rs)
+
+    _, peak = traced_peak(audited, elasto_3d_measurements((49, 49, 49)))
+    assert peak < 63e6

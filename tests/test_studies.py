@@ -196,7 +196,7 @@ class TestOneAnalysis:
             monkeypatch.setattr(module, name, wrapper)
 
         for module in (admissibility, recon):
-            for name in ("gradient", "hessian"):
+            for name in ("gradient", "hessian", "window_derivatives"):
                 if hasattr(module, name):
                     count(module, name)
         count(recon, "diffusion_from_constraints")
@@ -212,9 +212,11 @@ class TestOneAnalysis:
         return calls
 
     def test_audit_and_reconstruct_share_one_ratio_analysis(self, monkeypatch):
-        """Four ratios in 2-D: one gradient and one Hessian each, and one
-        null-space extraction, however the audit and the reconstruction
-        split the work.  In 2-D that extraction, the basis margin and the
+        """Four ratios in 2-D, on a grid that is one slab: one window of
+        derivatives, which takes them as one stack and reuses the
+        gradients for the Hessians, and one null-space extraction; the
+        audit and the reconstruction read the analysis's readings and
+        differentiate nothing.  In 2-D that extraction, the basis margin and the
         positivity check of ``a`` are closed forms: no batched SVD,
         determinant or eigenvalue call.  Each Hessian, in the reconstruction,
         the gauge and the metrics, reuses its field's gradient; the gauge
@@ -222,10 +224,9 @@ class TestOneAnalysis:
         no symmetric matrix is expanded to full storage."""
         calls = self.count_calls(monkeypatch, parse_config(bump_doc()))
         assert calls == {
-            "gradient": 4,
-            "hessian": 4,
+            "window_derivatives": 1,
             "diffusion_from_constraints": 1,
-            "_first_diff": 76,
+            "_first_diff": 67,
             "np.gradient": 0,
             "sym_to_full": 0,
             "svd": 0,
@@ -249,7 +250,8 @@ class TestOneAnalysis:
         assert calls["svd"] == 0
         assert calls["eigvalsh"] == 1
         assert calls["det"] == 0
-        assert calls["_first_diff"] == 249
+        assert calls["window_derivatives"] == 1
+        assert calls["_first_diff"] == 207
         assert calls["np.gradient"] == 0
         assert calls["sym_to_full"] == 0
 
