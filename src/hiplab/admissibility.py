@@ -4,9 +4,11 @@ The reconstruction needs three quantitative conditions on the trusted
 interior: the reference functional stays away from zero, the first
 ``dim`` ratio gradients stay uniformly independent, and the Hessian
 constraint matrices stay uniformly independent.  This module turns each
-into a normalized margin in [0, 1] and compares against thresholds.  A
-failing condition is reported, never raised, so the checker can be run
-on deliberately bad data.
+into a normalized margin in [0, 1] and compares it against its floor in
+:data:`FLOORS`, a fixed constant like the floors of
+:func:`hiplab.recon.reconstruct`'s checks.  A failing condition is
+reported, never raised, so the checker can be run on deliberately bad
+data.
 
 Every margin is a reduction over the trusted interior of the ratio
 analysis of :func:`hiplab.recon.analyze`, the object the reconstruction
@@ -22,34 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .recon import RatioSet, analyze
 from .synthesis import MeasurementSet
 
-__all__ = ["Thresholds", "AdmissibilityReport", "check"]
+__all__ = ["FLOORS", "AdmissibilityReport", "check"]
 
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Acceptance floors for the three admissibility margins."""
-
-    reference: float = 1e-6
-    basis: float = 1e-6
-    independence: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("reference", "basis", "independence"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ConfigurationError(
-                    f"threshold {name!r} must be positive, got {getattr(self, name)}"
-                )
+# the acceptance floor of each margin, echoed in every report
+FLOORS = {"reference": 1e-6, "basis": 1e-6, "independence": 1e-6}
 
 
 @dataclass
 class AdmissibilityReport:
     """Worst-case margins over the trusted interior, with the verdict."""
 
-    thresholds: Thresholds
     pipeline: str
     functional_count: int
     point_count: int
@@ -61,9 +48,8 @@ class AdmissibilityReport:
         """Each margin below its floor, as ``"<name> margin <value> < <floor>"``;
         a margin reported as None is not audited."""
         out = []
-        for name in ("reference", "basis", "independence"):
+        for name, floor in FLOORS.items():
             value = getattr(self, f"{name}_margin")
-            floor = getattr(self.thresholds, name)
             if value is not None and not value >= floor:
                 out.append(f"{name} margin {value:.3e} < {floor:.1e}")
         return out
@@ -77,11 +63,7 @@ class AdmissibilityReport:
             "passed": self.passed,
             "pipeline": self.pipeline,
             "functional_count": self.functional_count,
-            "thresholds": {
-                "reference": self.thresholds.reference,
-                "basis": self.thresholds.basis,
-                "independence": self.thresholds.independence,
-            },
+            "thresholds": dict(FLOORS),
             # a list of one region, the layout of report schema version 1
             "regions": [
                 {
@@ -106,9 +88,8 @@ class AdmissibilityReport:
             [
                 f"admissibility: {'PASS' if self.passed else 'FAIL'} "
                 f"({self.pipeline} pipeline, {self.functional_count} functionals)",
-                f"  thresholds: reference {self.thresholds.reference:.1e}, "
-                f"basis {self.thresholds.basis:.1e}, "
-                f"independence {self.thresholds.independence:.1e}",
+                "  thresholds: "
+                + ", ".join(f"{name} {floor:.1e}" for name, floor in FLOORS.items()),
                 f"  full: {'pass' if self.passed else 'FAIL'}  "
                 f"reference {self.reference_margin:.3e}  "
                 f"basis {self.basis_margin:.3e}  independence {ind}  "
@@ -118,11 +99,10 @@ class AdmissibilityReport:
 
 
 def check(
-    ms: MeasurementSet,
-    thresholds: Thresholds | None = None,
-    analysis: RatioSet | None = None,
+    ms: MeasurementSet, analysis: RatioSet | None = None
 ) -> AdmissibilityReport:
-    """Evaluate the three admissibility margins on the trusted interior.
+    """Evaluate the three admissibility margins on the trusted interior
+    against :data:`FLOORS`.
 
     ``analysis`` is the ratio analysis of ``ms``
     (:func:`hiplab.recon.analyze`), which alone fixes the mode and the
@@ -131,12 +111,10 @@ def check(
     the analysis's mode; in scalar mode the independence margin is not
     audited and is reported as None.
     """
-    thresholds = thresholds or Thresholds()
     rs = analysis if analysis is not None else analyze(ms)
     h1_mag = np.abs(ms.functionals[0].values)[rs.inside]
     peak = max(float(np.max(h1_mag)), np.finfo(float).tiny)
     return AdmissibilityReport(
-        thresholds=thresholds,
         pipeline=rs.mode,
         functional_count=ms.count,
         point_count=int(np.count_nonzero(rs.inside)),

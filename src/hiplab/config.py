@@ -21,7 +21,6 @@ from importlib import resources
 
 import jsonschema
 
-from .admissibility import Thresholds
 from .errors import ConfigurationError
 from .forward import CoefficientSet, SolverSettings
 from .grids import Grid, ScalarField, SymTensorField, VectorField
@@ -262,11 +261,6 @@ class ExperimentConfig:
 
     def solver(self) -> SolverSettings:
         return SolverSettings(**self.doc.get("solver", {}))
-
-    def thresholds(self) -> Thresholds:
-        spec = self.doc.get("thresholds", {})
-        kwargs = {k: float(v) for k, v in spec.items()}
-        return Thresholds(**kwargs)
 
     @property
     def recon_mode(self) -> str:

@@ -15,7 +15,7 @@ Conventions used throughout the package:
       dim 3:  (00, 11, 22, 12, 02, 01)
 
   so a symmetric matrix costs ``dim*(dim+1)/2`` scalars per point.
-* First derivatives use the in-house stencil :func:`_first_diff`:
+* Derivatives use the in-house stencils of :func:`_diff`.  First ones are
   centered differences with second-order one-sided closures at the
   boundary, the stencils of ``numpy.gradient`` with ``edge_order=2`` and
   its bits on complex data.  Pure second derivatives use the 3-point
@@ -474,26 +474,18 @@ def second_closure(v0, v1, v2, v3, h: float):
     return (2.0 * v0 - 5.0 * v1 + 4.0 * v2 - v3) * (1.0 / h**2)
 
 
-def _first_diff(values: np.ndarray, axis: int, h: float, window=None) -> np.ndarray:
-    """First derivative along one axis, exact on quadratics.
+def _diff(values: np.ndarray, axis: int, h: float, second=False, window=None) -> np.ndarray:
+    """First derivative along one axis, or with ``second`` the pure second
+    one, exact on quadratics.
 
-    Interior uses the centered stencil; each face uses
-    :func:`first_closure`.  Every quotient is a product with a
-    reciprocal, so real input returns the real part of the complex
-    result bit for bit (see the module docstring).  A ``window``
-    ``(lo, hi, at, n)`` gives the points ``lo:hi`` of an axis of ``n``
-    only, from ``values`` holding those from ``at`` on that it reads.
+    Interior uses the centered stencil, or the 3-point one; each face
+    uses :func:`first_closure`, or :func:`second_closure`.  Every
+    quotient is a product with a reciprocal, so real input returns the
+    real part of the complex result bit for bit (see the module
+    docstring).  A ``window`` ``(lo, hi, at, n)`` gives the points
+    ``lo:hi`` of an axis of ``n`` only, from ``values`` holding those
+    from ``at`` on that it reads.
     """
-    return _diff(values, axis, h, False, window)
-
-
-def _second_diff(values: np.ndarray, axis: int, h: float, window=None) -> np.ndarray:
-    """Pure second derivative along one axis, exact on quadratics: the
-    3-point stencil inside, :func:`second_closure` at each face."""
-    return _diff(values, axis, h, True, window)
-
-
-def _diff(values: np.ndarray, axis: int, h: float, second: bool, window) -> np.ndarray:
     # swapping axes is its own inverse, and cheaper than moving one
     v = values.swapaxes(0, axis)
     lo, hi, at, n = window or (0, len(v), 0, len(v))
@@ -518,11 +510,11 @@ def first_derivatives(values: np.ndarray, spacing, window=None) -> list[np.ndarr
     with at least 3 points per axis, which matches the field's own
     derivatives a ring or more from the box's cut faces.  The grid axes
     are the last ones, after any stacking axes, and an axis-0 ``window``
-    (:func:`_first_diff`) applies to the axis-0 derivative.
+    (:func:`_diff`) applies to the axis-0 derivative.
     """
     dim = len(spacing)
     return [
-        _first_diff(values, ax - dim, h, None if ax else window) for ax, h in enumerate(spacing)
+        _diff(values, ax - dim, h, window=None if ax else window) for ax, h in enumerate(spacing)
     ]
 
 
@@ -540,8 +532,11 @@ def second_derivatives(values: np.ndarray, spacing, first, window=None):
     own = slice(window[0] - window[2], window[1] - window[2]) if window else slice(None)
     own = (..., own) + (slice(None),) * (dim - 1)
     for i, j in sym_pairs(dim):
-        x, diff = (values, _second_diff) if i == j else (first[j], _first_diff)
-        yield diff(x, -dim, spacing[0], window) if i == 0 else diff(x[own], i - dim, spacing[i])
+        x, second = (values, True) if i == j else (first[j], False)
+        if i == 0:
+            yield _diff(x, -dim, spacing[0], second, window)
+        else:
+            yield _diff(x[own], i - dim, spacing[i], second)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -605,7 +600,7 @@ def divergence(F: VectorField) -> ScalarField:
     grid = F.grid
     acc = np.zeros(grid.shape, dtype=F.values.dtype)
     for ax, h in enumerate(grid.spacing):
-        acc += _first_diff(F.values[..., ax], ax, h)
+        acc += _diff(F.values[..., ax], ax, h)
     return ScalarField(grid, acc)
 
 
@@ -616,13 +611,13 @@ def tensor_divergence(A: SymTensorField) -> VectorField:
     out = np.zeros(grid.shape + (grid.dim,), dtype=A.values.dtype)
     for i in range(grid.dim):
         for j, h in enumerate(grid.spacing):
-            out[..., i] += _first_diff(A.values[..., index[i][j]], j, h)
+            out[..., i] += _diff(A.values[..., index[i][j]], j, h)
     return VectorField(grid, out)
 
 
 def jacobian(F: VectorField) -> np.ndarray:
-    """Pointwise Jacobian ``J[..., i, j] = d_j F_i`` from one pass of
-    ``dim^2`` single-axis first derivatives.
+    """Pointwise Jacobian ``J[..., i, j] = d_j F_i`` from ``dim``
+    single-axis first derivatives, each of all components of ``F`` at once.
 
     Its trace, its antisymmetric part and its Frobenius norm are the
     divergence, the curl and the derivative scale of ``F``; each entry is
@@ -631,10 +626,8 @@ def jacobian(F: VectorField) -> np.ndarray:
     """
     grid = F.grid
     out = np.empty(grid.shape + (grid.dim, grid.dim), dtype=F.values.dtype)
-    for i in range(grid.dim):
-        component = F.values[..., i]
-        for j, h in enumerate(grid.spacing):
-            out[..., i, j] = _first_diff(component, j, h)
+    for j, h in enumerate(grid.spacing):
+        out[..., j] = _diff(F.values, j, h)
     return out
 
 

@@ -344,9 +344,12 @@ def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
         drift = noise_amp and 2.0 * noise_amp * (
             float(np.max(np.abs(ms.functionals[j].values))) + float(np.max(np.abs(v.values))) * top
         ) / float(mag.min())
-        if not err <= 1e-8 * scale + drift:
+        allowance = 1e-8 * scale + drift
+        if not err <= allowance:
+            finite = "" if np.isfinite(allowance) else ", which is not finite"
             raise InternalConsistencyError(
-                f"ratio {j} disagrees with its boundary quotient by {err:.3e}",
+                f"ratio {j} disagrees with its boundary quotient by {err:.3e} "
+                f"(allowance {allowance:.3e}{finite})",
                 stage="recon",
             )
 

@@ -260,9 +260,10 @@ def audit(
     cfg: ExperimentConfig, ms: MeasurementSet
 ) -> tuple[RatioSet, AdmissibilityReport]:
     """The ratio analysis of ``ms`` in the configured mode and margin,
-    the one read of them, and its audit under the configured thresholds."""
+    the one read of them, and its audit against the fixed floors of
+    :data:`hiplab.admissibility.FLOORS`."""
     rs = analyze(ms, mode=cfg.recon_mode, margin=cfg.margin)
-    return rs, check_admissibility(ms, thresholds=cfg.thresholds(), analysis=rs)
+    return rs, check_admissibility(ms, analysis=rs)
 
 
 def recover(

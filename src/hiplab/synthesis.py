@@ -137,11 +137,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails
-        if not self.amplitude >= 0:
-            raise ConfigurationError("noise amplitude must be >= 0")
-        if not self.correlation_length >= 0:
-            raise ConfigurationError("correlation length must be >= 0")
+        # written so that NaN and infinity fail
+        if not 0 <= self.amplitude < np.inf:
+            raise ConfigurationError("noise amplitude must be finite and >= 0")
+        if not 0 <= self.correlation_length < np.inf:
+            raise ConfigurationError("correlation length must be finite and >= 0")
 
 
 @dataclass
@@ -331,6 +331,18 @@ def _require_real_positive(fld: ScalarField, what: str) -> None:
         raise ConfigurationError(f"{what} must be positive everywhere")
 
 
+def _require_floor(mag: np.ndarray, what: str) -> None:
+    """Raise unless ``mag`` stays at or above ``H1_FLOOR`` of its peak, by
+    a comparison NaN fails, naming the first vertex of its minimum."""
+    top = float(mag.max()) or 1.0
+    if not float(mag.min()) >= H1_FLOOR * top:
+        point = tuple(int(k) for k in np.unravel_index(np.argmin(mag), mag.shape))
+        raise NonVanishingError(
+            f"{what} falls to {mag.min():.3e} (max {top:.3e}) at vertex {point}",
+            stage="synthesis",
+        )
+
+
 def synthesize(
     coeffs: CoefficientSet,
     modality: Modality,
@@ -376,23 +388,12 @@ def synthesize(
         )
     else:
         weight = modality.weight
-        top = float(np.max(np.abs(weight.values))) or 1.0
-        if float(np.min(np.abs(weight.values))) < H1_FLOOR * top:
-            raise NonVanishingError(
-                "generic weight comes too close to zero", stage="synthesis"
-            )
+        _require_floor(np.abs(weight.values), "generic weight")
 
     functionals = [
         ScalarField(grid, weight.values * u.values) for u in solutions
     ]
-    h1 = np.abs(functionals[0].values)
-    top = float(h1.max()) or 1.0
-    if float(h1.min()) < H1_FLOOR * top:
-        point = tuple(int(k) for k in np.argwhere(h1 == h1.min())[0])
-        raise NonVanishingError(
-            f"|H_1| falls to {h1.min():.3e} (max {top:.3e}) at vertex {point}",
-            stage="synthesis",
-        )
+    _require_floor(np.abs(functionals[0].values), "|H_1|")
     return MeasurementSet(
         grid=grid,
         modality=modality.name,

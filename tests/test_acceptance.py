@@ -371,7 +371,7 @@ def test_degenerate_trace_family_aborts_with_exit_code_4(tmp_path):
     the Gram determinant margin is zero; the checker must reject the
     set and the command line must exit with code 4.
     """
-    from hiplab.admissibility import check
+    from hiplab.admissibility import FLOORS, check
 
     grid = unit_grid(17)
     traces = [
@@ -381,7 +381,7 @@ def test_degenerate_trace_family_aborts_with_exit_code_4(tmp_path):
     ms = synthesize(laplace_coefficients(grid), unit_weight(grid), traces)
     report = check(ms)
     assert not report.passed
-    assert report.basis_margin < report.thresholds.basis
+    assert report.basis_margin < FLOORS["basis"]
 
     config = {
         "schema_version": 1,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import laplace_coefficients, scalar_tensor, unit_grid
-from hiplab.admissibility import AdmissibilityReport, Thresholds, check
-from hiplab.errors import ConfigurationError, MeasurementCountError
+from hiplab.admissibility import FLOORS, AdmissibilityReport, check
+from hiplab.errors import MeasurementCountError
 from hiplab.forward import CoefficientSet
 from hiplab.grids import ScalarField, VectorField
 from hiplab.recon import analyze, reconstruct
@@ -49,40 +49,18 @@ def steep_phantom(n=33, rate=17.0):
 
 
 def assert_verdicts_match_margins(report: AdmissibilityReport):
-    """pass  <=>  every available margin is at or above its threshold."""
-    thr = report.thresholds
+    """pass  <=>  every available margin is at or above its floor."""
     ind = report.independence_margin
     expected = (
-        report.reference_margin >= thr.reference
-        and report.basis_margin >= thr.basis
-        and (ind is None or ind >= thr.independence)
+        report.reference_margin >= FLOORS["reference"]
+        and report.basis_margin >= FLOORS["basis"]
+        and (ind is None or ind >= FLOORS["independence"])
     )
     assert report.passed == expected
     assert report.reference_margin >= 0.0
     assert report.basis_margin >= 0.0
     if ind is not None:
         assert ind >= 0.0
-
-
-class TestThresholds:
-    def test_defaults(self):
-        thr = Thresholds()
-        assert thr.reference == 1e-6
-        assert thr.basis == 1e-6
-        assert thr.independence == 1e-6
-
-    @pytest.mark.parametrize("name", ["reference", "basis", "independence"])
-    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan")])
-    def test_non_positive_rejected(self, name, value):
-        with pytest.raises(ConfigurationError, match=name):
-            Thresholds(**{name: value})
-
-    def test_echoed_in_report(self):
-        grid = unit_grid(17)
-        ms = measurements(grid, HARMONIC)
-        report = check(ms, thresholds=Thresholds(basis=1e-3))
-        assert report.thresholds.basis == 1e-3
-        assert report.to_dict()["thresholds"]["basis"] == 1e-3
 
 
 class TestHarmonicQuintet:
@@ -117,7 +95,7 @@ class TestDegenerateSets:
         grid = unit_grid(17)
         report = check(measurements(grid, ("1", "x", "2*x", "x*y", "x^2 - y^2")))
         assert not report.passed
-        assert report.basis_margin < report.thresholds.basis
+        assert report.basis_margin < FLOORS["basis"]
         assert report.basis_margin == 0.0
         assert report.reference_margin > 0.9  # only the basis condition fails
         assert "FAIL" in report.to_text()
@@ -131,7 +109,7 @@ class TestDegenerateSets:
         report = check(ms)
         assert report.basis_margin == pytest.approx(1.0, rel=1e-12)
         assert report.independence_margin == 0.0
-        assert not report.passed
+        assert report.failures() == ["independence margin 0.000e+00 < 1.0e-06"]
 
     def test_masked_points_sit_below_independence_threshold(self):
         # Every interior point the reconstruction masks as degenerate is
@@ -140,7 +118,7 @@ class TestDegenerateSets:
         ms = measurements(grid, ("1", "x", "y", "x*y", "2*x*y"))
         rec = reconstruct(ms)
         assert rec.degenerate[grid.interior(2)].all()
-        assert check(ms).independence_margin < Thresholds().independence
+        assert check(ms).independence_margin < FLOORS["independence"]
 
     def test_mode_and_trusted_interior_come_from_the_analysis(self):
         grid = unit_grid(17)
@@ -159,8 +137,8 @@ class TestSteepPhantom:
         report = check(steep_phantom())
         assert not report.passed
         assert 1e-8 < report.reference_margin < 1e-6
-        assert report.basis_margin > report.thresholds.basis
-        assert report.independence_margin > report.thresholds.independence
+        assert report.basis_margin > FLOORS["basis"]
+        assert report.independence_margin > FLOORS["independence"]
         (failure,) = report.failures()
         assert failure.startswith("reference margin ")
         assert failure.endswith(" < 1.0e-06")
@@ -208,27 +186,21 @@ class TestScalarPipeline:
         assert_verdicts_match_margins(report)
 
 
-class TestThresholdOverride:
-    def test_tighter_basis_threshold_flips_a_marginal_set(self):
+class TestFixedFloors:
+    def test_floors_are_one_e_minus_six_and_echoed_in_every_report(self):
+        assert FLOORS == {"reference": 1e-6, "basis": 1e-6, "independence": 1e-6}
+        report = check(measurements(unit_grid(17), HARMONIC))
+        assert report.to_dict()["thresholds"] == FLOORS
+        assert report.to_text().splitlines()[1] == (
+            "  thresholds: reference 1.0e-06, basis 1.0e-06, independence 1.0e-06"
+        )
+
+    def test_marginal_basis_passes_the_floor(self):
         # v_2 = x + 1e-4 y is barely independent of v_1 = x: the basis
-        # margin lands near 1e-4, inside the default floor but outside a
-        # 1e-3 override.
+        # margin lands near 1e-4, inside the 1e-6 floor.
         grid = unit_grid(17)
         ms = measurements(grid, ("1", "x", "x + 0.0001*y", "x*y", "x^2 - y^2"))
-        relaxed = check(ms)
-        assert relaxed.passed
-        assert relaxed.basis_margin == pytest.approx(1e-4, rel=1e-3)
-        strict = check(ms, thresholds=Thresholds(basis=1e-3))
-        assert not strict.passed
-        assert strict.failures()[0].startswith("basis margin ")
-        assert_verdicts_match_margins(strict)
-
-    def test_tighter_independence_threshold_fails_the_steep_phantom(self):
-        ms = steep_phantom()
-        relaxed = check(ms, thresholds=Thresholds(reference=1e-8))
-        assert relaxed.passed
-        strict = check(ms, thresholds=Thresholds(reference=1e-8, independence=1e-3))
-        assert not strict.passed
-        (failure,) = strict.failures()
-        assert failure.startswith("independence margin ")
-        assert_verdicts_match_margins(strict)
+        report = check(ms)
+        assert report.passed
+        assert report.basis_margin == pytest.approx(1e-4, rel=1e-3)
+        assert_verdicts_match_margins(report)

@@ -83,9 +83,9 @@ class TestExitCodes:
         assert f"expression {c!r} is not finite at" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "change, key",
+        "change, key, command",
         [
-            ({"noise": {"amplitude": 1e-4, "seed": 3}}, "'seed'"),
+            ({"noise": {"amplitude": 1e-4, "seed": 3}}, "'seed'", "run"),
             (
                 {
                     "noise": {"amplitude": 1e-4},
@@ -96,16 +96,26 @@ class TestExitCodes:
                     },
                 },
                 "'correlation_length'",
+                "run",
             ),
-            ({"traces": "default"}, "(at traces)"),
+            ({"traces": "default"}, "(at traces)", "run"),
+            ({"thresholds": {"basis": 1e-3}}, "'thresholds'", "run"),
+            ({"thresholds": {"basis": 1e-3}}, "'thresholds'", "check"),
         ],
-        ids=["noise-seed", "study-correlation-length", "traces-default"],
+        ids=[
+            "noise-seed",
+            "study-correlation-length",
+            "traces-default",
+            "thresholds-run",
+            "thresholds-check",
+        ],
     )
-    def test_removed_config_keys_are_two(self, tmp_path, capsys, change, key):
+    def test_removed_config_keys_are_two(self, tmp_path, capsys, change, key, command):
         # each setting has one spelling: the top-level seed, the noise
-        # section's correlation length, and an omitted traces section
+        # section's correlation length, and an omitted traces section;
+        # the audit's floors are constants, not settings
         cfg = write_config(tmp_path, harmonic_doc(**change))
-        assert main(["--config", cfg, "run"]) == 2
+        assert main(["--config", cfg, command]) == 2
         assert key in capsys.readouterr().err
 
     def test_missing_config_file_is_two(self, tmp_path, capsys):
@@ -125,7 +135,9 @@ class TestExitCodes:
             harmonic_doc(traces={"expressions": ["1", "x", "2*x", "x*y", "x^2 - y^2"]}),
         )
         assert main(["--config", cfg, "run"]) == 4
-        assert "admissibility" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "admissibility" in err
+        assert "basis margin 0.000e+00 < 1.0e-06" in err
 
     def test_synth_writes_data_the_pipeline_rejects(self, tmp_path, capsys):
         cfg = write_config(

@@ -339,14 +339,6 @@ class TestBuilders:
             parse_config(base_doc(solver=solver))
         assert exc.value.exit_code == 2
 
-    def test_thresholds_builder(self):
-        assert parse_config(base_doc()).thresholds().basis == 1e-6
-        cfg = parse_config(base_doc(thresholds={"basis": 1e-3}))
-        assert cfg.thresholds().basis == 1e-3
-        # the schema already rejects a zero threshold before any build
-        with pytest.raises(ConfigurationError, match="thresholds"):
-            parse_config(base_doc(thresholds={"basis": 0.0}))
-
     def test_reconstruction_section(self):
         cfg = parse_config(base_doc(reconstruction={"mode": "scalar", "margin": 3}))
         assert cfg.recon_mode == "scalar"

@@ -18,8 +18,7 @@ from hiplab.grids import (
     ScalarField,
     SymTensorField,
     VectorField,
-    _first_diff,
-    _second_diff,
+    _diff,
     component_sum,
     consistent_rings,
     divergence,
@@ -233,8 +232,8 @@ class TestRealArithmetic:
         grid, values = sample
         for ax, h in enumerate(grid.spacing):
             ref = np.gradient(values, h, axis=ax, edge_order=2)
-            assert same_bits(_first_diff(values, ax, h), ref)
-            assert same_bits(_second_diff(values, ax, h), divided_second_diff(values, ax, h))
+            assert same_bits(_diff(values, ax, h), ref)
+            assert same_bits(_diff(values, ax, h, second=True), divided_second_diff(values, ax, h))
 
     @given(sample=grid_samples(imaginary=False))
     @settings(max_examples=60, deadline=None)
@@ -244,12 +243,12 @@ class TestRealArithmetic:
         grad = gradient(ScalarField(grid, values)).values
         assert not grad.imag.any()
         for ax, h in enumerate(grid.spacing):
-            first = _first_diff(real, ax, h)
-            assert same_bits(first, _first_diff(values, ax, h).real)
+            first = _diff(real, ax, h)
+            assert same_bits(first, _diff(values, ax, h).real)
             assert same_bits(first, np.gradient(values, h, axis=ax, edge_order=2).real)
             assert same_bits(first, grad[..., ax].real)
-            second = _second_diff(real, ax, h)
-            assert same_bits(second, _second_diff(values, ax, h).real)
+            second = _diff(real, ax, h, second=True)
+            assert same_bits(second, _diff(values, ax, h, second=True).real)
             assert same_bits(second, divided_second_diff(values, ax, h).real)
 
 

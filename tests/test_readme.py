@@ -10,7 +10,7 @@ from importlib import resources
 
 import pytest
 
-from hiplab import cli, forward, studies
+from hiplab import admissibility, cli, forward, studies
 from hiplab.config import parse_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -59,6 +59,16 @@ def test_solver_bullet_names_the_schema_methods_and_constants():
         forward._RESIDUAL_CAP,
     ):
         assert f"`{value:g}`" in text
+
+
+def test_admissibility_bullet_states_the_fixed_floors():
+    bullet = re.search(
+        r"^\* \*\*Admissibility\.\*\* (.*?)(?=^\* )", README.read_text(), re.S | re.M
+    )
+    text = " ".join(bullet.group(1).split())
+    (stated,) = re.findall(r"Each margin's floor is `([^`]*)`", text)
+    assert set(admissibility.FLOORS.values()) == {float(stated)}
+    assert "fixed constants of `hiplab.admissibility` (`FLOORS`)" in text
 
 
 def hiplab_lines() -> list[str]:

@@ -53,6 +53,7 @@ from hiplab.recon import (
 from hiplab.synthesis import (
     MeasurementSet,
     Modality,
+    NoiseSpec,
     add_noise,
     default_traces,
     synthesize,
@@ -471,18 +472,28 @@ class TestReconstruct:
             reconstruct(ms, rs)
 
     @pytest.mark.parametrize(
-        "functional, error, text",
+        "functional, noise, error, text",
         [
-            (0, NonVanishingError, r"reaches nan .* at vertex \(7, 9\)"),
-            (4, InternalConsistencyError, r"gradient cancellation failed: residual nan"),
+            (0, None, NonVanishingError, r"reaches nan .* at vertex \(7, 9\)"),
+            (4, None, InternalConsistencyError, r"gradient cancellation failed: residual nan"),
+            (
+                4,
+                NoiseSpec(1e-4),
+                InternalConsistencyError,
+                r"ratio 4 disagrees with its boundary quotient by 0\.000e\+00 "
+                r"\(allowance nan, which is not finite\)$",
+            ),
         ],
-        ids=["H_1", "extra"],
+        ids=["H_1", "extra", "extra-noise"],
     )
-    def test_nan_at_one_vertex_fails_its_check(self, functional, error, text):
+    def test_nan_at_one_vertex_fails_its_check(self, functional, noise, error, text):
         """A NaN at one interior vertex of ``H_1``, or of an extra
         functional, fails the first check that reads it: every reading
-        passes only by a comparison that NaN fails."""
+        passes only by a comparison that NaN fails.  Under declared noise
+        the NaN reaches the boundary-quotient allowance, and the refusal
+        names the allowance, not only the reading, which did not fail."""
         grid, ms = self.harmonic_set()
+        ms.noise = noise
         ms.functionals[functional].values[7, 9] = np.nan
         with pytest.raises(error, match=text):
             reconstruct(ms, analyze(ms))
@@ -524,7 +535,10 @@ class TestReconstruct:
             scale = float(np.max(np.abs(expected))) + 1.0
             err = float(np.max(np.abs(got - expected)))
             if err > 1e-8 * scale:
-                failures.append(f"ratio {j} disagrees with its boundary quotient by {err:.3e}")
+                failures.append(
+                    f"ratio {j} disagrees with its boundary quotient by {err:.3e} "
+                    f"(allowance {1e-8 * scale:.3e})"
+                )
         if corrupt == "safe":
             assert failures and failures[0].startswith("ratio 3 ")
             with pytest.raises(InternalConsistencyError) as info:

@@ -201,8 +201,8 @@ class TestOneAnalysis:
                     count(module, name)
         count(recon, "diffusion_from_constraints")
         # every caller, the pipeline's and metrics' included; the package
-        # takes first differences only through its own stencil
-        count(grids, "_first_diff")
+        # differentiates only through its own stencils
+        count(grids, "_diff")
         count(np, "gradient", "np.gradient")
         count(grids, "sym_to_full")
         for name in ("svd", "det", "eigvalsh"):
@@ -226,7 +226,7 @@ class TestOneAnalysis:
         assert calls == {
             "window_derivatives": 1,
             "diffusion_from_constraints": 1,
-            "_first_diff": 67,
+            "_diff": 103,
             "np.gradient": 0,
             "sym_to_full": 0,
             "svd": 0,
@@ -251,7 +251,7 @@ class TestOneAnalysis:
         assert calls["eigvalsh"] == 1
         assert calls["det"] == 0
         assert calls["window_derivatives"] == 1
-        assert calls["_first_diff"] == 207
+        assert calls["_diff"] == 294
         assert calls["np.gradient"] == 0
         assert calls["sym_to_full"] == 0
 

@@ -161,6 +161,29 @@ class TestSynthesize:
             synthesize(laplace_coefficients(grid), Modality.elastography(), traces)
         assert "vertex" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "modality, what",
+        [
+            (Modality.generic, "generic weight"),
+            (Modality.qpat, r"\|H_1\|"),
+        ],
+        ids=["generic-weight", "H_1"],
+    )
+    def test_nan_fails_the_floor_with_its_vertex(self, modality, what):
+        # a NaN in the generic weight, or in the qpat Gruneisen field and
+        # so in H_1, fails its floor by a comparison NaN fails
+        grid = unit_grid(17)
+        field = materialize_scalar("1", grid)
+        field.values[7, 9] = np.nan
+        coeffs = CoefficientSet(
+            a=laplace_coefficients(grid).a,
+            b=VectorField.zero(grid),
+            c=ScalarField.constant(grid, 1.0),
+        )
+        text = rf"^\[synthesis\] {what} falls to nan .* at vertex \(7, 9\)$"
+        with pytest.raises(NonVanishingError, match=text):
+            synthesize(coeffs, modality(field), default_traces(grid, 3))
+
     def test_d_cancellation_in_ratios(self):
         grid = unit_grid(17)
         coeffs = laplace_coefficients(grid)
@@ -197,10 +220,12 @@ class TestNoise:
         [
             {"amplitude": float("nan")},
             {"amplitude": 0.0, "correlation_length": float("nan")},
+            {"amplitude": float("inf")},
+            {"amplitude": 0.0, "correlation_length": float("inf")},
         ],
     )
-    def test_nan_parameters_rejected(self, spec):
-        with pytest.raises(ConfigurationError, match=">= 0"):
+    def test_non_finite_parameters_rejected(self, spec):
+        with pytest.raises(ConfigurationError, match="must be finite and >= 0"):
             NoiseSpec(**spec)
 
     def test_zero_amplitude_is_bit_exact_identity(self):
@@ -459,7 +484,7 @@ class TestCompatibleTracesAtTheCorners:
         coeffs, traces = oracle_case("3d")
         calls = {}
         # every full-grid derivative the package takes passes through these
-        for name in ("gradient", "hessian", "_first_diff", "_second_diff"):
+        for name in ("gradient", "hessian", "_diff"):
             fn = getattr(grids, name)
             calls[name] = 0
 
