@@ -204,3 +204,20 @@ class TestFixedFloors:
         assert report.passed
         assert report.basis_margin == pytest.approx(1e-4, rel=1e-3)
         assert_verdicts_match_margins(report)
+
+    @pytest.mark.parametrize("name", list(FLOORS))
+    def test_a_margin_at_its_floor_passes_and_below_or_nan_fails(self, name):
+        # each verdict is ``margin >= floor``: the floor itself passes, the
+        # next float below it fails, and so does a NaN margin
+        floor = FLOORS[name]
+
+        def report(value):
+            margins = {f"{key}_margin": 0.5 for key in FLOORS}
+            margins[f"{name}_margin"] = value
+            return AdmissibilityReport("matrix", 5, 100, **margins)
+
+        assert report(floor).passed
+        below = np.nextafter(floor, 0.0)
+        assert report(below).failures() == [f"{name} margin {below:.3e} < 1.0e-06"]
+        assert report(float("nan")).failures() == [f"{name} margin nan < 1.0e-06"]
+        assert report(float("nan")).to_dict()["passed"] is False

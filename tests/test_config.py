@@ -339,6 +339,15 @@ class TestBuilders:
             parse_config(base_doc(solver=solver))
         assert exc.value.exit_code == 2
 
+    def test_thresholds_section_is_refused(self):
+        # the audit's floors are constants of hiplab.admissibility
+        assert "thresholds" not in json.loads(
+            resources.files("hiplab").joinpath("config_schema.json").read_text()
+        )["properties"]
+        with pytest.raises(ConfigurationError, match="'thresholds'") as exc:
+            parse_config(base_doc(thresholds={"basis": 1e-3}))
+        assert exc.value.exit_code == 2
+
     def test_reconstruction_section(self):
         cfg = parse_config(base_doc(reconstruction={"mode": "scalar", "margin": 3}))
         assert cfg.recon_mode == "scalar"

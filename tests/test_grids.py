@@ -187,6 +187,40 @@ class TestDerivatives:
             trace += jac[..., ax, ax]
         assert np.array_equal(trace, divergence(F).values)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_jacobian_entries_are_single_component_derivatives_bit_for_bit(self, dim, dtype):
+        # the stacked pass over all components gives each entry the bits of
+        # its own single-component stencil, and numpy's on complex data
+        bounds = ((0.0, 1.0), (-0.5, 1.5), (0.2, 0.9))[:dim]
+        grid = Grid(bounds=bounds, shape=(9, 11, 7)[:dim])
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=grid.shape + (dim, 2)).view(np.complex128)[..., 0]
+        if dtype is np.float64:
+            vals = vals.real.copy()
+        jac = jacobian(VectorField(grid, vals))
+        for i in range(dim):
+            for j, h in enumerate(grid.spacing):
+                assert same_bits(jac[..., i, j], _diff(vals[..., i], j, h))
+                if dtype is np.complex128:
+                    ref = np.gradient(vals[..., i], h, axis=j, edge_order=2)
+                    assert same_bits(jac[..., i, j], ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_jacobian_takes_one_stencil_call_per_axis(self, dim, monkeypatch):
+        from hiplab import grids
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return _diff(*args, **kwargs)
+
+        monkeypatch.setattr(grids, "_diff", counted)
+        grid = unit_grid(9, dim=dim)
+        jacobian(VectorField.zero(grid))
+        assert calls == list(range(dim))
+
     def test_three_dimensional_stencils(self):
         grid = unit_grid(7, dim=3)
         x, y, z = grid.meshgrid()
