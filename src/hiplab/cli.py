@@ -22,7 +22,7 @@ from . import studies
 from .config import ExperimentConfig, load_config, parse_config
 from .errors import ConfigurationError, HiplabError
 from .forward import solve_traces
-from .grids import write_field
+from .grids import dump_json, write_field, write_json
 from .synthesis import load_measurements, save_measurements
 
 __all__ = ["main", "build_parser", "COMMANDS"]
@@ -118,7 +118,7 @@ def _cmd_check(args, cfg: ExperimentConfig) -> int:
             "schema_version": studies.SCHEMA_VERSION,
             "admissibility": audit.to_dict(),
         }
-        studies.write_json(os.path.join(out, "admissibility.json"), report)
+        write_json(os.path.join(out, "admissibility.json"), report)
     return 0 if audit.passed else 4
 
 
@@ -136,9 +136,9 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
             stage="cli",
         )
     out = _out_dir(args, cfg, required=False)
-    report = studies.STUDIES[kind](cfg, out_dir=out, **options)
+    report = studies.STUDIES[kind].driver(cfg, out_dir=out, **options)
     if out is None:
-        studies.dump_json(report, sys.stdout)
+        dump_json(report, sys.stdout)
     return 0
 
 

@@ -23,7 +23,7 @@ import jsonschema
 
 from .errors import ConfigurationError
 from .forward import CoefficientSet, SolverSettings
-from .grids import Grid, ScalarField, SymTensorField, VectorField
+from .grids import Grid, ScalarField, SymTensorField, VectorField, read_json
 from .phantoms import (
     check_component_count,
     materialize_scalar,
@@ -278,11 +278,4 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read, validate, and wrap a configuration file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}", stage="config")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}", stage="config")
-    return parse_config(doc)
+    return parse_config(read_json(path, "config", stage="config"))

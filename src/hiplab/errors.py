@@ -27,6 +27,11 @@ class ConfigurationError(HiplabError):
     exit_code = 2
 
 
+class InputFileError(ConfigurationError):
+    """An input file that cannot be read, is not valid JSON, or lacks what
+    it must hold; the message names the file."""
+
+
 class GridError(ConfigurationError):
     """Inconsistent grid, field shape, or storage layout."""
 

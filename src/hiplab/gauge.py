@@ -42,7 +42,7 @@ the substitutions.  Metrics should exclude flagged vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -165,19 +165,12 @@ class GaugeReport:
     dimension_audit: dict
     masked_fraction: float
     curl_residual: float | None = None
+    # the resolver's own float readings, reported beside the fields above
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "modality": self.modality,
-            "residual_gauge": self.residual_gauge,
-            "dimension_audit": dict(self.dimension_audit),
-            "masked_fraction": self.masked_fraction,
-            "curl_residual": self.curl_residual,
-        }
-        out.update(
-            {k: v for k, v in self.extras.items() if isinstance(v, (int, float, str))}
-        )
+        out = asdict(self)
+        out.update(out.pop("extras"))
         return out
 
 

@@ -43,12 +43,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, InputFileError
 
 __all__ = [
     "Grid",
@@ -82,6 +82,9 @@ __all__ = [
     "tensor_divergence",
     "jacobian",
     "consistent_rings",
+    "dump_json",
+    "write_json",
+    "read_json",
     "write_field",
     "read_field",
 ]
@@ -669,6 +672,50 @@ def consistent_rings(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# JSON files: every JSON document hiplab writes (field sidecars, the
+# measurement manifest, reports) goes through dump_json, and every input
+# file it reads (configs, manifests, sidecars) through read_json
+
+
+def _finite_or_null(node):
+    """``node`` with every non-finite float replaced by None."""
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(value) for value in node]
+    return None if isinstance(node, float) and not math.isfinite(node) else node
+
+
+def dump_json(doc: dict, fh) -> None:
+    """Strict JSON of ``doc`` to ``fh``: sorted keys, 2-space indent, ``null``
+    for a non-finite float, and a final newline."""
+    json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to the file ``path`` as :func:`dump_json` does."""
+    with open(path, "w") as fh:
+        dump_json(doc, fh)
+
+
+def read_json(path: str, what: str, stage: str) -> dict:
+    """The JSON object in the file ``path``; a file that cannot be read,
+    is not valid JSON or holds no object raises :class:`InputFileError`
+    naming it as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputFileError(f"cannot read {what} {path}: {exc}", stage=stage)
+    except ValueError as exc:
+        raise InputFileError(f"{what} {path} is not valid JSON: {exc}", stage=stage)
+    if not isinstance(doc, dict):
+        raise InputFileError(f"{what} {path} is not a JSON object", stage=stage)
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # field files: raw little-endian complex128 payload plus a JSON sidecar,
 # whatever the storage dtype
 
@@ -705,9 +752,7 @@ def write_field(fld, path: str) -> None:
         "bounds": [list(b) for b in grid.bounds],
         "shape": list(grid.shape),
     }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path + ".json", sidecar)
 
 
 def read_field(path: str):
@@ -718,10 +763,7 @@ def read_field(path: str):
     ``complex128`` otherwise, so writing it again gives the same bytes.
     """
     sidecar_path = path + ".json"
-    if not os.path.exists(sidecar_path):
-        raise GridError(f"missing sidecar {sidecar_path}")
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
+    meta = read_json(sidecar_path, "sidecar", stage="data")
     for key in ("kind", "dim", "bounds", "shape"):
         if key not in meta:
             raise GridError(f"sidecar {sidecar_path} lacks '{key}'")
@@ -733,7 +775,10 @@ def read_field(path: str):
         shape=tuple(meta["shape"]),
     )
     comps = {"scalar": 1, "vector": grid.dim, "symtensor": sym_size(grid.dim)}[kind]
-    raw = np.fromfile(path, dtype="<c16")
+    try:
+        raw = np.fromfile(path, dtype="<c16")
+    except OSError as exc:
+        raise InputFileError(f"cannot read field {path}: {exc}", stage="data")
     if raw.size != grid.num_points * comps:
         raise GridError(
             f"{path}: expected {grid.num_points * comps} values, got {raw.size}"

@@ -20,7 +20,7 @@ without gathering its vertices, so the norms keep the whole grid's bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,15 +51,7 @@ class ErrorMetrics:
     region_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c0_rel": self.c0_rel,
-            "c1_rel": self.c1_rel,
-            "c2_rel": self.c2_rel,
-            "region_fraction": self.region_fraction,
-        }
+        return asdict(self)
 
 
 def _components(fld) -> tuple[list[np.ndarray], np.ndarray]:

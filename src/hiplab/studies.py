@@ -10,22 +10,22 @@ resolve, compare):
   against the noiseless reconstruction and the empirical
   error-to-data-perturbation ratios.
 
-``STUDIES`` maps each study type of the config schema to its driver;
-``hiplab run`` dispatches through it, so a new study type is one entry
-there.  Every driver returns a JSON-ready report dict and, given an
-output directory, writes ``report.json`` plus a CSV table with frozen
-columns (:func:`_write_outputs`).  Reports never contain timestamps or
-absolute paths: identical config and seeds produce byte-identical
-output files.
+``STUDIES`` names each study type of the config schema with its driver,
+its CSV table and that table's frozen columns; ``hiplab run`` dispatches
+through it, so a new study type is one entry there.  Every driver hands
+its own report body and CSV rows to one skeleton (:func:`_report`),
+which adds the ``schema_version``/``study``/``config`` header and each
+row's ``study`` cell, and, given an output directory, writes the CSV
+table and ``report.json``.  Reports never contain timestamps or absolute
+paths: identical config and seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .grids import (
     sym_inv,
     sym_matvec,
     write_field,
+    write_json,
 )
 from .metrics import error_norms
 from .recon import NormalizedCoefficients, RatioSet, analyze, reconstruct
@@ -58,10 +59,9 @@ __all__ = [
     "run_single",
     "run_convergence",
     "run_noise_sweep",
+    "Study",
     "STUDIES",
     "SCHEMA_VERSION",
-    "dump_json",
-    "write_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -100,50 +100,30 @@ NOISE_COLUMNS = [
 ]
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip text for a cell; deterministic across runs."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def _finite_or_null(node):
-    """``node`` with every non-finite float replaced by None."""
-    if isinstance(node, dict):
-        return {key: _finite_or_null(value) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_finite_or_null(value) for value in node]
-    return None if isinstance(node, float) and not math.isfinite(node) else node
-
-
-def dump_json(doc: dict, fh) -> None:
-    """Strict JSON of ``doc`` to ``fh``: sorted keys, 2-space indent, ``null``
-    for a non-finite float, and a final newline."""
-    json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
-
-
-def write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` to the file ``path`` as :func:`dump_json` does."""
-    with open(path, "w") as fh:
-        dump_json(doc, fh)
-
-
-def _write_outputs(
-    out_dir: str, csv_name: str, columns: list[str], rows: list[dict], report: dict
-) -> None:
-    """A study's CSV table and ``report.json``, written into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, csv_name), columns, rows)
-    write_json(os.path.join(out_dir, "report.json"), report)
+def _report(
+    kind: str, cfg: ExperimentConfig, body: dict, rows: list[dict], out_dir: str | None
+) -> dict:
+    """The report of a ``kind`` study: the header, then ``body``.  Given
+    ``out_dir``, it is written there as ``report.json``, beside the study's
+    CSV table of ``rows``, each with its ``study`` cell."""
+    report = {
+        "schema_version": SCHEMA_VERSION, "study": kind, "config": cfg.doc, **body
+    }
+    if out_dir is not None:
+        _, csv_name, columns = STUDIES[kind]
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, csv_name), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                row = {"study": kind, **row}
+                # a float's shortest round-trip text: deterministic across runs
+                writer.writerow(
+                    repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                    for c in columns
+                )
+        write_json(os.path.join(out_dir, "report.json"), report)
+    return report
 
 
 def _inv_drift(coeffs: CoefficientSet) -> VectorField:
@@ -387,26 +367,20 @@ def run_single(
 ) -> dict:
     """One experiment on the configured grid, measured against truth."""
     result = run_pipeline(cfg, ms=ms)
-    points = int(result.grid.shape[0])
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "study": "single",
-        "config": cfg.doc,
+    body = {
         "admissibility": result.admissibility,
         "gauge": result.resolved.report.to_dict(),
         "flagged_fraction": float(np.count_nonzero(result.flags))
         / float(np.prod(result.grid.shape)),
         "metrics": result.metrics,
     }
-    if out_dir is not None:
-        rows = [
-            {"study": "single", "quantity": name, "points": points, **m}
-            for name, m in result.metrics.items()
-        ]
-        if dump_intermediates:
-            report["fields"] = _dump_fields(result, os.path.join(out_dir, "fields"))
-        _write_outputs(out_dir, "metrics.csv", SINGLE_COLUMNS, rows, report)
-    return report
+    if out_dir is not None and dump_intermediates:
+        body["fields"] = _dump_fields(result, os.path.join(out_dir, "fields"))
+    points = int(result.grid.shape[0])
+    rows = [
+        {"quantity": name, "points": points, **m} for name, m in result.metrics.items()
+    ]
+    return _report("single", cfg, body, rows, out_dir)
 
 
 def fitted_order(spacings, errors) -> float:
@@ -464,7 +438,6 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         for points, h, m in zip(levels, spacings, per_level):
             rows.append(
                 {
-                    "study": "convergence",
                     "quantity": name,
                     "points": points,
                     "spacing": h,
@@ -475,10 +448,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 }
             )
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "study": "convergence",
-        "config": cfg.doc,
+    body = {
         "levels": list(levels),
         "spacings": spacings,
         "errors": {
@@ -487,9 +457,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "orders": orders,
         "warnings": warnings,
     }
-    if out_dir is not None:
-        _write_outputs(out_dir, "convergence.csv", CONVERGENCE_COLUMNS, rows, report)
-    return report
+    return _report("convergence", cfg, body, rows, out_dir)
 
 
 def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
@@ -532,22 +500,14 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             em = error_norms(
                 quantities[name], baseline[name], mask & ~(flags | baseline_flags)
             )
-            ratio = em.c0 / delta if delta > 0 else 0.0
-            entry["quantities"][name] = {
+            errors = {
                 "err_c0": em.c0,
                 "err_c1": em.c1,
-                "ratio": ratio,
+                "ratio": em.c0 / delta if delta > 0 else 0.0,
             }
+            entry["quantities"][name] = errors
             rows.append(
-                {
-                    "study": "noise-sweep",
-                    "quantity": name,
-                    "amplitude": eps,
-                    "delta_h_c2": delta,
-                    "err_c0": em.c0,
-                    "err_c1": em.c1,
-                    "ratio": ratio,
-                }
+                {"quantity": name, "amplitude": eps, "delta_h_c2": delta, **errors}
             )
         table.append(entry)
 
@@ -561,23 +521,26 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             max(positive) / min(positive) if positive else float("nan")
         )
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "study": "noise-sweep",
-        "config": cfg.doc,
+    body = {
         "correlation_length": base.correlation_length,
         "seed": base.seed,
         "table": table,
         "ratio_spread": spreads,
     }
-    if out_dir is not None:
-        _write_outputs(out_dir, "noise_sweep.csv", NOISE_COLUMNS, rows, report)
-    return report
+    return _report("noise-sweep", cfg, body, rows, out_dir)
 
 
-# the driver of each study type the config schema allows
+class Study(NamedTuple):
+    """A study type: its driver, its CSV table and the table's columns."""
+
+    driver: Callable[..., dict]
+    csv_name: str
+    columns: list[str]
+
+
+# every study type the config schema allows
 STUDIES = {
-    "single": run_single,
-    "convergence": run_convergence,
-    "noise-sweep": run_noise_sweep,
+    "single": Study(run_single, "metrics.csv", SINGLE_COLUMNS),
+    "convergence": Study(run_convergence, "convergence.csv", CONVERGENCE_COLUMNS),
+    "noise-sweep": Study(run_noise_sweep, "noise_sweep.csv", NOISE_COLUMNS),
 }

@@ -22,13 +22,12 @@ boundary values give the gauge resolvers their anchor ``B/d``.
 from __future__ import annotations
 
 import itertools
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridError, NonVanishingError
+from .errors import ConfigurationError, GridError, InputFileError, NonVanishingError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_traces
 from .grids import (
     Grid,
@@ -36,8 +35,10 @@ from .grids import (
     divide,
     first_closure,
     read_field,
+    read_json,
     second_closure,
     write_field,
+    write_json,
 )
 
 __all__ = [
@@ -323,11 +324,17 @@ def _require_zero_drift(coeffs: CoefficientSet, modality: str) -> None:
 
 
 def _require_real_positive(fld: ScalarField, what: str) -> None:
+    """Raise unless ``fld`` is finite, real and positive, naming the first
+    non-finite vertex; the tests are comparisons NaN fails."""
     vals = fld.values
+    finite = np.isfinite(vals)
+    if not finite.all():
+        point = tuple(int(k) for k in np.unravel_index(np.argmin(finite), vals.shape))
+        raise ConfigurationError(f"{what} is not finite at vertex {point}")
     scale = float(np.max(np.abs(vals))) or 1.0
-    if float(np.max(np.abs(vals.imag))) > _ZERO_TOL * scale:
+    if not float(np.max(np.abs(vals.imag))) <= _ZERO_TOL * scale:
         raise ConfigurationError(f"{what} must be real")
-    if float(np.min(vals.real)) <= 0:
+    if not float(np.min(vals.real)) > 0:
         raise ConfigurationError(f"{what} must be positive everywhere")
 
 
@@ -465,43 +472,44 @@ def save_measurements(ms: MeasurementSet, directory: str) -> None:
         "schema_version": 1,
         "modality": ms.modality,
         "trace_expressions": [t.expression for t in ms.traces],
-        "noise": None
-        if ms.noise is None
-        else {
-            "amplitude": ms.noise.amplitude,
-            "correlation_length": ms.noise.correlation_length,
-            "seed": ms.noise.seed,
-        },
+        "noise": None if ms.noise is None else asdict(ms.noise),
         "weight_is_solution_dependent": ms.modality == "qtat",
         "files": files,
     }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
+
+
+def _require_keys(node, keys: tuple[str, ...], where: str, path: str) -> None:
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            raise InputFileError(f"manifest {path} lacks '{where}{key}'", stage="data")
 
 
 def load_measurements(directory: str) -> MeasurementSet:
+    """Read a measurement set :func:`save_measurements` wrote; a missing or
+    malformed file raises :class:`InputFileError` naming it."""
     path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(path):
-        raise ConfigurationError(f"no manifest.json under {directory}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path, "manifest", stage="data")
+    _require_keys(manifest, ("modality", "trace_expressions", "files"), "", path)
     files = manifest["files"]
+    _require_keys(files, ("functionals", "traces", "weight"), "files/", path)
+    weight = read_field(os.path.join(directory, files["weight"]))
+    grid = weight.grid
     functionals = [
         read_field(os.path.join(directory, name)) for name in files["functionals"]
     ]
-    grid = functionals[0].grid
     traces = []
     for name, expr in zip(files["traces"], manifest["trace_expressions"]):
         fld = read_field(os.path.join(directory, name))
         traces.append(BoundaryTrace(grid, fld.values, expr))
-    weight = read_field(os.path.join(directory, files["weight"]))
     gamma = None
     if "gamma" in files:
         gamma = read_field(os.path.join(directory, files["gamma"]))
     noise = manifest.get("noise")
     spec = None
     if noise is not None:
+        keys = ("amplitude", "correlation_length", "seed")
+        _require_keys(noise, keys, "noise/", path)
         spec = NoiseSpec(
             amplitude=noise["amplitude"],
             correlation_length=noise["correlation_length"],

@@ -18,6 +18,10 @@ def write_config(tmp_path, doc, name="config.json") -> str:
     return str(path)
 
 
+def refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def harmonic_doc(**overrides) -> dict:
     doc = {
         "schema_version": 1,
@@ -199,6 +203,60 @@ class TestSynthReconstructRoundTrip:
         assert (out / "fields" / "resolved_a.field").exists()
 
     @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            (
+                "manifest.json",
+                lambda m: m.pop("trace_expressions"),
+                "{path} lacks 'trace_expressions'",
+            ),
+            (
+                "manifest.json",
+                lambda m: m["files"].pop("weight"),
+                "{path} lacks 'files/weight'",
+            ),
+            (
+                "manifest.json",
+                lambda m: m["files"].update(functionals=[]),
+                "5 traces vs 0 functionals",
+            ),
+            ("manifest.json", "{", "{path} is not valid JSON"),
+            ("functional_00.field.json", "{", "{path} is not valid JSON"),
+            ("functional_00.field", None, "cannot read field {path}"),
+        ],
+        ids=[
+            "manifest-key",
+            "manifest-file-key",
+            "no-functionals",
+            "manifest-json",
+            "sidecar-json",
+            "payload-missing",
+        ],
+    )
+    def test_malformed_data_directory_is_two(
+        self, tmp_path, capsys, name, damage, message
+    ):
+        cfg = write_config(tmp_path, harmonic_doc())
+        data = tmp_path / "data"
+        assert main(["--config", cfg, "--out", str(data), "synth"]) == 0
+        path = data / name
+        if damage is None:
+            path.unlink()
+        elif isinstance(damage, str):
+            path.write_text(damage)
+        else:
+            doc = json.loads(path.read_text())
+            damage(doc)
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message.format(path=path) in err, err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "change, named",
         [
             (
@@ -294,6 +352,28 @@ class TestSynthReconstructRoundTrip:
         assert not out.exists()
 
 
+class TestOutputFormat:
+    def test_every_json_file_is_written_in_one_strict_format(self, tmp_path):
+        # manifest, sidecars, admissibility.json and report.json alike:
+        # sorted keys, 2-space indent, a final newline, no NaN tokens
+        cfg = write_config(tmp_path, bump_doc())
+        for argv in (
+            ["--out", str(tmp_path / "data"), "synth"],
+            ["--out", str(tmp_path / "check"), "check"],
+            ["--out", str(tmp_path / "run"), "run", "--dump-intermediates"],
+        ):
+            assert main(["--config", cfg, *argv]) == 0
+        written = sorted(tmp_path.glob("*/**/*.json"))
+        names = {path.name for path in written}
+        for name in ("manifest.json", "admissibility.json", "report.json"):
+            assert name in names, name
+        assert any(name.endswith(".field.json") for name in names)
+        for path in written:
+            text = path.read_text()
+            doc = json.loads(text, parse_constant=refuse)
+            assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n", path
+
+
 class TestCheck:
     def test_passing_audit_prints_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, harmonic_doc())
@@ -363,10 +443,6 @@ class TestRunDispatch:
             harmonic_doc(study={"type": "convergence", "levels": [9, 17, 33]}),
         )
         assert main(["--config", cfg, "run"]) == 0
-
-        def refuse(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         report = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert report["orders"]["c"] is None
         assert report["errors"]["c"] == [None] * 3

@@ -371,3 +371,10 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config(str(path))
+
+    def test_file_without_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        message = f"config {path} is not a JSON object"
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(str(path))

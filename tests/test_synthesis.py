@@ -163,15 +163,11 @@ class TestSynthesize:
 
     @pytest.mark.parametrize(
         "modality, what",
-        [
-            (Modality.generic, "generic weight"),
-            (Modality.qpat, r"\|H_1\|"),
-        ],
-        ids=["generic-weight", "H_1"],
+        [(Modality.generic, "generic weight")],
+        ids=["generic-weight"],
     )
     def test_nan_fails_the_floor_with_its_vertex(self, modality, what):
-        # a NaN in the generic weight, or in the qpat Gruneisen field and
-        # so in H_1, fails its floor by a comparison NaN fails
+        # a NaN in the generic weight fails its floor by a comparison NaN fails
         grid = unit_grid(17)
         field = materialize_scalar("1", grid)
         field.values[7, 9] = np.nan
@@ -183,6 +179,31 @@ class TestSynthesize:
         text = rf"^\[synthesis\] {what} falls to nan .* at vertex \(7, 9\)$"
         with pytest.raises(NonVanishingError, match=text):
             synthesize(coeffs, modality(field), default_traces(grid, 3))
+
+    @pytest.mark.parametrize(
+        "modality, nan_in, what",
+        [
+            (Modality.qpat, "gamma", "gamma"),
+            (Modality.qtat, "gamma", "gamma"),
+            (Modality.qpat, "c", r"qpat absorption \(c\)"),
+        ],
+        ids=["qpat-gamma", "qtat-gamma", "qpat-c"],
+    )
+    def test_nan_real_positive_field_is_refused_with_its_vertex(
+        self, modality, nan_in, what
+    ):
+        # a NaN gamma or qpat c is refused as not finite, naming its vertex,
+        # before the realness and positivity tests, which NaN would slip past
+        grid = unit_grid(17)
+        gamma = materialize_scalar("1", grid)
+        c = materialize_scalar("1 + i" if modality is Modality.qtat else "1", grid)
+        {"gamma": gamma, "c": c}[nan_in].values[7, 9] = np.nan
+        coeffs = CoefficientSet(
+            a=laplace_coefficients(grid).a, b=VectorField.zero(grid), c=c
+        )
+        text = rf"^{what} is not finite at vertex \(7, 9\)$"
+        with pytest.raises(ConfigurationError, match=text):
+            synthesize(coeffs, modality(gamma), default_traces(grid, 3))
 
     def test_d_cancellation_in_ratios(self):
         grid = unit_grid(17)
