@@ -128,8 +128,9 @@ def error_norms(candidate, reference, mask: np.ndarray) -> ErrorMetrics:
     ``mask`` is one boolean array of the grid's shape, True at the
     vertices compared; a caller that drops flagged vertices from a
     trusted interior passes ``interior & ~flags``.  Relative norms
-    divide by the corresponding norm of ``reference`` and are infinite
-    for a vanishing reference.
+    divide by the corresponding norm of ``reference``; for a vanishing
+    reference they are infinite, zero for a zero error and NaN for a
+    NaN one.
 
     Raises
     ------
@@ -166,7 +167,7 @@ def error_norms(candidate, reference, mask: np.ndarray) -> ErrorMetrics:
 
     def rel(err, ref):
         if ref == 0.0:
-            return float("inf") if err > 0 else 0.0
+            return float("inf") if err > 0 else err  # 0.0, or NaN
         return err / ref
 
     return ErrorMetrics(

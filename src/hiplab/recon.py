@@ -37,7 +37,6 @@ from .errors import (
     DegeneracyError,
     InternalConsistencyError,
     MeasurementCountError,
-    NonVanishingError,
 )
 from .grids import (
     ScalarField,
@@ -56,7 +55,7 @@ from .grids import (
     sym_weights,
     window_derivatives,
 )
-from .synthesis import H1_FLOOR, MeasurementSet
+from .synthesis import MeasurementSet, _require_floor
 
 __all__ = [
     "functional_budget",
@@ -82,10 +81,6 @@ QUALITY_FLOOR = 1e-6
 
 # tolerance for identities that hold by construction
 _CONSISTENCY_TOL = 1e-10
-
-# half-width of the band around the negative real axis, in units of
-# eps |raw|^dim / quality, inside which the det-one root's branch is fixed
-_CUT_BAND = 64 * np.finfo(float).eps
 
 # most vertices in one slab of the analysis's pass, by grid dimension (a
 # slab holds at least one axis-0 plane); chosen by measurement, see README
@@ -157,14 +152,11 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     (:func:`hiplab.grids.window_derivatives`), :func:`gram`, in matrix
     mode :func:`null_weights`, :func:`constraint_matrices` and
     :func:`diffusion_from_constraints`, the drift of the direction (the
-    identity in scalar mode) and the readings.  The slabs change no bit
-    but the direction's dtype, complex everywhere if one det is negative:
-    a complex slab after real ones widens the direction and takes the
-    drift of the slabs before it again; a real slab after complex ones
-    is written as ``direction + 0.0``, which turns -0 into +0 as division
-    by a complex root does.  A vanishing ``H_1`` gives a zero ratio and
-    a singular Gram matrix a zero inverse, so the audit can read bad
-    data.  Matrix mode with fewer than ``functional_budget(dim)``
+    identity in scalar mode) and the readings.  Every step is pointwise,
+    so the slabs change no bit, and the direction and drift have the
+    ratios' dtype: real for real data.  A vanishing ``H_1`` gives a zero
+    ratio and a singular Gram matrix a zero inverse, so the audit can
+    read bad data.  Matrix mode with fewer than ``functional_budget(dim)``
     functionals (the one budget check) and an unknown ``mode`` raise
     :class:`MeasurementCountError`.
     """
@@ -183,36 +175,25 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     values = [v.values for v in fields[:need]]
     rs = RatioSet(mode, fields, grid.interior(margin), np.empty(grid.shape))
 
-    def derivatives(part):
-        grads, hessians = window_derivatives(values, grid.spacing, part)
-        return grads, hessians, *gram(grads)
-
     peaks, basis, independence, worst = np.full(need, -np.inf), np.inf, np.inf, (-np.inf, None)
     quality, degenerate = np.ones(grid.shape), np.zeros(grid.shape, bool)
-    direction = SymTensorField.identity(grid).values if mode == "scalar" else None
-    drift = None
-    slabs = _slabs(grid.shape)
-    for k, part in enumerate(slabs):
-        grads, hessians, inverse, det, singular = derivatives(part)
+    dtype = np.result_type(*values)
+    if mode == "scalar":
+        direction = SymTensorField.identity(grid).values
+    else:
+        direction = np.empty(grid.shape + (sym_size(dim),), dtype)
+    drift = np.empty(grid.shape + (dim,), dtype)
+    for part in _slabs(grid.shape):
+        grads, hessians = window_derivatives(values, grid.spacing, part)
+        inverse, det, singular = gram(grads)
         rs.gram_det[part] = np.abs(det)
-        widened = False
         if mode == "matrix":
             theta = null_weights(grads, inverse)
             d, q, bad = diffusion_from_constraints(constraint_matrices(hessians, theta))
-            if direction is None:
-                direction = np.empty(grid.shape + d.shape[dim:], d.dtype)
-            elif np.iscomplexobj(d) and not np.iscomplexobj(direction):
-                direction, widened = direction + 0j, True
-            elif np.iscomplexobj(direction) and not np.iscomplexobj(d):
-                d = d + 0.0
             direction[part], quality[part], degenerate[part] = d, q, bad
-        slab_drift = drift_from_diffusion(direction[part], hessians[:dim], inverse, grads[:dim])
-        if drift is None or widened:
-            drift = np.empty(grid.shape + (dim,), slab_drift.dtype)
-            for earlier in slabs[:k]:
-                g, h, e, *_ = derivatives(earlier)
-                drift[earlier] = drift_from_diffusion(direction[earlier], h[:dim], e, g[:dim])
-        drift[part] = slab_drift
+        drift[part] = drift_from_diffusion(
+            direction[part], hessians[:dim], inverse, grads[:dim]
+        )
 
         # the readings, reduced over the slab's trusted vertices in place
         ins = rs.inside[part]
@@ -321,14 +302,8 @@ def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
     grid = ms.grid
     dim = grid.dim
     mag = np.abs(ms.functionals[0].values)
-    top = float(mag.max()) or 1.0
-    if not float(mag.min()) >= H1_FLOOR * top:
-        point = tuple(int(k) for k in np.unravel_index(np.argmin(mag), mag.shape))
-        raise NonVanishingError(
-            f"reference functional reaches {mag.min():.3e} "
-            f"(max {top:.3e}) at vertex {point}; ratios are unreliable",
-            stage="recon",
-        )
+    _require_floor(mag, "|H_1|", stage="recon")
+    top = float(mag.max())
 
     f1 = ms.traces[0].values
     safe = grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
@@ -420,17 +395,16 @@ def diffusion_from_constraints(
     ``s_min / s_max`` comes from the rows' Gram matrix: in closed form
     in 2-D, from one batched ``eigvalsh`` of the 5x5 Gram matrices in
     3-D.  The generator is normalized to real positive trace and
-    determinant one.  The principal root of the determinant changes
-    sign across the negative real axis, where the determinant of an
-    indefinite generator lies; a determinant within rounding of that
-    axis is taken on its upper side, so the sign of its rounding does
-    not pick the sign of the direction.
+    determinant one, by the principal root of its determinant.
 
     Returns the direction, the quality, and a boolean mask of
-    degenerate vertices (quality below ``QUALITY_FLOOR``), which carry
-    NaN in the direction.  Each vertex's outputs depend on its own
-    matrices alone, except that a real direction is complex at every
-    vertex if one vertex's determinant is negative.
+    degenerate vertices, which carry NaN in the direction: quality
+    below ``QUALITY_FLOOR``, a vanishing trace or determinant, or a
+    determinant whose real part is not positive.  The diffusion is SPD,
+    so the last is an indefinite generator, which contradicts the
+    model; the root therefore never meets its branch cut.  Each
+    vertex's outputs depend on its own matrices alone, and the
+    direction has their dtype: real for real matrices.
     """
     s = matrices[0].shape[-1]
     dim = 2 if s == 3 else 3  # 3 or 6 stored entries
@@ -462,15 +436,11 @@ def diffusion_from_constraints(
     del raw
 
     det = sym_det(aligned, dim)
-    det_unit = np.maximum(norm, np.finfo(float).tiny) ** dim
-    tiny_det = np.abs(det) < 1e-12 * det_unit
-    degenerate = degenerate | tiny_det
+    tiny_det = np.abs(det) < 1e-12 * np.maximum(norm, np.finfo(float).tiny) ** dim
+    # an SPD generator has det > 0 (NaN fails too): the root never meets
+    # its branch cut on the negative real axis
+    degenerate = degenerate | tiny_det | ~(det.real > 0)
     det = np.where(degenerate, 1.0, det)
-    # the null vector moves by about eps / quality under rounding, and
-    # det with it; inside that band of the negative real axis the root
-    # is taken on the upper side
-    on_cut = (det.real < 0) & (np.abs(det.imag) * quality <= _CUT_BAND * det_unit)
-    det[on_cut] = det.real[on_cut]
     direction = divide(aligned, principal_root(det, dim)[..., None])
     del aligned
     direction[degenerate] = np.nan

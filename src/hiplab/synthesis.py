@@ -338,7 +338,7 @@ def _require_real_positive(fld: ScalarField, what: str) -> None:
         raise ConfigurationError(f"{what} must be positive everywhere")
 
 
-def _require_floor(mag: np.ndarray, what: str) -> None:
+def _require_floor(mag: np.ndarray, what: str, stage: str = "synthesis") -> None:
     """Raise unless ``mag`` stays at or above ``H1_FLOOR`` of its peak, by
     a comparison NaN fails, naming the first vertex of its minimum."""
     top = float(mag.max()) or 1.0
@@ -346,7 +346,7 @@ def _require_floor(mag: np.ndarray, what: str) -> None:
         point = tuple(int(k) for k in np.unravel_index(np.argmin(mag), mag.shape))
         raise NonVanishingError(
             f"{what} falls to {mag.min():.3e} (max {top:.3e}) at vertex {point}",
-            stage="synthesis",
+            stage=stage,
         )
 
 

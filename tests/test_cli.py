@@ -9,7 +9,7 @@ import pytest
 
 from hiplab import forward
 from hiplab.cli import main
-from hiplab.grids import read_field
+from hiplab.grids import read_field, write_field
 
 
 def write_config(tmp_path, doc, name="config.json") -> str:
@@ -255,6 +255,25 @@ class TestSynthReconstructRoundTrip:
         err = capsys.readouterr().err
         assert message.format(path=path) in err, err
         assert not (out / "report.json").exists()
+
+    def test_loaded_h1_below_its_floor_is_four(self, tmp_path, capsys):
+        """A saved ``H_1`` edited to vanish at one boundary vertex passes
+        the audit, which reads the trusted interior, and fails the
+        reconstruction's floor, which reads the whole grid."""
+        cfg = write_config(tmp_path, harmonic_doc())
+        data = tmp_path / "data"
+        assert main(["--config", cfg, "--out", str(data), "synth"]) == 0
+        path = str(data / "functional_00.field")
+        h1 = read_field(path)
+        top = float(abs(h1.values).max())
+        h1.values[0, 3] = 0.0
+        write_field(h1, path)
+        capsys.readouterr()
+        argv = ["--config", cfg, "--out", str(tmp_path / "run"), "run", "--data", str(data)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        message = f"[recon] |H_1| falls to 0.000e+00 (max {top:.3e}) at vertex (0, 3)\n"
+        assert message in err, err
 
     @pytest.mark.parametrize(
         "change, named",

@@ -215,6 +215,14 @@ class TestRelativeNorms:
         m0 = error_norms(zero, zero, everywhere(grid))
         assert m0.c0_rel == 0.0
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_nan_error_reads_nan_against_any_reference(self, value):
+        grid = unit_grid(9)
+        cand = constant_scalar(grid, 0.0)
+        cand.values[4, 4] = np.nan
+        m = error_norms(cand, constant_scalar(grid, value), grid.interior(2))
+        assert np.isnan([m.c0, m.c1, m.c2, m.c0_rel, m.c1_rel, m.c2_rel]).all()
+
     def test_to_dict_round_trips(self):
         grid = unit_grid(17)
         ref = constant_scalar(grid, 2.0)
