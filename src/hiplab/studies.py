@@ -126,28 +126,23 @@ def _report(
     return report
 
 
-def _inv_drift(coeffs: CoefficientSet) -> VectorField:
-    """``a^{-1} b`` of the phantom."""
-    dim = coeffs.grid.dim
-    return VectorField(
-        coeffs.grid,
-        sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim),
-    )
-
-
 def resolve_measurements(
     ms: MeasurementSet,
     tri: gauge.InvariantTriple,
     coeffs: CoefficientSet,
     settings: SolverSettings | None = None,
-) -> gauge.ResolvedCoefficients:
+) -> tuple[gauge.ResolvedCoefficients, dict]:
     """Run the modality resolver with anchors taken from ground truth.
 
     Every resolver is anchored by the boundary values of the weight
     ratio ``B/d``, formed from the phantom's amplitude and the weight
     stored with ``ms`` (for elastography ``d = 1``, so it is the
     amplitude).  qpat also reads the boundary amplitude, and the
-    generic modality the known ``div(a^{-1} b)``.
+    generic modality the known ``div(a^{-1} b)``.  Returns the resolved
+    coefficients and the ``(recovered, truth)`` pairs its metrics compare,
+    by name: elastography's ``a``, ``amplitude`` and ``c``, qpat's
+    ``amplitude`` and ``c``, qtat's ``gamma``, and the generic ``inv_drift``
+    (``a^{-1} b``); each truth is the field the anchors were formed from.
     """
     grid = ms.grid
     h1 = ms.functionals[0]
@@ -155,13 +150,25 @@ def resolve_measurements(
     ratio = BoundaryTrace(grid, divide(B.values, ms.weight.values))
     name = ms.modality
     if name == "elastography":
-        return gauge.resolve_elastography(tri, h1, ratio)
+        res = gauge.resolve_elastography(tri, h1, ratio)
+        return res, {
+            "a": (res.a, coeffs.a),
+            "amplitude": (res.amplitude, B),
+            "c": (res.c, coeffs.c),
+        }
     if name == "qpat":
         amplitude = BoundaryTrace(grid, B.values)
-        return gauge.resolve_qpat(tri, h1, ms.gamma, ratio, amplitude, settings)
+        res = gauge.resolve_qpat(tri, h1, ms.gamma, ratio, amplitude, settings)
+        return res, {"amplitude": (res.amplitude, B), "c": (res.c, coeffs.c)}
     if name == "qtat":
-        return gauge.resolve_qtat(tri, h1, ratio)
-    return gauge.resolve_generic(tri, h1, divergence(_inv_drift(coeffs)), ratio)
+        res = gauge.resolve_qtat(tri, h1, ratio)
+        return res, {"gamma": (res.gamma, ms.gamma)}
+    dim = grid.dim
+    inv_drift = VectorField(
+        grid, sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim)
+    )
+    res = gauge.resolve_generic(tri, h1, divergence(inv_drift), ratio)
+    return res, {"inv_drift": (res.fields["drift_combination"], inv_drift)}
 
 
 @dataclass
@@ -179,49 +186,6 @@ class PipelineResult:
     truths: dict
     flags: np.ndarray
     metrics: dict = field(default_factory=dict)
-
-
-_AMPLITUDE = (
-    "amplitude",
-    lambda r: r.amplitude,
-    lambda ms, coeffs: gauge.amplitude_of(coeffs.a),
-)
-_C = ("c", lambda r: r.c, lambda ms, coeffs: coeffs.c)
-
-# per modality, the resolved quantities its metrics compare:
-# (name, recovered field of the resolver, ground truth)
-_RESOLVED_QUANTITIES = {
-    "elastography": (
-        ("a", lambda r: r.a, lambda ms, coeffs: coeffs.a),
-        _AMPLITUDE,
-        _C,
-    ),
-    "qpat": (_AMPLITUDE, _C),
-    "qtat": (("gamma", lambda r: r.gamma, lambda ms, coeffs: ms.gamma),),
-    "generic": (
-        (
-            "inv_drift",
-            lambda r: r.fields["drift_combination"],
-            lambda ms, coeffs: _inv_drift(coeffs),
-        ),
-    ),
-}
-
-
-def _quantity_table(
-    ms: MeasurementSet,
-    coeffs: CoefficientSet,
-    nc: NormalizedCoefficients,
-    resolved: gauge.ResolvedCoefficients,
-) -> tuple[dict, dict]:
-    """Recovered fields and their ground-truth references, by name; in
-    scalar mode ``ahat``'s error is how far the phantom's ``a`` is from scalar."""
-    quantities = {"ahat": nc.diffusion}
-    truths = {"ahat": gauge.shape_of(coeffs.a)}
-    for name, recovered, truth in _RESOLVED_QUANTITIES[ms.modality]:
-        quantities[name] = recovered(resolved)
-        truths[name] = truth(ms, coeffs)
-    return quantities, truths
 
 
 def synthesize_measurements(
@@ -251,7 +215,9 @@ def recover(
 ) -> PipelineResult:
     """Audit, reconstruct and resolve ``ms`` from one ratio analysis,
     in its mode; a failed audit raises :class:`DegeneracyError`.
-    ``coeffs`` supplies the resolvers' anchors and the ground truths.
+    ``coeffs`` supplies the resolvers' anchors and the ground truths;
+    ``quantities`` and ``truths`` hold ``ahat`` and the pairs of
+    :func:`resolve_measurements`.
     """
     rs, report = audit(cfg, ms)
     if not report.passed:
@@ -263,10 +229,11 @@ def recover(
     nc = reconstruct(ms, rs)
     del rs  # the resolvers do not read it; free it before their solves
     tri = gauge.invariant_triple(nc, ms.functionals[0])
-    resolved = resolve_measurements(ms, tri, coeffs, cfg.solver())
+    resolved, pairs = resolve_measurements(ms, tri, coeffs, cfg.solver())
     flags = nc.degenerate | resolved.flags
 
-    quantities, truths = _quantity_table(ms, coeffs, nc, resolved)
+    # in scalar mode ahat's error is how far the phantom's a is from scalar
+    pairs = {"ahat": (nc.diffusion, gauge.shape_of(coeffs.a)), **pairs}
     return PipelineResult(
         grid=ms.grid,
         coeffs=coeffs,
@@ -274,8 +241,8 @@ def recover(
         admissibility=report.to_dict(),
         nc=nc,
         resolved=resolved,
-        quantities=quantities,
-        truths=truths,
+        quantities={name: q for name, (q, _) in pairs.items()},
+        truths={name: t for name, (_, t) in pairs.items()},
         flags=flags,
     )
 
@@ -317,7 +284,8 @@ def run_pipeline(
     """Synthesize, audit, reconstruct, resolve, and measure one run.
 
     Passing a prebuilt measurement set skips the forward solves; the
-    phantom is still materialized for anchors and error metrics.  The
+    phantom is still materialized for anchors and error metrics, and
+    refused, as synthesis refuses it, if its ``a`` is not SPD.  The
     set must be of the configured grid, modality, traces and noise, or
     :class:`ConfigurationError` names what differs.
     """
@@ -328,6 +296,8 @@ def run_pipeline(
     coeffs = cfg.coefficients(grid)
     if ms is None:
         ms = synthesize_measurements(cfg, grid, coeffs)
+    else:
+        coeffs.validate_spd()
     result = recover(cfg, ms, coeffs)
     trusted = result.nc.inside & ~result.flags
     result.metrics = {
@@ -483,7 +453,6 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     levels = sorted(float(a) for a in study["amplitudes"])
     baseline = None
     baseline_flags = None
-    rows = []
     table = []
     for eps in levels:
         noisy = add_noise(clean, replace(base, amplitude=eps))
@@ -500,16 +469,17 @@ def run_noise_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             em = error_norms(
                 quantities[name], baseline[name], mask & ~(flags | baseline_flags)
             )
-            errors = {
+            entry["quantities"][name] = {
                 "err_c0": em.c0,
                 "err_c1": em.c1,
                 "ratio": em.c0 / delta if delta > 0 else 0.0,
             }
-            entry["quantities"][name] = errors
-            rows.append(
-                {"quantity": name, "amplitude": eps, "delta_h_c2": delta, **errors}
-            )
         table.append(entry)
+    rows = [
+        {"quantity": q, "amplitude": e["amplitude"], "delta_h_c2": e["delta_h_c2"], **m}
+        for e in table
+        for q, m in e["quantities"].items()
+    ]
 
     spreads = {}
     for name in sorted(baseline):

@@ -198,7 +198,7 @@ def test_elastography_recovers_diffusion_and_absorption_with_second_order():
         ms = synthesize(coeffs, Modality.elastography(), traces)
         nc = recon.reconstruct(ms)
         tri = gauge.invariant_triple(nc, ms.functionals[0])
-        res = studies.resolve_measurements(ms, tri, coeffs)
+        res = studies.resolve_measurements(ms, tri, coeffs)[0]
         mask = grid.interior(2)
         errs_a.append(error_norms(res.a, coeffs.a, mask=mask).c0_rel)
         errs_c.append(error_norms(res.c, coeffs.c, mask=mask).c0_rel)
@@ -223,7 +223,7 @@ def test_qpat_amplitude_and_absorption_within_one_percent():
         ms = synthesize(coeffs, Modality.qpat(gamma), traces)
         nc = recon.reconstruct(ms)
         tri = gauge.invariant_triple(nc, ms.functionals[0])
-        res = studies.resolve_measurements(ms, tri, coeffs)
+        res = studies.resolve_measurements(ms, tri, coeffs)[0]
         mask = grid.interior(2)
         B_true = gauge.amplitude_of(coeffs.a)
         errs_B.append(error_norms(res.amplitude, B_true, mask=mask).c0_rel)
@@ -256,7 +256,7 @@ def test_qtat_grueneisen_within_two_percent_where_margin_passes():
     ms = synthesize(coeffs, Modality.qtat(gamma), traces)
     nc = recon.reconstruct(ms)
     tri = gauge.invariant_triple(nc, ms.functionals[0])
-    res = studies.resolve_measurements(ms, tri, coeffs)
+    res = studies.resolve_measurements(ms, tri, coeffs)[0]
     mask = grid.interior(2)
     # this phantom keeps Im(c) bounded away from zero: no vertex is refused
     assert not np.any(res.flags & mask)
@@ -411,7 +411,7 @@ def test_every_resolver_reports_the_two_function_gauge_dimension():
     ms = synthesize(coeffs, Modality.elastography(), default_traces(grid))
     nc = recon.reconstruct(ms)
     tri = gauge.invariant_triple(nc, ms.functionals[0])
-    reports.append(studies.resolve_measurements(ms, tri, coeffs).report)
+    reports.append(studies.resolve_measurements(ms, tri, coeffs)[0].report)
 
     gamma = ScalarField.constant(grid, 1.0)
     x, y = (m.real for m in grid.meshgrid())
@@ -423,13 +423,13 @@ def test_every_resolver_reports_the_two_function_gauge_dimension():
     ms = synthesize(coeffs_q, Modality.qpat(gamma), default_traces(grid))
     nc = recon.reconstruct(ms)
     tri = gauge.invariant_triple(nc, ms.functionals[0])
-    reports.append(studies.resolve_measurements(ms, tri, coeffs_q).report)
+    reports.append(studies.resolve_measurements(ms, tri, coeffs_q)[0].report)
 
     coeffs_t = qtat_coefficients(grid)
     ms = synthesize(coeffs_t, Modality.qtat(gamma), default_traces(grid))
     nc = recon.reconstruct(ms)
     tri = gauge.invariant_triple(nc, ms.functionals[0])
-    reports.append(studies.resolve_measurements(ms, tri, coeffs_t).report)
+    reports.append(studies.resolve_measurements(ms, tri, coeffs_t)[0].report)
 
     coeffs_g = CoefficientSet(
         a=coeffs.a,
@@ -440,7 +440,7 @@ def test_every_resolver_reports_the_two_function_gauge_dimension():
     ms = synthesize(coeffs_g, Modality.generic(weight), default_traces(grid))
     nc = recon.reconstruct(ms)
     tri = gauge.invariant_triple(nc, ms.functionals[0])
-    reports.append(studies.resolve_measurements(ms, tri, coeffs_g).report)
+    reports.append(studies.resolve_measurements(ms, tri, coeffs_g)[0].report)
 
     for report in reports:
         audit = report.dimension_audit

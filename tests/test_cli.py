@@ -348,6 +348,25 @@ class TestSynthReconstructRoundTrip:
         argv = ["--config", noisy, "--out", str(out), "run", "--data", str(data)]
         assert main(argv) == 0
 
+    def test_phantom_that_is_not_spd_is_refused_as_a_plain_run_refuses_it(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        single = write_config(tmp_path, bump_doc(), "single.json")
+        assert main(["--config", single, "--out", str(data), "synth"]) == 0
+        capsys.readouterr()
+        doc = bump_doc()
+        doc["coefficients"]["a"] = "x - 0.3"
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", cfg, "run"]) == 3
+        plain = capsys.readouterr().err
+        assert "diffusion matrix is not positive definite at vertex (0, 0)" in plain
+        out = tmp_path / "run"
+        argv = ["--config", cfg, "--out", str(out), "run", "--data", str(data)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == plain
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize(
         "study",
         [

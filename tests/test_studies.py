@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hiplab import admissibility, grids, recon, studies
+from hiplab import admissibility, gauge, grids, recon, studies
 from hiplab.config import ExperimentConfig, parse_config
 from hiplab.errors import ConfigurationError, DegeneracyError
 from hiplab.grids import read_field
@@ -274,6 +274,68 @@ def test_check_and_the_pipeline_share_one_audit(tmp_path, monkeypatch):
     assert main(["--config", str(path), "--out", str(tmp_path / "check"), "check"]) == 0
     studies.run_pipeline(parse_config(harmonic_doc()))
     assert calls == [(17, 17), (17, 17)]
+
+
+_BUMP_A = "1 + 0.4*exp(-((x-0.5)^2+(y-0.5)^2)/0.08)"
+_BUMP_C = "0.5 + 0.3*sin(2*x)*cos(2*y)"
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        (bump_doc(), ["a", "ahat", "amplitude", "c"]),
+        (
+            bump_doc(modality={"name": "qpat", "gamma": "1 + 0.1*x"}),
+            ["ahat", "amplitude", "c"],
+        ),
+        (
+            bump_doc(
+                coefficients={"a": _BUMP_A, "c": _BUMP_C + " + i*(0.7 + 0.2*x*y)"},
+                modality={"name": "qtat", "gamma": "1 + 0.1*x"},
+            ),
+            ["ahat", "gamma"],
+        ),
+        (
+            bump_doc(
+                coefficients={"a": _BUMP_A, "b": ["0.2*x", "0.1"], "c": _BUMP_C},
+                modality={"name": "generic", "weight": "1 + 0.2*x*y"},
+            ),
+            ["ahat", "inv_drift"],
+        ),
+    ],
+    ids=["elastography", "qpat", "qtat", "generic"],
+)
+def test_each_modality_compares_its_pairs_with_the_phantom(doc, names, monkeypatch):
+    """Each modality's metrics compare ``ahat`` and what its resolution
+    recovers, against truths bit-equal to the phantom's own, read after
+    the run (qpat's amplitude anchor shares its array with the truth).
+    The phantom's amplitude is formed once per run."""
+    amplitude_of = gauge.amplitude_of
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return amplitude_of(a)
+
+    monkeypatch.setattr(gauge, "amplitude_of", counted)
+    result = studies.run_pipeline(parse_config(doc))
+    assert len(calls) == 1
+    assert sorted(result.metrics) == names
+    coeffs, dim = result.coeffs, result.grid.dim
+    phantom = {
+        "ahat": gauge.shape_of(coeffs.a),
+        "a": coeffs.a,
+        "amplitude": amplitude_of(coeffs.a),
+        "c": coeffs.c,
+        "gamma": result.ms.gamma,
+        "inv_drift": grids.VectorField(
+            result.grid,
+            grids.sym_matvec(grids.sym_inv(coeffs.a.values, dim), coeffs.b.values, dim),
+        ),
+    }
+    assert sorted(result.truths) == names
+    for name in names:
+        assert np.array_equal(result.truths[name].values, phantom[name].values), name
 
 
 class TestFittedOrder:
