@@ -2,10 +2,14 @@
 
 Every failure mode raised by the library derives from :class:`HiplabError`
 and carries the name of the stage that raised it, so command-line wrappers
-can map failures to stable exit codes without string matching.
+can map failures to stable exit codes without string matching.  A
+:class:`Check` is one row of the table of checks, which raises its error
+when it fails.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class HiplabError(Exception):
@@ -76,14 +80,6 @@ class DegeneracyError(HiplabError):
 
     exit_code = 4
 
-    def __init__(self, message: str, points=None, *, stage: str | None = None):
-        self.points = list(points) if points is not None else []
-        if self.points:
-            shown = ", ".join(str(tuple(p)) for p in self.points[:5])
-            more = "" if len(self.points) <= 5 else f" (+{len(self.points) - 5} more)"
-            message = f"{message}; first offending points: {shown}{more}"
-        super().__init__(message, stage=stage)
-
 
 class InternalConsistencyError(HiplabError):
     """An identity that must hold by construction failed beyond tolerance."""
@@ -103,3 +99,36 @@ class PositivityError(HiplabError):
 
 class MetricsError(HiplabError):
     """Error norms requested on an empty or invalid comparison region."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the table of checks: ``reading`` over ``region`` against
+    ``limit``, passed by ``reading >= limit`` for a ``floor`` and by
+    ``reading <= limit`` otherwise, so NaN fails either.  A failing row
+    raises ``error`` with ``message`` formatted with its reading and
+    limit; the parts that name vertices or scales are fixed when the row
+    is built, so a row whose reading is replaced keeps them."""
+
+    name: str
+    region: str
+    reading: float
+    limit: float
+    floor: bool
+    error: type[HiplabError]
+    message: str
+
+    @property
+    def passed(self) -> bool:
+        return self.reading >= self.limit if self.floor else self.reading <= self.limit
+
+    def text(self) -> str:
+        return self.message.format(reading=self.reading, limit=self.limit)
+
+    def require(self, stage: str) -> None:
+        """Raise ``error`` with the row's text unless the row passes."""
+        if not self.passed:
+            raise self.error(self.text(), stage=stage)
+
+    def to_dict(self) -> dict:
+        return {key: getattr(self, key) for key in ("name", "region", "reading", "limit", "passed")}

@@ -18,10 +18,10 @@ recovers that pair up to normalization:
   ``a``, and the vector coefficient follows by the same Gram solve.
 
 All of it after the ratios is pointwise, so :func:`analyze` runs it, and
-the readings of every check and of the audit, in one pass over slabs of
-whole axis-0 planes that drops each slab's derivatives after use; none
-of it raises on bad data.  :func:`reconstruct` checks the readings and
-hands the pass's output on.
+the readings of the table of checks (:class:`hiplab.errors.Check`), in
+one pass over slabs of whole axis-0 planes that drops each slab's
+derivatives after use; none of it raises on bad data.  :func:`reconstruct` raises the
+first of its rows that fails and hands the pass's output on.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    InternalConsistencyError,
-    MeasurementCountError,
-)
+from .errors import Check, DegeneracyError, InternalConsistencyError, MeasurementCountError
 from .grids import (
     ScalarField,
     SymTensorField,
@@ -55,11 +51,12 @@ from .grids import (
     sym_weights,
     window_derivatives,
 )
-from .synthesis import MeasurementSet, _require_floor
+from .synthesis import MeasurementSet, floor_check
 
 __all__ = [
     "functional_budget",
     "extra_count",
+    "FLOORS",
     "RatioSet",
     "NormalizedCoefficients",
     "analyze",
@@ -71,6 +68,9 @@ __all__ = [
     "drift_from_diffusion",
     "reconstruct",
 ]
+
+# the admissibility audit's floor of each margin, echoed in every audit
+FLOORS = {"reference": 1e-6, "basis": 1e-6, "independence": 1e-6}
 
 # relative floor on |det Gram|, scaled by the n-th power of the largest
 # interior squared gradient
@@ -122,23 +122,12 @@ class NormalizedCoefficients:
 
 @dataclass
 class RatioSet:
-    """What the pass of :func:`analyze` keeps: on the whole grid the
-    ratios, the trusted interior, ``|det|`` of the Gram matrix (which
-    the Gram floor lists vertices from) and the ``coefficients``
-    :func:`reconstruct` returns; reduced over ``inside``, NaN if any
-    input is, each ratio's largest squared gradient magnitude, the
-    audit's two margins and the cancellation check's largest residual
-    with its vertex (the last two None in scalar mode)."""
+    """What the pass of :func:`analyze` keeps: the whole-grid ratios, the
+    table of checks, in order, and the ``coefficients`` it hands on."""
 
-    mode: str
     fields: list[ScalarField]
-    inside: np.ndarray
-    gram_det: np.ndarray
-    peaks: np.ndarray | None = None
-    basis_margin: float | None = None
-    independence_margin: float | None = None
-    cancellation: tuple[float, tuple[int, ...]] | None = None
-    coefficients: NormalizedCoefficients | None = None
+    checks: list[Check]
+    coefficients: NormalizedCoefficients
 
 
 def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioSet:
@@ -152,11 +141,11 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     (:func:`hiplab.grids.window_derivatives`), :func:`gram`, in matrix
     mode :func:`null_weights`, :func:`constraint_matrices` and
     :func:`diffusion_from_constraints`, the drift of the direction (the
-    identity in scalar mode) and the readings.  Every step is pointwise,
-    so the slabs change no bit, and the direction and drift have the
-    ratios' dtype: real for real data.  A vanishing ``H_1`` gives a zero
-    ratio and a singular Gram matrix a zero inverse, so the audit can
-    read bad data.  Matrix mode with fewer than ``functional_budget(dim)``
+    identity in scalar mode) and the readings of the table of checks,
+    built after the pass.  Every step is pointwise, so the slabs change
+    no bit, and the direction and drift have the ratios' dtype: real for
+    real data.  A vanishing ``H_1`` gives a zero ratio and a singular
+    Gram matrix a zero inverse, so every row can read bad data.  Matrix mode with fewer than ``functional_budget(dim)``
     functionals (the one budget check) and an unknown ``mode`` raise
     :class:`MeasurementCountError`.
     """
@@ -173,7 +162,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
         )
     fields = ratios(ms)
     values = [v.values for v in fields[:need]]
-    rs = RatioSet(mode, fields, grid.interior(margin), np.empty(grid.shape))
+    inside, gram_det = grid.interior(margin), np.empty(grid.shape)
 
     peaks, basis, independence, worst = np.full(need, -np.inf), np.inf, np.inf, (-np.inf, None)
     quality, degenerate = np.ones(grid.shape), np.zeros(grid.shape, bool)
@@ -186,7 +175,7 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
     for part in _slabs(grid.shape):
         grads, hessians = window_derivatives(values, grid.spacing, part)
         inverse, det, singular = gram(grads)
-        rs.gram_det[part] = np.abs(det)
+        gram_det[part] = np.abs(det)
         if mode == "matrix":
             theta = null_weights(grads, inverse)
             d, q, bad = diffusion_from_constraints(constraint_matrices(hessians, theta))
@@ -195,10 +184,11 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
             direction[part], hessians[:dim], inverse, grads[:dim]
         )
 
-        # the readings, reduced over the slab's trusted vertices in place
-        ins = rs.inside[part]
+        # the readings, reduced over the slab's trusted vertices in place;
+        # the peaks are of the finite squares, so one NaN moves no floor
+        ins = inside[part]
         squares = [component_sum(np.abs(g) ** 2) for g in grads]
-        peaks = np.maximum(peaks, [np.max(s, where=ins, initial=-np.inf) for s in squares])
+        peaks = np.maximum(peaks, [np.nanmax(s, where=ins, initial=-np.inf) for s in squares])
         vertex_basis = _basis_margin(grads[:dim], squares[:dim])
         basis = np.minimum(basis, np.min(vertex_basis, where=ins, initial=np.inf))
         if mode == "matrix":
@@ -210,14 +200,68 @@ def analyze(ms: MeasurementSet, mode: str = "matrix", margin: int = 2) -> RatioS
             if not np.isnan(worst[0]) and not resid[at] <= worst[0]:
                 worst = (float(resid[at]), (int(at[0]) + part.start, *map(int, at[1:])))
 
-    rs.peaks, rs.basis_margin = peaks, float(basis)
+    # the table of checks, in order
+    mag = np.abs(ms.functionals[0].values)
+    peak = max(float(np.max(mag, where=inside, initial=-np.inf)), np.finfo(float).tiny)
+    reference = float(np.min(mag, where=inside, initial=np.inf)) / peak
+    margins = {"reference": reference, "basis": basis, "independence": independence}
+    checks = [
+        Check(name, "interior", float(value), FLOORS[name], True, DegeneracyError,
+              f"{name} margin {{reading:.3e}} < {{limit:.1e}}")
+        for name, value in margins.items()
+        if mode == "matrix" or name != "independence"  # scalar mode does not use it
+    ]
+    h1, top = floor_check(mag, "|H_1|")
+    checks += [h1, *_boundary_checks(ms, fields, h1.reading, top)]
+    floor = GRAM_FLOOR * max(float(np.max(peaks[:dim])), np.finfo(float).tiny) ** dim
+    bad = [tuple(int(k) for k in p) for p in np.argwhere(inside & ~(gram_det >= floor))]
+    shown = ", ".join(map(str, bad[:5])) + (f" (+{len(bad) - 5} more)" if len(bad) > 5 else "")
+    listed = f"; first offending points: {shown}" if bad else ""
+    checks.append(Check(
+        "gram", "interior", float(np.min(gram_det, where=inside, initial=np.inf)), floor, True,
+        DegeneracyError, f"ratio gradients are linearly dependent at {len(bad)} interior "
+        f"vertices (|det| floor {{limit:.3e}}){listed}",
+    ))
     if mode == "matrix":
-        rs.independence_margin, rs.cancellation = float(independence), worst
-    rs.coefficients = NormalizedCoefficients(
+        # sqrt is monotone and correctly rounded: the root of the peak is
+        # the peak of the magnitudes
+        scale = float(np.sqrt(np.max(peaks)))
+        checks.append(Check(
+            "cancellation", "interior", worst[0], _CONSISTENCY_TOL * max(scale, 1.0), False,
+            InternalConsistencyError, "gradient cancellation failed: residual {reading:.3e} "
+            f"at vertex {worst[1]} against gradient scale {scale:.3e}",
+        ))
+    return RatioSet(fields, checks, NormalizedCoefficients(
         SymTensorField(grid, direction), VectorField(grid, drift), ScalarField(grid, quality),
-        degenerate, rs.inside, mode,
-    )
-    return rs
+        degenerate, inside, mode,
+    ))
+
+
+def _boundary_checks(ms: MeasurementSet, fields: list, low: float, top: float):
+    """One row per ratio of ``fields``: its largest misfit to the quotient
+    of its traces on the boundary, given ``|H_1|``'s least and largest."""
+    f1 = ms.traces[0].values
+    safe = ms.grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
+    noise_amp = ms.noise.amplitude if ms.noise is not None else 0.0
+    f1_safe = f1[safe]
+    for j, v in enumerate(fields, start=1):
+        # on the safe boundary vertices only; an empty ``safe`` reads 0
+        expected = divide(ms.traces[j].values[safe], f1_safe)
+        scale = float(np.max(np.abs(expected), initial=0.0)) + 1.0
+        err = float(np.max(np.abs(v.values[safe] - expected), initial=0.0))
+        # declared noise moves each functional by amp * max|H|, so the
+        # ratio may drift from the trace quotient by the induced amount
+        # (none where H_1 vanishes, which fails the floor before)
+        drift = noise_amp and low and 2.0 * noise_amp * (
+            float(np.max(np.abs(ms.functionals[j].values))) + float(np.max(np.abs(v.values))) * top
+        ) / low
+        allowance = 1e-8 * scale + drift
+        finite = "" if np.isfinite(allowance) else ", which is not finite"
+        yield Check(
+            f"boundary_{j}", "boundary", err, allowance, False, InternalConsistencyError,
+            f"ratio {j} disagrees with its boundary quotient by {{reading:.3e}} "
+            f"(allowance {{limit:.3e}}{finite})",
+        )
 
 
 def _slabs(shape: tuple[int, ...]) -> list[slice]:
@@ -294,63 +338,6 @@ def null_weights(gradients: list[np.ndarray], inverse: np.ndarray) -> np.ndarray
         for j, sol in enumerate(sym_apply(inverse, rhs, dim)):
             theta[..., m, j] = -sol
     return theta
-
-
-def _check_analysis(ms: MeasurementSet, rs: RatioSet) -> None:
-    """Raise unless the analysis ``rs`` of ``ms`` passes the four checks
-    of :func:`reconstruct`, in its order, each by a comparison NaN fails."""
-    grid = ms.grid
-    dim = grid.dim
-    mag = np.abs(ms.functionals[0].values)
-    _require_floor(mag, "|H_1|", stage="recon")
-    top = float(mag.max())
-
-    f1 = ms.traces[0].values
-    safe = grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
-    noise_amp = ms.noise.amplitude if ms.noise is not None else 0.0
-    f1_safe = f1[safe]
-    for j, v in enumerate(rs.fields, start=1):
-        # on the safe boundary vertices only; an empty ``safe`` reads 0
-        expected = divide(ms.traces[j].values[safe], f1_safe)
-        scale = float(np.max(np.abs(expected), initial=0.0)) + 1.0
-        err = float(np.max(np.abs(v.values[safe] - expected), initial=0.0))
-        # declared noise moves each functional by amp * max|H|, so the
-        # ratio may drift from the trace quotient by the induced amount
-        drift = noise_amp and 2.0 * noise_amp * (
-            float(np.max(np.abs(ms.functionals[j].values))) + float(np.max(np.abs(v.values))) * top
-        ) / float(mag.min())
-        allowance = 1e-8 * scale + drift
-        if not err <= allowance:
-            finite = "" if np.isfinite(allowance) else ", which is not finite"
-            raise InternalConsistencyError(
-                f"ratio {j} disagrees with its boundary quotient by {err:.3e} "
-                f"(allowance {allowance:.3e}{finite})",
-                stage="recon",
-            )
-
-    floor = GRAM_FLOOR * max(float(np.max(rs.peaks[:dim])), np.finfo(float).tiny) ** dim
-    bad = rs.inside & ~(rs.gram_det >= floor)
-    if np.any(bad):
-        pts = [tuple(int(k) for k in p) for p in np.argwhere(bad)]
-        raise DegeneracyError(
-            f"ratio gradients are linearly dependent at {len(pts)} "
-            f"interior vertices (|det| floor {floor:.3e})",
-            points=pts,
-            stage="recon",
-        )
-
-    if rs.mode == "scalar":
-        return
-    worst, point = rs.cancellation
-    # sqrt is monotone and correctly rounded: the root of the peak is
-    # the peak of the magnitudes
-    grad_top = float(np.sqrt(np.max(rs.peaks)))
-    if not worst <= _CONSISTENCY_TOL * max(grad_top, 1.0):
-        raise InternalConsistencyError(
-            f"gradient cancellation failed: residual {worst:.3e} at vertex "
-            f"{point} against gradient scale {grad_top:.3e}",
-            stage="recon",
-        )
 
 
 def constraint_matrices(hessians: list[np.ndarray], theta: np.ndarray) -> list[np.ndarray]:
@@ -586,19 +573,18 @@ def reconstruct(
     ``analysis`` is ``analyze(ms, mode, margin)`` when the caller
     already holds it, and ``analyze(ms)`` otherwise; its mode and
     trusted interior are the reconstruction's, and its ``coefficients``
-    the output once four checks of its readings pass, in order: the
-    ``H_1`` floor (:class:`NonVanishingError`), the boundary quotients
-    of the ratios (:class:`InternalConsistencyError`), the Gram floor on
-    the trusted interior (:class:`DegeneracyError`) and, in matrix mode,
-    the cancellation of the gradients by the null weights
-    (:class:`InternalConsistencyError`); NaN fails each.  Matrix mode
-    needs ``functional_budget(dim)`` functionals (extras beyond that are
-    ignored, so redundant measurements cannot change the answer;
-    :func:`analyze` refuses fewer with :class:`MeasurementCountError`).
-    Scalar mode, which is ``reconstruct(ms, analyze(ms, "scalar"))``,
-    assumes scalar diffusion, needs ``dim + 1`` functionals, and reports
-    the identity direction with its matching drift.
+    the output once its rows of the table of checks pass, all but the
+    audit's: it raises the first that fails, in the table's order.
+    Matrix mode needs ``functional_budget(dim)`` functionals (extras
+    beyond that are ignored, so redundant measurements cannot change the
+    answer; :func:`analyze` refuses fewer with
+    :class:`MeasurementCountError`).  Scalar mode, which is
+    ``reconstruct(ms, analyze(ms, "scalar"))``, assumes scalar diffusion,
+    needs ``dim + 1`` functionals, and reports the identity direction
+    with its matching drift.
     """
     rs = analysis if analysis is not None else analyze(ms)
-    _check_analysis(ms, rs)
+    for row in rs.checks:
+        if row.name not in FLOORS:
+            row.require("recon")
     return rs.coefficients

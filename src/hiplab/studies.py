@@ -180,6 +180,7 @@ class PipelineResult:
     coeffs: CoefficientSet
     ms: MeasurementSet
     admissibility: dict
+    checks: list
     nc: NormalizedCoefficients
     resolved: gauge.ResolvedCoefficients
     quantities: dict
@@ -227,6 +228,7 @@ def recover(
         )
 
     nc = reconstruct(ms, rs)
+    checks = [row.to_dict() for row in rs.checks]
     del rs  # the resolvers do not read it; free it before their solves
     tri = gauge.invariant_triple(nc, ms.functionals[0])
     resolved, pairs = resolve_measurements(ms, tri, coeffs, cfg.solver())
@@ -239,6 +241,7 @@ def recover(
         coeffs=coeffs,
         ms=ms,
         admissibility=report.to_dict(),
+        checks=checks,
         nc=nc,
         resolved=resolved,
         quantities={name: q for name, (q, _) in pairs.items()},
@@ -250,18 +253,24 @@ def recover(
 def _require_configured(
     cfg: ExperimentConfig, grid: Grid, ms: MeasurementSet
 ) -> None:
-    """Refuse a measurement set whose grid, modality, trace expressions
-    or noise spec are not the configured experiment's; the phantom is
-    not stored with the data, so a changed coefficient goes unseen."""
+    """Refuse a measurement set whose grid, modality, declared ``gamma``
+    or ``weight`` (bit for bit), traces or noise are not the configured
+    experiment's; the phantom is not stored with the data, so a changed
+    coefficient goes unseen."""
     found = []
     if not ms.grid.compatible(grid):
         found.append(
             f"grid {list(ms.grid.shape)} on {[list(b) for b in ms.grid.bounds]}, "
             f"config {list(grid.shape)} on {[list(b) for b in grid.bounds]}"
         )
-    modality = cfg.doc["modality"]["name"]
-    if ms.modality != modality:
-        found.append(f"modality {ms.modality}, config {modality}")
+    spec = cfg.doc["modality"]
+    if ms.modality != spec["name"]:
+        found.append(f"modality {ms.modality}, config {spec['name']}")
+    elif ms.grid.compatible(grid):
+        for name in spec.keys() - {"name"}:  # gamma, or the generic weight
+            stored, given = getattr(ms, name).values, getattr(cfg.modality(grid), name).values
+            if (stored.dtype, stored.tobytes()) != (given.dtype, given.tobytes()):
+                found.append(f"{name} differs from the config's {spec[name]!r}")
     stored, expressions = [t.expression for t in ms.traces], cfg.trace_expressions
     if len(stored) != len(expressions):
         found.append(f"{len(stored)} traces, config {len(expressions)}")
@@ -339,6 +348,7 @@ def run_single(
     result = run_pipeline(cfg, ms=ms)
     body = {
         "admissibility": result.admissibility,
+        "checks": result.checks,
         "gauge": result.resolved.report.to_dict(),
         "flagged_fraction": float(np.count_nonzero(result.flags))
         / float(np.prod(result.grid.shape)),

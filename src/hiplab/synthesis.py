@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridError, InputFileError, NonVanishingError
+from .errors import Check, ConfigurationError, GridError, InputFileError, NonVanishingError
 from .forward import BoundaryTrace, CoefficientSet, SolverSettings, solve_traces
 from .grids import (
     Grid,
@@ -338,16 +338,16 @@ def _require_real_positive(fld: ScalarField, what: str) -> None:
         raise ConfigurationError(f"{what} must be positive everywhere")
 
 
-def _require_floor(mag: np.ndarray, what: str, stage: str = "synthesis") -> None:
-    """Raise unless ``mag`` stays at or above ``H1_FLOOR`` of its peak, by
-    a comparison NaN fails, naming the first vertex of its minimum."""
+def floor_check(mag: np.ndarray, what: str) -> tuple[Check, float]:
+    """The row holding ``mag`` at or above ``H1_FLOOR`` of its peak on the
+    whole grid, naming the first vertex of its minimum, and that peak (1
+    where it is 0)."""
     top = float(mag.max()) or 1.0
-    if not float(mag.min()) >= H1_FLOOR * top:
-        point = tuple(int(k) for k in np.unravel_index(np.argmin(mag), mag.shape))
-        raise NonVanishingError(
-            f"{what} falls to {mag.min():.3e} (max {top:.3e}) at vertex {point}",
-            stage=stage,
-        )
+    point = tuple(int(k) for k in np.unravel_index(np.argmin(mag), mag.shape))
+    return Check(
+        "h1", "grid", float(mag.min()), H1_FLOOR * top, True, NonVanishingError,
+        f"{what} falls to {{reading:.3e}} (max {top:.3e}) at vertex {point}",
+    ), top
 
 
 def synthesize(
@@ -395,12 +395,12 @@ def synthesize(
         )
     else:
         weight = modality.weight
-        _require_floor(np.abs(weight.values), "generic weight")
+        floor_check(np.abs(weight.values), "generic weight")[0].require("synthesis")
 
     functionals = [
         ScalarField(grid, weight.values * u.values) for u in solutions
     ]
-    _require_floor(np.abs(functionals[0].values), "|H_1|")
+    floor_check(np.abs(functionals[0].values), "|H_1|")[0].require("synthesis")
     return MeasurementSet(
         grid=grid,
         modality=modality.name,

@@ -110,8 +110,9 @@ def workload_inputs(name: str, shape: tuple[int, ...]):
 def whole_grid_analysis(ms, mode: str = "matrix", margin: int = 2) -> SimpleNamespace:
     """What :func:`hiplab.recon.analyze` computes slab by slab, computed
     on the whole grid at once from the whole-grid stencils and the stage
-    functions, with each reading taken over the whole trusted interior:
-    the reference its slabs must equal bit for bit."""
+    functions, with each reading of the pass's rows of the table of
+    checks and its limit taken over the whole trusted interior: the
+    reference its slabs must equal bit for bit."""
     grid = ms.grid
     dim = grid.dim
     need = recon.functional_budget(dim, mode) - 1
@@ -135,13 +136,18 @@ def whole_grid_analysis(ms, mode: str = "matrix", margin: int = 2) -> SimpleName
         direction = SymTensorField.identity(grid).values
     ref.drift = recon.drift_from_diffusion(direction, hv[:dim], ref.inverse, gv[:dim])
 
+    # the readings and limits of the rows the pass reads, by name
     squares = [component_sum(np.abs(g) ** 2) for g in gv]
-    ref.peaks = np.array([np.max(s[inside]) for s in squares])
-    ref.gram_det = np.abs(det)
-    ref.basis_margin = float(np.min(recon._basis_margin(gv[:dim], squares[:dim])[inside]))
+    peaks = np.array([np.nanmax(s[inside]) for s in squares])
+    gram_det, floor = np.abs(det), recon.GRAM_FLOOR * float(np.max(peaks[:dim])) ** dim
+    ref.rows = {
+        "basis": (float(np.min(recon._basis_margin(gv[:dim], squares[:dim])[inside])), 1e-6),
+        "gram": (float(np.min(gram_det[inside])), floor),
+    }
+    ref.gram_points = [tuple(int(k) for k in p) for p in np.argwhere(inside & ~(gram_det >= floor))]
     if mode == "matrix":
         independence = np.where(singular, 0.0, ref.quality)
-        ref.independence_margin = float(np.min(independence[inside]))
+        ref.rows["independence"] = (float(np.min(independence[inside])), 1e-6)
         worst = np.full(grid.shape, -np.inf)
         for m in range(ref.theta.shape[-2]):
             resid = np.zeros(gv[0].shape, dtype=ref.theta.dtype)
@@ -151,7 +157,9 @@ def whole_grid_analysis(ms, mode: str = "matrix", margin: int = 2) -> SimpleName
             worst = np.maximum(worst, np.sqrt(component_sum(np.abs(resid) ** 2)))
         worst[~inside] = -np.inf
         at = np.unravel_index(np.argmax(worst), grid.shape)
-        ref.cancellation = (float(worst[at]), tuple(int(k) for k in at))
+        scale = max(float(np.sqrt(np.max(peaks))), 1.0)
+        ref.rows["cancellation"] = (float(worst[at]), 1e-10 * scale)
+        ref.cancellation_vertex = tuple(int(k) for k in at)
     return ref
 
 

@@ -381,7 +381,7 @@ def test_degenerate_trace_family_aborts_with_exit_code_4(tmp_path):
     ms = synthesize(laplace_coefficients(grid), unit_weight(grid), traces)
     report = check(ms)
     assert not report.passed
-    assert report.basis_margin < FLOORS["basis"]
+    assert report.margins["basis"] < FLOORS["basis"]
 
     config = {
         "schema_version": 1,

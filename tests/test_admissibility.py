@@ -7,19 +7,64 @@ Margins are normalized over the trusted interior so they are scale-free.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import laplace_coefficients, scalar_tensor, unit_grid
 from hiplab.admissibility import FLOORS, AdmissibilityReport, check
-from hiplab.errors import MeasurementCountError
+from hiplab.errors import (
+    DegeneracyError,
+    InternalConsistencyError,
+    MeasurementCountError,
+    NonVanishingError,
+)
 from hiplab.forward import CoefficientSet
 from hiplab.grids import ScalarField, VectorField
 from hiplab.recon import analyze, reconstruct
 from hiplab.synthesis import BoundaryTrace, Modality, synthesize
 
 HARMONIC = ("1", "x", "y", "x*y", "x^2 - y^2")
+# the second and third ratios have parallel gradients
+PARALLEL = ("1", "x", "2*x", "x*y", "x^2 - y^2")
+
+# each row of the table of checks on 17^2 data: the data, the error and
+# the message, a format string of the row's reading and limit
+ROWS = {
+    "reference": (HARMONIC, DegeneracyError, "reference margin {reading:.3e} < 1.0e-06"),
+    "basis": (HARMONIC, DegeneracyError, "basis margin {reading:.3e} < 1.0e-06"),
+    "independence": (
+        HARMONIC, DegeneracyError, "independence margin {reading:.3e} < 1.0e-06"
+    ),
+    "h1": (
+        HARMONIC,
+        NonVanishingError,
+        "|H_1| falls to {reading:.3e} (max 1.000e+00) at vertex (7, 8)",
+    ),
+    **{
+        f"boundary_{j}": (
+            HARMONIC,
+            InternalConsistencyError,
+            f"ratio {j} disagrees with its boundary quotient by {{reading:.3e}} "
+            "(allowance {limit:.3e})",
+        )
+        for j in range(1, 5)
+    },
+    "gram": (
+        PARALLEL,
+        DegeneracyError,
+        "ratio gradients are linearly dependent at 169 interior vertices "
+        "(|det| floor {limit:.3e}); first offending points: "
+        "(2, 2), (2, 3), (2, 4), (2, 5), (2, 6) (+164 more)",
+    ),
+    "cancellation": (
+        HARMONIC,
+        InternalConsistencyError,
+        "gradient cancellation failed: residual {reading:.3e} at vertex (13, 9) "
+        "against gradient scale 2.475e+00",
+    ),
+}
 
 
 def measurements(grid, exprs, coeffs=None):
@@ -50,15 +95,15 @@ def steep_phantom(n=33, rate=17.0):
 
 def assert_verdicts_match_margins(report: AdmissibilityReport):
     """pass  <=>  every available margin is at or above its floor."""
-    ind = report.independence_margin
+    ind = report.margins["independence"]
     expected = (
-        report.reference_margin >= FLOORS["reference"]
-        and report.basis_margin >= FLOORS["basis"]
+        report.margins["reference"] >= FLOORS["reference"]
+        and report.margins["basis"] >= FLOORS["basis"]
         and (ind is None or ind >= FLOORS["independence"])
     )
     assert report.passed == expected
-    assert report.reference_margin >= 0.0
-    assert report.basis_margin >= 0.0
+    assert report.margins["reference"] >= 0.0
+    assert report.margins["basis"] >= 0.0
     if ind is not None:
         assert ind >= 0.0
 
@@ -78,8 +123,8 @@ class TestHarmonicQuintet:
         # reference ratio and the normalized gradient determinant are 1.
         grid = unit_grid(17)
         report = check(measurements(grid, HARMONIC))
-        assert report.reference_margin == pytest.approx(1.0, rel=1e-12)
-        assert report.basis_margin == pytest.approx(1.0, rel=1e-12)
+        assert report.margins["reference"] == pytest.approx(1.0, rel=1e-12)
+        assert report.margins["basis"] == pytest.approx(1.0, rel=1e-12)
 
     def test_independence_margin_is_one_half(self):
         # The two weighted constraint rows are (0, 0, sqrt(2)) from x*y
@@ -87,7 +132,7 @@ class TestHarmonicQuintet:
         # and 2*sqrt(2); their ratio is exactly 1/2 at every vertex.
         grid = unit_grid(17)
         report = check(measurements(grid, HARMONIC))
-        assert report.independence_margin == pytest.approx(0.5, rel=1e-10)
+        assert report.margins["independence"] == pytest.approx(0.5, rel=1e-10)
 
 
 class TestDegenerateSets:
@@ -95,9 +140,9 @@ class TestDegenerateSets:
         grid = unit_grid(17)
         report = check(measurements(grid, ("1", "x", "2*x", "x*y", "x^2 - y^2")))
         assert not report.passed
-        assert report.basis_margin < FLOORS["basis"]
-        assert report.basis_margin == 0.0
-        assert report.reference_margin > 0.9  # only the basis condition fails
+        assert report.margins["basis"] < FLOORS["basis"]
+        assert report.margins["basis"] == 0.0
+        assert report.margins["reference"] > 0.9  # only the basis condition fails
         assert "FAIL" in report.to_text()
         assert_verdicts_match_margins(report)
 
@@ -107,8 +152,8 @@ class TestDegenerateSets:
         grid = unit_grid(17)
         ms = measurements(grid, ("1", "x", "y", "x*y", "2*x*y"))
         report = check(ms)
-        assert report.basis_margin == pytest.approx(1.0, rel=1e-12)
-        assert report.independence_margin == 0.0
+        assert report.margins["basis"] == pytest.approx(1.0, rel=1e-12)
+        assert report.margins["independence"] == 0.0
         assert report.failures() == ["independence margin 0.000e+00 < 1.0e-06"]
 
     def test_masked_points_sit_below_independence_threshold(self):
@@ -118,14 +163,14 @@ class TestDegenerateSets:
         ms = measurements(grid, ("1", "x", "y", "x*y", "2*x*y"))
         rec = reconstruct(ms)
         assert rec.degenerate[grid.interior(2)].all()
-        assert check(ms).independence_margin < FLOORS["independence"]
+        assert check(ms).margins["independence"] < FLOORS["independence"]
 
     def test_mode_and_trusted_interior_come_from_the_analysis(self):
         grid = unit_grid(17)
         ms = measurements(grid, HARMONIC)
         report = check(ms, analysis=analyze(ms, "scalar", margin=4))
         assert report.point_count == int(np.count_nonzero(grid.interior(4)))
-        assert report.independence_margin is None
+        assert report.margins["independence"] is None
 
 
 class TestSteepPhantom:
@@ -136,9 +181,9 @@ class TestSteepPhantom:
         """
         report = check(steep_phantom())
         assert not report.passed
-        assert 1e-8 < report.reference_margin < 1e-6
-        assert report.basis_margin > FLOORS["basis"]
-        assert report.independence_margin > FLOORS["independence"]
+        assert 1e-8 < report.margins["reference"] < 1e-6
+        assert report.margins["basis"] > FLOORS["basis"]
+        assert report.margins["independence"] > FLOORS["independence"]
         (failure,) = report.failures()
         assert failure.startswith("reference margin ")
         assert failure.endswith(" < 1.0e-06")
@@ -153,18 +198,19 @@ class TestSteepPhantom:
             "name": "full",
             "bounds": None,
             "point_count": 29 * 29,
-            "reference_margin": report.reference_margin,
-            "basis_margin": report.basis_margin,
-            "independence_margin": report.independence_margin,
+            "reference_margin": report.margins["reference"],
+            "basis_margin": report.margins["basis"],
+            "independence_margin": report.margins["independence"],
             "passed": False,
         }
         lines = report.to_text().splitlines()
         assert lines[0] == "admissibility: FAIL (matrix pipeline, 5 functionals)"
         assert len(lines) == 3
+        margins = report.margins
         assert lines[2] == (
-            f"  full: FAIL  reference {report.reference_margin:.3e}  "
-            f"basis {report.basis_margin:.3e}  "
-            f"independence {report.independence_margin:.3e}  (841 points)"
+            f"  full: FAIL  reference {margins['reference']:.3e}  "
+            f"basis {margins['basis']:.3e}  "
+            f"independence {margins['independence']:.3e}  (841 points)"
         )
 
 
@@ -179,7 +225,7 @@ class TestScalarPipeline:
         report = check(ms, analysis=analyze(ms, "scalar"))
         assert report.pipeline == "scalar"
         assert report.functional_count == 3
-        assert report.independence_margin is None
+        assert report.margins["independence"] is None
         assert report.passed
         assert "n/a" in report.to_text()
         json.dumps(report.to_dict())  # None serializes as null
@@ -202,22 +248,40 @@ class TestFixedFloors:
         ms = measurements(grid, ("1", "x", "x + 0.0001*y", "x*y", "x^2 - y^2"))
         report = check(ms)
         assert report.passed
-        assert report.basis_margin == pytest.approx(1e-4, rel=1e-3)
+        assert report.margins["basis"] == pytest.approx(1e-4, rel=1e-3)
         assert_verdicts_match_margins(report)
 
-    @pytest.mark.parametrize("name", list(FLOORS))
+    @pytest.mark.parametrize("name", list(ROWS))
     def test_a_margin_at_its_floor_passes_and_below_or_nan_fails(self, name):
-        # each verdict is ``margin >= floor``: the floor itself passes, the
-        # next float below it fails, and so does a NaN margin
-        floor = FLOORS[name]
+        """Every row of the table of checks passes with its reading at its
+        limit and fails with it at the next float across, or NaN: the
+        floors pass by ``reading >= limit``, the boundary quotients and
+        the cancellation by ``reading <= limit``.  Across the limit the
+        audit lists the row's message, ``reconstruct`` raises any other
+        row's error with its message, and each error has its exit code."""
+        sources, error, message = ROWS[name]
+        ms = measurements(unit_grid(17), sources)
+        rs = analyze(ms)
+        (at,) = [k for k, row in enumerate(rs.checks) if row.name == name]
+        row = rs.checks[at]
+        assert row.floor is not name.startswith(("boundary", "cancellation"))
 
-        def report(value):
-            margins = {f"{key}_margin": 0.5 for key in FLOORS}
-            margins[f"{name}_margin"] = value
-            return AdmissibilityReport("matrix", 5, 100, **margins)
+        def moved(reading):
+            checks = list(rs.checks)
+            checks[at] = replace(row, reading=reading)
+            return replace(rs, checks=checks)
 
-        assert report(floor).passed
-        below = np.nextafter(floor, 0.0)
-        assert report(below).failures() == [f"{name} margin {below:.3e} < 1.0e-06"]
-        assert report(float("nan")).failures() == [f"{name} margin nan < 1.0e-06"]
-        assert report(float("nan")).to_dict()["passed"] is False
+        across = np.nextafter(row.limit, -np.inf if row.floor else np.inf)
+        assert moved(row.limit).checks[at].passed
+        assert not moved(float("nan")).checks[at].passed
+        for reading in (across, float("nan")):
+            text = message.format(reading=reading, limit=row.limit)
+            if name in FLOORS:
+                assert check(ms, moved(row.limit)).passed
+                assert check(ms, moved(reading)).failures() == [text]
+                assert check(ms, moved(reading)).to_dict()["passed"] is False
+            else:
+                with pytest.raises(error) as info:
+                    reconstruct(ms, moved(reading))
+                assert str(info.value) == f"[recon] {text}"
+        assert error.exit_code == (1 if error is InternalConsistencyError else 4)

@@ -34,6 +34,10 @@ def harmonic_doc(**overrides) -> dict:
     return doc
 
 
+# a phantom qpat can measure: its functionals vanish where c does
+QPAT_PHANTOM = {"coefficients": {"a": "1", "c": "0.5"}}
+
+
 def bump_doc(**overrides) -> dict:
     doc = harmonic_doc(
         coefficients={
@@ -276,27 +280,36 @@ class TestSynthReconstructRoundTrip:
         assert message in err, err
 
     @pytest.mark.parametrize(
-        "change, named",
+        "synthesized, change, named",
         [
             (
+                {},
                 {"grid": {"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [21, 21]}},
                 "grid [17, 17] on [[0.0, 1.0], [0.0, 1.0]], config [21, 21]",
             ),
             (
+                {},
                 {"grid": {"bounds": [[0.0, 1.0], [0.0, 2.0]], "shape": [17, 17]}},
                 "config [17, 17] on [[0.0, 1.0], [0.0, 2.0]]",
             ),
             (
+                {},
                 {"modality": {"name": "qpat", "gamma": "1"}},
                 "modality elastography, config qpat",
             ),
-            ({"traces": {"count": 4}}, "5 traces, config 4"),
+            ({}, {"traces": {"count": 4}}, "5 traces, config 4"),
             (
+                {},
                 {"traces": {"expressions": ["1", "x", "y", "x*y", "x^2 + y^2"]}},
                 "trace expressions ['1', 'x', 'y', 'x*y', 'x^2 - y^2'], config",
             ),
-            ({"traces": {"corner_compatible": True}}, "config [None, None"),
-            ({"noise": {"amplitude": 1e-2}}, "noise None, config NoiseSpec"),
+            ({}, {"traces": {"corner_compatible": True}}, "config [None, None"),
+            ({}, {"noise": {"amplitude": 1e-2}}, "noise None, config NoiseSpec"),
+            (
+                {"modality": {"name": "qpat", "gamma": "1 + 0.1*x"}, **QPAT_PHANTOM},
+                {"modality": {"name": "qpat", "gamma": "3"}, **QPAT_PHANTOM},
+                "gamma differs from the config's '3'",
+            ),
         ],
         ids=[
             "shape",
@@ -306,13 +319,14 @@ class TestSynthReconstructRoundTrip:
             "trace-expressions",
             "corner-compatible",
             "noise",
+            "gamma",
         ],
     )
     def test_data_of_another_experiment_is_refused(
-        self, tmp_path, capsys, change, named
+        self, tmp_path, capsys, synthesized, change, named
     ):
         data = tmp_path / "data"
-        single = write_config(tmp_path, harmonic_doc(), "single.json")
+        single = write_config(tmp_path, harmonic_doc(**synthesized), "single.json")
         assert main(["--config", single, "--out", str(data), "synth"]) == 0
         cfg = write_config(tmp_path, harmonic_doc(**change))
         out = tmp_path / "run"

@@ -477,6 +477,13 @@ class TestReconstruct:
         "functional, noise, error, text",
         [
             (0, None, NonVanishingError, r"\|H_1\| falls to nan .* at vertex \(7, 9\)"),
+            (
+                1,
+                None,
+                DegeneracyError,
+                r"linearly dependent at 4 interior vertices \(\|det\| floor 1\.000e-06\); "
+                r"first offending points: \(6, 9\), \(7, 8\), \(7, 10\), \(8, 9\)$",
+            ),
             (4, None, InternalConsistencyError, r"gradient cancellation failed: residual nan"),
             (
                 4,
@@ -486,12 +493,14 @@ class TestReconstruct:
                 r"\(allowance nan, which is not finite\)$",
             ),
         ],
-        ids=["H_1", "extra", "extra-noise"],
+        ids=["H_1", "basis", "extra", "extra-noise"],
     )
     def test_nan_at_one_vertex_fails_its_check(self, functional, noise, error, text):
-        """A NaN at one interior vertex of ``H_1``, or of an extra
-        functional, fails the first check that reads it: every reading
-        passes only by a comparison that NaN fails.  Under declared noise
+        """A NaN at one interior vertex of ``H_1``, of a basis functional
+        or of an extra functional fails the first check that reads it:
+        every reading passes only by a comparison that NaN fails.  The
+        Gram floor is set by the finite peaks, so it names only the four
+        vertices whose ``|det|`` the NaN reaches.  Under declared noise
         the NaN reaches the boundary-quotient allowance, and the refusal
         names the allowance, not only the reading, which did not fail."""
         grid, ms = self.harmonic_set()
@@ -544,11 +553,11 @@ class TestReconstruct:
         if corrupt == "safe":
             assert failures and failures[0].startswith("ratio 3 ")
             with pytest.raises(InternalConsistencyError) as info:
-                recon._check_analysis(ms, rs)
+                reconstruct(ms, rs)
             assert str(info.value) == f"[recon] {failures[0]}"
         else:
             assert not failures
-            recon._check_analysis(ms, rs)
+            reconstruct(ms, rs)
 
     def test_unknown_mode_is_refused_by_the_analysis(self):
         _, ms = self.harmonic_set(9)
@@ -559,7 +568,7 @@ class TestReconstruct:
         grid, ms = self.harmonic_set()
         scalar = analyze(ms, "scalar", margin=4)
         nc = reconstruct(ms, scalar)
-        assert scalar.mode == "scalar"
+        assert scalar.coefficients.mode == "scalar"
         assert np.array_equal(nc.inside, grid.interior(4))
         assert np.array_equal(nc.diffusion.values, SymTensorField.identity(grid).values)
 
@@ -651,7 +660,8 @@ def qtat_measurements():
 
 class TestSlabs:
     """The analysis is one pass over slabs of whole axis-0 planes; each
-    output and reading is that of the whole grid at once
+    output, and each reading and limit of the pass's rows of the table of
+    checks, is that of the whole grid at once
     (:func:`conftest.whole_grid_analysis`), bit for bit, in one slab, in
     slabs of two planes with a one-plane remainder, and in one-plane
     slabs, whose first and last hold the grid's faces, where the
@@ -686,22 +696,23 @@ class TestSlabs:
         for rs, report, nc, _ in runs:
             assert nc is rs.coefficients
             assert same_bits(nc.drift.values, ref.drift)
-            assert same_bits(rs.gram_det, ref.gram_det)
-            assert same_bits(rs.peaks, ref.peaks)
-            assert same_bits(np.float64(rs.basis_margin), np.float64(ref.basis_margin))
-            assert report.basis_margin == ref.basis_margin
+            rows = {row.name: row for row in rs.checks}
+            for name, (reading, limit) in ref.rows.items():
+                assert same_bits(np.float64(rows[name].reading), np.float64(reading)), name
+                assert same_bits(np.float64(rows[name].limit), np.float64(limit)), name
+            gram = rows["gram"].text()
+            assert gram.startswith(f"ratio gradients are linearly dependent at {len(ref.gram_points)} ")
+            shown = "; first offending points: " + ", ".join(map(str, ref.gram_points[:5]))
+            assert (shown in gram) == bool(ref.gram_points)
+            assert report.margins["basis"] == ref.rows["basis"][0]
             if mode == "scalar":
-                assert rs.independence_margin is rs.cancellation is None
+                assert "independence" not in rows and "cancellation" not in rows
                 continue
             assert same_bits(nc.diffusion.values, ref.direction)
             assert same_bits(nc.quality.values, ref.quality)
             assert same_bits(nc.degenerate, ref.degenerate)
-            assert same_bits(
-                np.float64(rs.independence_margin), np.float64(ref.independence_margin)
-            )
-            assert report.independence_margin == ref.independence_margin
-            assert same_bits(np.float64(rs.cancellation[0]), np.float64(ref.cancellation[0]))
-            assert rs.cancellation[1] == ref.cancellation[1]
+            assert report.margins["independence"] == ref.rows["independence"][0]
+            assert f" at vertex {ref.cancellation_vertex} " in rows["cancellation"].text()
 
     @pytest.mark.parametrize(
         "shape, count, planes",
@@ -774,6 +785,25 @@ class TestSlabs:
         assert not np.isnan(direction.values[~indefinite]).any()
         assert runs[2][3] == [np.dtype(np.float64)] * n
         self.assert_whole_grid_bits(ms, runs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_in_a_basis_functional_keeps_the_whole_grid_limits(self, monkeypatch):
+        """The peaks that set the Gram and cancellation limits skip a NaN
+        in every slab as on the whole grid, so the limits are the finite
+        ones, bit for bit, and the Gram row lists the same vertices."""
+        grid = unit_grid(17)
+        ms = hand_measurements(grid, ["1", "x", "y", "x*y", "x^2 - y^2"])
+        ms.functionals[1].values[7, 9] = np.nan
+        ref = whole_grid_analysis(ms)
+        assert np.isfinite(ref.rows["gram"][1]) and np.isfinite(ref.rows["cancellation"][1])
+        assert ref.gram_points == [(6, 9), (7, 8), (7, 10), (8, 9)]
+        plane = grid.num_points // grid.shape[0]
+        for vertices in (grid.num_points, 2 * plane + 1, 1):
+            monkeypatch.setitem(recon._SLAB_BUDGET, grid.dim, vertices)
+            rows = {row.name: row for row in analyze(ms).checks}
+            for name in ("gram", "cancellation"):
+                assert same_bits(np.float64(rows[name].limit), np.float64(ref.rows[name][1]))
+            assert rows["gram"].text().startswith("ratio gradients are linearly dependent at 4 ")
 
 
 EPS = np.finfo(float).eps

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import whole_grid_analysis
 from hiplab import admissibility, gauge, grids, recon, studies
 from hiplab.config import ExperimentConfig, parse_config
 from hiplab.errors import ConfigurationError, DegeneracyError
@@ -72,6 +74,7 @@ class TestRunSingle:
             "study",
             "config",
             "admissibility",
+            "checks",
             "gauge",
             "flagged_fraction",
             "metrics",
@@ -150,6 +153,61 @@ class TestRunSingle:
             )
         )
         assert report["metrics"] == studies.run_single(short)["metrics"]
+
+    @pytest.mark.parametrize("mode", ["matrix", "scalar"])
+    def test_checks_section_lists_every_row_in_order(self, tmp_path, mode):
+        """The one key a single study's report gained, ``checks``, lists
+        every row of the table of checks in order, each with the reading
+        and limit the audit or ``reconstruct`` compares; scalar mode has
+        no independence or cancellation row.  Without it, ``report.json``
+        is byte for byte the file the strict writer makes of the rest."""
+        square = {"bounds": [[0.0, 1.0], [0.0, 1.0]], "shape": [33, 33]}
+        cfg = parse_config(bump_doc(grid=square) if mode == "matrix" else scalar_doc())
+        report = studies.run_single(cfg, out_dir=str(tmp_path))
+        grid = cfg.grid_for()
+        ms = studies.synthesize_measurements(cfg, grid, cfg.coefficients(grid))
+
+        boundary = [f"boundary_{j}" for j in range(1, ms.count)]
+        names = ["reference", "basis", "independence", "h1", *boundary, "gram", "cancellation"]
+        if mode == "scalar":
+            names = [n for n in names if n not in ("independence", "cancellation")]
+        assert [row["name"] for row in report["checks"]] == names
+        assert all(row["passed"] for row in report["checks"])
+        rows = {row.pop("name"): row for row in report["checks"]}
+
+        def compared(region, reading, limit):
+            return {"region": region, "reading": reading, "limit": limit, "passed": True}
+
+        # the audit's margins against their floors
+        margins = report["admissibility"]["regions"][0]
+        for name in names[: 3 if mode == "matrix" else 2]:
+            floor = admissibility.FLOORS[name]
+            assert rows[name] == compared("interior", margins[f"{name}_margin"], floor)
+        # reconstruct's |H_1| floor on the whole grid
+        mag = np.abs(ms.functionals[0].values)
+        assert rows["h1"] == compared("grid", float(mag.min()), 1e-8 * float(mag.max()))
+        # each noiseless ratio against its trace quotient on the safe boundary
+        f1 = ms.traces[0].values
+        safe = grid.boundary_mask() & (np.abs(f1) > 1e-12 * float(np.max(np.abs(f1))))
+        ref = whole_grid_analysis(ms, mode)
+        for name, trace, ratio in zip(boundary, ms.traces[1:], ref.fields):
+            expected = grids.divide(trace.values[safe], f1[safe])
+            err = float(np.max(np.abs(ratio.values[safe] - expected)))
+            allowance = 1e-8 * (float(np.max(np.abs(expected))) + 1.0)
+            assert rows[name] == compared("boundary", err, allowance)
+        # the rows the analysis's pass reads: Gram floor and cancellation
+        for name, (reading, limit) in ref.rows.items():
+            if name in ("gram", "cancellation"):
+                assert rows[name] == compared("interior", reading, limit)
+
+        text = (tmp_path / "report.json").read_text()
+        start = text.index('  "checks": [\n')
+        end = text.index("\n  ],\n", start) + len("\n  ],\n")
+        rest = json.loads(text)
+        del rest["checks"]
+        written = io.StringIO()
+        grids.dump_json(rest, written)
+        assert written.getvalue() == text[:start] + text[end:]
 
     def test_degenerate_data_aborts(self):
         cfg = parse_config(
