@@ -25,7 +25,6 @@ solved by DST-I alone (:func:`solve_poisson`).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +195,6 @@ class LinearSystem:
     grid: Grid
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    interior_flat: np.ndarray  # flat grid indices of the unknowns
 
 
 def _core_slice(shape, offset):
@@ -293,14 +291,9 @@ def assemble(
     shape = grid.shape
     dim = grid.dim
     core = _core_slice(shape, (0,) * dim)
-    # the unknowns are the core vertices in C order; their flat grid
-    # indices add up per axis
+    # the unknowns are the core vertices in C order
     box = tuple(s - 2 for s in shape)
     n_unknown = int(np.prod(box))
-    interior_flat = functools.reduce(
-        np.add.outer,
-        [np.arange(1, s - 1) * int(np.prod(shape[p + 1 :])) for p, s in enumerate(shape)],
-    ).ravel()
 
     weight_dtype = np.result_type(*stencil.values())
     rhs = np.zeros(
@@ -353,7 +346,7 @@ def assemble(
     del keep
     indices += np.repeat(np.arange(n_unknown, dtype=np.int32), counts)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
-    return LinearSystem(grid=grid, matrix=matrix, rhs=rhs, interior_flat=interior_flat)
+    return LinearSystem(grid=grid, matrix=matrix, rhs=rhs)
 
 
 def _relative_residuals(defect, x, rhs, a_inf: float):
@@ -603,11 +596,12 @@ def solve_traces(
     )
     _require_within_cap(rel)
     grid = coeffs.grid
+    core = _core_slice(grid.shape, (0,) * grid.dim)
     out = []
     for j, trace in enumerate(traces):
-        u = trace.values.astype(np.result_type(trace.values, x)).ravel()
-        u[system.interior_flat] = x[:, j]
-        out.append(ScalarField(grid, u.reshape(grid.shape)))
+        u = trace.values.astype(np.result_type(trace.values, x))
+        u[core] = x[:, j].reshape(u[core].shape)
+        out.append(ScalarField(grid, u))
     return out
 
 
@@ -681,13 +675,14 @@ def residual(
     Combines the scaled interior equation residual with the boundary
     mismatch; an exact discrete solution scores at rounding level.
     """
+    grid = coeffs.grid
     system = assemble(coeffs, [trace], source)
-    x = u.values.ravel()[system.interior_flat]
+    x = u.values[_core_slice(grid.shape, (0,) * grid.dim)].ravel()
     rhs = system.rhs[:, 0]
     rel = float(
         _relative_residuals(system.matrix @ x - rhs, x, rhs, _row_sum_max(system.matrix))
     )
-    bmask = coeffs.grid.boundary_mask()
+    bmask = grid.boundary_mask()
     f_scale = float(np.max(np.abs(trace.values[bmask]))) + np.finfo(float).tiny
     mismatch = float(np.max(np.abs(u.values[bmask] - trace.values[bmask])))
     return rel + mismatch / f_scale

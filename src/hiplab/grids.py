@@ -15,6 +15,10 @@ Conventions used throughout the package:
       dim 3:  (00, 11, 22, 12, 02, 01)
 
   so a symmetric matrix costs ``dim*(dim+1)/2`` scalars per point.
+  Each field class states its kind's layout (its name in field files,
+  its component count and Frobenius weights), and every reader of
+  fields, the field files and the error norms included, takes it from
+  there.
 * Derivatives use the in-house stencils of :func:`_diff`.  First ones are
   centered differences with second-order one-sided closures at the
   boundary, the stencils of ``numpy.gradient`` with ``edge_order=2`` and
@@ -45,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -273,79 +278,88 @@ def as_stored(values) -> np.ndarray:
     return arr.astype(_storage_dtype(arr), copy=False)
 
 
-def _coerce(values, grid: Grid, comps: int | None, what: str) -> np.ndarray:
-    arr = np.asarray(values)
-    arr = arr.astype(_storage_dtype(arr), copy=False)
-    want = grid.shape if comps is None else grid.shape + (comps,)
-    if arr.shape != want:
-        raise GridError(f"{what}: expected shape {want}, got {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
 @dataclass
-class ScalarField:
-    """Scalar samples on a grid, ``float64`` when real, else ``complex128``."""
+class _Field:
+    """Samples on a grid, ``float64`` when real, else ``complex128``; a
+    field class states its ``kind`` in files, its ``noun`` in errors,
+    and the :meth:`count` and Frobenius :meth:`weights` of its components
+    in ``dim`` dimensions, which a trailing axis holds."""
 
     grid: Grid
     values: np.ndarray
 
+    kind: ClassVar[str]
+    noun: ClassVar[str]
+
     def __post_init__(self):
-        self.values = _coerce(self.values, self.grid, None, "scalar field")
+        arr = np.asarray(self.values)
+        arr = arr.astype(_storage_dtype(arr), copy=False)
+        want = self.value_shape(self.grid)
+        if arr.shape != want:
+            raise GridError(f"{self.noun}: expected shape {want}, got {arr.shape}")
+        self.values = np.ascontiguousarray(arr)
+
+    @classmethod
+    def value_shape(cls, grid: Grid) -> tuple[int, ...]:
+        return grid.shape + (cls.count(grid.dim),)
+
+    @classmethod
+    def weights(cls, dim: int) -> np.ndarray:
+        return np.ones(cls.count(dim))
+
+    def copy(self):
+        return type(self)(self.grid, self.values.copy())
+
+    def components(self) -> list[np.ndarray]:
+        """The component arrays in storage order, views of ``values``."""
+        stacked = self.values.reshape(self.grid.shape + (-1,))
+        return [stacked[..., k] for k in range(stacked.shape[-1])]
+
+    def magnitude(self) -> np.ndarray:
+        """Pointwise Frobenius norm, its terms summed in storage order."""
+        terms = zip(self.weights(self.grid.dim), self.components())
+        return np.sqrt(sum(w * np.abs(c) ** 2 for w, c in terms))
+
+
+class ScalarField(_Field):
+    """Scalar samples: one component, without an axis of its own."""
+
+    kind, noun = "scalar", "scalar field"
+    count = staticmethod(lambda dim: 1)
+
+    @classmethod
+    def value_shape(cls, grid: Grid) -> tuple[int, ...]:
+        return grid.shape
 
     @classmethod
     def constant(cls, grid: Grid, value: complex) -> "ScalarField":
         return cls(grid, np.full(grid.shape, value, dtype=_storage_dtype(value)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+class VectorField(_Field):
+    """Vector samples, one component per axis."""
 
-
-@dataclass
-class VectorField:
-    """Vector samples, stored as :class:`ScalarField` values are; the
-    trailing axis holds the ``dim`` components."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _coerce(self.values, self.grid, self.grid.dim, "vector field")
+    kind, noun = "vector", "vector field"
+    count = staticmethod(lambda dim: dim)
 
     @classmethod
     def zero(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros(grid.shape + (grid.dim,)))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(component_sum(np.abs(self.values) ** 2))
+        return cls(grid, np.zeros(cls.value_shape(grid)))
 
 
-@dataclass
-class SymTensorField:
-    """Symmetric-matrix samples in upper-triangle storage, stored as
-    :class:`ScalarField` values are."""
+class SymTensorField(_Field):
+    """Symmetric-matrix samples in upper-triangle storage; an off-diagonal
+    entry weighs 2 in the Frobenius norm, as it stands for two."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _coerce(
-            self.values, self.grid, sym_size(self.grid.dim), "symmetric field"
-        )
+    kind, noun = "symtensor", "symmetric field"
+    count = staticmethod(sym_size)
+    weights = staticmethod(sym_weights)
 
     @classmethod
     def identity(cls, grid: Grid) -> "SymTensorField":
-        vals = np.zeros(grid.shape + (sym_size(grid.dim),))
+        vals = np.zeros(cls.value_shape(grid))
         vals[..., : grid.dim] = 1.0
         return cls(grid, vals)
-
-    def copy(self) -> "SymTensorField":
-        return SymTensorField(self.grid, self.values.copy())
 
     def entry(self, i: int, j: int) -> np.ndarray:
         pairs = sym_pairs(self.grid.dim)
@@ -354,11 +368,6 @@ class SymTensorField:
 
     def full(self) -> np.ndarray:
         return sym_to_full(self.values, self.grid.dim)
-
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Frobenius norm (off-diagonal entries counted twice)."""
-        w = sym_weights(self.grid.dim)
-        return np.sqrt(component_sum(w * np.abs(self.values) ** 2))
 
 
 def sym_to_full(values: np.ndarray, dim: int) -> np.ndarray:
@@ -719,17 +728,7 @@ def read_json(path: str, what: str, stage: str) -> dict:
 # field files: raw little-endian complex128 payload plus a JSON sidecar,
 # whatever the storage dtype
 
-_KINDS = {"scalar": None, "vector": "dim", "symtensor": "sym"}
-
-
-def _kind_of(fld) -> str:
-    if isinstance(fld, ScalarField):
-        return "scalar"
-    if isinstance(fld, VectorField):
-        return "vector"
-    if isinstance(fld, SymTensorField):
-        return "symtensor"
-    raise GridError(f"not a field: {type(fld).__name__}")
+_KINDS = {cls.kind: cls for cls in (ScalarField, VectorField, SymTensorField)}
 
 
 def write_field(fld, path: str) -> None:
@@ -741,13 +740,12 @@ def write_field(fld, path: str) -> None:
     the storage dtype: a real field writes zero imaginary parts.
     """
     grid = fld.grid
-    kind = _kind_of(fld)
     payload = np.ascontiguousarray(fld.values, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(payload.tobytes())
     sidecar = {
         "schema_version": 1,
-        "kind": kind,
+        "kind": fld.kind,
         "dim": grid.dim,
         "bounds": [list(b) for b in grid.bounds],
         "shape": list(grid.shape),
@@ -767,27 +765,26 @@ def read_field(path: str):
     for key in ("kind", "dim", "bounds", "shape"):
         if key not in meta:
             raise GridError(f"sidecar {sidecar_path} lacks '{key}'")
-    kind = meta["kind"]
-    if kind not in _KINDS:
-        raise GridError(f"unknown field kind '{kind}'")
+    cls = _KINDS.get(meta["kind"])
+    if cls is None:
+        raise GridError(f"unknown field kind '{meta['kind']}'")
     grid = Grid(
         bounds=tuple(tuple(b) for b in meta["bounds"]),
         shape=tuple(meta["shape"]),
     )
-    comps = {"scalar": 1, "vector": grid.dim, "symtensor": sym_size(grid.dim)}[kind]
+    if meta["dim"] != grid.dim:
+        raise GridError(
+            f"sidecar {sidecar_path} gives dim {meta['dim']} "
+            f"but its bounds describe {grid.dim} axes"
+        )
+    shape = cls.value_shape(grid)
     try:
         raw = np.fromfile(path, dtype="<c16")
     except OSError as exc:
         raise InputFileError(f"cannot read field {path}: {exc}", stage="data")
-    if raw.size != grid.num_points * comps:
-        raise GridError(
-            f"{path}: expected {grid.num_points * comps} values, got {raw.size}"
-        )
+    if raw.size != math.prod(shape):
+        raise GridError(f"{path}: expected {math.prod(shape)} values, got {raw.size}")
     if not raw.imag.view(np.uint64).any():
         # every imaginary part is +0.0, as a real field writes them
         raw = raw.real
-    if kind == "scalar":
-        return ScalarField(grid, raw.reshape(grid.shape))
-    shape = grid.shape + (comps,)
-    cls = VectorField if kind == "vector" else SymTensorField
     return cls(grid, raw.reshape(shape))

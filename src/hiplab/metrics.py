@@ -25,15 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MetricsError
-from .grids import (
-    ScalarField,
-    SymTensorField,
-    VectorField,
-    first_derivatives,
-    second_derivatives,
-    sym_size,
-    sym_weights,
-)
+from .grids import _Field, first_derivatives, second_derivatives, sym_weights
 
 __all__ = ["ErrorMetrics", "error_norms"]
 
@@ -52,19 +44,6 @@ class ErrorMetrics:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _components(fld) -> tuple[list[np.ndarray], np.ndarray]:
-    """The components of ``fld`` and their Frobenius weights: symmetric
-    off-diagonal entries count twice."""
-    dim = fld.grid.dim
-    if isinstance(fld, ScalarField):
-        return [fld.values], np.ones(1)
-    if isinstance(fld, VectorField):
-        return [fld.values[..., k] for k in range(dim)], np.ones(dim)
-    if isinstance(fld, SymTensorField):
-        return [fld.values[..., k] for k in range(sym_size(dim))], sym_weights(dim)
-    raise MetricsError(f"not a field: {type(fld).__name__}")
 
 
 def _box(region: np.ndarray) -> tuple[slice, ...]:
@@ -143,6 +122,8 @@ def error_norms(candidate, reference, mask: np.ndarray) -> ErrorMetrics:
             f"cannot compare {type(candidate).__name__} "
             f"with {type(reference).__name__}"
         )
+    if not isinstance(candidate, _Field):
+        raise MetricsError(f"not a field: {type(candidate).__name__}")
     grid = candidate.grid
     if not grid.compatible(reference.grid):
         raise MetricsError("fields live on different grids")
@@ -153,9 +134,9 @@ def error_norms(candidate, reference, mask: np.ndarray) -> ErrorMetrics:
 
     box = _box(mask)
     region = mask[box]
-    cand, weights = _components(candidate)
-    ref, _ = _components(reference)
-    diff = [c[box] - r[box] for c, r in zip(cand, ref)]
+    weights = candidate.weights(grid.dim)
+    ref = reference.components()
+    diff = [c[box] - r[box] for c, r in zip(candidate.components(), ref)]
     d0, d1, d2 = _sup_levels(diff, weights, grid.spacing, region)
     r0, r1, r2 = _sup_levels([r[box] for r in ref], weights, grid.spacing, region)
     c0 = d0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExpressionError
-from .grids import Grid, ScalarField, SymTensorField, VectorField, as_stored, sym_size
+from .grids import Grid, ScalarField, SymTensorField, VectorField, as_stored
 
 __all__ = [
     "parse",
@@ -299,7 +299,7 @@ def check_component_count(sources, dim: int, symmetric: bool = False) -> None:
     """Raise unless ``sources`` holds one expression per stored component
     of a vector field, or with ``symmetric`` of a symmetric-matrix field,
     in ``dim`` dimensions."""
-    want = sym_size(dim) if symmetric else dim
+    want = (SymTensorField if symmetric else VectorField).count(dim)
     if len(sources) != want:
         kind = "symmetric matrix" if symmetric else "vector"
         raise ExpressionError(

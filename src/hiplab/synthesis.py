@@ -438,7 +438,7 @@ def add_noise(ms: MeasurementSet, spec: NoiseSpec) -> MeasurementSet:
         functionals = []
         for f in ms.functionals:
             eta = _noise_field(rng, ms.grid, spec.correlation_length)
-            scale = spec.amplitude * f.max_abs()
+            scale = spec.amplitude * float(np.max(np.abs(f.values)))
             functionals.append(ScalarField(ms.grid, f.values + scale * eta))
     return MeasurementSet(
         grid=ms.grid,
@@ -493,13 +493,20 @@ def load_measurements(directory: str) -> MeasurementSet:
     _require_keys(manifest, ("modality", "trace_expressions", "files"), "", path)
     files = manifest["files"]
     _require_keys(files, ("functionals", "traces", "weight"), "files/", path)
+    names, expressions = files["traces"], manifest["trace_expressions"]
+    if not len(names) == len(files["functionals"]) == len(expressions):
+        raise InputFileError(
+            f"manifest {path} lists {len(names)} traces vs {len(files['functionals'])} "
+            f"functionals and {len(expressions)} trace expressions",
+            stage="data",
+        )
     weight = read_field(os.path.join(directory, files["weight"]))
     grid = weight.grid
     functionals = [
         read_field(os.path.join(directory, name)) for name in files["functionals"]
     ]
     traces = []
-    for name, expr in zip(files["traces"], manifest["trace_expressions"]):
+    for name, expr in zip(names, expressions):
         fld = read_field(os.path.join(directory, name))
         traces.append(BoundaryTrace(grid, fld.values, expr))
     gamma = None

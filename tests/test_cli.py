@@ -224,6 +224,16 @@ class TestSynthReconstructRoundTrip:
                 lambda m: m["files"].update(functionals=[]),
                 "5 traces vs 0 functionals",
             ),
+            (
+                "manifest.json",
+                lambda m: m["trace_expressions"].append("x + y"),
+                "{path} lists 5 traces vs 5 functionals and 6 trace expressions",
+            ),
+            (
+                "manifest.json",
+                lambda m: m["trace_expressions"].pop(),
+                "{path} lists 5 traces vs 5 functionals and 4 trace expressions",
+            ),
             ("manifest.json", "{", "{path} is not valid JSON"),
             ("functional_00.field.json", "{", "{path} is not valid JSON"),
             ("functional_00.field", None, "cannot read field {path}"),
@@ -232,6 +242,8 @@ class TestSynthReconstructRoundTrip:
             "manifest-key",
             "manifest-file-key",
             "no-functionals",
+            "extra-expression",
+            "missing-expression",
             "manifest-json",
             "sidecar-json",
             "payload-missing",

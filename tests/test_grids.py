@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -67,10 +69,19 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             grid.interior(3)
 
-    def test_field_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "cls, noun",
+        [
+            (ScalarField, "scalar field"),
+            (VectorField, "vector field"),
+            (SymTensorField, "symmetric field"),
+        ],
+    )
+    def test_field_shape_mismatch_rejected(self, cls, noun):
+        # each kind's refusal names it
         grid = unit_grid(5)
-        with pytest.raises(GridError):
-            ScalarField(grid, np.zeros((5, 6)))
+        with pytest.raises(GridError, match=f"^{noun}: expected shape"):
+            cls(grid, np.zeros((5, 6)))
 
 
 class TestDerivatives:
@@ -490,6 +501,17 @@ class TestFieldIO:
         assert np.array_equal(back.values, fld.values)
         assert back.grid.bounds == grid.bounds
         assert back.grid.shape == grid.shape
+
+    def test_sidecar_dim_must_match_the_bounds(self, tmp_path):
+        path = str(tmp_path / "field.bin")
+        write_field(ScalarField(unit_grid(5), np.zeros((5, 5))), path)
+        with open(path + ".json") as fh:
+            sidecar = json.load(fh)
+        sidecar["dim"] = 3
+        with open(path + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+        with pytest.raises(GridError, match=f"sidecar {re.escape(path)}.json gives dim 3"):
+            read_field(path)
 
     def test_three_dimensional_round_trip(self, tmp_path):
         grid = unit_grid(5, dim=3)

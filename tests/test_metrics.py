@@ -13,6 +13,7 @@ import pytest
 from conftest import same_bits, unit_grid
 from hiplab import metrics
 from hiplab.errors import MetricsError
+from hiplab.forward import BoundaryTrace
 from hiplab.grids import (
     Grid,
     ScalarField,
@@ -136,6 +137,19 @@ class TestComponentAggregation:
         m = error_norms(SymTensorField(grid, diag), zero, everywhere(grid))
         assert m.c0 == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["vector", "tensor"])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    def test_c0_against_zero_is_the_peak_magnitude(self, dim, kind, dtype):
+        # one Frobenius rule: the norms' and the field's own, bit for bit
+        grid = Grid(bounds=((0.0, 1.3), (-0.2, 0.7), (0.1, 2.9))[:dim], shape=(9, 8, 7)[:dim])
+        rng = np.random.default_rng(dim * 10 + len(kind) + len(dtype))
+        fld = random_field(grid, kind, dtype, rng)
+        zero = type(fld)(grid, np.zeros_like(fld.values))
+        mask = grid.interior(2) & (rng.random(grid.shape) > 0.3)
+        peak = float(np.max(fld.magnitude()[mask]))
+        assert error_norms(fld, zero, mask).c0 == peak
+
 
 class TestRegions:
     def test_mask_restricts_the_sup(self):
@@ -183,6 +197,14 @@ class TestValidation:
             error_norms(
                 constant_scalar(grid, 1.0), VectorField.zero(grid), everywhere(grid)
             )
+
+    @pytest.mark.parametrize("kind", ["ndarray", "trace"])
+    def test_non_field_rejected(self, kind):
+        grid = unit_grid(17)
+        values = np.ones(grid.shape)
+        thing = values if kind == "ndarray" else BoundaryTrace(grid, values)
+        with pytest.raises(MetricsError, match=f"not a field: {type(thing).__name__}"):
+            error_norms(thing, thing, everywhere(grid))
 
     def test_grid_mismatch_rejected(self):
         a = constant_scalar(unit_grid(17), 1.0)
@@ -239,7 +261,7 @@ def whole_grid_levels(fld, region):
     accumulators, ``np.abs(x) ** 2`` squares and every weight applied:
     the reference the box's levels must equal."""
     grid = fld.grid
-    comps, weights = metrics._components(fld)
+    comps, weights = fld.components(), fld.weights(fld.grid.dim)
 
     val_sq = np.zeros(grid.shape)
     grad_sq = np.zeros(grid.shape)
@@ -276,7 +298,7 @@ def gathered_norms(cand, ref, mask):
 
 
 def box_levels(fld, region):
-    comps, weights = metrics._components(fld)
+    comps, weights = fld.components(), fld.weights(fld.grid.dim)
     box = metrics._box(region)
     return metrics._sup_levels(
         [c[box] for c in comps], weights, fld.grid.spacing, region[box]
