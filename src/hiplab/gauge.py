@@ -21,9 +21,10 @@ carry two more, so every resolution report states the two-function gauge
 family that remains; scalar diffusion fixes ``ahat = I``, leaving
 ``dim + 1`` against ``dim + 3``.
 
-Each modality resolver integrates the drift invariant to a logarithm
-(a least-squares Poisson solve whose Dirichlet anchor comes from known
-boundary values), then eliminates the remaining coefficients:
+Each modality resolver reads one :class:`InvariantTriple`, integrates
+the drift invariant to a logarithm (a least-squares Poisson solve whose
+Dirichlet anchor comes from known boundary values), then eliminates the
+remaining coefficients:
 
 * elastography (``d = 1``, ``b = 0``): everything is determined;
 * qpat (``b = 0``, ``d = gamma c``, ``gamma`` known): a linear elliptic
@@ -35,9 +36,9 @@ boundary values), then eliminates the remaining coefficients:
   ``a^{-1} b``; ``(B, c, d)`` remain a gauge pair.
 
 Vertices where the pointwise null space was degenerate are carried
-along as flags; derivative and solve plumbing substitutes the identity
-shape there so the elliptic solves stay well posed, and reports count
-the substitutions.  Metrics should exclude flagged vertices.
+along as flags, which every resolver's flags hold; the triple
+substitutes the identity shape and a zero drift there so the elliptic
+solves stay well posed.  Metrics should exclude flagged vertices.
 """
 
 from __future__ import annotations
@@ -135,25 +136,23 @@ def dimension_audit(dim: int, mode: str = "matrix") -> dict:
 
 @dataclass
 class InvariantTriple:
-    """Shape and drift invariant, with the shape's row divergence.
+    """Shape ``ahat``, its row divergence ``div(ahat)``, the drift
+    invariant ``G`` and the reference functional ``H_1`` they came from.
 
-    ``shape_divergence`` is ``div(ahat)``, taken once on construction;
-    the drift invariant and every ``div(ahat grad f)`` read it.  The
-    scalar invariant is not stored: it is defined only once a modality
-    assumption pins the weight ratio ``B/d``, so each resolver forms it.
-    ``mode`` is the reconstruction's, which sets the dimension audit.
+    The scalar invariant is not stored: it is defined only once a
+    modality assumption pins the weight ratio ``B/d``, so each resolver
+    forms it from ``h1``.  ``mode`` is the reconstruction's, which sets
+    the dimension audit.
     """
 
     shape: SymTensorField
+    shape_divergence: VectorField
     vector_invariant: VectorField
+    h1: ScalarField
     inside: np.ndarray
     degenerate: np.ndarray
     masked_fraction: float
     mode: str = "matrix"
-    shape_divergence: VectorField = field(init=False)
-
-    def __post_init__(self):
-        self.shape_divergence = tensor_divergence(self.shape)
 
 
 @dataclass
@@ -189,15 +188,6 @@ class ResolvedCoefficients:
     fields: dict = field(default_factory=dict)
 
 
-def _fill_shape(shape: SymTensorField, degenerate: np.ndarray) -> SymTensorField:
-    """Identity-substitute flagged vertices so derivatives stay finite."""
-    if not np.any(degenerate):
-        return shape
-    vals = shape.values.copy()
-    vals[degenerate] = sym_identity(shape.grid.dim)
-    return SymTensorField(shape.grid, vals)
-
-
 def invariant_triple(
     nc: NormalizedCoefficients, h1: ScalarField
 ) -> InvariantTriple:
@@ -211,34 +201,34 @@ def invariant_triple(
             f"(limit {MASKED_FRACTION_LIMIT:.0%})",
             stage="gauge",
         )
-    shape = _fill_shape(nc.diffusion, nc.degenerate)
+    shape_vals, drift_vals = nc.diffusion.values, nc.drift.values
+    if np.any(nc.degenerate):  # keep derivatives finite; vertices stay flagged
+        shape_vals, drift_vals = shape_vals.copy(), drift_vals.copy()
+        shape_vals[nc.degenerate] = sym_identity(grid.dim)
+        drift_vals[nc.degenerate] = 0.0
     # the outer rows of the normalized pair come from one-sided stencils
     # and carry different truncation constants than the interior; any
     # derivative taken across them (div(ahat), or the potential solve
     # later) would turn that kink into a non-converging band artifact
-    tri = InvariantTriple(
-        shape=SymTensorField(grid, consistent_rings(shape.values, grid)),
-        vector_invariant=VectorField.zero(grid),  # set below from div(ahat)
-        inside=nc.inside,
+    shape = SymTensorField(grid, consistent_rings(shape_vals, grid))
+    shape_div = tensor_divergence(shape)
+    log_grad = divide(gradient(h1).values, h1.values[..., None])
+    g_vals = (
+        consistent_rings(drift_vals, grid)
+        - shape_div.values
+        - 2.0 * sym_matvec(shape.values, log_grad, grid.dim)
+    )
+    g_vals[nc.degenerate] = 0.0
+    return InvariantTriple(
+        shape=shape,
+        shape_divergence=shape_div,
+        vector_invariant=VectorField(grid, g_vals),
+        h1=h1,
+        inside=inside,
         degenerate=nc.degenerate,
         masked_fraction=frac,
         mode=nc.mode,
     )
-    drift_vals = nc.drift.values
-    if np.any(nc.degenerate):
-        drift_vals = drift_vals.copy()
-        drift_vals[nc.degenerate] = 0.0
-    drift_vals = consistent_rings(drift_vals, grid)
-    grad_h1 = gradient(h1)
-    log_grad = divide(grad_h1.values, h1.values[..., None])
-    g_vals = (
-        drift_vals
-        - tri.shape_divergence.values
-        - 2.0 * sym_matvec(tri.shape.values, log_grad, grid.dim)
-    )
-    g_vals[nc.degenerate] = 0.0  # keep solves finite; vertices stay flagged
-    tri.vector_invariant = VectorField(grid, g_vals)
-    return tri
 
 
 def integrate_gradient(
@@ -280,26 +270,22 @@ def integrate_gradient(
 
 def _shape_applied_laplacian(
     shape: SymTensorField, shape_div: VectorField, f: ScalarField
-) -> tuple[ScalarField, VectorField]:
-    """``div(ahat grad f)`` expanded as ``ahat : D^2 f + div(ahat) . grad f``,
-    with the ``grad f`` it took."""
-    dim = f.grid.dim
+) -> tuple[np.ndarray, VectorField]:
+    """Values of ``div(ahat grad f)``, expanded as
+    ``ahat : D^2 f + div(ahat) . grad f``, with the ``grad f`` it took."""
     grad = gradient(f)
     hess = hessian(f, grad)
-    vals = sym_dot(shape.values, hess.values, dim) + component_sum(
-        shape_div.values * grad.values
-    )
-    return ScalarField(f.grid, vals), grad
+    lap = sym_dot(shape.values, hess.values, f.grid.dim)
+    return lap + component_sum(shape_div.values * grad.values), grad
 
 
 def _scalar_invariant(
-    tri: InvariantTriple, h1: ScalarField, weight_ratio: np.ndarray
+    tri: InvariantTriple, weight_ratio: np.ndarray
 ) -> tuple[ScalarField, VectorField, ScalarField]:
     """``v = H_1 (B/d)``, ``grad v`` and ``q = div(ahat grad v)/v``."""
-    v = ScalarField(h1.grid, h1.values * weight_ratio)
+    v = ScalarField(tri.h1.grid, tri.h1.values * weight_ratio)
     num, grad_v = _shape_applied_laplacian(tri.shape, tri.shape_divergence, v)
-    q = ScalarField(h1.grid, divide(num.values, v.values))
-    return v, grad_v, q
+    return v, grad_v, ScalarField(v.grid, divide(num, v.values))
 
 
 def _log_anchor(anchor: BoundaryTrace, what: str) -> BoundaryTrace:
@@ -310,12 +296,8 @@ def _log_anchor(anchor: BoundaryTrace, what: str) -> BoundaryTrace:
     return BoundaryTrace(anchor.grid, np.log(vals.astype(np.complex128)))
 
 
-
 def _integrate_drift(
-    tri: InvariantTriple,
-    h1: ScalarField,
-    anchor: BoundaryTrace,
-    what: str,
+    tri: InvariantTriple, anchor: BoundaryTrace, what: str
 ) -> tuple[np.ndarray, ScalarField, ScalarField, float]:
     """Weight ratio ``B/d`` of a drift-free modality, with ``v``, ``q``
     and the relative curl of the integrated field.
@@ -330,7 +312,7 @@ def _integrate_drift(
     psi, curl_rel = integrate_gradient(F, _log_anchor(anchor, what), tri.inside)
     # numpy's real exp rounds differently from its complex one
     ratio = via_complex(np.exp, psi.values)
-    v, _, q = _scalar_invariant(tri, h1, ratio)
+    v, _, q = _scalar_invariant(tri, ratio)
     return ratio, v, q, curl_rel
 
 
@@ -349,9 +331,7 @@ def _report(
 
 
 def resolve_elastography(
-    tri: InvariantTriple,
-    h1: ScalarField,
-    amplitude_anchor: BoundaryTrace,
+    tri: InvariantTriple, amplitude_anchor: BoundaryTrace
 ) -> ResolvedCoefficients:
     """Full resolution under ``d = 1``, ``b = 0``.
 
@@ -360,14 +340,12 @@ def resolve_elastography(
     then yields ``c = B div(ahat grad B) - B^2 q``.
     """
     grid = tri.shape.grid
-    B_vals, v, q, curl_rel = _integrate_drift(tri, h1, amplitude_anchor, "amplitude")
+    B_vals, v, q, curl_rel = _integrate_drift(tri, amplitude_anchor, "amplitude")
     B = ScalarField(grid, B_vals)
     if float(np.min(B.values.real)) <= 0.0:
         raise PositivityError("recovered amplitude is not positive", stage="gauge")
     shape_lap_B, _ = _shape_applied_laplacian(tri.shape, tri.shape_divergence, B)
-    c = ScalarField(
-        grid, B.values * shape_lap_B.values - B.values**2 * q.values
-    )
+    c = ScalarField(grid, B.values * shape_lap_B - B.values**2 * q.values)
     a = SymTensorField(grid, B.values[..., None] ** 2 * tri.shape.values)
     report = _report(
         tri,
@@ -390,7 +368,6 @@ def resolve_elastography(
 
 def resolve_qpat(
     tri: InvariantTriple,
-    h1: ScalarField,
     gamma: ScalarField,
     ratio_anchor: BoundaryTrace,
     amplitude_anchor: BoundaryTrace,
@@ -404,7 +381,7 @@ def resolve_qpat(
     the known boundary amplitude.
     """
     grid = tri.shape.grid
-    rho, _, q, curl_rel = _integrate_drift(tri, h1, ratio_anchor, "weight ratio")
+    rho, _, q, curl_rel = _integrate_drift(tri, ratio_anchor, "weight ratio")
 
     shape_real = SymTensorField(grid, tri.shape.values.real)
     coeffs = CoefficientSet(
@@ -442,9 +419,7 @@ def resolve_qpat(
 
 
 def resolve_qtat(
-    tri: InvariantTriple,
-    h1: ScalarField,
-    ratio_anchor: BoundaryTrace,
+    tri: InvariantTriple, ratio_anchor: BoundaryTrace
 ) -> ResolvedCoefficients:
     """Resolution under ``b = 0``, ``d = gamma Im(c) conj(u_1)``, real ``a``.
 
@@ -458,9 +433,9 @@ def resolve_qtat(
     ``B = 1, c = -q`` reproduces the invariant pair exactly.
     """
     grid = tri.shape.grid
-    ratio, v, q, curl_rel = _integrate_drift(tri, h1, ratio_anchor, "weight ratio")
+    ratio, v, q, curl_rel = _integrate_drift(tri, ratio_anchor, "weight ratio")
 
-    kappa = ScalarField(grid, divide(h1.values, np.abs(v.values) ** 2))
+    kappa = ScalarField(grid, divide(tri.h1.values, np.abs(v.values) ** 2))
     im_q = q.values.imag
     inside = tri.inside
     scale = float(np.max(np.abs(im_q[inside])))
@@ -496,10 +471,7 @@ def resolve_qtat(
 
 
 def resolve_generic(
-    tri: InvariantTriple,
-    h1: ScalarField,
-    known_divergence: ScalarField,
-    ratio_anchor: BoundaryTrace,
+    tri: InvariantTriple, known_divergence: ScalarField, ratio_anchor: BoundaryTrace
 ) -> ResolvedCoefficients:
     """Resolution with an arbitrary weight and a known ``div(a^{-1} b)``.
 
@@ -520,7 +492,7 @@ def resolve_generic(
     ratio = via_complex(np.exp, log_ratio)
     grad_log = gradient(ScalarField(grid, log_ratio))
     drift_combo = VectorField(grid, w - 2.0 * grad_log.values)
-    v, grad_v, q = _scalar_invariant(tri, h1, ratio)
+    v, grad_v, q = _scalar_invariant(tri, ratio)
 
     resid_field = divergence(drift_combo).values - known_divergence.values
     inside = tri.inside
@@ -575,7 +547,7 @@ def _truth_triple(coeffs: CoefficientSet, weight: ScalarField):
     )
     shape_lap_B, _ = _shape_applied_laplacian(shape, tensor_divergence(shape), B)
     Q = ScalarField(
-        grid, divide(shape_lap_B.values, B.values) - divide(coeffs.c.values, B.values**2)
+        grid, divide(shape_lap_B, B.values) - divide(coeffs.c.values, B.values**2)
     )
     return shape, G, Q
 
@@ -583,8 +555,6 @@ def _truth_triple(coeffs: CoefficientSet, weight: ScalarField):
 def gauge_equivalent(
     first: tuple[CoefficientSet, ScalarField],
     second: tuple[CoefficientSet, ScalarField],
-    tol: float = 1e-8,
-    margin: int = 2,
 ) -> tuple[bool, dict]:
     """Decide whether two coefficient sets share the invariant triple.
 
@@ -592,13 +562,15 @@ def gauge_equivalent(
     invariants are always compared; the scalar invariant is compared in
     the drift-free reduction ``div(ahat grad B)/B - c/B^2`` and is
     skipped (reported as None) when either set carries a drift, since
-    it is then only defined jointly with the drift data.
+    it is then only defined jointly with the drift data.  Each compared
+    relative difference, two cells inside the boundary, must be at most
+    ``1e-8``.
     """
     (ca, wa), (cb, wb) = first, second
     grid = ca.grid
     if not grid.compatible(cb.grid):
         raise ConfigurationError("coefficient sets live on different grids")
-    inside = grid.interior(margin)
+    inside = grid.interior(2)
     shape_a, g_a, q_a = _truth_triple(ca, wa)
     shape_b, g_b, q_b = _truth_triple(cb, wb)
 
@@ -629,5 +601,4 @@ def gauge_equivalent(
     else:
         res["scalar_invariant"] = None
     res["dimension_audit"] = dimension_audit(grid.dim)
-    checked = [v for k, v in res.items() if isinstance(v, float)]
-    return all(v <= tol for v in checked), res
+    return all(v <= 1e-8 for v in res.values() if isinstance(v, float)), res

@@ -90,6 +90,7 @@ __all__ = [
     "dump_json",
     "write_json",
     "read_json",
+    "require_json",
     "write_field",
     "read_field",
 ]
@@ -724,6 +725,26 @@ def read_json(path: str, what: str, stage: str) -> dict:
     return doc
 
 
+def require_json(node, keys: dict, what: str, path: str, where: str = "") -> None:
+    """Raise :class:`InputFileError` naming ``path`` unless ``node`` is an
+    object holding every key of ``keys`` with a value of the key's JSON
+    type: a class or tuple of classes, or ``[t]`` for a list of ``t``;
+    ``where`` prefixes the key in the message."""
+
+    def holds(value, typ) -> bool:
+        if isinstance(typ, list):
+            return isinstance(value, list) and all(holds(v, typ[0]) for v in value)
+        return isinstance(value, typ) and not isinstance(value, bool)  # true is an int
+
+    for key, typ in keys.items():
+        if not isinstance(node, dict) or key not in node:
+            raise InputFileError(f"{what} {path} lacks '{where}{key}'", stage="data")
+        if not holds(node[key], typ):
+            raise InputFileError(
+                f"{what} {path}: '{where}{key}' has the wrong JSON type", stage="data"
+            )
+
+
 # ---------------------------------------------------------------------------
 # field files: raw little-endian complex128 payload plus a JSON sidecar,
 # whatever the storage dtype
@@ -762,9 +783,8 @@ def read_field(path: str):
     """
     sidecar_path = path + ".json"
     meta = read_json(sidecar_path, "sidecar", stage="data")
-    for key in ("kind", "dim", "bounds", "shape"):
-        if key not in meta:
-            raise GridError(f"sidecar {sidecar_path} lacks '{key}'")
+    keys = {"kind": str, "dim": int, "bounds": [[(int, float)]], "shape": [int]}
+    require_json(meta, keys, "sidecar", sidecar_path)
     cls = _KINDS.get(meta["kind"])
     if cls is None:
         raise GridError(f"unknown field kind '{meta['kind']}'")

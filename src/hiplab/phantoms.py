@@ -91,34 +91,22 @@ class Call:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<sym>[-+*/^()]))"
 )
-_NUM_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
-    n = len(src)
-    while pos < n:
-        stretch = src[pos:]
-        if stretch.strip() == "":
-            break
+    while src[pos:].strip():
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             bad = len(src) - len(src[pos:].lstrip())
             raise ExpressionError(f"unexpected character {src[bad]!r}", bad)
-        if m.group("num") is not None:
-            mm = _NUM_RE.match(src, m.start("num"))
-            tokens.append(("num", mm.group(0), m.start("num")))
-            pos = mm.end()
-            continue
-        if m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
+        kind = m.lastgroup  # the one named group that matched
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 

@@ -145,12 +145,11 @@ def resolve_measurements(
     (``a^{-1} b``); each truth is the field the anchors were formed from.
     """
     grid = ms.grid
-    h1 = ms.functionals[0]
     B = gauge.amplitude_of(coeffs.a)
     ratio = BoundaryTrace(grid, divide(B.values, ms.weight.values))
     name = ms.modality
     if name == "elastography":
-        res = gauge.resolve_elastography(tri, h1, ratio)
+        res = gauge.resolve_elastography(tri, ratio)
         return res, {
             "a": (res.a, coeffs.a),
             "amplitude": (res.amplitude, B),
@@ -158,16 +157,16 @@ def resolve_measurements(
         }
     if name == "qpat":
         amplitude = BoundaryTrace(grid, B.values)
-        res = gauge.resolve_qpat(tri, h1, ms.gamma, ratio, amplitude, settings)
+        res = gauge.resolve_qpat(tri, ms.gamma, ratio, amplitude, settings)
         return res, {"amplitude": (res.amplitude, B), "c": (res.c, coeffs.c)}
     if name == "qtat":
-        res = gauge.resolve_qtat(tri, h1, ratio)
+        res = gauge.resolve_qtat(tri, ratio)
         return res, {"gamma": (res.gamma, ms.gamma)}
     dim = grid.dim
     inv_drift = VectorField(
         grid, sym_matvec(sym_inv(coeffs.a.values, dim), coeffs.b.values, dim)
     )
-    res = gauge.resolve_generic(tri, h1, divergence(inv_drift), ratio)
+    res = gauge.resolve_generic(tri, divergence(inv_drift), ratio)
     return res, {"inv_drift": (res.fields["drift_combination"], inv_drift)}
 
 
@@ -232,7 +231,6 @@ def recover(
     del rs  # the resolvers do not read it; free it before their solves
     tri = gauge.invariant_triple(nc, ms.functionals[0])
     resolved, pairs = resolve_measurements(ms, tri, coeffs, cfg.solver())
-    flags = nc.degenerate | resolved.flags
 
     # in scalar mode ahat's error is how far the phantom's a is from scalar
     pairs = {"ahat": (nc.diffusion, gauge.shape_of(coeffs.a)), **pairs}
@@ -246,7 +244,7 @@ def recover(
         resolved=resolved,
         quantities={name: q for name, (q, _) in pairs.items()},
         truths={name: t for name, (_, t) in pairs.items()},
-        flags=flags,
+        flags=resolved.flags,
     )
 
 

@@ -36,6 +36,7 @@ from .grids import (
     first_closure,
     read_field,
     read_json,
+    require_json,
     second_closure,
     write_field,
     write_json,
@@ -479,20 +480,18 @@ def save_measurements(ms: MeasurementSet, directory: str) -> None:
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
-def _require_keys(node, keys: tuple[str, ...], where: str, path: str) -> None:
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            raise InputFileError(f"manifest {path} lacks '{where}{key}'", stage="data")
-
-
 def load_measurements(directory: str) -> MeasurementSet:
     """Read a measurement set :func:`save_measurements` wrote; a missing or
-    malformed file raises :class:`InputFileError` naming it."""
+    malformed file, or a value of the wrong JSON type in a manifest or
+    sidecar, raises :class:`InputFileError` naming the file."""
     path = os.path.join(directory, "manifest.json")
     manifest = read_json(path, "manifest", stage="data")
-    _require_keys(manifest, ("modality", "trace_expressions", "files"), "", path)
+    # a corner-corrected trace (compatible_traces) has no expression
+    keys = {"modality": str, "trace_expressions": [(str, type(None))], "files": dict}
+    require_json(manifest, keys, "manifest", path)
     files = manifest["files"]
-    _require_keys(files, ("functionals", "traces", "weight"), "files/", path)
+    keys = {"functionals": [str], "traces": [str], "weight": str}
+    require_json(files, keys, "manifest", path, "files/")
     names, expressions = files["traces"], manifest["trace_expressions"]
     if not len(names) == len(files["functionals"]) == len(expressions):
         raise InputFileError(
@@ -511,12 +510,13 @@ def load_measurements(directory: str) -> MeasurementSet:
         traces.append(BoundaryTrace(grid, fld.values, expr))
     gamma = None
     if "gamma" in files:
+        require_json(files, {"gamma": str}, "manifest", path, "files/")
         gamma = read_field(os.path.join(directory, files["gamma"]))
     noise = manifest.get("noise")
     spec = None
     if noise is not None:
-        keys = ("amplitude", "correlation_length", "seed")
-        _require_keys(noise, keys, "noise/", path)
+        keys = {"amplitude": (int, float), "correlation_length": (int, float), "seed": int}
+        require_json(noise, keys, "manifest", path, "noise/")
         spec = NoiseSpec(
             amplitude=noise["amplitude"],
             correlation_length=noise["correlation_length"],

@@ -34,6 +34,7 @@ from hiplab.grids import (
     VectorField,
     gradient,
     sym_to_full,
+    tensor_divergence,
 )
 from hiplab.metrics import error_norms
 from hiplab.synthesis import (
@@ -281,16 +282,18 @@ def test_qtat_flags_fire_exactly_on_vanishing_imaginary_absorption():
     imag_part = 0.05 * hinge * (1.0 + 0.3 * np.sin(2 * y))
     ratio_true = bump(grid, (0.4, 0.55), 0.1, 0.2)
     log_ratio = ScalarField(grid, np.log(ratio_true).astype(np.complex128))
+    shape = SymTensorField.identity(grid)
     tri = gauge.InvariantTriple(
-        shape=SymTensorField.identity(grid),
+        shape=shape,
+        shape_divergence=tensor_divergence(shape),
         vector_invariant=VectorField(grid, 2.0 * gradient(log_ratio).values),
+        h1=ScalarField(grid, 1.0 + 1j * imag_part),
         inside=grid.interior(2),
         degenerate=np.zeros(grid.shape, dtype=bool),
         masked_fraction=0.0,
     )
-    h1 = ScalarField(grid, 1.0 + 1j * imag_part)
     anchor = BoundaryTrace(grid, ratio_true.astype(np.complex128))
-    res = gauge.resolve_qtat(tri, h1, anchor)
+    res = gauge.resolve_qtat(tri, anchor)
 
     inside = grid.interior(2)
     expected = x <= x0 - h + 1e-12

@@ -237,6 +237,48 @@ class TestSynthReconstructRoundTrip:
             ("manifest.json", "{", "{path} is not valid JSON"),
             ("functional_00.field.json", "{", "{path} is not valid JSON"),
             ("functional_00.field", None, "cannot read field {path}"),
+            (
+                "manifest.json",
+                lambda m: m["files"].update(traces="trace_00.field"),
+                "{path}: 'files/traces' has the wrong JSON type",
+            ),
+            (
+                "manifest.json",
+                lambda m: m["files"].update(weight=["weight.field"]),
+                "{path}: 'files/weight' has the wrong JSON type",
+            ),
+            (
+                "manifest.json",
+                lambda m: m["trace_expressions"].__setitem__(0, 1),
+                "{path}: 'trace_expressions' has the wrong JSON type",
+            ),
+            (
+                "manifest.json",
+                lambda m: m.update(
+                    noise={"amplitude": "0.01", "correlation_length": 0.1, "seed": 0}
+                ),
+                "{path}: 'noise/amplitude' has the wrong JSON type",
+            ),
+            (
+                "weight.field.json",
+                lambda m: m.update(kind=["scalar"]),
+                "{path}: 'kind' has the wrong JSON type",
+            ),
+            (
+                "weight.field.json",
+                lambda m: m.update(dim="2"),
+                "{path}: 'dim' has the wrong JSON type",
+            ),
+            (
+                "weight.field.json",
+                lambda m: m.update(shape=[str(n) for n in m["shape"]]),
+                "{path}: 'shape' has the wrong JSON type",
+            ),
+            (
+                "weight.field.json",
+                lambda m: m["bounds"][0].__setitem__(0, "0"),
+                "{path}: 'bounds' has the wrong JSON type",
+            ),
         ],
         ids=[
             "manifest-key",
@@ -247,6 +289,14 @@ class TestSynthReconstructRoundTrip:
             "manifest-json",
             "sidecar-json",
             "payload-missing",
+            "traces-string",
+            "weight-list",
+            "expression-number",
+            "noise-string",
+            "kind-list",
+            "dim-string",
+            "shape-strings",
+            "bounds-string",
         ],
     )
     def test_malformed_data_directory_is_two(

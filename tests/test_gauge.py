@@ -225,10 +225,20 @@ class TestInvariantTriple:
         for vertex in inner:
             assert np.array_equal(tri.shape.values[vertex], sym_identity(2))
         assert tri.masked_fraction == len(inner) / np.count_nonzero(nc.inside)
-        res = resolve_elastography(
-            tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "1")
-        )
+        one = BoundaryTrace.from_expression(grid, "1")
+        res = resolve_elastography(tri, one)
         assert np.array_equal(res.flags, degenerate)
+        # every resolver's flags hold the triple's, so the pipeline's
+        # flags are the resolution's alone
+        unit = materialize_scalar("1", grid)
+        zero = ScalarField.constant(grid, 0.0)
+        for res in (
+            res,
+            resolve_qpat(tri, unit, one, one),
+            resolve_qtat(tri, one),
+            resolve_generic(tri, zero, one),
+        ):
+            assert np.all(res.flags[tri.degenerate]), res.report.modality
 
     def test_mostly_degenerate_interior_aborts(self):
         grid = unit_grid(9)
@@ -351,7 +361,7 @@ class TestGaugeEquivalentProperty:
                 * (G.values - 2.0 * sym_matvec(shape.values, log_grad, 2)),
             )
         lap, _ = gauge._shape_applied_laplacian(shape, tensor_divergence(shape), B)
-        c = ScalarField(grid, B.values * lap.values - B.values**2 * Q.values)
+        c = ScalarField(grid, B.values * lap - B.values**2 * Q.values)
         return CoefficientSet(a=a, b=b, c=c), d
 
     @settings(max_examples=15, deadline=None)
@@ -407,9 +417,7 @@ class TestResolveElastography:
         grid = unit_grid(33)
         ms = harmonic_measurements(grid)
         tri = invariant_triple(reconstruct(ms), ms.functionals[0])
-        res = resolve_elastography(
-            tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "1")
-        )
+        res = resolve_elastography(tri, BoundaryTrace.from_expression(grid, "1"))
         inside = grid.interior(2)
         assert np.max(np.abs(res.amplitude.values[inside] - 1.0)) < 1e-10
         assert np.max(np.abs(res.c.values[inside])) < 1e-10
@@ -419,20 +427,19 @@ class TestResolveElastography:
     def test_rotational_drift_invariant_reports_curl(self):
         grid = unit_grid(33)
         x, y = grid.meshgrid()
+        shape = SymTensorField.identity(grid)
         tri = InvariantTriple(
-            shape=SymTensorField.identity(grid),
+            shape=shape,
+            shape_divergence=tensor_divergence(shape),
             vector_invariant=VectorField(
                 grid, np.stack([-y, x], axis=-1).astype(np.complex128)
             ),
+            h1=materialize_scalar("1", grid),
             inside=grid.interior(2),
             degenerate=np.zeros(grid.shape, dtype=bool),
             masked_fraction=0.0,
         )
-        res = resolve_elastography(
-            tri,
-            materialize_scalar("1", grid),
-            BoundaryTrace.from_expression(grid, "1"),
-        )
+        res = resolve_elastography(tri, BoundaryTrace.from_expression(grid, "1"))
         assert res.report.curl_residual > 0.5
 
     def test_negative_amplitude_anchor_is_not_positive(self):
@@ -440,18 +447,14 @@ class TestResolveElastography:
         ms = harmonic_measurements(grid)
         tri = invariant_triple(reconstruct(ms), ms.functionals[0])
         with pytest.raises(PositivityError, match="amplitude is not positive"):
-            resolve_elastography(
-                tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "-1")
-            )
+            resolve_elastography(tri, BoundaryTrace.from_expression(grid, "-1"))
 
     def test_vanishing_amplitude_anchor_rejected(self):
         grid = unit_grid(17)
         ms = harmonic_measurements(grid)
         tri = invariant_triple(reconstruct(ms), ms.functionals[0])
         with pytest.raises(ConfigurationError):
-            resolve_elastography(
-                tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "0")
-            )
+            resolve_elastography(tri, BoundaryTrace.from_expression(grid, "0"))
 
 
 class TestResolveQpat:
@@ -469,7 +472,6 @@ class TestResolveQpat:
         ms, tri, gamma = self.qpat_setup(grid)
         res = resolve_qpat(
             tri,
-            ms.functionals[0],
             gamma,
             BoundaryTrace.from_expression(grid, "1"),
             BoundaryTrace.from_expression(grid, "1"),
@@ -484,7 +486,6 @@ class TestResolveQpat:
         with pytest.raises(PositivityError, match="amplitude is not positive"):
             resolve_qpat(
                 tri,
-                ms.functionals[0],
                 gamma,
                 BoundaryTrace.from_expression(grid, "1"),
                 BoundaryTrace.from_expression(grid, "-1"),
@@ -502,7 +503,6 @@ class TestResolveQpat:
         wrong = materialize_scalar("2", grid)
         res = resolve_qpat(
             tri,
-            ms.functionals[0],
             wrong,
             BoundaryTrace.from_expression(grid, "1"),
             BoundaryTrace.from_expression(grid, "1"),
@@ -531,7 +531,6 @@ class TestResolveQtat:
         d_bnd = gamma.values * coeffs.c.values.imag * np.conj(u1.values)
         res = resolve_qtat(
             tri,
-            ms.functionals[0],
             BoundaryTrace(grid, (1.0 / d_bnd).astype(np.complex128)),
         )
         return grid, res
@@ -580,13 +579,10 @@ class TestResolveGeneric:
         )
         res = resolve_generic(
             tri,
-            ms.functionals[0],
             known_divergence,
             BoundaryTrace.from_expression(grid, "1"),
         )
-        elast = resolve_elastography(
-            tri, ms.functionals[0], BoundaryTrace.from_expression(grid, "1")
-        )
+        elast = resolve_elastography(tri, BoundaryTrace.from_expression(grid, "1"))
         inside = grid.interior(2)
         ratio = res.fields["weight_ratio"].values
         assert np.max(np.abs(ratio[inside] - elast.amplitude.values[inside])) < 1e-12
@@ -619,7 +615,6 @@ class TestResolveGeneric:
             )
             res = resolve_generic(
                 tri,
-                ms.functionals[0],
                 known_divergence,
                 BoundaryTrace.from_expression(grid, "1"),
             )
@@ -649,7 +644,6 @@ class TestResolveGeneric:
         )
         res = resolve_generic(
             tri,
-            ms.functionals[0],
             known_divergence,
             BoundaryTrace(grid, (1.0 / d).astype(np.complex128)),
         )

@@ -383,6 +383,7 @@ def complex_symmetric(draw, dim):
 
 class TestSymmetricStorageProperties:
     @pytest.mark.parametrize("dim", [2, 3])
+    @settings(deadline=None)
     @given(data=st.data())
     def test_inverse_and_determinant_match_numpy(self, dim, data):
         full = data.draw(complex_symmetric(dim))
@@ -392,8 +393,8 @@ class TestSymmetricStorageProperties:
         inv = sym_to_full(sym_inv(sym, dim), dim)
         assert np.allclose(inv, np.linalg.inv(full), rtol=1e-12, atol=1e-13)
 
-
     @pytest.mark.parametrize("dim", [2, 3])
+    @settings(deadline=None)
     @given(data=st.data())
     def test_matvec_in_triangle_storage_matches_full_storage(self, dim, data):
         """Entry-by-entry products agree with expanding to full storage

@@ -1073,7 +1073,6 @@ class TestIndefiniteGenerators:
         tri = invariant_triple(nc, ms.functionals[0])
         res = resolve_generic(
             tri,
-            ms.functionals[0],
             ScalarField.constant(grid, 0.0),
             BoundaryTrace.from_expression(grid, "1"),
         )

@@ -394,6 +394,7 @@ def test_each_modality_compares_its_pairs_with_the_phantom(doc, names, monkeypat
     assert sorted(result.truths) == names
     for name in names:
         assert np.array_equal(result.truths[name].values, phantom[name].values), name
+    assert np.array_equal(result.flags, result.resolved.flags)
 
 
 class TestFittedOrder:
