@@ -38,6 +38,7 @@ from .grids import (
     SymTensorField,
     VectorField,
     as_stored,
+    divide,
     sym_det,
     sym_pairs,
     sym_to_full,
@@ -192,7 +193,6 @@ class LinearSystem:
     ``rhs`` has one column per trace; the traces share the operator.
     """
 
-    grid: Grid
     matrix: sp.csr_matrix
     rhs: np.ndarray
 
@@ -346,7 +346,7 @@ def assemble(
     del keep
     indices += np.repeat(np.arange(n_unknown, dtype=np.int32), counts)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
-    return LinearSystem(grid=grid, matrix=matrix, rhs=rhs)
+    return LinearSystem(matrix=matrix, rhs=rhs)
 
 
 def _relative_residuals(defect, x, rhs, a_inf: float):
@@ -426,46 +426,41 @@ def _mean_operator_eigenvalues(coeffs: CoefficientSet) -> np.ndarray:
 
 
 def _krylov_operators(system: LinearSystem, eig: np.ndarray):
-    """The operator and its DST-I preconditioner for BiCGSTAB.
-
-    BiCGSTAB's vectors are complex128 (see :func:`_solve_system`).  When
-    the matrix, the right-hand sides and ``eig`` are real, both act on
-    the real parts of those vectors in real arithmetic; either way the
-    result is cast back to complex128, so BiCGSTAB keeps its complex
-    scalars and ``zdotc`` inner products, and every bit of the complex
-    path.
-    """
+    """The operator and its DST-I preconditioner for BiCGSTAB."""
     matrix = system.matrix
     solve = _dst_solver(eig)
-    real = not any(np.iscomplexobj(x) for x in (matrix.data, system.rhs, eig))
-    part = np.real if real else np.asarray
-
-    def complex_operator(apply):
-        return lambda v: np.asarray(apply(part(v)), dtype=np.complex128)
-
-    return (
-        complex_operator(lambda v: matrix @ v),
-        complex_operator(lambda v: solve(v.reshape(eig.shape)).ravel()),
-    )
+    return (lambda v: matrix @ v), (lambda v: solve(v.reshape(eig.shape)).ravel())
 
 
-def _chunked(product, x: np.ndarray, y: np.ndarray):
-    """``product(x, y)`` summed over consecutive ``_DOT_CHUNK`` entries,
-    in order; one chunk is one call."""
-    total = product(x[:_DOT_CHUNK], y[:_DOT_CHUNK])
-    for k in range(_DOT_CHUNK, x.size, _DOT_CHUNK):
-        total = total + product(x[k : k + _DOT_CHUNK], y[k : k + _DOT_CHUNK])
+def _chunked(product, *vectors: np.ndarray):
+    """``product`` of complex128 copies of consecutive ``_DOT_CHUNK``
+    entries of ``vectors``, summed in order; one chunk is one call.  The
+    copies give a real vector the bits of its complex128 cast, which the
+    real BLAS kernels round differently."""
+
+    def term(k):
+        chunk = slice(k, k + _DOT_CHUNK)
+        return product(*(np.asarray(v[chunk], np.complex128) for v in vectors))
+
+    total = term(0)
+    for k in range(_DOT_CHUNK, vectors[0].size, _DOT_CHUNK):
+        total = total + term(k)
     return total
 
 
 def _vdot(x: np.ndarray, y: np.ndarray):
-    return _chunked(np.vdot, x, y)
+    total = _chunked(np.vdot, x, y)
+    return total if np.iscomplexobj(x) else total.real
 
 
 def _norm(x: np.ndarray):
-    """The 2-norm of a complex vector as ``np.linalg.norm`` forms it: the
-    squares of the real parts, then those of the imaginary parts."""
-    return np.sqrt(_chunked(np.dot, x.real, x.real) + _chunked(np.dot, x.imag, x.imag))
+    """The 2-norm of ``x`` as ``np.linalg.norm`` forms it for complex
+    ``x``: the squares of the real parts, then those of the imaginary
+    parts, whose sum a real ``x`` leaves out as it is +0."""
+    squares = _chunked(lambda u: np.dot(u.real, u.real), x)
+    if np.iscomplexobj(x):
+        squares = squares + _chunked(lambda u: np.dot(u.imag, u.imag), x)
+    return np.sqrt(squares)
 
 
 def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
@@ -476,12 +471,14 @@ def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
     with ``x0=None`` and ``atol=0``: the same steps in the same order,
     the same stopping tests and the same ``info``: 0 on convergence to
     ``rtol * |b|``, ``maxiter`` when the budget runs out, -10 on a
-    ``rho`` and -11 on an ``omega`` breakdown.  ``b`` is complex128 and
-    ``matvec`` (``A``) and ``psolve`` (the preconditioner) map complex128
-    vectors to new complex128 vectors.  Inner products and norms are
-    chunked (``_DOT_CHUNK``), so up to that many unknowns the iterates
-    carry SciPy's bits, and beyond it bits that do not depend on the
-    BLAS thread count.
+    ``rho`` and -11 on an ``omega`` breakdown.  ``b`` is ``float64`` or
+    ``complex128``, and ``matvec`` (``A``) and ``psolve`` (the
+    preconditioner) map vectors of its dtype to new ones.  Inner products
+    and norms are chunked (``_DOT_CHUNK``), so up to that many unknowns
+    the iterates carry SciPy's bits, and beyond it bits that do not
+    depend on the BLAS thread count.  A real ``b`` gets the real part of
+    the iterates of ``b + 0j``, through :func:`_chunked` and
+    :func:`hiplab.grids.divide`.
     """
     bnrm2 = _norm(b)
     atol = rtol * float(bnrm2)
@@ -501,7 +498,7 @@ def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
         if iteration > 0:
             if np.abs(omega) < omegatol:
                 return x, -11
-            beta = (rho / rho_prev) * (alpha / omega)
+            beta = divide(rho, rho_prev) * divide(alpha, omega)
             p -= omega * v
             p *= beta
             p += r
@@ -512,7 +509,7 @@ def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
         rv = _vdot(rtilde, v)
         if rv == 0:
             return x, -11
-        alpha = rho / rv
+        alpha = divide(rho, rv)
         r -= alpha * v
         # SciPy's s is a copy of r, read before r next changes
         if _norm(r) < atol:
@@ -520,7 +517,7 @@ def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
             return x, 0
         shat = psolve(r)
         t = matvec(shat)
-        omega = _vdot(t, r) / _vdot(t, t)
+        omega = divide(_vdot(t, r), _vdot(t, t))
         x += alpha * phat
         x += omega * shat
         r -= omega * t
@@ -550,8 +547,8 @@ def _solve_system(
 ) -> np.ndarray:
     """Solve every right-hand-side column against one operator.
 
-    The solution has the dtype of the matrix and right-hand sides
-    combined; BiCGSTAB runs on complex128 copies of the columns.
+    The right-hand sides have the dtype of the matrix and the traces
+    combined (:func:`assemble`); BiCGSTAB and the solution keep it.
     """
     matrix, rhs = system.matrix, system.rhs
     if not (np.isfinite(rhs).all() and np.isfinite(matrix.data).all()):
@@ -559,17 +556,13 @@ def _solve_system(
     if settings.method == "direct":
         return _lu_solve(matrix, rhs)
     matvec, psolve = _krylov_operators(system, _mean_operator_eigenvalues(coeffs))
-    x = np.empty(rhs.shape, dtype=np.result_type(matrix.dtype, rhs.dtype))
+    x = np.empty_like(rhs)
     for j in range(rhs.shape[1]):
         column, info = _bicgstab(
-            matvec,
-            psolve,
-            rhs[:, j].astype(np.complex128),
-            _KRYLOV_TOLERANCE,
-            _AUTO_KRYLOV_BUDGET,
+            matvec, psolve, rhs[:, j], _KRYLOV_TOLERANCE, _AUTO_KRYLOV_BUDGET
         )
         if info == 0:
-            x[:, j] = column if np.iscomplexobj(x) else column.real
+            x[:, j] = column
             continue
         # the remaining columns share the operator, so they share the factorization
         x[:, j:] = _lu_solve(matrix, rhs[:, j:])

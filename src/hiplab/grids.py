@@ -198,7 +198,10 @@ class Grid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        try:
+            bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        except (TypeError, ValueError):
+            raise GridError(f"grid bounds {self.bounds!r} are not pairs of numbers") from None
         shape = tuple(int(s) for s in self.shape)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "shape", shape)
@@ -785,13 +788,16 @@ def read_field(path: str):
     meta = read_json(sidecar_path, "sidecar", stage="data")
     keys = {"kind": str, "dim": int, "bounds": [[(int, float)]], "shape": [int]}
     require_json(meta, keys, "sidecar", sidecar_path)
-    cls = _KINDS.get(meta["kind"])
-    if cls is None:
-        raise GridError(f"unknown field kind '{meta['kind']}'")
-    grid = Grid(
-        bounds=tuple(tuple(b) for b in meta["bounds"]),
-        shape=tuple(meta["shape"]),
-    )
+    try:
+        cls = _KINDS.get(meta["kind"])
+        if cls is None:
+            raise GridError(f"unknown field kind '{meta['kind']}'")
+        grid = Grid(
+            bounds=tuple(tuple(b) for b in meta["bounds"]),
+            shape=tuple(meta["shape"]),
+        )
+    except GridError as exc:
+        raise InputFileError(f"sidecar {sidecar_path}: {exc}", stage="data") from None
     if meta["dim"] != grid.dim:
         raise GridError(
             f"sidecar {sidecar_path} gives dim {meta['dim']} "

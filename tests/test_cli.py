@@ -279,6 +279,21 @@ class TestSynthReconstructRoundTrip:
                 lambda m: m["bounds"][0].__setitem__(0, "0"),
                 "{path}: 'bounds' has the wrong JSON type",
             ),
+            (
+                "weight.field.json",
+                lambda m: m["bounds"][0].append(2.0),
+                "{path}: grid bounds ((0.0, 1.0, 2.0), (0.0, 1.0)) are not pairs of numbers",
+            ),
+            (
+                "weight.field.json",
+                lambda m: m.update(kind="tensor"),
+                "{path}: unknown field kind 'tensor'",
+            ),
+            (
+                "weight.field.json",
+                lambda m: m.update(shape=[4, 65]),
+                "{path}: grid axis 0 needs at least 5 points, got 4",
+            ),
         ],
         ids=[
             "manifest-key",
@@ -297,6 +312,9 @@ class TestSynthReconstructRoundTrip:
             "dim-string",
             "shape-strings",
             "bounds-string",
+            "bounds-triple",
+            "kind-unknown",
+            "shape-too-small",
         ],
     )
     def test_malformed_data_directory_is_two(

@@ -130,7 +130,7 @@ def index_table_assembly(coeffs, traces, source=None):
     matrix = sp.csr_matrix(
         (weights[keep], cols[keep], indptr), shape=(n_unknown, n_unknown)
     )
-    return forward.LinearSystem(grid=grid, matrix=matrix, rhs=rhs)
+    return forward.LinearSystem(matrix=matrix, rhs=rhs)
 
 
 def system_arrays(system):
@@ -643,8 +643,9 @@ def assert_bicgstab_is_scipys(matvec, psolve, b, rtol, maxiter):
 
 
 def krylov_problem(coeffs, trace_values):
-    """The operator, preconditioner and first right-hand side that
-    ``solve_traces`` hands BiCGSTAB."""
+    """The operator and preconditioner that ``solve_traces`` hands
+    BiCGSTAB, and its first right-hand side as complex128: the real
+    iterates of a real system carry the bits of that complex solve."""
     grid = coeffs.grid
     system = assemble(coeffs, [BoundaryTrace(grid, trace_values)])
     matvec, psolve = forward._krylov_operators(
@@ -699,8 +700,8 @@ class TestBicgstab:
         self, sample, anisotropic, complex_c, zero_rhs, maxiter
     ):
         grid, rng = sample
-        # without a complex c the system is real, and its operators act
-        # on the real parts
+        # without a complex c the system is real, and the complex128
+        # right-hand side runs its operators on complex vectors
         coeffs = random_operator(grid, rng, anisotropic, complex_c)
         values = np.zeros(grid.shape) if zero_rhs else rng.normal(size=grid.shape)
         matvec, psolve, b = krylov_problem(coeffs, values)
@@ -832,3 +833,66 @@ class TestRealArithmetic:
             x = u.values[forward._core_slice(grid.shape, (0,) * grid.dim)].ravel()
             assert same_bits(x.real, ref.real)
             assert np.array_equal(x, ref)
+
+    def test_real_solve_past_one_chunk_is_the_complex_solve_real_part(self):
+        """Past ``_DOT_CHUNK`` unknowns the real iterates keep the bits of
+        the complex solve on the same operators, chunk by chunk."""
+        grid = Grid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(129, 129))
+        rng = np.random.default_rng(11)
+        coeffs = random_operator(grid, rng, anisotropic=False, complex_c=False)
+        traces = [BoundaryTrace(grid, rng.normal(size=grid.shape)) for _ in range(2)]
+        got = solve_traces(coeffs, traces)
+
+        system = assemble(coeffs, traces)
+        assert system.rhs.shape[0] > forward._DOT_CHUNK
+        matvec, psolve = forward._krylov_operators(
+            system, forward._mean_operator_eigenvalues(coeffs)
+        )
+        core = forward._core_slice(grid.shape, (0,) * grid.dim)
+        for j, u in enumerate(got):
+            ref, info = forward._bicgstab(
+                matvec,
+                psolve,
+                system.rhs[:, j].astype(np.complex128),
+                forward._KRYLOV_TOLERANCE,
+                forward._AUTO_KRYLOV_BUDGET,
+            )
+            assert info == 0
+            assert not ref.imag.any()
+            assert same_bits(u.values[core].ravel(), np.ascontiguousarray(ref.real))
+
+    @pytest.mark.parametrize(
+        "complex_c, dtype", [(False, np.float64), (True, np.complex128)]
+    )
+    def test_bicgstab_runs_in_the_system_dtype(self, monkeypatch, complex_c, dtype):
+        """A real system hands BiCGSTAB, its operator and its
+        preconditioner only ``float64`` vectors; a complex ``c`` keeps
+        ``complex128`` ones."""
+        seen = set()
+        krylov_operators, bicgstab = forward._krylov_operators, forward._bicgstab
+
+        def recording(op):
+            def apply(v):
+                out = op(v)
+                seen.update((v.dtype, out.dtype))
+                return out
+
+            return apply
+
+        def recording_operators(system, eig):
+            return [recording(op) for op in krylov_operators(system, eig)]
+
+        def recording_bicgstab(matvec, psolve, b, rtol, maxiter):
+            x, info = bicgstab(matvec, psolve, b, rtol, maxiter)
+            seen.update((b.dtype, x.dtype))
+            return x, info
+
+        monkeypatch.setattr(forward, "_krylov_operators", recording_operators)
+        monkeypatch.setattr(forward, "_bicgstab", recording_bicgstab)
+        grid = unit_grid(17)
+        rng = np.random.default_rng(5)
+        coeffs = random_operator(grid, rng, anisotropic=True, complex_c=complex_c)
+        traces = [BoundaryTrace(grid, rng.normal(size=grid.shape)) for _ in range(2)]
+        u = solve_traces(coeffs, traces)
+        assert seen == {np.dtype(dtype)}
+        assert all(f.values.dtype == dtype for f in u)

@@ -59,6 +59,13 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(bounds=((0.0, 0.0), (0.0, 1.0)), shape=(5, 5))
 
+    @pytest.mark.parametrize(
+        "bound", [(0.0, 1.0, 2.0), (1.0,), 1.0, ("zero", 1.0), (None, 1.0)]
+    )
+    def test_bound_that_is_not_a_pair_of_numbers_rejected(self, bound):
+        with pytest.raises(GridError, match="are not pairs of numbers"):
+            Grid(bounds=(bound, (0.0, 1.0)), shape=(5, 5))
+
     def test_interior_mask_point_counts(self):
         grid = unit_grid(5)
         assert int(grid.interior(1).sum()) == 9
